@@ -10,6 +10,12 @@ open sets of full-support distributions are computed on the closed simplex
 with the common-part block structure frozen from the interior support
 pattern, so boundary-approaching witnesses evaluate to their limits.
 
+The switched and conditional families share their nested suprema: each
+outer side (x or y) is swept once per channel and config over the outer x
+inner candidate grid, in _CHUNK-row slices that are reduced to a per-outer
+max and argmax as they stream. The sweep's memory is
+O(_CHUNK x n_inner x |Z|) rather than O(n_outer x n_inner).
+
 Share-size bounds for dealer-generated secret sharing and for secure
 sampling reuse the same term kernels.
 """
@@ -48,6 +54,13 @@ _CHUNK = 256
 
 LINKS = ("m12", "m23", "m31")
 
+# inner-term groups of the nested sweeps, per outer side; the kinds of one
+# group share one inner distribution
+_SWEEP_GROUPS = {
+    "x": (("ri_yz",), ("ri_xz", "h_xy_z"), ("h_xz_y",)),
+    "y": (("ri_xz",), ("ri_yz", "h_xy_z"), ("h_yz_x",)),
+}
+
 
 @dataclass
 class TermValue:
@@ -67,14 +80,21 @@ class LinkTriple:
 
 
 def _xlogx(p):
-    out = np.zeros_like(p)
-    mask = p > SUPPORT_EPS
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
+    # off-support cells become 1 * log2(1) = 0, without a masked gather/scatter
+    q = np.where(p > SUPPORT_EPS, p, 1.0)
+    return q * np.log2(q)
 
 
 def _H(p, axis=-1):
     return -_xlogx(p).sum(axis=axis)
+
+
+@dataclass
+class _Sweep:
+    outer: np.ndarray  # (n_outer, k_out) candidates
+    inner: np.ndarray  # (n_inner, k_in) candidates
+    best: dict  # group -> (n_outer,) max over the inner candidates
+    arg: dict  # group -> (n_outer,) first inner index attaining it
 
 
 def _label_matrix(labels, n_blocks):
@@ -103,6 +123,7 @@ class _TermBank:
         self.Lx = _label_matrix(lx, nb)  # x-side blocks of the (X,Z) graph
         ly, _, nb = blocks_from_mask((W > SUPPORT_EPS).any(axis=0))
         self.Ly = _label_matrix(ly, nb)  # y-side blocks of the (Y,Z) graph
+        self._sweeps = {}  # (side, cfg) -> _Sweep
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
 
@@ -157,6 +178,40 @@ class _TermBank:
     def pair_scalar(self, a, b, kinds):
         vals = self.pair_values(a, b, kinds)
         return [float(v[0, 0]) for v in vals]
+
+    def sweep(self, side, cfg):
+        """Every inner-term group of one outer side, maximized over the inner
+        candidates for each outer candidate; computed once per (side, cfg)."""
+        key = (side, cfg)
+        if key not in self._sweeps:
+            self._sweeps[key] = self._sweep(side, cfg)
+        return self._sweeps[key]
+
+    def _sweep(self, side, cfg):
+        groups = _SWEEP_GROUPS[side]
+        kinds = list(dict.fromkeys(k for g in groups for k in g))
+        k_out, k_in = (self.nx, self.ny) if side == "x" else (self.ny, self.nx)
+        outer = candidate_points(k_out, cfg)
+        inner = candidate_points(k_in, cfg)
+        # pair_values takes x-side rows first; slices walk the x side
+        A, B = (outer, inner) if side == "x" else (inner, outer)
+        best = {g: np.full(len(outer), -np.inf) for g in groups}
+        arg = {g: np.zeros(len(outer), dtype=int) for g in groups}
+        for lo in range(0, len(A), _CHUNK):
+            sl = slice(lo, min(lo + _CHUNK, len(A)))
+            mats = dict(zip(kinds, self.pair_values(A[sl], B, kinds)))
+            for g in groups:
+                V = sum(mats[k] for k in g)  # (slice, len(B))
+                if side == "x":
+                    best[g][sl] = V.max(axis=1)
+                    arg[g][sl] = V.argmax(axis=1)
+                else:
+                    # running max over inner slices; strict > keeps the first index on ties
+                    m = V.max(axis=0)
+                    up = m > best[g]
+                    best[g][up] = m[up]
+                    arg[g][up] = V.argmax(axis=0)[up] + lo
+        return _Sweep(outer, inner, best, arg)
 
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
@@ -374,30 +429,22 @@ def _optimize_single(bank, kind, fixed_b=None, fixed_a=None, cfg=DEFAULT_CONFIG)
 
 def _nested(bank, outer_side, inner_terms, cfg):
     """sup over the outer distribution of a sum of independently supremized
-    inner terms, innermost evaluated first on a batched sweep per outer
-    candidate, then a joint coordinate polish.
+    inner terms, innermost evaluated first on the side's shared sweep, then a
+    joint coordinate polish.
 
-    inner_terms: list of lists of kinds (each inner distribution may carry a
-    sum of kinds, e.g. ri_xz + h_xy_z shares one inner variable).
+    inner_terms: tuple of kind tuples, each a group of
+    _SWEEP_GROUPS[outer_side] (each inner distribution may carry a sum of
+    kinds, e.g. ri_xz + h_xy_z shares one inner variable). The side's sweep
+    runs once per bank and config, in _CHUNK-row slices reduced as they
+    stream, so its memory is O(_CHUNK x n_inner x |Z|) rather than
+    O(n_outer x n_inner).
     """
-    k_out = bank.nx if outer_side == "x" else bank.ny
-    k_in = bank.ny if outer_side == "x" else bank.nx
-    outer = candidate_points(k_out, cfg)
-    inner = candidate_points(k_in, cfg)
-    n = len(outer)
-    totals = np.zeros(n)
-    args = []
+    sw = bank.sweep(outer_side, cfg)
+    totals = np.zeros(len(sw.outer))
     for kinds in inner_terms:
-        if outer_side == "x":
-            mats = bank.pair_values(outer, inner, kinds)
-            V = sum(mats)  # (n_outer, n_inner)
-        else:
-            mats = bank.pair_values(inner, outer, kinds)
-            V = sum(mats).T
-        totals += V.max(axis=1)
-        args.append(V.argmax(axis=1))
+        totals += sw.best[kinds]
     i = int(np.argmax(totals))
-    pts = [outer[i].copy()] + [inner[a[i]].copy() for a in args]
+    pts = [sw.outer[i].copy()] + [sw.inner[sw.arg[kinds][i]].copy() for kinds in inner_terms]
 
     def scalar(ps):
         v = 0.0
@@ -409,6 +456,22 @@ def _nested(bank, outer_side, inner_terms, cfg):
     value, pts, _ = coordinate_polish(scalar, pts, cfg, value=float(totals[i]))
     limit = any(p.min() <= 1e-9 for p in pts)
     return value, pts, limit
+
+
+_last_bank = None
+
+
+def _shared_bank(ch):
+    """The term bank of `ch`, reused while the same channel object is passed,
+    so the switched and conditional families share their nested sweeps.
+
+    A one-entry cache keyed on identity: Channel is immutable but not
+    hashable, and the cached bank keeps its channel alive.
+    """
+    global _last_bank
+    if _last_bank is None or _last_bank.ch is not ch:
+        _last_bank = _TermBank(ch)
+    return _last_bank
 
 
 def _pack_product_witnesses(bank, outer_side, pts, labels):
@@ -427,7 +490,7 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     non-switched input; the Alice-Bob value is the larger of the two nested
     rows and does not depend on the input distribution.
     """
-    bank = _TermBank(ch)
+    bank = _shared_bank(ch)
     px = _as_prob_vector(p_x, bank.nx, "p_x")
     py = _as_prob_vector(p_y, bank.ny, "p_y")
     if px.min() <= SUPPORT_EPS or py.min() <= SUPPORT_EPS:
@@ -460,8 +523,8 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
         limit_point=r1.limit_point or r2.limit_point,
     )
 
-    top_v, top_pts, top_lim = _nested(bank, "x", [["ri_yz"], ["ri_xz", "h_xy_z"]], cfg)
-    bot_v, bot_pts, bot_lim = _nested(bank, "y", [["ri_xz"], ["ri_yz", "h_xy_z"]], cfg)
+    top_v, top_pts, top_lim = _nested(bank, "x", (("ri_yz",), ("ri_xz", "h_xy_z")), cfg)
+    bot_v, bot_pts, bot_lim = _nested(bank, "y", (("ri_xz",), ("ri_yz", "h_xy_z")), cfg)
     if bot_v > top_v + REPLACE_MARGIN:
         out["m12"] = TermValue(
             name="switched_m12_bottom",
@@ -486,10 +549,10 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
 def conditional_bounds(ch, cfg=DEFAULT_CONFIG):
     """Nested switched bounds for the links to Charlie, gated on the
     reachable-output connectivity conditions; None when not applicable."""
-    bank = _TermBank(ch)
+    bank = _shared_bank(ch)
     out = {"m31": None, "m23": None}
     if check_condition1(ch):
-        v, pts, lim = _nested(bank, "x", [["ri_yz"], ["h_xz_y"]], cfg)
+        v, pts, lim = _nested(bank, "x", (("ri_yz",), ("h_xz_y",)), cfg)
         out["m31"] = TermValue(
             name="conditional_m31",
             link="m31",
@@ -499,7 +562,7 @@ def conditional_bounds(ch, cfg=DEFAULT_CONFIG):
             limit_point=lim,
         )
     if check_condition2(ch):
-        v, pts, lim = _nested(bank, "y", [["ri_xz"], ["h_yz_x"]], cfg)
+        v, pts, lim = _nested(bank, "y", (("ri_xz",), ("h_yz_x",)), cfg)
         out["m23"] = TermValue(
             name="conditional_m23",
             link="m23",

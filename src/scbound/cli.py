@@ -20,6 +20,7 @@ from .dists import (
     channel_from_json,
     dist_from_json,
     dumps,
+    sym_str,
 )
 from .protocols import (
     ProtocolSpecError,
@@ -71,12 +72,21 @@ def _resolve_channel(args):
     else:
         raise UsageError("need --builtin or --channel")
     if args.dist:
-        p_xy = dist_from_json(_load_json(args.dist))
-        if p_xy.axes != (ch.x_axis, ch.y_axis):
-            raise UsageError("--dist axes do not match the channel alphabets")
+        p_xy = _load_dist(args.dist, (ch.x_axis, ch.y_axis))
     else:
         p_xy = default_input
     return ch, p_xy
+
+
+def _load_dist(path, axes):
+    """Read --dist onto `axes`. JSON loads every symbol as a string, so a
+    file whose axes are `axes` as written by dist_to_json (same names, same
+    symbols under sym_str, in order) is re-keyed onto `axes` themselves."""
+    p_xy = dist_from_json(_load_json(path))
+    written = tuple((a.name, tuple(sym_str(s) for s in a.symbols)) for a in axes)
+    if tuple((a.name, a.symbols) for a in p_xy.axes) != written:
+        raise UsageError("--dist axes do not match the input alphabets")
+    return JointDist(axes, p_xy.probs)
 
 
 def _config(args):
@@ -155,7 +165,7 @@ def cmd_simulate(args):
     else:
         raise UsageError("need --builtin or --spec")
     if args.dist:
-        p_xy = dist_from_json(_load_json(args.dist))
+        p_xy = _load_dist(args.dist, (spec.x_axis, spec.y_axis))
     elif b is not None:
         p_xy = b.default_input
     else:

@@ -8,6 +8,7 @@ are float64; entropies are in bits.
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -68,8 +69,8 @@ class Alphabet:
 class JointDist:
     """Exact pmf over the product of named alphabets.
 
-    Stored dense as an ndarray of shape (|A1|, ..., |Ak|); must sum to 1
-    within 1e-12 and be nonnegative. Immutable after construction.
+    Stored dense as an ndarray of shape (|A1|, ..., |Ak|); must be finite and
+    nonnegative and sum to 1 within 1e-12. Immutable after construction.
     """
 
     __slots__ = ("axes", "probs")
@@ -85,6 +86,8 @@ class JointDist:
         if probs.min(initial=0.0) < -SUPPORT_EPS:
             raise ValueError("negative probability in pmf")
         total = float(probs.sum())
+        if not math.isfinite(total):  # a NaN passes every comparison below
+            raise ValueError("non-finite probability in pmf")
         if abs(total - 1.0) > 1e-12 * max(1.0, probs.size ** 0.5):
             raise ValueError("pmf sums to %.17g, not 1" % total)
         probs = np.clip(probs, 0.0, None)
@@ -176,7 +179,8 @@ class JointDist:
 class Channel:
     """Conditional distribution p(z|x,y) over finite alphabets.
 
-    kernel has shape (|X|, |Y|, |Z|); every (x, y) row sums to 1 within 1e-12.
+    kernel has shape (|X|, |Y|, |Z|); entries are finite and nonnegative, and
+    every (x, y) row sums to 1 within 1e-12.
     """
 
     __slots__ = ("x_axis", "y_axis", "z_axis", "kernel")
@@ -188,6 +192,8 @@ class Channel:
         if kernel.min(initial=0.0) < -SUPPORT_EPS:
             raise ValueError("negative probability in kernel")
         rows = kernel.sum(axis=2)
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite probability in kernel")
         if np.max(np.abs(rows - 1.0)) > 1e-12 * max(1.0, len(z_axis) ** 0.5):
             raise ValueError("kernel rows must sum to 1")
         kernel = np.clip(kernel, 0.0, None)

@@ -10,8 +10,6 @@ global optimality is not claimed.
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +42,6 @@ class OptResult:
     witnesses: tuple  # one 1-D ndarray per simplex
     limit_point: bool
     evaluations: int
-
-
-def n_threads():
-    try:
-        return max(1, int(os.environ.get("SCBOUND_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def simplex_grid(k, step):
@@ -219,7 +210,7 @@ def optimize_over_simplex(objective, shapes, cfg, batch_objective=None, extra_ca
         if batch_objective is not None:
             vals = np.asarray(batch_objective(floored), dtype=float)
         else:
-            vals = _scan_serial_or_threaded(objective, floored, n)
+            vals = np.array([objective([p[i] for p in floored]) for i in range(n)])
         evals += n
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -230,22 +221,6 @@ def optimize_over_simplex(objective, shapes, cfg, batch_objective=None, extra_ca
     evals += polish_evals
     limit = any(p.min() <= SUPPORT_BOUNDARY for p in best_pt)
     return OptResult(best_val, tuple(best_pt), limit, evals)
-
-
-def _scan_serial_or_threaded(objective, pts, n):
-    workers = n_threads()
-    if workers <= 1 or n < 64:
-        return np.array([objective([p[i] for p in pts]) for i in range(n)])
-    chunks = np.array_split(np.arange(n), workers)
-
-    def run(idx):
-        return [objective([p[i] for p in pts]) for i in idx]
-
-    out = np.empty(n)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for idx, vals in zip(chunks, ex.map(run, chunks)):
-            out[idx] = vals
-    return out
 
 
 def _cartesian(cand_sets):

@@ -568,3 +568,52 @@ def test_switched_eval_helpers_as_block_certificates(and_channel):
     assert v31 == pytest.approx(2.0, abs=1e-9)
     v23c = conditional_m23_value(b.channel, [0.5, 0.5], [0.5, 0, 0, 0.5], [1.0, 0, 0, 0])
     assert v23c == pytest.approx(2.0, abs=1e-9)
+
+
+def _random_channel(rng, nx, ny, nz, duplicate_x=False):
+    kernel = rng.random((nx, ny, nz)) * (rng.random((nx, ny, nz)) < 0.7)
+    kernel[..., 0] += 0.05  # keep rows normalizable
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    if duplicate_x:
+        kernel[1] = kernel[0]
+    axes = [Alphabet(name, tuple(range(k))) for name, k in zip("XYZ", (nx, ny, nz))]
+    return Channel(*axes, kernel)
+
+
+@pytest.mark.parametrize(
+    "shape,duplicate_x",
+    [((3, 3, 3), False), ((4, 3, 2), False), ((3, 3, 3), True)],
+)
+def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
+    # the streamed per-side sweep equals max/argmax of the full value matrix,
+    # bit for bit, including the first-index rule on ties; the grid gives
+    # several _CHUNK slices on each side
+    from scbound.bounds import _SWEEP_GROUPS, _TermBank
+
+    cfg = OptConfig(grid_resolution=0.03)
+    bank = _TermBank(_random_channel(rng, *shape, duplicate_x=duplicate_x))
+    ties = 0
+    for side, groups in _SWEEP_GROUPS.items():
+        sw = bank.sweep(side, cfg)
+        assert bank.sweep(side, cfg) is sw
+        for g in groups:
+            if side == "x":
+                V = sum(bank.pair_values(sw.outer, sw.inner, g))
+            else:
+                V = sum(bank.pair_values(sw.inner, sw.outer, g)).T
+            assert np.array_equal(sw.best[g], V.max(axis=1))
+            assert np.array_equal(sw.arg[g], V.argmax(axis=1))
+            ties += int(((V == V.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties > 0
+
+
+def test_xlogx_bitwise_equal_to_masked_form():
+    from scbound.bounds import _xlogx
+    from scbound.dists import SUPPORT_EPS
+
+    p = np.array([0.0, 1e-13, SUPPORT_EPS, 2e-12, 0.5, 1.0])
+    want = np.zeros_like(p)
+    mask = p > SUPPORT_EPS
+    want[mask] = p[mask] * np.log2(p[mask])
+    assert _xlogx(p).tobytes() == want.tobytes()
+    assert _xlogx(p[None]).tobytes() == want[None].tobytes()

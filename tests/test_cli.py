@@ -4,7 +4,7 @@ import math
 import pytest
 
 from scbound.cli import main
-from scbound.dists import channel_to_json, dumps
+from scbound.dists import channel_to_json, dist_to_json, dumps
 from scbound.protocols import builtin, spec_to_json
 
 LOG3 = math.log2(3.0)
@@ -148,3 +148,42 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(path.read_text())
     assert payload["links"]["m12"]["value"] >= 1.5 - 1e-3
+
+
+def test_builtin_with_its_written_default_dist(tmp_path, capsys):
+    # JSON loads symbols as strings; a file written from the built-in's own
+    # input is re-keyed onto the built-in's tuple symbols
+    b = builtin("and")
+    path = tmp_path / "dist.json"
+    path.write_text(dumps(dist_to_json(b.default_input)))
+    _, default, _ = run_cli(capsys, "analyze", "--builtin", "and")
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "and", "--dist", str(path))
+    assert code == 0
+    got, want = json.loads(out)["links"], json.loads(default)["links"]
+    for link in ("m12", "m23", "m31"):
+        assert got[link]["value"] == want[link]["value"]
+    _, default, _ = run_cli(capsys, "simulate", "--builtin", "and")
+    code, out, _ = run_cli(capsys, "simulate", "--builtin", "and", "--dist", str(path))
+    assert code == 0
+    assert json.loads(out)["entropies"] == json.loads(default)["entropies"]
+    # a distribution over other alphabets is still refused
+    for cmd in ("analyze", "simulate"):
+        code, _, err = run_cli(capsys, cmd, "--builtin", "group-add", "--order", "3",
+                               "--dist", str(path))
+        assert code == 1
+        assert "do not match" in err
+
+
+def test_non_finite_dist_exits_1(tmp_path, capsys):
+    b = builtin("and")
+    dist = dist_to_json(b.default_input)
+    dist["pmf"][0]["p"] = float("nan")
+    dpath = tmp_path / "nan.json"
+    dpath.write_text(json.dumps(dist))  # written as a bare NaN token
+    cpath = tmp_path / "ch.json"
+    cpath.write_text(dumps(channel_to_json(b.channel)))
+    for argv in (["analyze", "--channel", str(cpath)], ["analyze", "--builtin", "and"],
+                 ["simulate", "--builtin", "and"]):
+        code, _, err = run_cli(capsys, *argv, "--dist", str(dpath))
+        assert code == 1
+        assert "non-finite" in err

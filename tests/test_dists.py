@@ -41,6 +41,9 @@ def test_jointdist_validation():
         JointDist((a,), [0.6, 0.6])
     with pytest.raises(ValueError):
         JointDist((a,), [1.2, -0.2])
+    for bad in ([math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0], [math.inf, -math.inf]):
+        with pytest.raises(ValueError):
+            JointDist((a,), bad)
     JointDist((a,), [0.5, 0.5])
 
 
@@ -51,6 +54,12 @@ def test_channel_validation():
         Channel(x, y, z, bad)
     with pytest.raises(ValueError):
         Channel(x, y, z, np.zeros((2, 2, 3)))
+    for bad in (math.nan, math.inf):
+        kernel = np.full((2, 2, 2), 0.5)
+        kernel[1, 0, 1] = bad
+        with pytest.raises(ValueError):
+            Channel(x, y, z, kernel)
+    Channel(x, y, z, np.full((2, 2, 2), 0.5))
 
 
 def test_from_pmf_arity_check():
