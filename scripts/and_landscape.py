@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, "src")
 
-from scbound.bounds import switched_m12_value
+from scbound.bounds import term_value
 from scbound.protocols import builtin
 
 
@@ -32,7 +32,8 @@ def main():
     best = (-1.0, None)
     for a in grid:
         for b in grid:
-            v = switched_m12_value(ch, "top", [1 - a, a], [1 - b, b], [0.5, 0.5])
+            laws = {"p_X'": [1 - a, a], "p_Y'": [1 - b, b], "p_Y''": [0.5, 0.5]}
+            v = term_value(ch, "switched_m12_top", laws)
             rows.append("%.4f,%.4f,%.6f" % (a, b, v))
             if v > best[0]:
                 best = (v, (a, b))

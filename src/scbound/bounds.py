@@ -10,6 +10,17 @@ open sets of full-support distributions are computed on the closed simplex
 with the common-part block structure frozen from the interior support
 pattern, so boundary-approaching witnesses evaluate to their limits.
 
+Every optimized term is a sum of term kinds (a residual-information gap
+ri_* or a conditional entropy h_*), each evaluated at one input law. One
+term table decides which kinds make which term: _JOINT_VARIANTS holds the
+single-law variants of each link (optimized and dealer-share bounds), and
+_PRODUCT_TERMS the switched and conditional terms, whose inner laws are
+chosen separately. term_value re-evaluates any optimized term of a channel
+at given laws. Joint-form terms have one kernel, _SupportCone.values, on
+the support cone of a 3-axis joint; a channel's _TermBank maps input laws
+onto the cone of its generic support. Product-form terms (one x law, one y
+law) are evaluated by _TermBank.pair_values.
+
 The switched and conditional families share their nested suprema: each
 outer side (x or y) is swept once per channel and config over the outer x
 inner candidate grid, in _CHUNK-row slices that are reduced to a per-outer
@@ -44,7 +55,13 @@ from .normal_form import (
     is_sampling_normal_form,
     pair_normal_form,
 )
-from .simplex import OptConfig, candidate_points, coordinate_polish, optimize_over_simplex
+from .simplex import (
+    SUPPORT_BOUNDARY,
+    OptConfig,
+    candidate_points,
+    coordinate_polish,
+    optimize_over_simplex,
+)
 
 DEFAULT_CONFIG = OptConfig()
 # a later term replaces an earlier one only if strictly better than this;
@@ -54,11 +71,51 @@ _CHUNK = 256
 
 LINKS = ("m12", "m23", "m31")
 
+# -- the term table ----------------------------------------------------------
+
+# single-law variants of each link: a residual-information gap plus the
+# conditional entropy the cut must carry
+_JOINT_VARIANTS = {
+    "m12": (("ri_xz", "h_xy_z"), ("ri_yz", "h_xy_z")),
+    "m23": (("ri_xz", "h_yz_x"), ("ri_xy", "h_yz_x")),
+    "m31": (("ri_yz", "h_xz_y"), ("ri_xy", "h_xz_y")),
+}
+
+# switched and conditional terms: name -> (outer label, ((inner label,
+# kinds), ...)). Each inner law is maximized separately against the outer
+# law. A primed outer label is optimized too, as a nested supremum on its
+# side's shared sweep; "p_X" and "p_Y" are the kept marginal of the actual
+# input and are not witnesses.
+_PRODUCT_TERMS = {
+    "switched_m23": ("p_Y", (("p_X'", ("ri_xz",)), ("p_X''", ("h_yz_x",)))),
+    "switched_m31": ("p_X", (("p_Y'", ("ri_yz",)), ("p_Y''", ("h_xz_y",)))),
+    "switched_m12_top": ("p_X'", (("p_Y'", ("ri_yz",)), ("p_Y''", ("ri_xz", "h_xy_z")))),
+    "switched_m12_bottom": ("p_Y'", (("p_X'", ("ri_xz",)), ("p_X''", ("ri_yz", "h_xy_z")))),
+    "conditional_m31": ("p_X'", (("p_Y'", ("ri_yz",)), ("p_Y''", ("h_xz_y",)))),
+    "conditional_m23": ("p_Y'", (("p_X'", ("ri_xz",)), ("p_X''", ("h_yz_x",)))),
+}
+
+
+def _side(label):
+    return "x" if label.startswith("p_X") else "y"
+
+
+def _nested_term(name):
+    return _PRODUCT_TERMS[name][0].endswith("'")
+
+
 # inner-term groups of the nested sweeps, per outer side; the kinds of one
 # group share one inner distribution
 _SWEEP_GROUPS = {
-    "x": (("ri_yz",), ("ri_xz", "h_xy_z"), ("h_xz_y",)),
-    "y": (("ri_xz",), ("ri_yz", "h_xy_z"), ("h_yz_x",)),
+    side: tuple(
+        dict.fromkeys(
+            kinds
+            for name, (outer, inner) in _PRODUCT_TERMS.items()
+            if _nested_term(name) and _side(outer) == side
+            for _, kinds in inner
+        )
+    )
+    for side in "xy"
 }
 
 
@@ -105,12 +162,89 @@ def _label_matrix(labels, n_blocks):
     return mat
 
 
+def _support_points(probs):
+    return [tuple(int(i) for i in idx) for idx in np.argwhere(probs > SUPPORT_EPS)]
+
+
+class _SupportCone:
+    """Distributions on a list of (x, y, z) support points, with the
+    common-part blocks of the points' pattern for each pair of axes."""
+
+    def __init__(self, axes, points):
+        self.axes = tuple(axes)
+        self.points = list(points)
+        self.n_points = len(self.points)
+        shape = tuple(len(a) for a in self.axes)
+        self.pair_info = {}
+        for key, (i, j) in {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}.items():
+            mask = np.zeros((shape[i], shape[j]), dtype=bool)
+            for idx in self.points:
+                mask[idx[i], idx[j]] = True
+            li, lj, nb = blocks_from_mask(mask)
+            # scatter matrices: support point -> marginal cells
+            Mi = np.zeros((self.n_points, shape[i]))
+            Mj = np.zeros((self.n_points, shape[j]))
+            Mij = np.zeros((self.n_points, shape[i] * shape[j]))
+            for t, idx in enumerate(self.points):
+                Mi[t, idx[i]] = 1.0
+                Mj[t, idx[j]] = 1.0
+                Mij[t, idx[i] * shape[j] + idx[j]] = 1.0
+            self.pair_info[key] = {
+                "Mi": Mi,
+                "Mj": Mj,
+                "Mij": Mij,
+                "Li": _label_matrix(li, nb),
+                "n_blocks": nb,
+            }
+
+    def connected(self, key):
+        return self.pair_info[key]["n_blocks"] <= 1
+
+    def to_dist(self, q):
+        probs = np.zeros(tuple(len(a) for a in self.axes))
+        for t, idx in enumerate(self.points):
+            probs[idx] = q[t]
+        return JointDist(self.axes, probs)
+
+    def values(self, Qs, kinds):
+        """Sum of term values for each cone distribution in the batch."""
+        Qs = np.atleast_2d(np.asarray(Qs, dtype=float))
+        xy, xz, yz = self.pair_info["xy"], self.pair_info["xz"], self.pair_info["yz"]
+        h_xyz = _H(Qs)
+        p_x = Qs @ xy["Mi"]
+        p_y = Qs @ xy["Mj"]
+        p_z = Qs @ xz["Mj"]
+        h_x, h_y, h_z = _H(p_x), _H(p_y), _H(p_z)
+        h_xy = _H(Qs @ xy["Mij"])
+        h_xz = _H(Qs @ xz["Mij"])
+        h_yz = _H(Qs @ yz["Mij"])
+        total = np.zeros(len(Qs))
+        for kind in kinds:
+            if kind == "ri_xz":
+                total += h_x + h_z - h_xz - _H(p_x @ xz["Li"])
+            elif kind == "ri_yz":
+                total += h_y + h_z - h_yz - _H(p_y @ yz["Li"])
+            elif kind == "ri_xy":
+                total += h_x + h_y - h_xy - _H(p_x @ xy["Li"])
+            elif kind == "h_xy_z":
+                total += h_xyz - h_z
+            elif kind == "h_yz_x":
+                total += h_xyz - h_x
+            elif kind == "h_xz_y":
+                total += h_xyz - h_y
+            else:
+                raise ValueError("unknown term kind %r" % kind)
+        return total
+
+
 class _TermBank:
     """Vectorized entropy kernels for one channel.
 
-    Common-part blocks are precomputed from the generic support pattern
-    (every input symbol occurring), which is the pattern of every
-    full-support input distribution.
+    Joint-form terms are evaluated on the cone of the channel's generic
+    support, the points (x, y, z) with W > SUPPORT_EPS: the support of the
+    joint of every full-support input law, whose common-part blocks every
+    such law shares. Every W row sums to 1, so the cone's (X,Y) graph is
+    complete.
     """
 
     def __init__(self, ch):
@@ -119,10 +253,14 @@ class _TermBank:
         self.W = W
         self.nx, self.ny, self.nz = W.shape
         self.Hrow = _H(W)  # (nx, ny)
-        lx, _, nb = blocks_from_mask((W > SUPPORT_EPS).any(axis=1))
-        self.Lx = _label_matrix(lx, nb)  # x-side blocks of the (X,Z) graph
-        ly, _, nb = blocks_from_mask((W > SUPPORT_EPS).any(axis=0))
-        self.Ly = _label_matrix(ly, nb)  # y-side blocks of the (Y,Z) graph
+        points = _support_points(W)
+        self.cone = _SupportCone((ch.x_axis, ch.y_axis, ch.z_axis), points)
+        # Q.reshape(-1, nx * ny) @ M is the joint of input laws Q on the cone
+        self.M = np.zeros((self.nx * self.ny, len(points)))
+        for t, (x, y, z) in enumerate(points):
+            self.M[x * self.ny + y, t] = W[x, y, z]
+        self.Lx = self.cone.pair_info["xz"]["Li"]  # x-side blocks of the (X,Z) graph
+        self.Ly = self.cone.pair_info["yz"]["Li"]  # y-side blocks of the (Y,Z) graph
         self._sweeps = {}  # (side, cfg) -> _Sweep
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
@@ -194,7 +332,7 @@ class _TermBank:
         outer = candidate_points(k_out, cfg)
         inner = candidate_points(k_in, cfg)
         # pair_values takes x-side rows first; slices walk the x side
-        A, B = (outer, inner) if side == "x" else (inner, outer)
+        A, B = _xy(side, outer, inner)
         best = {g: np.full(len(outer), -np.inf) for g in groups}
         arg = {g: np.zeros(len(outer), dtype=int) for g in groups}
         for lo in range(0, len(A), _CHUNK):
@@ -216,39 +354,9 @@ class _TermBank:
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
     def joint_values(self, Q, kinds):
+        """Sum of joint-form terms for each input law of the batch Q."""
         Q = np.asarray(Q, dtype=float)
-        if Q.ndim == 2:
-            Q = Q[None]
-        n = len(Q)
-        out = [np.empty(n) for _ in kinds]
-        for lo in range(0, n, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, n))
-            q = Q[sl]
-            p_x = q.sum(axis=2)
-            p_y = q.sum(axis=1)
-            h_q = _H(q.reshape(len(q), -1))
-            h_x, h_y = _H(p_x), _H(p_y)
-            h_xyz = h_q + np.einsum("nxy,xy->n", q, self.Hrow)
-            p_z = np.einsum("nxy,xyz->nz", q, self.W)
-            h_z = _H(p_z)
-            p_xz = np.einsum("nxy,xyz->nxz", q, self.W)
-            h_xz = _H(p_xz.reshape(len(q), -1))
-            p_yz = np.einsum("nxy,xyz->nyz", q, self.W)
-            h_yz = _H(p_yz.reshape(len(q), -1))
-            ri_xz = h_x + h_z - h_xz - _H(p_x @ self.Lx)
-            ri_yz = h_y + h_z - h_yz - _H(p_y @ self.Ly)
-            ri_xy = h_x + h_y - h_q  # generic (X,Y) graph is complete
-            for t, kind in enumerate(kinds):
-                v = {
-                    "ri_xz": ri_xz,
-                    "ri_yz": ri_yz,
-                    "ri_xy": ri_xy,
-                    "h_xy_z": h_xyz - h_z,
-                    "h_yz_x": h_xyz - h_x,
-                    "h_xz_y": h_xyz - h_y,
-                }[kind]
-                out[t][sl] = v
-        return out
+        return self.cone.values(Q.reshape(-1, self.nx * self.ny) @ self.M, kinds)
 
 
 def _as_prob_vector(p, size, what):
@@ -340,26 +448,30 @@ def sampling_bounds(p_xyz):
 # Optimized bounds
 
 
-def _optimize_joint(bank, kinds, cfg, name, link, dist_free=True):
-    """Maximize a sum of joint-form terms over full-support p_X'Y'."""
-    nx, ny = bank.nx, bank.ny
+def _optimize_law(values, k, cfg):
+    """Maximize a batched objective, values((n, k) laws) -> (n,), over one
+    simplex of k symbols."""
 
     def batch(blocks):
-        Q = blocks[0].reshape(-1, nx, ny)
-        return sum(bank.joint_values(Q, kinds))
+        return values(blocks[0])
 
     def scalar(pts):
-        return float(batch([pts[0][None]])[0])
+        return float(values(pts[0][None])[0])
 
-    res = optimize_over_simplex(scalar, (nx * ny,), cfg, batch_objective=batch)
-    q = res.witnesses[0].reshape(nx, ny)
-    witness = JointDist((bank.ch.x_axis, bank.ch.y_axis), q)
+    return optimize_over_simplex(scalar, (k,), cfg, batch_objective=batch)
+
+
+def _optimize_joint(bank, link, kinds, cfg):
+    """Maximize a sum of joint-form terms over full-support p_X'Y'."""
+    nx, ny = bank.nx, bank.ny
+    res = _optimize_law(lambda Q: bank.joint_values(Q.reshape(-1, nx, ny), kinds), nx * ny, cfg)
+    witness = JointDist((bank.ch.x_axis, bank.ch.y_axis), res.witnesses[0].reshape(nx, ny))
     return TermValue(
-        name=name,
+        name="improved_%s_%s" % (link, kinds[0]),
         link=link,
         value=res.value,
         witnesses={"p_X'Y'": witness},
-        distribution_free=dist_free,
+        distribution_free=True,
         limit_point=res.limit_point,
     )
 
@@ -369,93 +481,98 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
 
     The Alice-Bob link is unconditional; the other two links require the
     reachable-output connectivity conditions and are None otherwise.
-    Returns {link: best TermValue or None} with both variants in .witnesses
-    provenance via the name.
+    Returns {link: best TermValue or None}; the winning variant is named
+    in the TermValue's name.
     """
     bank = _TermBank(ch)
-    out = {}
-    variants = {
-        "m12": [("ri_xz", "h_xy_z"), ("ri_yz", "h_xy_z")],
-        "m31": [("ri_yz", "h_xz_y"), ("ri_xy", "h_xz_y")] if check_condition1(ch) else None,
-        "m23": [("ri_xz", "h_yz_x"), ("ri_xy", "h_yz_x")] if check_condition2(ch) else None,
+    gates = {"m12": True, "m23": check_condition2(ch), "m31": check_condition1(ch)}
+    return {
+        link: _pick([_optimize_joint(bank, link, kinds, cfg) for kinds in _JOINT_VARIANTS[link]])
+        if gates[link]
+        else None
+        for link in LINKS
     }
-    for link, vs in variants.items():
-        if vs is None:
-            out[link] = None
-            continue
-        best = None
-        for kinds in vs:
-            tv = _optimize_joint(bank, kinds, cfg, "improved_%s_%s" % (link, kinds[0]), link)
-            if best is None or tv.value > best.value + REPLACE_MARGIN:
-                best = tv
-        out[link] = best
-    return out
 
 
-def improved_value(ch, link, variant, q_xy):
-    """Evaluate one optimized-bound objective at a given joint distribution.
-
-    variant is the residual-information side, "ri_xz", "ri_yz" or "ri_xy".
-    """
-    bank = _TermBank(ch)
-    cond_kind = {"m12": "h_xy_z", "m31": "h_xz_y", "m23": "h_yz_x"}[link]
-    Q = q_xy.probs if isinstance(q_xy, JointDist) else np.asarray(q_xy, dtype=float)
-    vals = bank.joint_values(Q[None], [variant, cond_kind])
-    return float(vals[0][0] + vals[1][0])
+def _xy(side, outer, inner):
+    """(x law, y law) of a pair of laws whose outer law is on `side`."""
+    return (outer, inner) if side == "x" else (inner, outer)
 
 
-def _optimize_single(bank, kind, fixed_b=None, fixed_a=None, cfg=DEFAULT_CONFIG):
-    """Maximize one product-form term over a single simplex, other side fixed."""
-    if fixed_b is not None:
-
-        def batch(blocks):
-            return bank.pair_values(blocks[0], fixed_b, [kind])[0][:, 0]
-
-        def scalar(pts):
-            return bank.pair_scalar(pts[0], fixed_b, [kind])[0]
-
-        k = bank.nx
-    else:
-
-        def batch(blocks):
-            return bank.pair_values(fixed_a, blocks[0], [kind])[0][0, :]
-
-        def scalar(pts):
-            return bank.pair_scalar(fixed_a, pts[0], [kind])[0]
-
-        k = bank.ny
-    return optimize_over_simplex(scalar, (k,), cfg, batch_objective=batch)
+def _product_value(bank, side, outer, inners, groups):
+    """Sum over the inner laws of their kinds, each evaluated against the
+    outer law."""
+    v = 0.0
+    for p, kinds in zip(inners, groups):
+        v += sum(bank.pair_scalar(*_xy(side, outer, p), kinds))
+    return v
 
 
-def _nested(bank, outer_side, inner_terms, cfg):
+def _product_term(bank, name, labels, pts, value, limit):
+    axes = {"x": bank.ch.x_axis, "y": bank.ch.y_axis}
+    return TermValue(
+        name=name,
+        link=name.split("_")[1],
+        value=value,
+        witnesses={
+            lab: _dist1(axes[_side(lab)].name, axes[_side(lab)].symbols, p)
+            for lab, p in zip(labels, pts)
+        },
+        distribution_free=_nested_term(name),
+        limit_point=limit,
+    )
+
+
+def _switched_single(bank, name, marginal, cfg):
+    """A switched term at the kept input marginal: each inner law maximized
+    on its own against it."""
+    outer, inner = _PRODUCT_TERMS[name]
+    side = _side(outer)
+    k = bank.ny if side == "x" else bank.nx
+    res = []
+    for _, kinds in inner:
+
+        def values(P):
+            return sum(bank.pair_values(*_xy(side, marginal[None], P), kinds)).ravel()
+
+        res.append(_optimize_law(values, k, cfg))
+    return _product_term(
+        bank,
+        name,
+        [lab for lab, _ in inner],
+        [r.witnesses[0] for r in res],
+        sum(r.value for r in res),
+        any(r.limit_point for r in res),
+    )
+
+
+def _nested(bank, name, cfg):
     """sup over the outer distribution of a sum of independently supremized
     inner terms, innermost evaluated first on the side's shared sweep, then a
     joint coordinate polish.
 
-    inner_terms: tuple of kind tuples, each a group of
-    _SWEEP_GROUPS[outer_side] (each inner distribution may carry a sum of
-    kinds, e.g. ri_xz + h_xy_z shares one inner variable). The side's sweep
-    runs once per bank and config, in _CHUNK-row slices reduced as they
-    stream, so its memory is O(_CHUNK x n_inner x |Z|) rather than
-    O(n_outer x n_inner).
+    The term's inner groups are groups of _SWEEP_GROUPS of its outer side
+    (each inner distribution may carry a sum of kinds, e.g. ri_xz + h_xy_z
+    shares one inner variable). The side's sweep runs once per bank and
+    config, in _CHUNK-row slices reduced as they stream, so its memory is
+    O(_CHUNK x n_inner x |Z|) rather than O(n_outer x n_inner).
     """
-    sw = bank.sweep(outer_side, cfg)
+    outer, inner = _PRODUCT_TERMS[name]
+    side = _side(outer)
+    groups = [kinds for _, kinds in inner]
+    sw = bank.sweep(side, cfg)
     totals = np.zeros(len(sw.outer))
-    for kinds in inner_terms:
+    for kinds in groups:
         totals += sw.best[kinds]
     i = int(np.argmax(totals))
-    pts = [sw.outer[i].copy()] + [sw.inner[sw.arg[kinds][i]].copy() for kinds in inner_terms]
+    pts = [sw.outer[i].copy()] + [sw.inner[sw.arg[kinds][i]].copy() for kinds in groups]
 
     def scalar(ps):
-        v = 0.0
-        for t, kinds in enumerate(inner_terms):
-            a, b = (ps[0], ps[1 + t]) if outer_side == "x" else (ps[1 + t], ps[0])
-            v += sum(bank.pair_scalar(a, b, kinds))
-        return v
+        return _product_value(bank, side, ps[0], ps[1:], groups)
 
     value, pts, _ = coordinate_polish(scalar, pts, cfg, value=float(totals[i]))
-    limit = any(p.min() <= 1e-9 for p in pts)
-    return value, pts, limit
+    limit = any(p.min() <= SUPPORT_BOUNDARY for p in pts)
+    return _product_term(bank, name, [outer] + [lab for lab, _ in inner], pts, value, limit)
 
 
 _last_bank = None
@@ -474,15 +591,6 @@ def _shared_bank(ch):
     return _last_bank
 
 
-def _pack_product_witnesses(bank, outer_side, pts, labels):
-    x_axis, y_axis = bank.ch.x_axis, bank.ch.y_axis
-    out = {}
-    for lab, p in zip(labels, pts):
-        axis = x_axis if lab.startswith("p_X") else y_axis
-        out[lab] = _dist1(axis.name, axis.symbols, p)
-    return out
-
-
 def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     """Separately-optimized switched bounds for independent full-support inputs.
 
@@ -495,138 +603,54 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     py = _as_prob_vector(p_y, bank.ny, "p_y")
     if px.min() <= SUPPORT_EPS or py.min() <= SUPPORT_EPS:
         raise PreconditionError("inputs must have full support")
-    out = {}
-
-    r1 = _optimize_single(bank, "ri_xz", fixed_b=py[None], cfg=cfg)
-    r2 = _optimize_single(bank, "h_yz_x", fixed_b=py[None], cfg=cfg)
-    out["m23"] = TermValue(
-        name="switched_m23",
-        link="m23",
-        value=r1.value + r2.value,
-        witnesses=_pack_product_witnesses(
-            bank, "x", [r1.witnesses[0], r2.witnesses[0]], ["p_X'", "p_X''"]
-        ),
-        distribution_free=False,
-        limit_point=r1.limit_point or r2.limit_point,
-    )
-
-    r1 = _optimize_single(bank, "ri_yz", fixed_a=px[None], cfg=cfg)
-    r2 = _optimize_single(bank, "h_xz_y", fixed_a=px[None], cfg=cfg)
-    out["m31"] = TermValue(
-        name="switched_m31",
-        link="m31",
-        value=r1.value + r2.value,
-        witnesses=_pack_product_witnesses(
-            bank, "y", [r1.witnesses[0], r2.witnesses[0]], ["p_Y'", "p_Y''"]
-        ),
-        distribution_free=False,
-        limit_point=r1.limit_point or r2.limit_point,
-    )
-
-    top_v, top_pts, top_lim = _nested(bank, "x", (("ri_yz",), ("ri_xz", "h_xy_z")), cfg)
-    bot_v, bot_pts, bot_lim = _nested(bank, "y", (("ri_xz",), ("ri_yz", "h_xy_z")), cfg)
-    if bot_v > top_v + REPLACE_MARGIN:
-        out["m12"] = TermValue(
-            name="switched_m12_bottom",
-            link="m12",
-            value=bot_v,
-            witnesses=_pack_product_witnesses(bank, "y", bot_pts, ["p_Y'", "p_X'", "p_X''"]),
-            distribution_free=True,
-            limit_point=bot_lim,
-        )
-    else:
-        out["m12"] = TermValue(
-            name="switched_m12_top",
-            link="m12",
-            value=top_v,
-            witnesses=_pack_product_witnesses(bank, "x", top_pts, ["p_X'", "p_Y'", "p_Y''"]),
-            distribution_free=True,
-            limit_point=top_lim,
-        )
-    return out
+    return {
+        "m23": _switched_single(bank, "switched_m23", py, cfg),
+        "m31": _switched_single(bank, "switched_m31", px, cfg),
+        "m12": _pick([_nested(bank, "switched_m12_top", cfg),
+                      _nested(bank, "switched_m12_bottom", cfg)]),
+    }
 
 
 def conditional_bounds(ch, cfg=DEFAULT_CONFIG):
     """Nested switched bounds for the links to Charlie, gated on the
     reachable-output connectivity conditions; None when not applicable."""
     bank = _shared_bank(ch)
-    out = {"m31": None, "m23": None}
-    if check_condition1(ch):
-        v, pts, lim = _nested(bank, "x", (("ri_yz",), ("h_xz_y",)), cfg)
-        out["m31"] = TermValue(
-            name="conditional_m31",
-            link="m31",
-            value=v,
-            witnesses=_pack_product_witnesses(bank, "x", pts, ["p_X'", "p_Y'", "p_Y''"]),
-            distribution_free=True,
-            limit_point=lim,
-        )
-    if check_condition2(ch):
-        v, pts, lim = _nested(bank, "y", (("ri_xz",), ("h_yz_x",)), cfg)
-        out["m23"] = TermValue(
-            name="conditional_m23",
-            link="m23",
-            value=v,
-            witnesses=_pack_product_witnesses(bank, "y", pts, ["p_Y'", "p_X'", "p_X''"]),
-            distribution_free=True,
-            limit_point=lim,
-        )
-    return out
+    return {
+        "m31": _nested(bank, "conditional_m31", cfg) if check_condition1(ch) else None,
+        "m23": _nested(bank, "conditional_m23", cfg) if check_condition2(ch) else None,
+    }
 
 
-# -- evaluation helpers for the switched expressions ------------------------
+def term_value(ch, name, dists):
+    """Re-evaluate one optimized term of `ch` at given laws.
 
+    `name` is the name of a TermValue from improved_bounds, switched_bounds
+    or conditional_bounds, and `dists` maps the term's witness labels to
+    laws (JointDist or arrays). switched_m23 and switched_m31 also read the
+    kept input marginal, under "p_Y" and "p_X".
+    """
+    bank = _shared_bank(ch)
+    if name in _PRODUCT_TERMS:
+        outer, inner = _PRODUCT_TERMS[name]
 
-def switched_m23_value(ch, p_y, p_x1, p_x2):
-    bank = _TermBank(ch)
-    py = _as_prob_vector(p_y, bank.ny, "p_y")[None]
-    a = bank.pair_scalar(_as_prob_vector(p_x1, bank.nx, "p_x1"), py, ["ri_xz"])[0]
-    b = bank.pair_scalar(_as_prob_vector(p_x2, bank.nx, "p_x2"), py, ["h_yz_x"])[0]
-    return a + b
+        def law(label):
+            size = bank.nx if _side(label) == "x" else bank.ny
+            return _as_prob_vector(dists[label], size, label)
 
-
-def switched_m31_value(ch, p_x, p_y1, p_y2):
-    bank = _TermBank(ch)
-    px = _as_prob_vector(p_x, bank.nx, "p_x")[None]
-    a = bank.pair_scalar(px, _as_prob_vector(p_y1, bank.ny, "p_y1"), ["ri_yz"])[0]
-    b = bank.pair_scalar(px, _as_prob_vector(p_y2, bank.ny, "p_y2"), ["h_xz_y"])[0]
-    return a + b
-
-
-def switched_m12_value(ch, row, p_outer, p_in1, p_in2):
-    """Evaluate one row of the Alice-Bob switched bound at given distributions."""
-    bank = _TermBank(ch)
-    if row == "top":
-        a = _as_prob_vector(p_outer, bank.nx, "p_outer")
-        v1 = bank.pair_scalar(a, _as_prob_vector(p_in1, bank.ny, "p_in1"), ["ri_yz"])[0]
-        v2 = sum(
-            bank.pair_scalar(a, _as_prob_vector(p_in2, bank.ny, "p_in2"), ["ri_xz", "h_xy_z"])
-        )
-    elif row == "bottom":
-        b = _as_prob_vector(p_outer, bank.ny, "p_outer")
-        v1 = bank.pair_scalar(_as_prob_vector(p_in1, bank.nx, "p_in1"), b, ["ri_xz"])[0]
-        v2 = sum(
-            bank.pair_scalar(_as_prob_vector(p_in2, bank.nx, "p_in2"), b, ["ri_yz", "h_xy_z"])
-        )
-    else:
-        raise ValueError("row must be 'top' or 'bottom'")
-    return v1 + v2
-
-
-def conditional_m31_value(ch, p_x1, p_y1, p_y2):
-    bank = _TermBank(ch)
-    a = _as_prob_vector(p_x1, bank.nx, "p_x1")
-    v1 = bank.pair_scalar(a, _as_prob_vector(p_y1, bank.ny, "p_y1"), ["ri_yz"])[0]
-    v2 = bank.pair_scalar(a, _as_prob_vector(p_y2, bank.ny, "p_y2"), ["h_xz_y"])[0]
-    return v1 + v2
-
-
-def conditional_m23_value(ch, p_y1, p_x1, p_x2):
-    bank = _TermBank(ch)
-    b = _as_prob_vector(p_y1, bank.ny, "p_y1")
-    v1 = bank.pair_scalar(_as_prob_vector(p_x1, bank.nx, "p_x1"), b, ["ri_xz"])[0]
-    v2 = bank.pair_scalar(_as_prob_vector(p_x2, bank.nx, "p_x2"), b, ["h_yz_x"])[0]
-    return v1 + v2
+        inners = [law(lab) for lab, _ in inner]
+        return _product_value(bank, _side(outer), law(outer), inners, [k for _, k in inner])
+    improved = {
+        "improved_%s_%s" % (link, kinds[0]): kinds
+        for link, variants in _JOINT_VARIANTS.items()
+        for kinds in variants
+    }
+    if name not in improved:
+        raise ValueError("unknown term %r" % name)
+    q = dists["p_X'Y'"]
+    q = np.asarray(q.probs if isinstance(q, JointDist) else q, dtype=float)
+    if q.shape != (bank.nx, bank.ny):
+        raise ValueError("p_X'Y' has shape %s, expected %s" % (q.shape, (bank.nx, bank.ny)))
+    return float(bank.joint_values(q, improved[name])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +706,6 @@ class BoundReport:
                 "grid_resolution": self.config.grid_resolution,
                 "refine_iters": self.config.refine_iters,
                 "simplex_floor": self.config.simplex_floor,
-                "tolerance": self.config.tolerance,
             },
         }
 
@@ -695,6 +718,19 @@ def _pick(terms):
         if best is None or t.value > best.value + REPLACE_MARGIN:
             best = t
     return best
+
+
+def _link_bound(terms):
+    """The link's best term, with every candidate term kept for the report."""
+    best = _pick(terms)
+    return LinkBound(
+        value=best.value,
+        theorem=best.name,
+        witnesses=best.witnesses,
+        distribution_free=best.distribution_free,
+        limit_point=best.limit_point,
+        terms=terms,
+    )
 
 
 def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
@@ -736,31 +772,19 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
             terms[link].append(
                 TermValue(name="intermediate_%s" % link, link=link, value=getattr(tri, link))
             )
-        for link, tv in improved_bounds(ch_n, cfg).items():
-            if tv is not None:
-                terms[link].append(tv)
-        for link, tv in switched_bounds(ch_n, p_x, p_y, cfg).items():
-            terms[link].append(tv)
-        for link, tv in conditional_bounds(ch_n, cfg).items():
-            if tv is not None:
-                terms[link].append(tv)
-
-    links = {}
-    for link in LINKS:
-        best = _pick(terms[link])
-        links[link] = LinkBound(
-            value=best.value,
-            theorem=best.name,
-            witnesses=best.witnesses,
-            distribution_free=best.distribution_free,
-            limit_point=best.limit_point,
-            terms=terms[link],
-        )
+        for family in (
+            improved_bounds(ch_n, cfg),
+            switched_bounds(ch_n, p_x, p_y, cfg),
+            conditional_bounds(ch_n, cfg),
+        ):
+            for link, tv in family.items():
+                if tv is not None:
+                    terms[link].append(tv)
 
     report = BoundReport(
-        h_m12=links["m12"],
-        h_m23=links["m23"],
-        h_m31=links["m31"],
+        h_m12=_link_bound(terms["m12"]),
+        h_m23=_link_bound(terms["m23"]),
+        h_m31=_link_bound(terms["m31"]),
         rho=0.0,
         conditions=conditions,
         merges={"x": chres.x_map, "y": chres.y_map, "z": chres.z_map},
@@ -816,25 +840,13 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
         for link in LINKS
     }
 
-    cone = _SupportCone(p_xyz)
+    cone = _SupportCone(p_xyz.axes, _support_points(p_xyz.probs))
     gates = {"m12": cone.connected("xy"), "m23": cone.connected("yz"), "m31": cone.connected("xz")}
-    variants = {
-        "m12": [("ri_xz", "h_xy_z"), ("ri_yz", "h_xy_z")],
-        "m23": [("ri_xz", "h_yz_x"), ("ri_xy", "h_yz_x")],
-        "m31": [("ri_yz", "h_xz_y"), ("ri_xy", "h_xz_y")],
-    }
     for link in LINKS:
         if not gates[link]:
             continue
-        for kinds in variants[link]:
-
-            def batch(blocks, kinds=kinds):
-                return cone.values(blocks[0], kinds)
-
-            def scalar(pts, kinds=kinds):
-                return float(cone.values(pts[0][None], kinds)[0])
-
-            res = optimize_over_simplex(scalar, (cone.n_points,), cfg, batch_objective=batch)
+        for kinds in _JOINT_VARIANTS[link]:
+            res = _optimize_law(lambda Q: cone.values(Q, kinds), cone.n_points, cfg)
             terms[link].append(
                 TermValue(
                     name="cmss_switched_%s_%s" % (link, kinds[0]),
@@ -844,92 +856,4 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
                     limit_point=res.limit_point,
                 )
             )
-
-    out = {}
-    for link in LINKS:
-        best = _pick(terms[link])
-        out[link] = LinkBound(
-            value=best.value,
-            theorem=best.name,
-            witnesses=best.witnesses,
-            distribution_free=best.distribution_free,
-            limit_point=best.limit_point,
-            terms=terms[link],
-        )
-    return out
-
-
-class _SupportCone:
-    """Distributions supported inside the support of a given 3-axis joint,
-    with generic-pattern common-part blocks for each pair of axes."""
-
-    def __init__(self, p_xyz):
-        self.axes = p_xyz.axes
-        self.points = [idx for idx, _ in _support_indices(p_xyz)]
-        self.n_points = len(self.points)
-        shape = p_xyz.probs.shape
-        self.pair_info = {}
-        for key, (i, j) in {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}.items():
-            mask = np.zeros((shape[i], shape[j]), dtype=bool)
-            for idx in self.points:
-                mask[idx[i], idx[j]] = True
-            li, lj, nb = blocks_from_mask(mask)
-            # scatter matrices: support point -> marginal cells
-            Mi = np.zeros((self.n_points, shape[i]))
-            Mj = np.zeros((self.n_points, shape[j]))
-            Mij = np.zeros((self.n_points, shape[i] * shape[j]))
-            for t, idx in enumerate(self.points):
-                Mi[t, idx[i]] = 1.0
-                Mj[t, idx[j]] = 1.0
-                Mij[t, idx[i] * shape[j] + idx[j]] = 1.0
-            self.pair_info[key] = {
-                "Mi": Mi,
-                "Mj": Mj,
-                "Mij": Mij,
-                "Li": _label_matrix(li, nb),
-                "n_blocks": nb,
-            }
-
-    def connected(self, key):
-        return self.pair_info[key]["n_blocks"] <= 1
-
-    def to_dist(self, q):
-        probs = np.zeros(tuple(len(a) for a in self.axes))
-        for t, idx in enumerate(self.points):
-            probs[idx] = q[t]
-        return JointDist(self.axes, probs)
-
-    def values(self, Qs, kinds):
-        """Sum of term values for each cone distribution in the batch."""
-        Qs = np.atleast_2d(np.asarray(Qs, dtype=float))
-        xy, xz, yz = self.pair_info["xy"], self.pair_info["xz"], self.pair_info["yz"]
-        h_xyz = _H(Qs)
-        p_x = Qs @ xy["Mi"]
-        p_y = Qs @ xy["Mj"]
-        p_z = Qs @ xz["Mj"]
-        h_x, h_y, h_z = _H(p_x), _H(p_y), _H(p_z)
-        h_xy = _H(Qs @ xy["Mij"])
-        h_xz = _H(Qs @ xz["Mij"])
-        h_yz = _H(Qs @ yz["Mij"])
-        total = np.zeros(len(Qs))
-        for kind in kinds:
-            if kind == "ri_xz":
-                total += h_x + h_z - h_xz - _H(p_x @ xz["Li"])
-            elif kind == "ri_yz":
-                total += h_y + h_z - h_yz - _H(p_y @ yz["Li"])
-            elif kind == "ri_xy":
-                total += h_x + h_y - h_xy - _H(p_x @ xy["Li"])
-            elif kind == "h_xy_z":
-                total += h_xyz - h_z
-            elif kind == "h_yz_x":
-                total += h_xyz - h_x
-            elif kind == "h_xz_y":
-                total += h_xyz - h_y
-            else:
-                raise ValueError("unknown term kind %r" % kind)
-        return total
-
-
-def _support_indices(d):
-    for idx in np.argwhere(d.probs > SUPPORT_EPS):
-        yield tuple(int(i) for i in idx), float(d.probs[tuple(idx)])
+    return {link: _link_bound(terms[link]) for link in LINKS}

@@ -99,7 +99,7 @@ def _manifest(args, cfg, t0):
         "inputs": {k: getattr(args, k) for k in ("builtin", "channel", "dist", "spec")
                    if getattr(args, k, None)},
         "config": {"grid_resolution": cfg.grid_resolution, "refine_iters": cfg.refine_iters,
-                   "simplex_floor": cfg.simplex_floor, "tolerance": cfg.tolerance},
+                   "simplex_floor": cfg.simplex_floor},
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 3),
     }

@@ -303,37 +303,6 @@ def product(p_a, p_b):
     return JointDist(p_a.axes + p_b.axes, probs)
 
 
-def dist_power(p, n, name=None):
-    """n-fold iid power of a 1-axis distribution, over length-n tuple symbols."""
-    if p.n_axes != 1:
-        raise ValueError("dist_power expects a 1-axis distribution")
-    axis = p.axes[0]
-    syms = tuple(itertools.product(axis.symbols, repeat=n))
-    probs = p.probs.copy()
-    out = probs
-    for _ in range(n - 1):
-        out = np.outer(out, probs).ravel()
-    return JointDist((Alphabet(name or axis.name, syms),), out.reshape(len(syms)))
-
-
-def channel_power(ch, n):
-    """n-fold iid power of a channel, over length-n tuple symbols."""
-    x2 = Alphabet(ch.x_axis.name, tuple(itertools.product(ch.x_axis.symbols, repeat=n)))
-    y2 = Alphabet(ch.y_axis.name, tuple(itertools.product(ch.y_axis.symbols, repeat=n)))
-    z2 = Alphabet(ch.z_axis.name, tuple(itertools.product(ch.z_axis.symbols, repeat=n)))
-    kernel = np.ones((len(x2), len(y2), len(z2)))
-    for i, xs in enumerate(x2.symbols):
-        for j, ys in enumerate(y2.symbols):
-            for k, zs in enumerate(z2.symbols):
-                v = 1.0
-                for t in range(n):
-                    v *= ch.kernel[
-                        ch.x_axis.index(xs[t]), ch.y_axis.index(ys[t]), ch.z_axis.index(zs[t])
-                    ]
-                kernel[i, j, k] = v
-    return Channel(x2, y2, z2, kernel)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization. Symbols are rendered as strings; loading yields
 # string-symbol objects, which is the intended interchange form.

@@ -108,6 +108,41 @@ def _link_alphabet(spec, link):
     return Alphabet("M" + link, syms if syms else ((),))
 
 
+def _branches(spec, x, y):
+    """Run the schedule on inputs (x, y) under every randomness triple, in
+    (r1, r2, r3) order.
+
+    Yields (r3, views, transcripts, z) per branch: each round's sender view
+    paired with the message sent, each link's transcript as a tuple, and the
+    output. Raises ProtocolSpecError when a message or the output is outside
+    its alphabet.
+    """
+    inputs = {1: x, 2: y, 3: None}
+    for v1, v2, v3 in itertools.product(*spec.randomness):
+        rand = {1: v1, 2: v2, 3: v3}
+        transcripts = {"12": [], "23": [], "31": []}
+        views = []
+        for rnd in spec.rounds:
+            view = View(
+                inp=inputs[rnd.sender],
+                rand=rand[rnd.sender],
+                links={l: tuple(transcripts[l]) for l in _PARTY_LINKS[rnd.sender]},
+            )
+            msg = rnd.fn(view)
+            if msg not in rnd.alphabet._index:
+                raise ProtocolSpecError(
+                    "round %d->%d produced %r outside its alphabet"
+                    % (rnd.sender, rnd.receiver, msg)
+                )
+            views.append((view, msg))
+            transcripts[rnd.link()].append(msg)
+        transcripts = {l: tuple(m) for l, m in transcripts.items()}
+        z = spec.output_fn(v3, transcripts["23"], transcripts["31"])
+        if z not in spec.z_axis._index:
+            raise ProtocolSpecError("output %r outside the output alphabet" % (z,))
+        yield v3, views, transcripts, z
+
+
 def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
     """Enumerate all branches and return the exact execution joint."""
     if p_xy.n_axes != 2 or p_xy.axes[0] != spec.x_axis or p_xy.axes[1] != spec.y_axis:
@@ -129,39 +164,17 @@ def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
         raise CapacityError("%d joint cells exceed cap %d" % (cells, CELL_CAP))
     probs = np.zeros(tuple(len(a) for a in axes))
     r_weight = 1.0 / (len(r1) * len(r2) * len(r3))
-    inputs = {1: None, 2: None, 3: None}
     for (x, y), p in p_xy.support():
         ix, iy = spec.x_axis.index(x), spec.y_axis.index(y)
-        inputs[1], inputs[2] = x, y
-        for v1 in r1:
-            for v2 in r2:
-                for v3 in r3:
-                    rand = {1: v1, 2: v2, 3: v3}
-                    transcripts = {"12": [], "23": [], "31": []}
-                    for rnd in spec.rounds:
-                        view = View(
-                            inp=inputs[rnd.sender],
-                            rand=rand[rnd.sender],
-                            links={l: tuple(transcripts[l]) for l in _PARTY_LINKS[rnd.sender]},
-                        )
-                        msg = rnd.fn(view)
-                        if msg not in rnd.alphabet._index:
-                            raise ProtocolSpecError(
-                                "round %d->%d produced %r outside its alphabet"
-                                % (rnd.sender, rnd.receiver, msg)
-                            )
-                        transcripts[rnd.link()].append(msg)
-                    z = spec.output_fn(v3, tuple(transcripts["23"]), tuple(transcripts["31"]))
-                    if z not in spec.z_axis._index:
-                        raise ProtocolSpecError("output %r outside the output alphabet" % (z,))
-                    probs[
-                        ix,
-                        iy,
-                        spec.z_axis.index(z),
-                        axes[M12].index(tuple(transcripts["12"])),
-                        axes[M23].index(tuple(transcripts["23"])),
-                        axes[M31].index(tuple(transcripts["31"])),
-                    ] += p * r_weight
+        for _, _, transcripts, z in _branches(spec, x, y):
+            probs[
+                ix,
+                iy,
+                spec.z_axis.index(z),
+                axes[M12].index(transcripts["12"]),
+                axes[M23].index(transcripts["23"]),
+                axes[M31].index(transcripts["31"]),
+            ] += p * r_weight
     return ExecutionJoint(joint=JointDist(axes, probs))
 
 
@@ -548,33 +561,16 @@ def _view_key(row):
 
 def spec_to_json(spec):
     """Serialize by exhausting every view reachable from any input pair."""
-    r1, r2, r3 = spec.randomness
     tables = [dict() for _ in spec.rounds]
     out_table = {}
-    inputs = {1: None, 2: None, 3: None}
     for x in spec.x_axis:
         for y in spec.y_axis:
-            inputs[1], inputs[2] = x, y
-            for v1 in r1:
-                for v2 in r2:
-                    for v3 in r3:
-                        rand = {1: v1, 2: v2, 3: v3}
-                        transcripts = {"12": [], "23": [], "31": []}
-                        for t, rnd in enumerate(spec.rounds):
-                            view = View(
-                                inp=inputs[rnd.sender],
-                                rand=rand[rnd.sender],
-                                links={
-                                    l: tuple(transcripts[l]) for l in _PARTY_LINKS[rnd.sender]
-                                },
-                            )
-                            msg = rnd.fn(view)
-                            tables[t][_view_key(_view_json(view))] = (view, msg)
-                            transcripts[rnd.link()].append(msg)
-                        ov = View(inp=None, rand=v3, links={
-                            "23": tuple(transcripts["23"]), "31": tuple(transcripts["31"])})
-                        z = spec.output_fn(v3, ov.links["23"], ov.links["31"])
-                        out_table[_view_key(_view_json(ov))] = (ov, z)
+            for v3, views, transcripts, z in _branches(spec, x, y):
+                for table, (view, msg) in zip(tables, views):
+                    table[_view_key(_view_json(view))] = (view, msg)
+                links = {"23": transcripts["23"], "31": transcripts["31"]}
+                ov = View(inp=None, rand=v3, links=links)
+                out_table[_view_key(_view_json(ov))] = (ov, z)
     rounds_json = []
     for t, rnd in enumerate(spec.rounds):
         rounds_json.append(

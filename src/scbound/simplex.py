@@ -27,7 +27,6 @@ class OptConfig:
     grid_resolution: float = 0.02
     refine_iters: int = 60
     simplex_floor: float = 0.0
-    tolerance: float = 1e-4
 
     def __post_init__(self):
         if self.grid_resolution <= 0:
@@ -172,20 +171,18 @@ def coordinate_polish(objective, points, cfg, value=None):
     return best, [_apply_floor(p, floor) for p in points], evals
 
 
-def optimize_over_simplex(objective, shapes, cfg, batch_objective=None, extra_candidates=None):
+def optimize_over_simplex(objective, shapes, cfg, batch_objective=None):
     """Maximize objective(list of pmfs) over a product of simplexes.
 
     shapes: alphabet sizes, one per optimized distribution. batch_objective,
     when given, maps a list of aligned (n, k_i) candidate blocks to an (n,)
-    value array and is used for the scan. extra_candidates: iterable of
-    tuples of per-simplex points to include in the scan. Deterministic for a
-    fixed cfg.
+    value array and is used for the scan. Deterministic for a fixed cfg.
     """
     shapes = tuple(int(k) for k in shapes)
     cand_sets = [candidate_points(k, cfg) for k in shapes]
     total = int(np.prod([len(c) for c in cand_sets]))
     if total <= GRID_POINT_CAP * 4:
-        block_sets = [_cartesian(cand_sets)]
+        blocks = _cartesian(cand_sets)
     else:
         # scan one simplex at a time with the others held uniform
         parts = []
@@ -196,26 +193,17 @@ def optimize_over_simplex(objective, shapes, cfg, batch_objective=None, extra_ca
                     for i, k in enumerate(shapes)
                 ]
             )
-        block_sets = [[np.concatenate([part[i] for part in parts]) for i in range(len(shapes))]]
-    if extra_candidates:
-        extras = list(extra_candidates)
-        block_sets.append(
-            [np.stack([np.asarray(pt[i], dtype=float) for pt in extras]) for i in range(len(shapes))]
-        )
+        blocks = [np.concatenate([part[i] for part in parts]) for i in range(len(shapes))]
 
-    best_val, best_raw, evals = -np.inf, None, 0
-    for blocks in block_sets:
-        floored = [_apply_floor(b, cfg.simplex_floor) for b in blocks]
-        n = len(floored[0])
-        if batch_objective is not None:
-            vals = np.asarray(batch_objective(floored), dtype=float)
-        else:
-            vals = np.array([objective([p[i] for p in floored]) for i in range(n)])
-        evals += n
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_raw = [b[i].copy() for b in blocks]
+    floored = [_apply_floor(b, cfg.simplex_floor) for b in blocks]
+    evals = len(floored[0])
+    if batch_objective is not None:
+        vals = np.asarray(batch_objective(floored), dtype=float)
+    else:
+        vals = np.array([objective([p[i] for p in floored]) for i in range(evals)])
+    i = int(np.argmax(vals))
+    best_val = float(vals[i])
+    best_raw = [b[i].copy() for b in blocks]
 
     best_val, best_pt, polish_evals = coordinate_polish(objective, best_raw, cfg, value=best_val)
     evals += polish_evals

@@ -15,14 +15,10 @@ import pytest
 from scbound.bounds import (
     best_bounds,
     conditional_bounds,
-    conditional_m23_value,
-    conditional_m31_value,
-    improved_value,
     intermediate_bounds,
     prelim_bounds,
     switched_bounds,
-    switched_m12_value,
-    switched_m31_value,
+    term_value,
 )
 from scbound.cmss import and_cmss, and_secret_dist, cmss_joint, separation_report, share_entropies, verify_cmss
 from scbound.common_info import residual_info, residual_info_oracle
@@ -275,17 +271,20 @@ def _joint_power(q1):
 
 def test_block_length_2_and():
     ch2 = builtin("and", n=2).channel
-    v = switched_m12_value(
-        ch2, "top",
-        _kron_dist([0.544, 0.456]), _kron_dist([0.603, 0.397]), _kron_dist([0.5, 0.5]),
+    v = term_value(
+        ch2, "switched_m12_top",
+        {"p_X'": _kron_dist([0.544, 0.456]), "p_Y'": _kron_dist([0.603, 0.397]),
+         "p_Y''": _kron_dist([0.5, 0.5])},
     )
     ok = v >= 2 * 1.826 - 2e-3
     # the two Charlie links at the iid product of the 3-point witnesses
     q31 = _joint_power([1 / 3, 0.0, 1 / 3, 1 / 3])
     q23 = _joint_power([1 / 3, 1 / 3, 0.0, 1 / 3])
     x2, y2 = ch2.x_axis, ch2.y_axis
-    ok = ok and improved_value(ch2, "m31", "ri_yz", JointDist((x2, y2), q31)) >= 2 * LOG3 - 1e-9
-    ok = ok and improved_value(ch2, "m23", "ri_xz", JointDist((x2, y2), q23)) >= 2 * LOG3 - 1e-9
+    v31 = term_value(ch2, "improved_m31_ri_yz", {"p_X'Y'": JointDist((x2, y2), q31)})
+    ok = ok and v31 >= 2 * LOG3 - 1e-9
+    v23 = term_value(ch2, "improved_m23_ri_xz", {"p_X'Y'": JointDist((x2, y2), q23)})
+    ok = ok and v23 >= 2 * LOG3 - 1e-9
     b2 = builtin("and", n=2)
     e = run_exact(b2.spec, b2.default_input)
     ok = ok and e.h("m12") == pytest.approx(2 * (1 + LOG3), abs=1e-9)
@@ -304,10 +303,12 @@ def test_block_length_2_group_add_and_sum():
     bs = builtin("sum", n=2)
     ch2 = bs.channel
     u4 = np.full(4, 0.25)
-    v = switched_m12_value(ch2, "top", u4, u4, u4)
+    v = term_value(ch2, "switched_m12_top", {"p_X'": u4, "p_Y'": u4, "p_Y''": u4})
     ok = ok and v >= 2 * 1.5 - 1e-9
     q = _joint_power([1 / 3, 1 / 6, 1 / 6, 1 / 3])
-    vq = improved_value(ch2, "m31", "ri_yz", JointDist((ch2.x_axis, ch2.y_axis), q))
+    vq = term_value(
+        ch2, "improved_m31_ri_yz", {"p_X'Y'": JointDist((ch2.x_axis, ch2.y_axis), q)}
+    )
     ok = ok and vq >= 2 * LOG3 - 1e-9
     e = run_exact(bs.spec, bs.default_input)
     ok = ok and all(abs(e.h(l) - 2 * LOG3) <= 1e-9 for l in LINKS)
@@ -318,7 +319,7 @@ def test_block_length_2_erasure_and_remote_ot():
     be = builtin("erasure", n=2)
     ch2 = be.channel
     u4 = np.full(4, 0.25)
-    v31 = switched_m31_value(ch2, u4, u4, u4)
+    v31 = term_value(ch2, "switched_m31", {"p_X": u4, "p_Y'": u4, "p_Y''": u4})
     ok = v31 >= 2 * 1.5 - 1e-9
     tri = prelim_bounds(be.default_input, be.channel)
     ok = ok and tri.m12 >= 2 - 1e-9 and tri.m23 >= 2 - 1e-9
@@ -331,13 +332,14 @@ def test_block_length_2_erasure_and_remote_ot():
     u2 = np.full(2, 0.5)
     diag = np.array([1.0 if s[0] == s[1] else 0.0 for s in cho.x_axis.symbols])
     diag /= diag.sum()
-    ok = ok and conditional_m31_value(cho, u16, u2, u2) >= 4 - 1e-9
+    v31 = term_value(cho, "conditional_m31", {"p_X'": u16, "p_Y'": u2, "p_Y''": u2})
+    ok = ok and v31 >= 4 - 1e-9
     vertex = np.zeros(16)
     vertex[0] = 1.0
-    ok = ok and conditional_m23_value(cho, u2, diag, vertex) >= 3 - 1e-9
-    from scbound.bounds import switched_m12_value as m12v
-
-    ok = ok and m12v(cho, "bottom", u2, diag, u16) >= 5 - 1e-9
+    v23 = term_value(cho, "conditional_m23", {"p_Y'": u2, "p_X'": diag, "p_X''": vertex})
+    ok = ok and v23 >= 3 - 1e-9
+    v12 = term_value(cho, "switched_m12_bottom", {"p_Y'": u2, "p_X'": diag, "p_X''": u16})
+    ok = ok and v12 >= 5 - 1e-9
     e = run_exact(bo.spec, bo.default_input)
     ok = ok and (e.h("m31"), e.h("m23"), e.h("m12")) == pytest.approx((4.0, 3.0, 5.0), abs=1e-9)
     ok = ok and all(verify_privacy(e)) and verify_correctness(e, bo.channel)

@@ -7,18 +7,13 @@ from scbound.bounds import (
     best_bounds,
     cmss_bounds,
     conditional_bounds,
-    conditional_m23_value,
-    conditional_m31_value,
     improved_bounds,
-    improved_value,
     intermediate_bounds,
     prelim_bounds,
     randomness_bound,
     sampling_bounds,
     switched_bounds,
-    switched_m12_value,
-    switched_m23_value,
-    switched_m31_value,
+    term_value,
 )
 from scbound.dists import (
     Alphabet,
@@ -182,8 +177,8 @@ def test_improved_erasure_gates():
 def test_improved_witness_reevaluates(and_channel):
     out = improved_bounds(and_channel, CFG)
     tv = out["m31"]
-    variant = tv.name.split("improved_m31_")[1]
-    again = improved_value(and_channel, "m31", variant, tv.witnesses["p_X'Y'"])
+    assert tv.name.startswith("improved_m31_")
+    again = term_value(and_channel, tv.name, {"p_X'Y'": tv.witnesses["p_X'Y'"]})
     assert again == pytest.approx(tv.value, abs=1e-9)
 
 
@@ -195,9 +190,10 @@ def test_switched_and_witnesses(and_channel, uniform_bits):
     assert m12.name == "switched_m12_top"
     assert m12.witnesses["p_X'"].probs[1] == pytest.approx(0.456, abs=0.02)
     assert m12.witnesses["p_Y'"].probs[1] == pytest.approx(0.397, abs=0.02)
-    again = switched_m12_value(
-        and_channel, "top",
-        m12.witnesses["p_X'"], m12.witnesses["p_Y'"], m12.witnesses["p_Y''"],
+    again = term_value(
+        and_channel, "switched_m12_top",
+        {"p_X'": m12.witnesses["p_X'"], "p_Y'": m12.witnesses["p_Y'"],
+         "p_Y''": m12.witnesses["p_Y''"]},
     )
     assert again == pytest.approx(m12.value, abs=1e-9)
 
@@ -223,11 +219,14 @@ def test_conditional_remote_ot():
     out = conditional_bounds(b.channel, CFG)
     assert out["m31"].value >= 2.0 - 1e-3
     assert out["m23"].value >= 2.0 - 1e-3
-    v = conditional_m31_value(
+    v = term_value(
         b.channel,
-        out["m31"].witnesses["p_X'"],
-        out["m31"].witnesses["p_Y'"],
-        out["m31"].witnesses["p_Y''"],
+        "conditional_m31",
+        {
+            "p_X'": out["m31"].witnesses["p_X'"],
+            "p_Y'": out["m31"].witnesses["p_Y'"],
+            "p_Y''": out["m31"].witnesses["p_Y''"],
+        },
     )
     assert v == pytest.approx(out["m31"].value, abs=1e-9)
 
@@ -513,7 +512,7 @@ def test_joint_term_kernels_match_direct_computation(rng):
         q = rng.random((3, 2)) + 0.02
         q /= q.sum()
         kinds = ["ri_xz", "ri_yz", "ri_xy", "h_xy_z", "h_yz_x", "h_xz_y"]
-        got = [float(v[0]) for v in bank.joint_values(q[None], kinds)]
+        got = [float(bank.joint_values(q[None], [k])[0]) for k in kinds]
         joint = join(JointDist((x, y), q), ch)
         mask_xz = (kernel > SUPPORT_EPS).any(axis=1)
         mask_yz = (kernel > SUPPORT_EPS).any(axis=0)
@@ -529,11 +528,11 @@ def test_joint_term_kernels_match_direct_computation(rng):
 
 
 def test_cone_term_kernels_match_direct_computation(rng, and_joint):
-    from scbound.bounds import _SupportCone
+    from scbound.bounds import _SupportCone, _support_points
     from scbound.common_info import block_entropy, blocks_from_mask
     from scbound.dists import SUPPORT_EPS, cond_entropy, mutual_info
 
-    cone = _SupportCone(and_joint)
+    cone = _SupportCone(and_joint.axes, _support_points(and_joint.probs))
     for _ in range(10):
         q = rng.random(cone.n_points) + 0.02
         q /= q.sum()
@@ -559,14 +558,25 @@ def test_cone_term_kernels_match_direct_computation(rng, and_joint):
 def test_switched_eval_helpers_as_block_certificates(and_channel):
     # evaluating the switched objectives at explicit distributions gives a
     # certified value without optimization
-    v = switched_m12_value(and_channel, "top", [0.544, 0.456], [0.603, 0.397], [0.5, 0.5])
+    v = term_value(
+        and_channel, "switched_m12_top",
+        {"p_X'": [0.544, 0.456], "p_Y'": [0.603, 0.397], "p_Y''": [0.5, 0.5]},
+    )
     assert v == pytest.approx(1.8259572019722226, abs=1e-6)
     b = builtin("remote-ot", m=2)
-    v23 = switched_m23_value(b.channel, [0.5, 0.5], [0.5, 0, 0, 0.5], [0.25] * 4)
+    v23 = term_value(
+        b.channel, "switched_m23",
+        {"p_Y": [0.5, 0.5], "p_X'": [0.5, 0, 0, 0.5], "p_X''": [0.25] * 4},
+    )
     assert v23 == pytest.approx(2.0, abs=1e-9)
-    v31 = switched_m31_value(b.channel, [0.25] * 4, [0.5, 0.5], [0.5, 0.5])
+    v31 = term_value(
+        b.channel, "switched_m31", {"p_X": [0.25] * 4, "p_Y'": [0.5, 0.5], "p_Y''": [0.5, 0.5]}
+    )
     assert v31 == pytest.approx(2.0, abs=1e-9)
-    v23c = conditional_m23_value(b.channel, [0.5, 0.5], [0.5, 0, 0, 0.5], [1.0, 0, 0, 0])
+    v23c = term_value(
+        b.channel, "conditional_m23",
+        {"p_Y'": [0.5, 0.5], "p_X'": [0.5, 0, 0, 0.5], "p_X''": [1.0, 0, 0, 0]},
+    )
     assert v23c == pytest.approx(2.0, abs=1e-9)
 
 
@@ -617,3 +627,37 @@ def test_xlogx_bitwise_equal_to_masked_form():
     want[mask] = p[mask] * np.log2(p[mask])
     assert _xlogx(p).tobytes() == want.tobytes()
     assert _xlogx(p[None]).tobytes() == want[None].tobytes()
+
+
+def test_term_value_reproduces_every_optimized_term():
+    # every optimized term re-evaluates from its witnesses, plus the kept
+    # input marginals, through the one evaluator
+    from scbound.bounds import _PRODUCT_TERMS
+
+    cfg = OptConfig(grid_resolution=0.05, refine_iters=20)
+    names = set()
+    for b in (builtin("and"), builtin("sum"), builtin("erasure"), builtin("remote-ot", m=2)):
+        ch = b.channel
+        px, py = marginals(b.default_input)
+        families = (
+            improved_bounds(ch, cfg),
+            switched_bounds(ch, px, py, cfg),
+            conditional_bounds(ch, cfg),
+        )
+        for tv in (tv for fam in families for tv in fam.values() if tv is not None):
+            names.add(tv.name)
+            got = term_value(ch, tv.name, {**tv.witnesses, "p_X": px, "p_Y": py})
+            assert got == pytest.approx(tv.value, abs=1e-12), tv.name
+    assert set(_PRODUCT_TERMS) <= names
+    assert any(n.startswith("improved_") for n in names)
+
+
+def test_term_value_rejects_bad_input(and_channel):
+    with pytest.raises(ValueError):
+        term_value(and_channel, "improved_m12_ri_xy", {})
+    with pytest.raises(ValueError):
+        term_value(and_channel, "cmss_switched_m12_ri_xz", {})
+    with pytest.raises(ValueError):
+        term_value(and_channel, "improved_m12_ri_xz", {"p_X'Y'": np.full(4, 0.25)})
+    with pytest.raises(ValueError):
+        term_value(and_channel, "conditional_m31", {"p_X'": [1.0], "p_Y'": [1, 0], "p_Y''": [1, 0]})

@@ -281,6 +281,10 @@ def test_message_outside_alphabet():
     )
     with pytest.raises(ProtocolSpecError):
         run_exact(spec, JointDist.uniform((x, y)))
+    # the serializer walks the same branches, so it refuses to write a table
+    # that spec_from_json could not load
+    with pytest.raises(ProtocolSpecError):
+        spec_to_json(spec)
 
 
 def test_run_exact_deterministic():

@@ -1,0 +1,18 @@
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_and_landscape_runs():
+    # the script imports scbound from src/ relative to the repo root
+    out = subprocess.run(
+        [sys.executable, "scripts/and_landscape.py", "--step", "0.25"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "grid argmax:" in out.stdout
