@@ -8,6 +8,7 @@ from .dists import (
     Channel,
     JointDist,
     PreconditionError,
+    SupportJoint,
     cond_entropy,
     cond_mutual_info,
     entropy,

@@ -11,13 +11,12 @@ protocol's transcript on that link.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from .dists import (
     Alphabet,
     Channel,
     JointDist,
+    SupportJoint,
     ZERO_TOL,
     cond_entropy,
     cond_mutual_info,
@@ -37,24 +36,17 @@ class CmssSpec:
 
 
 def cmss_joint(spec, p_xyz):
-    """Exact joint over (X, Y, Z, M12, M23, M31) for uniform dealer randomness."""
+    """Exact joint over (X, Y, Z, M12, M23, M31) for uniform dealer randomness,
+    in support form."""
     if p_xyz.n_axes != 3 or tuple(p_xyz.axes) != tuple(spec.secret_axes):
         raise ValueError("secret distribution axes do not match the scheme")
-    axes = tuple(spec.secret_axes) + tuple(spec.share_axes)
-    probs = np.zeros(tuple(len(a) for a in axes))
     r_weight = 1.0 / len(spec.dealer_randomness)
-    for (x, y, z), p in p_xyz.support():
-        for r in spec.dealer_randomness:
-            m12, m23, m31 = spec.share_fn(x, y, z, r)
-            probs[
-                spec.secret_axes[0].index(x),
-                spec.secret_axes[1].index(y),
-                spec.secret_axes[2].index(z),
-                spec.share_axes[0].index(m12),
-                spec.share_axes[1].index(m23),
-                spec.share_axes[2].index(m31),
-            ] += p * r_weight
-    return JointDist(axes, probs)
+    rows = (
+        ((x, y, z) + tuple(spec.share_fn(x, y, z, r)), p * r_weight)
+        for (x, y, z), p in p_xyz.support()
+        for r in spec.dealer_randomness
+    )
+    return SupportJoint.accumulate(tuple(spec.secret_axes) + tuple(spec.share_axes), rows)
 
 
 def verify_cmss(joint, tol=ZERO_TOL):

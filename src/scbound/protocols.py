@@ -24,6 +24,7 @@ from .dists import (
     Channel,
     JointDist,
     SUPPORT_EPS,
+    SupportJoint,
     ZERO_TOL,
     alphabet_from_json,
     alphabet_to_json,
@@ -37,7 +38,6 @@ from .dists import (
 )
 
 BRANCH_CAP = 10_000_000
-CELL_CAP = 50_000_000
 
 X, Y, Z, M12, M23, M31 = range(6)
 _PARTY_LINKS = {1: ("12", "31"), 2: ("12", "23"), 3: ("23", "31")}
@@ -93,10 +93,10 @@ class ProtocolSpec:
 
 @dataclass
 class ExecutionJoint:
-    """Exact joint over (X, Y, Z, M12, M23, M31); transcripts are tuples of
-    the symbols exchanged on the link in schedule order."""
+    """Exact joint over (X, Y, Z, M12, M23, M31), in support form; transcripts
+    are tuples of the symbols exchanged on the link in schedule order."""
 
-    joint: JointDist
+    joint: SupportJoint
 
     def h(self, link):
         return entropy(self.joint, {"m12": (M12,), "m23": (M23,), "m31": (M31,)}[link])
@@ -159,23 +159,13 @@ def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
         _link_alphabet(spec, "23"),
         _link_alphabet(spec, "31"),
     )
-    cells = int(np.prod([len(a) for a in axes]))
-    if cells > CELL_CAP:
-        raise CapacityError("%d joint cells exceed cap %d" % (cells, CELL_CAP))
-    probs = np.zeros(tuple(len(a) for a in axes))
     r_weight = 1.0 / (len(r1) * len(r2) * len(r3))
-    for (x, y), p in p_xy.support():
-        ix, iy = spec.x_axis.index(x), spec.y_axis.index(y)
-        for _, _, transcripts, z in _branches(spec, x, y):
-            probs[
-                ix,
-                iy,
-                spec.z_axis.index(z),
-                axes[M12].index(transcripts["12"]),
-                axes[M23].index(transcripts["23"]),
-                axes[M31].index(transcripts["31"]),
-            ] += p * r_weight
-    return ExecutionJoint(joint=JointDist(axes, probs))
+    rows = (
+        ((x, y, z, transcripts["12"], transcripts["23"], transcripts["31"]), p * r_weight)
+        for (x, y), p in p_xy.support()
+        for _, _, transcripts, z in _branches(spec, x, y)
+    )
+    return ExecutionJoint(joint=SupportJoint.accumulate(axes, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ iid products of the single-copy witnesses (any full-support evaluation point
 yields a valid lower bound), plus exact simulation of the two-copy protocols.
 """
 
+import json
 import math
 import time
 
@@ -20,6 +21,7 @@ from scbound.bounds import (
     switched_bounds,
     term_value,
 )
+from scbound.cli import main
 from scbound.cmss import and_cmss, and_secret_dist, cmss_joint, separation_report, share_entropies, verify_cmss
 from scbound.common_info import residual_info, residual_info_oracle
 from scbound.dists import Alphabet, JointDist
@@ -344,3 +346,19 @@ def test_block_length_2_erasure_and_remote_ot():
     ok = ok and (e.h("m31"), e.h("m23"), e.h("m12")) == pytest.approx((4.0, 3.0, 5.0), abs=1e-9)
     ok = ok and all(verify_privacy(e)) and verify_correctness(e, bo.channel)
     _report("n=2 erasure and remote-ot claims certified", ok)
+
+
+def test_block_length_3_and(tmp_path):
+    # 8 x 8 inputs x 216 permutation triples: 13,824 branches over a product
+    # of about 80.6M cells, run as support rows
+    out = tmp_path / "and3.json"
+    code = main(["simulate", "--builtin", "and", "--n", "3", "--out", str(out)])
+    report = json.loads(out.read_text())
+    h = report["entropies"]
+    ok = code == 0
+    ok = ok and abs(h["m12"] - 3 * (1 + LOG3)) <= 1e-9
+    ok = ok and abs(h["m23"] - 3 * LOG3) <= 1e-9 and abs(h["m31"] - 3 * LOG3) <= 1e-9
+    names = {"correctness", "privacy_alice", "privacy_bob", "privacy_charlie", "cutset_x",
+             "cutset_y", "cutset_z", "info_ineq_31_23", "info_ineq_12_31", "info_ineq_23_12"}
+    ok = ok and set(report["checks"]) == names and all(report["checks"].values())
+    _report("n=3 and: 3(1+log3) and 3xlog3, all checks", ok)

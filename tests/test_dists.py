@@ -11,6 +11,7 @@ from scbound.dists import (
     Alphabet,
     Channel,
     JointDist,
+    SupportJoint,
     channel_from_json,
     channel_to_json,
     cond_entropy,
@@ -21,6 +22,7 @@ from scbound.dists import (
     join,
     mutual_info,
     product,
+    _unique_rows,
 )
 
 
@@ -45,6 +47,77 @@ def test_jointdist_validation():
         with pytest.raises(ValueError):
             JointDist((a,), bad)
     JointDist((a,), [0.5, 0.5])
+
+
+def test_support_joint_validation():
+    a, b = Alphabet("A", (0, 1)), Alphabet("B", (0, 1, 2))
+    good = [[0, 0], [1, 2]]
+    SupportJoint((a, b), good, [0.5, 0.5])
+    bad_inputs = [
+        (good, [math.nan, 1.0]),  # NaN mass
+        (good, [math.inf, 0.0]),  # infinite mass
+        (good, [1.2, -0.2]),  # negative mass
+        ([[0, 0], [2, 0]], [0.5, 0.5]),  # 2 is outside A
+        ([[0, 0], [1, -1]], [0.5, 0.5]),  # -1 is outside B
+        ([[1, 2], [1, 2]], [0.5, 0.5]),  # duplicate rows
+        ([[0, 0, 0], [1, 2, 0]], [0.5, 0.5]),  # three columns for two axes
+        ([0, 1], [0.5, 0.5]),  # one-dimensional coords
+        (good, [0.5, 0.4]),  # total mass 0.9
+        (good, [0.5, 0.5, 0.0]),  # more masses than rows
+        ([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5]),  # non-integer coords
+    ]
+    for coords, probs in bad_inputs:
+        with pytest.raises(ValueError):
+            SupportJoint((a, b), coords, probs)
+
+
+def test_support_joint_matches_dense(and_joint):
+    coords = np.argwhere(and_joint.probs > 0)
+    s = SupportJoint(and_joint.axes, coords, and_joint.probs[tuple(coords.T)])
+    for axes in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}):
+        assert entropy(s, axes) == pytest.approx(entropy(and_joint, axes), abs=1e-15)
+        assert s.marginal(axes) == and_joint.marginal(axes)
+    assert cond_mutual_info(s, (0,), (1,), (2,)) == pytest.approx(
+        cond_mutual_info(and_joint, (0,), (1,), (2,)), abs=1e-15
+    )
+    assert dict(s.support()) == dict(and_joint.support())
+    # repeated points are summed in the order they arrive
+    acc = SupportJoint.accumulate(
+        and_joint.axes, [((0, 0, 0), 0.125), ((1, 1, 1), 0.25), ((0, 0, 0), 0.125),
+                         ((0, 1, 0), 0.25), ((1, 0, 0), 0.25)]
+    )
+    assert acc.coords.tolist() == [[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 0]]
+    assert acc.probs.tolist() == [0.25, 0.25, 0.25, 0.25]
+    assert acc.marginal({0, 1, 2}) == and_joint
+    with pytest.raises(ValueError):
+        SupportJoint.accumulate(and_joint.axes, [((0, 0), 1.0)])
+
+
+def test_unique_rows_matches_numpy(rng):
+    for n, k, hi in ((0, 3, 4), (1, 1, 2), (60, 3, 3), (500, 6, 4), (200, 2, 2**40)):
+        cols = rng.integers(0, hi, size=(n, k))
+        rows, inverse = _unique_rows(cols)
+        ref_rows, ref_inverse = np.unique(cols, axis=0, return_inverse=True)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(inverse, ref_inverse.reshape(-1))
+
+
+def test_support_joint_groups_past_int64():
+    # 2048**6 = 2**66 cells: no flat int64 index exists for the full joint
+    axes = tuple(Alphabet("A%d" % i, range(2048)) for i in range(6))
+    top = 2047
+    coords = [[0] * 6, [0] * 5 + [top], [top] * 6, [top] + [0] * 5]
+    with pytest.raises(ValueError):
+        np.ravel_multi_index(np.array(coords).T, (2048,) * 6)
+    s = SupportJoint(axes, coords, [0.25] * 4)
+    assert entropy(s, range(6)) == pytest.approx(2.0, abs=1e-15)
+    assert entropy(s, range(5)) == pytest.approx(1.5, abs=1e-15)  # rows 0 and 1 merge
+    assert entropy(s, (0,)) == pytest.approx(1.0, abs=1e-15)
+    assert entropy(s, (5,)) == pytest.approx(1.0, abs=1e-15)
+    assert cond_entropy(s, (5,), (0, 1, 2, 3, 4)) == pytest.approx(0.5, abs=1e-15)
+    rows, mass = s.grouped(list(range(6)))
+    assert rows.tolist() == sorted(coords)
+    assert mass.tolist() == [0.25] * 4
 
 
 def test_channel_validation():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,14 +10,17 @@ from scbound.dists import (
     CapacityError,
     JointDist,
     cond_entropy,
+    entropy,
     mutual_info,
 )
+from scbound.cmss import and_cmss, and_secret_dist, cmss_joint, verify_cmss
 from scbound.protocols import (
     M12,
     M23,
     M31,
     X,
     Y,
+    ExecutionJoint,
     ProtocolSpec,
     ProtocolSpecError,
     Round,
@@ -255,7 +259,7 @@ def test_capacity_error():
 
 
 def test_oversize_builtin_rejected():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="branches"):
         b = builtin("remote-ot", m=4, n=4)
         run_exact(b.spec, b.default_input)
 
@@ -291,7 +295,49 @@ def test_run_exact_deterministic():
     b = builtin("erasure")
     e1 = run_exact(b.spec, b.default_input)
     e2 = run_exact(b.spec, b.default_input)
+    assert np.array_equal(e1.joint.coords, e2.joint.coords)
     assert np.array_equal(e1.joint.probs, e2.joint.probs)
+
+
+def _densify(s):
+    probs = np.zeros(tuple(len(a) for a in s.axes))
+    probs[tuple(s.coords.T)] = s.probs
+    return JointDist(s.axes, probs)
+
+
+def _all_checks(e, ch):
+    return (
+        verify_correctness(e, ch) if ch is not None else None,
+        verify_privacy(e),
+        verify_cutset(e),
+        verify_info_inequality(e),
+        verify_transcript_independence(
+            e, bigraph_connected=True, condition1=True, condition2=True, product_inputs=True
+        ),
+        verify_cmss(e.joint),
+    )
+
+
+_EQUIVALENCE_CONFIGS = [
+    (name, dict(kwargs, n=n))
+    for name, kwargs in (("and", {}), ("sum", {}), ("erasure", {}), ("remote-ot", {"m": 2}),
+                         ("group-add", {"order": 2}), ("group-add", {"order": 3}))
+    for n in (1, 2)
+] + [("and-cmss", {})]
+
+
+@pytest.mark.parametrize("name,kwargs", _EQUIVALENCE_CONFIGS)
+def test_support_form_matches_dense_oracle(name, kwargs):
+    if name == "and-cmss":
+        support, ch = cmss_joint(and_cmss(), and_secret_dist()), None
+    else:
+        b = builtin(name, **kwargs)
+        support, ch = run_exact(b.spec, b.default_input).joint, b.channel
+    dense = _densify(support)
+    for k in range(1, 7):
+        for axes in itertools.combinations(range(6), k):
+            assert abs(entropy(support, axes) - entropy(dense, axes)) <= 1e-12, axes
+    assert _all_checks(ExecutionJoint(support), ch) == _all_checks(ExecutionJoint(dense), ch)
 
 
 def test_spec_json_roundtrip_builtin_reference():
