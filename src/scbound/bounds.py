@@ -313,10 +313,6 @@ class _TermBank:
                 out[t][sl] = v
         return out
 
-    def pair_scalar(self, a, b, kinds):
-        vals = self.pair_values(a, b, kinds)
-        return [float(v[0, 0]) for v in vals]
-
     def sweep(self, side, cfg):
         """Every inner-term group of one outer side, maximized over the inner
         candidates for each outer candidate; computed once per (side, cfg)."""
@@ -448,24 +444,13 @@ def sampling_bounds(p_xyz):
 # Optimized bounds
 
 
-def _optimize_law(values, k, cfg):
-    """Maximize a batched objective, values((n, k) laws) -> (n,), over one
-    simplex of k symbols."""
-
-    def batch(blocks):
-        return values(blocks[0])
-
-    def scalar(pts):
-        return float(values(pts[0][None])[0])
-
-    return optimize_over_simplex(scalar, (k,), cfg, batch_objective=batch)
-
-
 def _optimize_joint(bank, link, kinds, cfg):
     """Maximize a sum of joint-form terms over full-support p_X'Y'."""
     nx, ny = bank.nx, bank.ny
-    res = _optimize_law(lambda Q: bank.joint_values(Q.reshape(-1, nx, ny), kinds), nx * ny, cfg)
-    witness = JointDist((bank.ch.x_axis, bank.ch.y_axis), res.witnesses[0].reshape(nx, ny))
+    res = optimize_over_simplex(
+        lambda Q: bank.joint_values(Q.reshape(-1, nx, ny), kinds), nx * ny, cfg
+    )
+    witness = JointDist((bank.ch.x_axis, bank.ch.y_axis), res.witness.reshape(nx, ny))
     return TermValue(
         name="improved_%s_%s" % (link, kinds[0]),
         link=link,
@@ -484,7 +469,7 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
     Returns {link: best TermValue or None}; the winning variant is named
     in the TermValue's name.
     """
-    bank = _TermBank(ch)
+    bank = _shared_bank(ch)
     gates = {"m12": True, "m23": check_condition2(ch), "m31": check_condition1(ch)}
     return {
         link: _pick([_optimize_joint(bank, link, kinds, cfg) for kinds in _JOINT_VARIANTS[link]])
@@ -504,7 +489,7 @@ def _product_value(bank, side, outer, inners, groups):
     outer law."""
     v = 0.0
     for p, kinds in zip(inners, groups):
-        v += sum(bank.pair_scalar(*_xy(side, outer, p), kinds))
+        v += sum(float(m[0, 0]) for m in bank.pair_values(*_xy(side, outer, p), kinds))
     return v
 
 
@@ -535,12 +520,12 @@ def _switched_single(bank, name, marginal, cfg):
         def values(P):
             return sum(bank.pair_values(*_xy(side, marginal[None], P), kinds)).ravel()
 
-        res.append(_optimize_law(values, k, cfg))
+        res.append(optimize_over_simplex(values, k, cfg))
     return _product_term(
         bank,
         name,
         [lab for lab, _ in inner],
-        [r.witnesses[0] for r in res],
+        [r.witness for r in res],
         sum(r.value for r in res),
         any(r.limit_point for r in res),
     )
@@ -580,7 +565,8 @@ _last_bank = None
 
 def _shared_bank(ch):
     """The term bank of `ch`, reused while the same channel object is passed,
-    so the switched and conditional families share their nested sweeps.
+    so the improved, switched and conditional families share one bank and
+    the last two share their nested sweeps.
 
     A one-entry cache keyed on identity: Channel is immutable but not
     hashable, and the cached bank keeps its channel alive.
@@ -705,7 +691,6 @@ class BoundReport:
             "config": {
                 "grid_resolution": self.config.grid_resolution,
                 "refine_iters": self.config.refine_iters,
-                "simplex_floor": self.config.simplex_floor,
             },
         }
 
@@ -846,13 +831,13 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
         if not gates[link]:
             continue
         for kinds in _JOINT_VARIANTS[link]:
-            res = _optimize_law(lambda Q: cone.values(Q, kinds), cone.n_points, cfg)
+            res = optimize_over_simplex(lambda Q: cone.values(Q, kinds), cone.n_points, cfg)
             terms[link].append(
                 TermValue(
                     name="cmss_switched_%s_%s" % (link, kinds[0]),
                     link=link,
                     value=res.value,
-                    witnesses={"p_X'Y'Z'": cone.to_dist(res.witnesses[0])},
+                    witnesses={"p_X'Y'Z'": cone.to_dist(res.witness)},
                     limit_point=res.limit_point,
                 )
             )

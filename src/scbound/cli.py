@@ -98,8 +98,7 @@ def _manifest(args, cfg, t0):
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
         "inputs": {k: getattr(args, k) for k in ("builtin", "channel", "dist", "spec")
                    if getattr(args, k, None)},
-        "config": {"grid_resolution": cfg.grid_resolution, "refine_iters": cfg.refine_iters,
-                   "simplex_floor": cfg.simplex_floor},
+        "config": {"grid_resolution": cfg.grid_resolution, "refine_iters": cfg.refine_iters},
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 3),
     }

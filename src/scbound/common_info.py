@@ -76,15 +76,17 @@ def blocks_from_mask(mask):
     return labels_u, labels_v, n_blocks
 
 
+def _block_mass(p_u, labels_u, n_blocks):
+    """Mass of each block under the marginal p_u (unlabelled rows dropped)."""
+    live = labels_u >= 0
+    return np.bincount(labels_u[live], weights=p_u[live], minlength=n_blocks)
+
+
 def block_entropy(p_u, labels_u, n_blocks):
     """Entropy of the block label under the marginal p_u."""
     if n_blocks == 0:
         return 0.0
-    agg = np.zeros(n_blocks)
-    for i, lab in enumerate(labels_u):
-        if lab >= 0:
-            agg[lab] += p_u[i]
-    return entropy_of_array(agg)
+    return entropy_of_array(_block_mass(p_u, labels_u, n_blocks))
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,10 @@ def common_part(d):
         raise ValueError("common_part expects a 2-axis joint")
     mask = d.probs > SUPPORT_EPS
     labels_u, labels_v, n_blocks = blocks_from_mask(mask)
-    p_u = d.probs.sum(axis=1)
-    agg = np.zeros(max(n_blocks, 1))
-    for i, lab in enumerate(labels_u):
-        if lab >= 0:
-            agg[lab] += p_u[i]
     if n_blocks == 0:
         agg = np.array([1.0])  # degenerate, cannot happen for a pmf
+    else:
+        agg = _block_mass(d.probs.sum(axis=1), labels_u, n_blocks)
     block_axis = Alphabet("Q", tuple(range(len(agg))))
     return CommonPart(
         block_of_u={s: int(labels_u[i]) for i, s in enumerate(d.axes[0]) if labels_u[i] >= 0},

@@ -109,12 +109,6 @@ class JointDist:
     def n_axes(self):
         return len(self.axes)
 
-    def axis_index(self, name):
-        for i, a in enumerate(self.axes):
-            if a.name == name:
-                return i
-        raise ValueError("no axis named %r" % name)
-
     def prob(self, key):
         return float(self.probs[tuple(a.index(s) for a, s in zip(self.axes, key))])
 

@@ -1,4 +1,4 @@
-"""Deterministic maximization of continuous objectives over probability simplexes.
+"""Deterministic maximization of continuous objectives over a probability simplex.
 
 Scan + polish: a lattice scan (auto-coarsened to a point cap for wide
 alphabets, replaced by seeded Dirichlet(1) draws plus structured candidates
@@ -26,19 +26,16 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class OptConfig:
     grid_resolution: float = 0.02
     refine_iters: int = 60
-    simplex_floor: float = 0.0
 
     def __post_init__(self):
         if self.grid_resolution <= 0:
             raise ValueError("grid_resolution must be > 0")
-        if self.simplex_floor < 0:
-            raise ValueError("simplex_floor must be >= 0")
 
 
 @dataclass
 class OptResult:
     value: float
-    witnesses: tuple  # one 1-D ndarray per simplex
+    witness: np.ndarray
     limit_point: bool
     evaluations: int
 
@@ -86,30 +83,14 @@ def candidate_points(k, cfg):
     return np.concatenate([structured_points(k), draws])
 
 
-def _apply_floor(p, floor):
-    """Affine embedding of the simplex into {q : q_i >= floor}."""
-    if floor <= 0:
-        return p
-    k = p.shape[-1]
-    scale = 1.0 - k * floor
-    if scale < 0:
-        raise ValueError("simplex_floor %g infeasible for %d symbols" % (floor, k))
-    return floor + scale * p
-
-
 def _line_points(p, coord, t):
     """Move coordinate `coord` to weight t, scaling the rest proportionally."""
-    out = p.copy()
     rest = 1.0 - p[coord]
-    out[coord] = t
     if rest > 1e-15:
-        scale = (1.0 - t) / rest
-        for i in range(len(out)):
-            if i != coord:
-                out[i] = p[i] * scale
+        out = p * ((1.0 - t) / rest)
     else:
-        out[:] = (1.0 - t) / (len(out) - 1) if len(out) > 1 else 1.0
-        out[coord] = t
+        out = np.full(len(p), (1.0 - t) / (len(p) - 1) if len(p) > 1 else 1.0)
+    out[coord] = t
     return out
 
 
@@ -131,23 +112,17 @@ def _golden(fn, lo, hi, iters=GOLDEN_ITERS):
 
 
 def coordinate_polish(objective, points, cfg, value=None):
-    """Cycle golden-section line searches over all coordinates of all simplexes.
+    """Cycle golden-section line searches over all coordinates of all laws.
 
-    `points` is a list of 1-D simplex points (mutated copies are returned);
-    the floor, when set, is applied as an affine embedding at evaluation
-    time. Runs cfg.refine_iters line searches, stopping early once a full
-    cycle brings no improvement.
+    `objective` maps a list of 1-D simplex points to a float; `points` is
+    that list (mutated copies are returned). Runs cfg.refine_iters line
+    searches, stopping early once a full cycle brings no improvement.
     """
-    floor = cfg.simplex_floor
-
-    def run(pts):
-        return objective([_apply_floor(p, floor) for p in pts])
-
     points = [np.array(p, dtype=float) for p in points]
-    best = run(points) if value is None else value
+    best = objective(points) if value is None else value
     coords = [(s, c) for s, p in enumerate(points) for c in range(len(p)) if len(p) > 1]
     if not coords:
-        return best, [_apply_floor(p, floor) for p in points], 0
+        return best, points, 0
     evals = 0
     since_improve = 0
     for it in range(cfg.refine_iters):
@@ -156,7 +131,7 @@ def coordinate_polish(objective, points, cfg, value=None):
 
         def fn(t):
             trial = [p if i != s else _line_points(base[s], c, t) for i, p in enumerate(base)]
-            return run(trial)
+            return objective(trial)
 
         t_best, f_best = _golden(fn, 0.0, 1.0)
         evals += GOLDEN_ITERS + 2
@@ -168,51 +143,23 @@ def coordinate_polish(objective, points, cfg, value=None):
             since_improve += 1
             if since_improve >= len(coords):
                 break
-    return best, [_apply_floor(p, floor) for p in points], evals
+    return best, points, evals
 
 
-def optimize_over_simplex(objective, shapes, cfg, batch_objective=None):
-    """Maximize objective(list of pmfs) over a product of simplexes.
+def optimize_over_simplex(values, k, cfg):
+    """Maximize a batched objective over the simplex of k symbols.
 
-    shapes: alphabet sizes, one per optimized distribution. batch_objective,
-    when given, maps a list of aligned (n, k_i) candidate blocks to an (n,)
-    value array and is used for the scan. Deterministic for a fixed cfg.
+    `values` maps an (n, k) array of laws to their (n,) values. The scan
+    scores every candidate point in one call; the polish then scores one
+    row at a time. Deterministic for a fixed cfg.
     """
-    shapes = tuple(int(k) for k in shapes)
-    cand_sets = [candidate_points(k, cfg) for k in shapes]
-    total = int(np.prod([len(c) for c in cand_sets]))
-    if total <= GRID_POINT_CAP * 4:
-        blocks = _cartesian(cand_sets)
-    else:
-        # scan one simplex at a time with the others held uniform
-        parts = []
-        for si, cands in enumerate(cand_sets):
-            parts.append(
-                [
-                    cands if i == si else np.repeat(np.full((1, k), 1.0 / k), len(cands), axis=0)
-                    for i, k in enumerate(shapes)
-                ]
-            )
-        blocks = [np.concatenate([part[i] for part in parts]) for i in range(len(shapes))]
-
-    floored = [_apply_floor(b, cfg.simplex_floor) for b in blocks]
-    evals = len(floored[0])
-    if batch_objective is not None:
-        vals = np.asarray(batch_objective(floored), dtype=float)
-    else:
-        vals = np.array([objective([p[i] for p in floored]) for i in range(evals)])
+    cands = candidate_points(k, cfg)
+    vals = np.asarray(values(cands), dtype=float)
     i = int(np.argmax(vals))
-    best_val = float(vals[i])
-    best_raw = [b[i].copy() for b in blocks]
 
-    best_val, best_pt, polish_evals = coordinate_polish(objective, best_raw, cfg, value=best_val)
-    evals += polish_evals
-    limit = any(p.min() <= SUPPORT_BOUNDARY for p in best_pt)
-    return OptResult(best_val, tuple(best_pt), limit, evals)
+    def objective(pts):
+        return float(values(pts[0][None])[0])
 
-
-def _cartesian(cand_sets):
-    """Cartesian product of candidate sets as aligned (n, k_i) blocks."""
-    sizes = [len(c) for c in cand_sets]
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    return [c[g.ravel()] for c, g in zip(cand_sets, grids)]
+    value, (witness,), evals = coordinate_polish(objective, [cands[i]], cfg, value=float(vals[i]))
+    limit = bool(witness.min() <= SUPPORT_BOUNDARY)
+    return OptResult(value, witness, limit, len(cands) + evals)

@@ -16,3 +16,17 @@ def test_and_landscape_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "grid argmax:" in out.stdout
+
+
+def test_reproduce_table_runs():
+    out = subprocess.run(
+        [sys.executable, "scripts/reproduce_table.py", "--grid", "0.25", "--refine", "4"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = out.stdout.splitlines()[1:-1]  # between the header and the total
+    assert len(rows) == 8
+    assert all(r.endswith("ok") for r in rows)

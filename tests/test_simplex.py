@@ -7,16 +7,19 @@ from scbound.dists import entropy_of_array
 from scbound.simplex import (
     OptConfig,
     candidate_points,
+    coordinate_polish,
     optimize_over_simplex,
     simplex_grid,
 )
 
 
+def _rows_entropy(P):
+    return np.array([entropy_of_array(p) for p in P])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptConfig(grid_resolution=0.0)
-    with pytest.raises(ValueError):
-        OptConfig(simplex_floor=-0.1)
 
 
 def test_grid_points_are_distributions():
@@ -35,16 +38,16 @@ def test_candidates_include_structure():
 
 
 def test_maximize_entropy_on_1_simplex():
-    res = optimize_over_simplex(lambda ps: entropy_of_array(ps[0]), (2,), OptConfig())
+    res = optimize_over_simplex(_rows_entropy, 2, OptConfig())
     assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(res.witnesses[0], [0.5, 0.5], atol=1e-5)
+    assert np.allclose(res.witness, [0.5, 0.5], atol=1e-5)
 
 
 def test_linear_functional_attained_at_vertex():
     c = np.array([0.3, 0.9, 0.1])
-    res = optimize_over_simplex(lambda ps: float(ps[0] @ c), (3,), OptConfig())
+    res = optimize_over_simplex(lambda P: P @ c, 3, OptConfig())
     assert res.value == pytest.approx(0.9, abs=1e-9)
-    assert res.witnesses[0][1] == pytest.approx(1.0, abs=1e-9)
+    assert res.witness[1] == pytest.approx(1.0, abs=1e-9)
     assert res.limit_point
 
 
@@ -55,42 +58,53 @@ def test_and_inner_composition_matches_known_value(and_channel):
     a = 0.456
     W = and_channel.kernel
 
-    def objective(ps):
-        b = ps[0]
-        p_yz = np.einsum("x,y,xyz->yz", np.array([1 - a, a]), b, W)
-        i_yz = (
-            entropy_of_array(p_yz.sum(axis=1))
-            + entropy_of_array(p_yz.sum(axis=0))
-            - entropy_of_array(p_yz.ravel())
+    def values(B):
+        p_yz = np.einsum("x,ny,xyz->nyz", np.array([1 - a, a]), B, W)
+        return (
+            _rows_entropy(p_yz.sum(axis=2))
+            + _rows_entropy(p_yz.sum(axis=1))
+            - _rows_entropy(p_yz.reshape(len(B), -1))
         )
-        return i_yz
 
-    res = optimize_over_simplex(objective, (2,), OptConfig())
+    res = optimize_over_simplex(values, 2, OptConfig())
     h2a = -a * math.log2(a) - (1 - a) * math.log2(1 - a)
     total = res.value + h2a + (1 - a)
     assert total == pytest.approx(1.826, abs=1e-3)
-    assert res.witnesses[0][1] == pytest.approx(0.397, abs=5e-3)
+    assert res.witness[1] == pytest.approx(0.397, abs=5e-3)
 
 
 def test_deterministic_across_runs():
-    def objective(ps):
-        return float(-((ps[0] - np.array([0.2, 0.3, 0.5])) ** 2).sum())
+    def values(P):
+        return -((P - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
 
-    r1 = optimize_over_simplex(objective, (3,), OptConfig())
-    r2 = optimize_over_simplex(objective, (3,), OptConfig())
+    r1 = optimize_over_simplex(values, 3, OptConfig())
+    r2 = optimize_over_simplex(values, 3, OptConfig())
     assert r1.value == r2.value
-    assert all(np.array_equal(a, b) for a, b in zip(r1.witnesses, r2.witnesses))
+    assert np.array_equal(r1.witness, r2.witness)
 
 
-def test_simplex_floor_respected():
-    cfg = OptConfig(simplex_floor=0.05)
-    res = optimize_over_simplex(lambda ps: float(ps[0][0]), (3,), cfg)
-    assert res.witnesses[0].min() >= 0.05 - 1e-12
+def test_evaluations_count_every_scored_row():
+    # the scan scores all candidates in one call, the polish one row a call
+    rows = []
+
+    def values(P):
+        rows.append(len(P))
+        return _rows_entropy(P)
+
+    cfg = OptConfig()
+    res = optimize_over_simplex(values, 3, cfg)
+    assert rows[0] == len(candidate_points(3, cfg))
+    assert all(n == 1 for n in rows[1:])
+    assert res.evaluations == sum(rows)
 
 
-def test_product_of_simplexes():
-    # maximize H(p) + H(q) jointly
-    res = optimize_over_simplex(
-        lambda ps: entropy_of_array(ps[0]) + entropy_of_array(ps[1]), (2, 3), OptConfig()
-    )
-    assert res.value == pytest.approx(1.0 + math.log2(3), abs=1e-6)
+def test_polish_walks_two_laws():
+    # the joint polish the nested terms use: H(p) + H(q) over a pair of laws
+    def objective(ps):
+        return entropy_of_array(ps[0]) + entropy_of_array(ps[1])
+
+    start = [np.array([0.9, 0.1]), np.array([0.7, 0.2, 0.1])]
+    value, pts, evals = coordinate_polish(objective, start, OptConfig())
+    assert value == pytest.approx(1.0 + math.log2(3), abs=1e-6)
+    assert value == pytest.approx(objective(pts), abs=1e-12)
+    assert evals > 0
