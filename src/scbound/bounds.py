@@ -484,13 +484,14 @@ def _xy(side, outer, inner):
     return (outer, inner) if side == "x" else (inner, outer)
 
 
-def _product_value(bank, side, outer, inners, groups):
+def _product_values(bank, side, outer, inners, groups):
     """Sum over the inner laws of their kinds, each evaluated against the
-    outer law."""
-    v = 0.0
-    for p, kinds in zip(inners, groups):
-        v += sum(float(m[0, 0]) for m in bank.pair_values(*_xy(side, outer, p), kinds))
-    return v
+    outer law: one pair_values call per inner law. At most one of the laws
+    may be an (n, k) batch of rows, giving (n,) values; single laws give (1,)."""
+    return sum(
+        sum(bank.pair_values(*_xy(side, np.atleast_2d(outer), np.atleast_2d(p)), kinds)).ravel()
+        for p, kinds in zip(inners, groups)
+    )
 
 
 def _product_term(bank, name, labels, pts, value, limit):
@@ -514,13 +515,12 @@ def _switched_single(bank, name, marginal, cfg):
     outer, inner = _PRODUCT_TERMS[name]
     side = _side(outer)
     k = bank.ny if side == "x" else bank.nx
-    res = []
-    for _, kinds in inner:
-
-        def values(P):
-            return sum(bank.pair_values(*_xy(side, marginal[None], P), kinds)).ravel()
-
-        res.append(optimize_over_simplex(values, k, cfg))
+    res = [
+        optimize_over_simplex(
+            lambda P, kinds=kinds: _product_values(bank, side, marginal, [P], [kinds]), k, cfg
+        )
+        for _, kinds in inner
+    ]
     return _product_term(
         bank,
         name,
@@ -534,7 +534,8 @@ def _switched_single(bank, name, marginal, cfg):
 def _nested(bank, name, cfg):
     """sup over the outer distribution of a sum of independently supremized
     inner terms, innermost evaluated first on the side's shared sweep, then a
-    joint coordinate polish.
+    joint coordinate polish whose line searches score each bracket of trial
+    laws with one pair_values call per inner group.
 
     The term's inner groups are groups of _SWEEP_GROUPS of its outer side
     (each inner distribution may carry a sum of kinds, e.g. ri_xz + h_xy_z
@@ -552,10 +553,12 @@ def _nested(bank, name, cfg):
     i = int(np.argmax(totals))
     pts = [sw.outer[i].copy()] + [sw.inner[sw.arg[kinds][i]].copy() for kinds in groups]
 
-    def scalar(ps):
-        return _product_value(bank, side, ps[0], ps[1:], groups)
+    def values(s, rows, ps):
+        # rows in place of law s: one pair_values call per inner group
+        laws = ps[:s] + [rows] + ps[s + 1:]
+        return _product_values(bank, side, laws[0], laws[1:], groups)
 
-    value, pts, _ = coordinate_polish(scalar, pts, cfg, value=float(totals[i]))
+    value, pts, _ = coordinate_polish(values, pts, cfg, value=float(totals[i]))
     limit = any(p.min() <= SUPPORT_BOUNDARY for p in pts)
     return _product_term(bank, name, [outer] + [lab for lab, _ in inner], pts, value, limit)
 
@@ -624,7 +627,8 @@ def term_value(ch, name, dists):
             return _as_prob_vector(dists[label], size, label)
 
         inners = [law(lab) for lab, _ in inner]
-        return _product_value(bank, _side(outer), law(outer), inners, [k for _, k in inner])
+        groups = [kinds for _, kinds in inner]
+        return float(_product_values(bank, _side(outer), law(outer), inners, groups)[0])
     improved = {
         "improved_%s_%s" % (link, kinds[0]): kinds
         for link, variants in _JOINT_VARIANTS.items()

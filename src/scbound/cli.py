@@ -197,10 +197,32 @@ def _randomness_used(e):
     return cond_entropy(e.joint, (3, 4, 5), (0, 1))
 
 
-def _reproduce_rows(cfg):
-    rows = []
+# name, built-in (kind, parameters), per-link targets, randomness target
+_REPRODUCE_ROWS = (
+    ("and", ("and", {}), {"m12": 1.826, "m23": LOG3, "m31": LOG3}, 1.826),
+    ("remote-ot-2", ("remote-ot", {"m": 2}), {"m12": 3.0, "m23": 2.0, "m31": 2.0}, 3.0),
+    ("group-add-2", ("group-add", {"order": 2}), {"m12": 1.0, "m23": 1.0, "m31": 1.0}, 1.0),
+    ("group-add-3", ("group-add", {"order": 3}), {l: LOG3 for l in ("m12", "m23", "m31")}, LOG3),
+    ("group-add-6", ("group-add", {"order": 6}),
+     {l: 1 + LOG3 for l in ("m12", "m23", "m31")}, 1 + LOG3),
+    ("sum", ("sum", {}), {"m12": 1.5, "m23": LOG3, "m31": LOG3}, LOG3),
+    ("erasure", ("erasure", {}), {"m12": 1.0, "m23": 1.0, "m31": 1.5}, 1.0),
+)
+_CMSS_ROW = "and-cmss-gap"
 
-    def row(name, b, targets, rho_target, tol=2e-3):
+
+def _reproduce_rows(cfg, only=None):
+    """The worked-example rows; with `only`, just the rows whose name contains
+    it, and a UsageError before any work when none does."""
+    names = [r[0] for r in _REPRODUCE_ROWS] + [_CMSS_ROW]
+    if only is not None and not any(only in n for n in names):
+        raise UsageError("--only %r matches no row" % only)
+    tol = 2e-3
+    rows = []
+    for name, (kind, params), targets, rho_target in _REPRODUCE_ROWS:
+        if only is not None and only not in name:
+            continue
+        b = builtin(kind, **params)
         rep = best_bounds(b.default_input, b.channel, cfg)
         e = run_exact(b.spec, b.default_input)
         sim = {l: e.h(l) for l in ("m12", "m23", "m31")}
@@ -219,38 +241,26 @@ def _reproduce_rows(cfg):
             }
         )
 
-    row("and", builtin("and"), {"m12": 1.826, "m23": LOG3, "m31": LOG3}, 1.826)
-    row("remote-ot-2", builtin("remote-ot", m=2), {"m12": 3.0, "m23": 2.0, "m31": 2.0}, 3.0)
-    row("group-add-2", builtin("group-add", order=2), {"m12": 1.0, "m23": 1.0, "m31": 1.0}, 1.0)
-    row("group-add-3", builtin("group-add", order=3), {l: LOG3 for l in ("m12", "m23", "m31")}, LOG3)
-    row("group-add-6", builtin("group-add", order=6),
-        {l: 1 + LOG3 for l in ("m12", "m23", "m31")}, 1 + LOG3)
-    row("sum", builtin("sum"), {"m12": 1.5, "m23": LOG3, "m31": LOG3}, LOG3)
-    row("erasure", builtin("erasure"), {"m12": 1.0, "m23": 1.0, "m31": 1.5}, 1.0)
-
-    sep = separation_report(cfg=cfg)
-    rows.append(
-        {
-            "name": "and-cmss-gap",
-            "bounds": sep.cmss_bounds,
-            "simulated": sep.scheme_entropies,
-            "rho": 0.0,
-            "targets": {l: LOG3 for l in ("m12", "m23", "m31")},
-            "match": abs(sep.gaps["m12"] - (1.826 - LOG3)) <= 2e-3
-            and all(abs(sep.scheme_entropies[l] - LOG3) <= 1e-9 for l in sep.scheme_entropies),
-        }
-    )
+    if only is None or only in _CMSS_ROW:
+        sep = separation_report(cfg=cfg)
+        rows.append(
+            {
+                "name": _CMSS_ROW,
+                "bounds": sep.cmss_bounds,
+                "simulated": sep.scheme_entropies,
+                "rho": 0.0,
+                "targets": {l: LOG3 for l in ("m12", "m23", "m31")},
+                "match": abs(sep.gaps["m12"] - (1.826 - LOG3)) <= tol
+                and all(abs(sep.scheme_entropies[l] - LOG3) <= 1e-9 for l in sep.scheme_entropies),
+            }
+        )
     return rows
 
 
 def cmd_reproduce(args):
     t0 = time.monotonic()
     cfg = _config(args)
-    rows = _reproduce_rows(cfg)
-    if args.only:
-        rows = [r for r in rows if args.only in r["name"]]
-        if not rows:
-            raise UsageError("--only %r matches no row" % args.only)
+    rows = _reproduce_rows(cfg, args.only)
     payload = {"rows": rows, "manifest": _manifest(args, cfg, t0)}
     _emit(args, payload)
     return 0 if all(r["match"] for r in rows) else 2

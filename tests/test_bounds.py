@@ -652,6 +652,17 @@ def test_term_value_reproduces_every_optimized_term():
     assert any(n.startswith("improved_") for n in names)
 
 
+def test_remote_ot_improved_m23_reaches_limit():
+    # the supremum 2 is approached on a face of the simplex (four zero cells);
+    # the batched line search reaches that face instead of stopping short
+    ch = builtin("remote-ot", m=2).channel
+    tv = improved_bounds(ch, CFG)["m23"]
+    assert tv.name == "improved_m23_ri_xz"
+    assert tv.value == pytest.approx(2.0, abs=1e-12)
+    assert tv.limit_point
+    assert term_value(ch, tv.name, tv.witnesses) == pytest.approx(tv.value, abs=1e-12)
+
+
 def test_term_value_rejects_bad_input(and_channel):
     with pytest.raises(ValueError):
         term_value(and_channel, "improved_m12_ri_xy", {})

@@ -121,6 +121,17 @@ def test_reproduce_only_and(capsys):
     assert row["simulated"]["m12"] == pytest.approx(1 + LOG3, abs=1e-9)
 
 
+def test_reproduce_only_without_match_exits_1_before_work(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("no row should be computed")
+
+    monkeypatch.setattr("scbound.cli.best_bounds", fail)
+    monkeypatch.setattr("scbound.cli.separation_report", fail)
+    code, _, err = run_cli(capsys, "reproduce", "--only", "no-such-row")
+    assert code == 1
+    assert "matches no row" in err
+
+
 def test_reports_byte_stable(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--builtin", "sum")
     _, out2, _ = run_cli(capsys, "analyze", "--builtin", "sum")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from scbound.dists import entropy_of_array
 from scbound.simplex import (
+    LINE_POINTS,
+    ZOOM_ROUNDS,
     OptConfig,
     candidate_points,
     coordinate_polish,
@@ -27,6 +30,21 @@ def test_grid_points_are_distributions():
         g = simplex_grid(k, 0.1)
         assert np.allclose(g.sum(axis=1), 1.0)
         assert g.min() >= 0.0
+
+
+def _loop_grid(k, n):
+    pts = [c for c in itertools.product(range(n + 1), repeat=k - 1) if sum(c) <= n]
+    return np.array([list(c) + [n - sum(c)] for c in pts]) / n
+
+
+def test_grid_matches_lattice_loop():
+    # same points in the same order as the per-point loop, which the scan's
+    # argmax and its tie-breaks depend on
+    for k in (2, 3, 4, 5, 6):
+        for step in (0.02, 0.1, 0.3, 1.0):
+            g = simplex_grid(k, step)
+            n = round(1.0 / g[g > 0].min())
+            assert np.array_equal(g, _loop_grid(k, n))
 
 
 def test_candidates_include_structure():
@@ -84,7 +102,7 @@ def test_deterministic_across_runs():
 
 
 def test_evaluations_count_every_scored_row():
-    # the scan scores all candidates in one call, the polish one row a call
+    # the scan scores all candidates in one call, each later call one line bracket
     rows = []
 
     def values(P):
@@ -94,7 +112,8 @@ def test_evaluations_count_every_scored_row():
     cfg = OptConfig()
     res = optimize_over_simplex(values, 3, cfg)
     assert rows[0] == len(candidate_points(3, cfg))
-    assert all(n == 1 for n in rows[1:])
+    assert len(rows) > 1
+    assert all(n == LINE_POINTS for n in rows[1:])
     assert res.evaluations == sum(rows)
 
 
@@ -103,8 +122,44 @@ def test_polish_walks_two_laws():
     def objective(ps):
         return entropy_of_array(ps[0]) + entropy_of_array(ps[1])
 
+    def values(s, rows, ps):
+        other = entropy_of_array(ps[1 - s])
+        return np.array([entropy_of_array(r) + other for r in rows])
+
     start = [np.array([0.9, 0.1]), np.array([0.7, 0.2, 0.1])]
-    value, pts, evals = coordinate_polish(objective, start, OptConfig())
+    value, pts, evals = coordinate_polish(values, start, OptConfig())
     assert value == pytest.approx(1.0 + math.log2(3), abs=1e-6)
     assert value == pytest.approx(objective(pts), abs=1e-12)
     assert evals > 0
+
+
+def test_line_search_reaches_endpoints():
+    # a linear objective is maximized at a vertex; the polish from an interior
+    # start must land on it exactly, with exact zeros elsewhere
+    c = np.array([0.3, 0.9, 0.1, 0.5])
+
+    def values(s, rows, ps):
+        return rows @ c
+
+    start = [np.array([0.4, 0.1, 0.2, 0.3])]
+    value, (p,), _ = coordinate_polish(values, start, OptConfig())
+    assert value == 0.9
+    assert p[1] == 1.0
+    assert np.count_nonzero(p) == 1
+
+
+def test_line_search_resolves_t_finer_than_golden_section():
+    # 32 golden steps resolved t to about 2e-7; the zoomed brackets must not be coarser
+    t_star = math.pi / 10
+    res = optimize_over_simplex(lambda P: -np.abs(P[:, 0] - t_star), 2, OptConfig())
+    assert abs(res.witness[0] - t_star) <= 1e-7
+    assert 1.0 / (LINE_POINTS - 1) * (2.0 / (LINE_POINTS + 1)) ** ZOOM_ROUNDS <= 2e-7
+
+
+def test_candidates_cached_read_only():
+    cfg = OptConfig(grid_resolution=0.1)
+    a = candidate_points(3, cfg)
+    assert candidate_points(3, OptConfig(grid_resolution=0.1)) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.5
