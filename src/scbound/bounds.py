@@ -21,11 +21,12 @@ the support cone of a 3-axis joint; a channel's _TermBank maps input laws
 onto the cone of its generic support. Product-form terms (one x law, one y
 law) are evaluated by _TermBank.pair_values.
 
-The switched and conditional families share their nested suprema: each
-outer side (x or y) is swept once per channel and config over the outer x
-inner candidate grid, in _CHUNK-row slices that are reduced to a per-outer
-max and argmax as they stream. The sweep's memory is
-O(_CHUNK x n_inner x |Z|) rather than O(n_outer x n_inner).
+The switched and conditional families share their nested suprema: the
+x-candidate x y-candidate grid is scored once per channel and config, in
+_CHUNK-row slices of x candidates, and each slice is reduced for both outer
+sides as it streams (a per-outer max and argmax; the y side's as a running
+max over slices). The sweep's memory is O(_CHUNK x n_y x |Z|) rather than
+O(n_x x n_y).
 
 Share-size bounds for dealer-generated secret sharing and for secure
 sampling reuse the same term kernels.
@@ -261,29 +262,19 @@ class _TermBank:
             self.M[x * self.ny + y, t] = W[x, y, z]
         self.Lx = self.cone.pair_info["xz"]["Li"]  # x-side blocks of the (X,Z) graph
         self.Ly = self.cone.pair_info["yz"]["Li"]  # y-side blocks of the (Y,Z) graph
-        self._sweeps = {}  # (side, cfg) -> _Sweep
+        self._sweeps = {}  # cfg -> {side: _Sweep}
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
 
     def _pre_a(self, A):
+        # C[n, y, :] is the output law at y once x ~ A[n]; G is (n, ny), H and blk (n,)
         C = np.einsum("nx,xyz->nyz", A, self.W)
-        return {
-            "A": A,
-            "C": C,  # C[n, y, :] is the output law at y once x ~ A[n]
-            "G": _H(C),  # (n, ny)
-            "H": _H(A),  # (n,)
-            "blk": _H(A @ self.Lx),  # (n,)
-        }
+        return {"C": C, "G": _H(C), "H": _H(A), "blk": _H(A @ self.Lx)}
 
     def _pre_b(self, B):
+        # C[m, x, :] is the output law at x once y ~ B[m]; G is (m, nx), H and blk (m,)
         C = np.einsum("my,xyz->mxz", B, self.W)
-        return {
-            "B": B,
-            "C": C,
-            "G": _H(C),  # (m, nx)
-            "H": _H(B),
-            "blk": _H(B @ self.Ly),
-        }
+        return {"C": C, "G": _H(C), "H": _H(B), "blk": _H(B @ self.Ly)}
 
     def pair_values(self, A, B, kinds):
         """Evaluate product-form terms for all (A_i, B_j) pairs, chunked."""
@@ -293,13 +284,14 @@ class _TermBank:
         out = [np.empty((len(A), len(B))) for _ in kinds]
         for lo in range(0, len(A), _CHUNK):
             sl = slice(lo, min(lo + _CHUNK, len(A)))
-            pa = self._pre_a(A[sl])
+            a = A[sl]
+            pa = self._pre_a(a)
             pz = np.einsum("my,nyz->nmz", B, pa["C"])
             h_z = _H(pz)  # (chunk, m)
-            bil = pa["A"] @ self.Hrow @ B.T
+            bil = a @ self.Hrow @ B.T
             for t, kind in enumerate(kinds):
                 if kind == "ri_xz":
-                    v = h_z - pa["A"] @ pb["G"].T - pa["blk"][:, None]
+                    v = h_z - a @ pb["G"].T - pa["blk"][:, None]
                 elif kind == "ri_yz":
                     v = h_z - pa["G"] @ B.T - pb["blk"][None, :]
                 elif kind == "h_xy_z":
@@ -315,37 +307,41 @@ class _TermBank:
 
     def sweep(self, side, cfg):
         """Every inner-term group of one outer side, maximized over the inner
-        candidates for each outer candidate; computed once per (side, cfg)."""
-        key = (side, cfg)
-        if key not in self._sweeps:
-            self._sweeps[key] = self._sweep(side, cfg)
-        return self._sweeps[key]
+        candidates for each outer candidate; both sides come from one pass
+        over the grid, made once per cfg."""
+        if cfg not in self._sweeps:
+            self._sweeps[cfg] = self._sweep(cfg)
+        return self._sweeps[cfg][side]
 
-    def _sweep(self, side, cfg):
-        groups = _SWEEP_GROUPS[side]
-        kinds = list(dict.fromkeys(k for g in groups for k in g))
-        k_out, k_in = (self.nx, self.ny) if side == "x" else (self.ny, self.nx)
-        outer = candidate_points(k_out, cfg)
-        inner = candidate_points(k_in, cfg)
-        # pair_values takes x-side rows first; slices walk the x side
-        A, B = _xy(side, outer, inner)
-        best = {g: np.full(len(outer), -np.inf) for g in groups}
-        arg = {g: np.zeros(len(outer), dtype=int) for g in groups}
+    def _sweep(self, cfg):
+        # pair_values takes x-side rows first; slices walk the x candidates
+        A, B = candidate_points(self.nx, cfg), candidate_points(self.ny, cfg)
+        sweeps = {}
+        for side, outer, inner in (("x", A, B), ("y", B, A)):
+            gs = _SWEEP_GROUPS[side]
+            sweeps[side] = _Sweep(outer, inner, {g: np.full(len(outer), -np.inf) for g in gs},
+                                  {g: np.zeros(len(outer), dtype=int) for g in gs})
+        kinds = list(dict.fromkeys(k for gs in _SWEEP_GROUPS.values() for g in gs for k in g))
         for lo in range(0, len(A), _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, len(A)))
-            mats = dict(zip(kinds, self.pair_values(A[sl], B, kinds)))
-            for g in groups:
-                V = sum(mats[k] for k in g)  # (slice, len(B))
-                if side == "x":
-                    best[g][sl] = V.max(axis=1)
-                    arg[g][sl] = V.argmax(axis=1)
-                else:
-                    # running max over inner slices; strict > keeps the first index on ties
-                    m = V.max(axis=0)
-                    up = m > best[g]
-                    best[g][up] = m[up]
-                    arg[g][up] = V.argmax(axis=0)[up] + lo
-        return _Sweep(outer, inner, best, arg)
+            self._reduce_slice(sweeps, A[lo:lo + _CHUNK], B, lo, kinds)
+        return sweeps
+
+    def _reduce_slice(self, sweeps, A, B, lo, kinds):
+        # the slice's value matrices die with this frame, before the next
+        # slice is scored
+        mats = dict(zip(kinds, self.pair_values(A, B, kinds)))  # (len(A), len(B)) each
+        x, y = sweeps["x"], sweeps["y"]
+        for g in _SWEEP_GROUPS["x"]:
+            V = sum(mats[k] for k in g)
+            x.best[g][lo:lo + len(A)] = V.max(axis=1)
+            x.arg[g][lo:lo + len(A)] = V.argmax(axis=1)
+        for g in _SWEEP_GROUPS["y"]:
+            # running max over x slices; strict > keeps the first index on ties
+            V = sum(mats[k] for k in g)
+            m = V.max(axis=0)
+            up = m > y.best[g]
+            y.best[g][up] = m[up]
+            y.arg[g][up] = V.argmax(axis=0)[up] + lo
 
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
@@ -379,10 +375,6 @@ def _marginals(p_xy):
 def _is_product(p_xy):
     outer = np.outer(p_xy.probs.sum(axis=1), p_xy.probs.sum(axis=0))
     return bool(np.max(np.abs(outer - p_xy.probs)) <= ZERO_TOL)
-
-
-def _full_support(d):
-    return bool(d.probs.min() > SUPPORT_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -479,19 +471,18 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
     }
 
 
-def _xy(side, outer, inner):
-    """(x law, y law) of a pair of laws whose outer law is on `side`."""
-    return (outer, inner) if side == "x" else (inner, outer)
+def _group_values(bank, side, outer, p, kinds):
+    """One inner law's kinds against the outer law, by one pair_values call.
+    At most one of the laws may be an (n, k) batch of rows, giving (n,)
+    values; single laws give (1,)."""
+    a, b = np.atleast_2d(outer), np.atleast_2d(p)
+    return sum(bank.pair_values(*((a, b) if side == "x" else (b, a)), kinds)).ravel()
 
 
 def _product_values(bank, side, outer, inners, groups):
     """Sum over the inner laws of their kinds, each evaluated against the
-    outer law: one pair_values call per inner law. At most one of the laws
-    may be an (n, k) batch of rows, giving (n,) values; single laws give (1,)."""
-    return sum(
-        sum(bank.pair_values(*_xy(side, np.atleast_2d(outer), np.atleast_2d(p)), kinds)).ravel()
-        for p, kinds in zip(inners, groups)
-    )
+    outer law."""
+    return sum(_group_values(bank, side, outer, p, kinds) for p, kinds in zip(inners, groups))
 
 
 def _product_term(bank, name, labels, pts, value, limit):
@@ -539,9 +530,9 @@ def _nested(bank, name, cfg):
 
     The term's inner groups are groups of _SWEEP_GROUPS of its outer side
     (each inner distribution may carry a sum of kinds, e.g. ri_xz + h_xy_z
-    shares one inner variable). The side's sweep runs once per bank and
-    config, in _CHUNK-row slices reduced as they stream, so its memory is
-    O(_CHUNK x n_inner x |Z|) rather than O(n_outer x n_inner).
+    shares one inner variable). One fused pass per bank and config scores
+    the grid for both sides' groups. While the polish moves one law, an
+    inner group that law does not enter is scored once, not per bracket.
     """
     outer, inner = _PRODUCT_TERMS[name]
     side = _side(outer)
@@ -553,10 +544,21 @@ def _nested(bank, name, cfg):
     i = int(np.argmax(totals))
     pts = [sw.outer[i].copy()] + [sw.inner[sw.arg[kinds][i]].copy() for kinds in groups]
 
+    fixed = {}
+
+    def group_values(outer, p, kinds):
+        if outer.ndim > 1 or p.ndim > 1:
+            return _group_values(bank, side, outer, p, kinds)
+        # both laws held by the line search: the same value on every bracket
+        key = (kinds, outer.tobytes(), p.tobytes())
+        if key not in fixed:
+            fixed[key] = _group_values(bank, side, outer, p, kinds)
+        return fixed[key]
+
     def values(s, rows, ps):
-        # rows in place of law s: one pair_values call per inner group
+        # rows in place of law s: one pair_values call per inner group it enters
         laws = ps[:s] + [rows] + ps[s + 1:]
-        return _product_values(bank, side, laws[0], laws[1:], groups)
+        return sum(group_values(laws[0], p, kinds) for p, kinds in zip(laws[1:], groups))
 
     value, pts, _ = coordinate_polish(values, pts, cfg, value=float(totals[i]))
     limit = any(p.min() <= SUPPORT_BOUNDARY for p in pts)
@@ -569,7 +571,7 @@ _last_bank = None
 def _shared_bank(ch):
     """The term bank of `ch`, reused while the same channel object is passed,
     so the improved, switched and conditional families share one bank and
-    the last two share their nested sweeps.
+    the last two share its one fused nested sweep.
 
     A one-entry cache keyed on identity: Channel is immutable but not
     hashable, and the cached bank keeps its channel alive.
@@ -743,7 +745,7 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
         "bigraph_connected": bigraph_connected(p_n),
         "condition1": check_condition1(ch_n),
         "condition2": check_condition2(ch_n),
-        "full_support": _full_support(p_n),
+        "full_support": bool(p_n.probs.min() > SUPPORT_EPS),
         "product_inputs": _is_product(p_n),
     }
 

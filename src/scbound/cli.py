@@ -156,8 +156,7 @@ def cmd_simulate(args):
     cfg = _config(args)
     if args.spec:
         spec = spec_from_json(_load_json(args.spec))
-        b = None
-        ch = None
+        b = ch = None
     elif args.builtin:
         b = builtin(args.builtin, **_builtin_params(args))
         spec, ch = b.spec, b.channel
@@ -319,10 +318,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, ProtocolSpecError) as exc:
+    except (UsageError, ValueError, ProtocolSpecError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except CapacityError as exc:

@@ -35,8 +35,10 @@ class OptConfig:
     refine_iters: int = 60
 
     def __post_init__(self):
-        if self.grid_resolution <= 0:
-            raise ValueError("grid_resolution must be > 0")
+        if not (math.isfinite(self.grid_resolution) and 0 < self.grid_resolution <= 1):
+            raise ValueError("grid_resolution must be finite and in (0, 1]")
+        if not isinstance(self.refine_iters, int) or self.refine_iters < 0:
+            raise ValueError("refine_iters must be an int >= 0")
 
 
 @dataclass

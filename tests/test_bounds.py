@@ -595,9 +595,9 @@ def _random_channel(rng, nx, ny, nz, duplicate_x=False):
     [((3, 3, 3), False), ((4, 3, 2), False), ((3, 3, 3), True)],
 )
 def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
-    # the streamed per-side sweep equals max/argmax of the full value matrix,
-    # bit for bit, including the first-index rule on ties; the grid gives
-    # several _CHUNK slices on each side
+    # the fused sweep equals max/argmax of the full value matrix on both
+    # sides, bit for bit, including the first-index rule on ties; the grid
+    # gives several _CHUNK slices of x candidates
     from scbound.bounds import _SWEEP_GROUPS, _TermBank
 
     cfg = OptConfig(grid_resolution=0.03)
@@ -615,6 +615,53 @@ def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
             assert np.array_equal(sw.arg[g], V.argmax(axis=1))
             ties += int(((V == V.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
     assert ties > 0
+
+
+def test_sweep_walks_the_grid_once(rng, monkeypatch):
+    # both outer sides come from one pass: one pair_values call per _CHUNK
+    # slice of x candidates, and the second side adds none
+    from scbound.bounds import _CHUNK, _TermBank
+    from scbound.simplex import candidate_points
+
+    calls = []
+    pair_values = _TermBank.pair_values
+
+    def counted(self, A, B, kinds):
+        calls.append(len(A))
+        return pair_values(self, A, B, kinds)
+
+    monkeypatch.setattr(_TermBank, "pair_values", counted)
+    cfg = OptConfig(grid_resolution=0.03)
+    bank = _TermBank(_random_channel(rng, 4, 3, 2))
+    n_x = len(candidate_points(bank.nx, cfg))
+    assert n_x > _CHUNK
+    bank.sweep("x", cfg)
+    assert len(calls) == math.ceil(n_x / _CHUNK)
+    bank.sweep("y", cfg)
+    assert len(calls) == math.ceil(n_x / _CHUNK)
+    assert sum(calls) == n_x
+
+
+def test_nested_scores_each_held_group_once(monkeypatch):
+    # while a line search moves one law, an inner group that law does not
+    # enter is scored once, not on every bracket: no single-pair call repeats
+    from scbound.bounds import _TermBank, _nested
+
+    seen = []
+    pair_values = _TermBank.pair_values
+
+    def recorded(self, A, B, kinds):
+        if len(A) == len(B) == 1:
+            seen.append((np.asarray(A).tobytes(), np.asarray(B).tobytes(), tuple(kinds)))
+        return pair_values(self, A, B, kinds)
+
+    monkeypatch.setattr(_TermBank, "pair_values", recorded)
+    bank = _TermBank(builtin("sum").channel)
+    for name in ("conditional_m31", "switched_m12_bottom"):
+        seen.clear()
+        _nested(bank, name, OptConfig(grid_resolution=0.1, refine_iters=20))
+        assert seen
+        assert len(seen) == len(set(seen))
 
 
 def test_xlogx_bitwise_equal_to_masked_form():

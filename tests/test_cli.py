@@ -103,6 +103,22 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (("--refine", "-5"), "refine_iters"),
+        (("--grid", "inf"), "grid_resolution"),
+        (("--grid", "nan"), "grid_resolution"),
+        (("--grid", "0"), "grid_resolution"),
+    ],
+)
+def test_malformed_optimizer_settings_exit_1(capsys, flags, field):
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "and", *flags)
+    assert code == 1
+    assert out == ""
+    assert field in err
+
+
 def test_capacity_exit_3(capsys):
     code, _, err = run_cli(capsys, "simulate", "--builtin", "remote-ot", "--m", "4", "--n", "4")
     assert code == 3

@@ -1,3 +1,5 @@
+import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -30,3 +32,17 @@ def test_reproduce_table_runs():
     rows = out.stdout.splitlines()[1:-1]  # between the header and the total
     assert len(rows) == 8
     assert all(r.endswith("ok") for r in rows)
+
+
+def test_python_m_scbound_runs():
+    out = subprocess.run(
+        [sys.executable, "-m", "scbound", "reproduce", "--only", "group-add-2",
+         "--grid", "0.25", "--refine", "4"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert [r["name"] for r in json.loads(out.stdout)["rows"]] == ["group-add-2"]

@@ -21,8 +21,22 @@ def _rows_entropy(P):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptConfig(grid_resolution=0.0)
+    for kwargs in (
+        {"grid_resolution": 0.0},
+        {"grid_resolution": -0.1},
+        {"grid_resolution": 1.5},
+        {"grid_resolution": math.inf},
+        {"grid_resolution": math.nan},
+        {"refine_iters": -5},
+        {"refine_iters": 2.5},
+    ):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
+            OptConfig(**kwargs)
+
+
+def test_config_accepts_its_range_ends():
+    assert OptConfig(grid_resolution=1.0, refine_iters=0).refine_iters == 0
 
 
 def test_grid_points_are_distributions():
