@@ -17,13 +17,10 @@ from .dists import (
     Channel,
     JointDist,
     SupportJoint,
-    ZERO_TOL,
-    cond_entropy,
-    cond_mutual_info,
     entropy,
     join,
 )
-from .protocols import M12, M23, M31, X, Y, Z
+from .protocols import M12, M23, M31, ExecutionJoint, verify_cutset, verify_privacy
 from .simplex import OptConfig
 
 
@@ -49,19 +46,14 @@ def cmss_joint(spec, p_xyz):
     return SupportJoint.accumulate(tuple(spec.secret_axes) + tuple(spec.share_axes), rows)
 
 
-def verify_cmss(joint, tol=ZERO_TOL):
-    """Three reconstruction checks and three privacy checks on a 6-axis joint.
-
-    Returns a dict of named booleans; works on protocol execution joints too.
-    """
-    return {
-        "reconstruct_x": cond_entropy(joint, (X,), (M12, M31)) <= tol,
-        "reconstruct_y": cond_entropy(joint, (Y,), (M12, M23)) <= tol,
-        "reconstruct_z": cond_entropy(joint, (Z,), (M23, M31)) <= tol,
-        "privacy_alice": cond_mutual_info(joint, (M12, M31), (Y, Z), (X,)) <= tol,
-        "privacy_bob": cond_mutual_info(joint, (M12, M23), (X, Z), (Y,)) <= tol,
-        "privacy_charlie": cond_mutual_info(joint, (M23, M31), (X, Y), (Z,)) <= tol,
-    }
+def verify_cmss(joint):
+    """The three reconstruction and three privacy checks on a 6-axis joint
+    (`verify_cutset` and `verify_privacy` of the same joint), as a dict of
+    named booleans. Works on protocol execution joints too."""
+    e = ExecutionJoint(joint)
+    names = ("reconstruct_x", "reconstruct_y", "reconstruct_z",
+             "privacy_alice", "privacy_bob", "privacy_charlie")
+    return dict(zip(names, verify_cutset(e) + verify_privacy(e)))
 
 
 def share_entropies(joint):
@@ -77,9 +69,7 @@ def and_cmss():
     the Alice-Bob share is a, Alice's link to Charlie carries a iff X=1 else
     b, Bob's carries a iff Y=1 else c. All three shares are uniform over
     three labels."""
-    bit = (0, 1)
-    x_axis, y_axis = Alphabet("X", bit), Alphabet("Y", bit)
-    z_axis = Alphabet("Z", bit)
+    ch = _and_channel()
     labels = Alphabet("L", (0, 1, 2))
     perms = Alphabet("R", tuple(itertools.permutations((0, 1, 2))))
 
@@ -88,7 +78,7 @@ def and_cmss():
         return a, (a if y else c), (a if x else b)
 
     return CmssSpec(
-        secret_axes=(x_axis, y_axis, z_axis),
+        secret_axes=(ch.x_axis, ch.y_axis, ch.z_axis),
         dealer_randomness=perms,
         share_axes=(Alphabet("M12", labels.symbols), Alphabet("M23", labels.symbols),
                     Alphabet("M31", labels.symbols)),
@@ -96,12 +86,16 @@ def and_cmss():
     )
 
 
-def and_secret_dist():
-    """Uniform independent input bits pushed through AND."""
+def _and_channel():
     bit = (0, 1)
     x_axis, y_axis, z_axis = Alphabet("X", bit), Alphabet("Y", bit), Alphabet("Z", bit)
-    ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x & y)
-    return join(JointDist.uniform((x_axis, y_axis)), ch)
+    return Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x & y)
+
+
+def and_secret_dist():
+    """Uniform independent input bits pushed through AND."""
+    ch = _and_channel()
+    return join(JointDist.uniform((ch.x_axis, ch.y_axis)), ch)
 
 
 @dataclass
@@ -110,14 +104,6 @@ class SeparationReport:
     protocol_bounds: dict  # link -> transcript lower bound
     gaps: dict  # link -> protocol bound minus share bound (clamped at 0)
     scheme_entropies: dict  # achieved share entropies, when a scheme is known
-
-    def to_json(self):
-        return {
-            "cmss_bounds": self.cmss_bounds,
-            "protocol_bounds": self.protocol_bounds,
-            "gaps": self.gaps,
-            "scheme_entropies": self.scheme_entropies,
-        }
 
 
 def separation_report(ch=None, p_xy=None, cfg=None):
@@ -128,10 +114,8 @@ def separation_report(ch=None, p_xy=None, cfg=None):
     """
     cfg = cfg or OptConfig()
     is_and = ch is None
-    if ch is None:
-        bit = (0, 1)
-        x_axis, y_axis, z_axis = Alphabet("X", bit), Alphabet("Y", bit), Alphabet("Z", bit)
-        ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x & y)
+    if is_and:
+        ch = _and_channel()
     if p_xy is None:
         p_xy = JointDist.uniform((ch.x_axis, ch.y_axis))
     report = bounds_mod.best_bounds(p_xy, ch, cfg)

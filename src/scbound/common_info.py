@@ -22,57 +22,30 @@ from .dists import (
 )
 
 
-class UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def components(self, items=None):
-        """Map item -> dense component id, numbered by first occurrence."""
-        items = range(len(self.parent)) if items is None else items
-        ids, out = {}, {}
-        for i in items:
-            r = self.find(i)
-            if r not in ids:
-                ids[r] = len(ids)
-            out[i] = ids[r]
-        return out
-
-
 def blocks_from_mask(mask):
     """Connected components of the bipartite graph given by a boolean matrix.
 
-    Returns (labels_u, labels_v, n_blocks); rows/columns with no edge get
-    label -1 (they carry no probability in any distribution with this
-    support pattern).
+    Returns (labels_u, labels_v, n_blocks); blocks are numbered in the order
+    of their first row, and rows/columns with no edge get label -1 (they
+    carry no probability in any distribution with this support pattern).
     """
-    nu, nv = mask.shape
-    uf = UnionFind(nu + nv)
-    for i in range(nu):
-        for j in range(nv):
-            if mask[i, j]:
-                uf.union(i, nu + j)
-    live = [i for i in range(nu) if mask[i].any()] + [nu + j for j in range(nv) if mask[:, j].any()]
-    comp = uf.components(live)
-    labels_u = np.full(nu, -1, dtype=int)
-    labels_v = np.full(nv, -1, dtype=int)
-    for i in range(nu):
-        if i in comp:
-            labels_u[i] = comp[i]
-    for j in range(nv):
-        if nu + j in comp:
-            labels_v[j] = comp[nu + j]
-    n_blocks = max(comp.values()) + 1 if comp else 0
+    labels_u = np.full(mask.shape[0], -1, dtype=int)
+    labels_v = np.full(mask.shape[1], -1, dtype=int)
+    n_blocks = 0
+    for i in np.flatnonzero(mask.any(axis=1)):
+        if labels_u[i] >= 0:
+            continue
+        # grow the block of row i: rows -> the columns they reach -> the rows
+        # those reach, until the row set stops growing
+        rows = np.arange(mask.shape[0]) == i
+        while True:
+            cols = mask[rows].any(axis=0)
+            grown = mask[:, cols].any(axis=1)
+            if np.array_equal(grown, rows):
+                break
+            rows = grown
+        labels_u[rows] = labels_v[cols] = n_blocks
+        n_blocks += 1
     return labels_u, labels_v, n_blocks
 
 
@@ -138,7 +111,11 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def residual_info_oracle(d, max_support=12, max_components=10):
+ORACLE_MAX_SUPPORT = 12  # live symbols per side
+ORACLE_MAX_COMPONENTS = 10  # Bell(10) = 115,975 partitions
+
+
+def residual_info_oracle(d):
     """Minimize I(U;V|Q) over all common functions Q = f(U) = g(V).
 
     Any Q consistent on the support is constant on each connected component
@@ -151,11 +128,13 @@ def residual_info_oracle(d, max_support=12, max_components=10):
     mask = d.probs > SUPPORT_EPS
     nu = int(mask.any(axis=1).sum())
     nv = int(mask.any(axis=0).sum())
-    if nu > max_support or nv > max_support:
-        raise CapacityError("support %dx%d exceeds oracle limit %d" % (nu, nv, max_support))
+    if nu > ORACLE_MAX_SUPPORT or nv > ORACLE_MAX_SUPPORT:
+        raise CapacityError("support %dx%d exceeds oracle limit %d" % (nu, nv, ORACLE_MAX_SUPPORT))
     labels_u, labels_v, n_blocks = blocks_from_mask(mask)
-    if n_blocks > max_components:
-        raise CapacityError("%d components exceed oracle limit %d" % (n_blocks, max_components))
+    if n_blocks > ORACLE_MAX_COMPONENTS:
+        raise CapacityError(
+            "%d components exceed oracle limit %d" % (n_blocks, ORACLE_MAX_COMPONENTS)
+        )
 
     best = None
     for part in _set_partitions(list(range(n_blocks))):

@@ -1,9 +1,13 @@
 """Normal-form reductions and connectivity checks.
 
 Channels, (distribution, channel) pairs, and 3-axis sampling joints are
-reduced by merging equivalent input symbols (identical conditional rows) and
-proportional output symbols. Reductions iterate pairwise merges to a
-fixpoint, so they are idempotent; the representative of a merge class is the
+reduced by one reducer over a 3-axis array (a channel kernel or a sampling
+joint) with three primitives, each taking an axis: `add` merges proportional
+slices (their masses add), `keep` merges inputs with equal conditional rows
+(their input masses add), and `drop` removes a symbol. Each form has a rule
+that lists the merges and drops it allows in scan order; a reduction applies
+the first one until none is left, so it is idempotent, and a form is normal
+iff its rule lists nothing. The representative of a merge class is the
 earliest symbol in alphabet order.
 """
 
@@ -24,170 +28,150 @@ class NormalFormResult:
     dropped: dict = field(default_factory=dict)  # axis name -> [symbols]
 
 
-def _proportional(u, v, tol=ZERO_TOL):
-    """True iff u = c*v for some c >= 0, treating 0/0 as compatible."""
+def _proportional(u, v):
+    """True iff u = c*v or v = c*u for some c >= 0 (a zero slice is a
+    multiple of any slice)."""
     su, sv = u.sum(), v.sum()
-    if su <= SUPPORT_EPS and sv <= SUPPORT_EPS:
-        return True
     if su <= SUPPORT_EPS or sv <= SUPPORT_EPS:
-        return su <= SUPPORT_EPS  # u = 0*v works; v = c*u does not
-    return bool(np.max(np.abs(u / su - v / sv)) <= tol)
+        return True
+    return bool(np.max(np.abs(u / su - v / sv)) <= ZERO_TOL)
 
 
-def _rows_equal(a, b, tol=ZERO_TOL):
-    return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
+def _rows_equal(a, b):
+    return bool(np.max(np.abs(a - b), initial=0.0) <= ZERO_TOL)
+
+
+def _pairs(n):
+    return ((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 class _Reducer:
-    """Carries (probs, kernel, alphabets) through pairwise merges."""
+    """A 3-axis array, optional (X, Y) input masses (the pair form), and per
+    axis its symbols, its map from original symbol to representative (None
+    once dropped), and its dropped symbols keyed by axis name."""
 
-    def __init__(self, ch, p_xy=None):
-        self.kernel = np.array(ch.kernel)
-        self.x_syms = list(ch.x_axis.symbols)
-        self.y_syms = list(ch.y_axis.symbols)
-        self.z_syms = list(ch.z_axis.symbols)
-        self.names = (ch.x_axis.name, ch.y_axis.name, ch.z_axis.name)
-        self.probs = None if p_xy is None else np.array(p_xy.probs)
-        self.x_map = {s: s for s in self.x_syms}
-        self.y_map = {s: s for s in self.y_syms}
-        self.z_map = {s: s for s in self.z_syms}
-        self.dropped_z = []
+    def __init__(self, axes, array, probs=None):
+        self.axes = tuple(axes)
+        self.a = np.array(array)
+        self.probs = None if probs is None else np.array(probs)
+        self.syms = [list(ax.symbols) for ax in self.axes]
+        self.maps = [{s: s for s in ax.symbols} for ax in self.axes]
+        self.dropped = {}
 
-    # -- merge primitives ---------------------------------------------------
-
-    def _remap(self, mapping, gone, into):
-        for orig, cur in mapping.items():
+    def _remove(self, ax, j, into):
+        gone = self.syms[ax].pop(j)
+        for orig, cur in self.maps[ax].items():
             if cur == gone:
-                mapping[orig] = into
+                self.maps[ax][orig] = into
+        self.a = np.delete(self.a, j, axis=ax)
 
-    def merge_x(self, i, j):
-        """Merge x_j into x_i (i < j)."""
+    def add(self, ax, i, j):
+        """Merge slice j into slice i (i < j); their masses add."""
+        s = np.moveaxis(self.a, ax, 0)
+        s[i] += s[j]
+        self._remove(ax, j, self.syms[ax][i])
+
+    def keep(self, ax, i, j):
+        """Merge input j into input i (i < j), whose conditional rows agree.
+        Row i takes row j's cells wherever only j carries input mass, and the
+        input masses add."""
         if self.probs is not None:
-            for col in range(self.probs.shape[1]):
-                # keep the row that actually carries mass at this y
-                if self.probs[i, col] <= SUPPORT_EPS and self.probs[j, col] > SUPPORT_EPS:
-                    self.kernel[i, col, :] = self.kernel[j, col, :]
-            self.probs[i, :] += self.probs[j, :]
-            self.probs = np.delete(self.probs, j, axis=0)
-        self._remap(self.x_map, self.x_syms[j], self.x_syms[i])
-        del self.x_syms[j]
-        self.kernel = np.delete(self.kernel, j, axis=0)
+            s, p = np.moveaxis(self.a, ax, 0), np.moveaxis(self.probs, ax, 0)
+            fill = (p[i] <= SUPPORT_EPS) & (p[j] > SUPPORT_EPS)
+            s[i][fill] = s[j][fill]
+            p[i] += p[j]
+            self.probs = np.delete(self.probs, j, axis=ax)
+        self._remove(ax, j, self.syms[ax][i])
 
-    def merge_y(self, i, j):
+    def drop(self, ax, j):
+        self.dropped.setdefault(self.axes[ax].name, []).append(self.syms[ax][j])
+        self._remove(ax, j, None)
         if self.probs is not None:
-            for row in range(self.probs.shape[0]):
-                if self.probs[row, i] <= SUPPORT_EPS and self.probs[row, j] > SUPPORT_EPS:
-                    self.kernel[row, i, :] = self.kernel[row, j, :]
-            self.probs[:, i] += self.probs[:, j]
-            self.probs = np.delete(self.probs, j, axis=1)
-        self._remap(self.y_map, self.y_syms[j], self.y_syms[i])
-        del self.y_syms[j]
-        self.kernel = np.delete(self.kernel, j, axis=1)
+            # a pair's off-support rows may have lost mass; renormalize them
+            # (their content never enters any on-support computation)
+            sums = self.a.sum(axis=2)
+            bad = sums <= SUPPORT_EPS
+            if bad.any():
+                self.a[bad] = 1.0 / self.a.shape[2]
+                sums = self.a.sum(axis=2)
+            self.a /= sums[:, :, None]
 
-    def merge_z(self, i, j):
-        self.kernel[:, :, i] += self.kernel[:, :, j]
-        self._remap(self.z_map, self.z_syms[j], self.z_syms[i])
-        del self.z_syms[j]
-        self.kernel = np.delete(self.kernel, j, axis=2)
+    def reduce(self, rule):
+        while (move := next(rule(self), None)) is not None:
+            move[0](*move[1:])
+        return self
 
-    def drop_z(self, j):
-        sym = self.z_syms[j]
-        for orig, cur in list(self.z_map.items()):
-            if cur == sym:
-                self.z_map[orig] = None
-        self.dropped_z.append(sym)
-        del self.z_syms[j]
-        self.kernel = np.delete(self.kernel, j, axis=2)
-        # off-support rows may have lost mass; renormalize them (their
-        # content never enters any on-support computation)
-        sums = self.kernel.sum(axis=2)
-        bad = sums <= SUPPORT_EPS
-        if bad.any():
-            self.kernel[bad] = 1.0 / len(self.z_syms)
-            sums = self.kernel.sum(axis=2)
-        self.kernel /= sums[:, :, None]
+    def alphabets(self):
+        return [Alphabet(ax.name, syms) for ax, syms in zip(self.axes, self.syms)]
 
-    # -- merge scans; each returns True if it changed something -------------
+    def result(self, reduced):
+        return NormalFormResult(reduced, *self.maps, dropped=self.dropped)
 
-    def scan_channel(self):
-        nx, ny, nz = self.kernel.shape
-        for i in range(nx):
-            for j in range(i + 1, nx):
-                if _rows_equal(self.kernel[i], self.kernel[j]):
-                    self.merge_x(i, j)
-                    return True
-        for i in range(ny):
-            for j in range(i + 1, ny):
-                if _rows_equal(self.kernel[:, i], self.kernel[:, j]):
-                    self.merge_y(i, j)
-                    return True
-        for i in range(nz):
-            for j in range(i + 1, nz):
-                if _proportional(self.kernel[:, :, i], self.kernel[:, :, j]) or _proportional(
-                    self.kernel[:, :, j], self.kernel[:, :, i]
-                ):
-                    self.merge_z(i, j)
-                    return True
-        return False
 
-    def scan_pair(self):
-        nx, ny, nz = self.kernel.shape
-        supp = self.probs > SUPPORT_EPS
-        for i in range(nx):
-            for j in range(i + 1, nx):
-                both = supp[i] & supp[j]
-                if _rows_equal(self.kernel[i][both], self.kernel[j][both]):
-                    self.merge_x(i, j)
-                    return True
-        for i in range(ny):
-            for j in range(i + 1, ny):
-                both = supp[:, i] & supp[:, j]
-                if _rows_equal(self.kernel[both, i], self.kernel[both, j]):
-                    self.merge_y(i, j)
-                    return True
-        for k in range(nz):
-            if self.kernel[:, :, k][supp].sum() <= SUPPORT_EPS:
-                if nz > 1:
-                    self.drop_z(k)
-                    return True
-                continue
-        for i in range(nz):
-            for j in range(i + 1, nz):
-                if _proportional(self.kernel[:, :, i][supp], self.kernel[:, :, j][supp]) or _proportional(
-                    self.kernel[:, :, j][supp], self.kernel[:, :, i][supp]
-                ):
-                    self.merge_z(i, j)
-                    return True
-        return False
+# -- rules: each yields (primitive, axis, index...) moves in scan order -------
 
-    # -- output --------------------------------------------------------------
 
-    def channel(self):
-        return Channel(
-            Alphabet(self.names[0], self.x_syms),
-            Alphabet(self.names[1], self.y_syms),
-            Alphabet(self.names[2], self.z_syms),
-            self.kernel,
+def _row_moves(r, supp):
+    """Equal-row merges on x, then y, compared where both inputs of the pair
+    carry mass under the (|X|, |Y|) mask `supp`."""
+    for ax in (0, 1):
+        s, on = np.moveaxis(r.a, ax, 0), np.moveaxis(supp, ax, 0)
+        yield from (
+            (r.keep, ax, i, j)
+            for i, j in _pairs(len(s))
+            if _rows_equal(s[i][on[i] & on[j]], s[j][on[i] & on[j]])
         )
 
-    def dist(self):
-        return JointDist(
-            (Alphabet(self.names[0], self.x_syms), Alphabet(self.names[1], self.y_syms)),
-            self.probs,
-        )
+
+def _channel_rule(r):
+    yield from _row_moves(r, np.ones(r.a.shape[:2], dtype=bool))
+    z = np.moveaxis(r.a, 2, 0)
+    yield from ((r.add, 2, i, j) for i, j in _pairs(len(z)) if _proportional(z[i], z[j]))
+
+
+def _pair_rule(r):
+    supp = r.probs > SUPPORT_EPS
+    yield from _row_moves(r, supp)
+    z = np.moveaxis(r.a, 2, 0)
+    if len(z) > 1:
+        yield from ((r.drop, 2, j) for j in range(len(z)) if z[j][supp].sum() <= SUPPORT_EPS)
+    yield from (
+        (r.add, 2, i, j) for i, j in _pairs(len(z)) if _proportional(z[i][supp], z[j][supp])
+    )
+
+
+def _sampling_rule(r):
+    for ax in range(3):
+        s = np.moveaxis(r.a, ax, 0)
+        if len(s) > 1:
+            yield from ((r.drop, ax, j) for j in range(len(s)) if s[j].sum() <= SUPPORT_EPS)
+        yield from ((r.add, ax, i, j) for i, j in _pairs(len(s)) if _proportional(s[i], s[j]))
+
+
+def _channel_reducer(ch):
+    return _Reducer((ch.x_axis, ch.y_axis, ch.z_axis), ch.kernel)
+
+
+def _pair_reducer(p_xy, ch):
+    if p_xy.n_axes != 2 or p_xy.axes[0] != ch.x_axis or p_xy.axes[1] != ch.y_axis:
+        raise ValueError("distribution axes do not match channel alphabets")
+    return _Reducer((ch.x_axis, ch.y_axis, ch.z_axis), ch.kernel, p_xy.probs)
+
+
+def _sampling_reducer(p_xyz):
+    if p_xyz.n_axes != 3:
+        raise ValueError("sampling_normal_form expects a 3-axis joint")
+    return _Reducer(p_xyz.axes, p_xyz.probs)
 
 
 def channel_normal_form(ch):
     """Merge equivalent inputs and proportional outputs of a channel."""
-    r = _Reducer(ch)
-    while r.scan_channel():
-        pass
-    return NormalFormResult(reduced=r.channel(), x_map=r.x_map, y_map=r.y_map, z_map=r.z_map)
+    r = _channel_reducer(ch).reduce(_channel_rule)
+    return r.result(Channel(*r.alphabets(), r.a))
 
 
 def is_channel_normal_form(ch):
-    r = _Reducer(ch)
-    return not r.scan_channel()
+    return next(_channel_rule(_channel_reducer(ch)), None) is None
 
 
 def pair_normal_form(p_xy, ch):
@@ -196,87 +180,23 @@ def pair_normal_form(p_xy, ch):
     Output symbols with zero probability under every supported input pair are
     dropped and recorded in `dropped`.
     """
-    if p_xy.n_axes != 2 or p_xy.axes[0] != ch.x_axis or p_xy.axes[1] != ch.y_axis:
-        raise ValueError("distribution axes do not match channel alphabets")
-    r = _Reducer(ch, p_xy)
-    while r.scan_pair():
-        pass
-    return NormalFormResult(
-        reduced=(r.dist(), r.channel()),
-        x_map=r.x_map,
-        y_map=r.y_map,
-        z_map=r.z_map,
-        dropped={ch.z_axis.name: r.dropped_z} if r.dropped_z else {},
-    )
+    r = _pair_reducer(p_xy, ch).reduce(_pair_rule)
+    x, y, z = r.alphabets()
+    return r.result((JointDist((x, y), r.probs), Channel(x, y, z, r.a)))
 
 
 def is_pair_normal_form(p_xy, ch):
-    if p_xy.n_axes != 2 or p_xy.axes[0] != ch.x_axis or p_xy.axes[1] != ch.y_axis:
-        raise ValueError("distribution axes do not match channel alphabets")
-    r = _Reducer(ch, p_xy)
-    return not r.scan_pair()
+    return next(_pair_rule(_pair_reducer(p_xy, ch)), None) is None
 
 
 def sampling_normal_form(p_xyz):
     """Drop zero-probability symbols and merge proportional slices of a 3-axis joint."""
-    if p_xyz.n_axes != 3:
-        raise ValueError("sampling_normal_form expects a 3-axis joint")
-    probs = np.array(p_xyz.probs)
-    syms = [list(a.symbols) for a in p_xyz.axes]
-    maps = [{s: s for s in a.symbols} for a in p_xyz.axes]
-    dropped = {a.name: [] for a in p_xyz.axes}
-
-    def remap(m, gone, into):
-        for orig, cur in m.items():
-            if cur == gone:
-                m[orig] = into
-
-    changed = True
-    while changed:
-        changed = False
-        for ax in range(3):
-            moved = np.moveaxis(probs, ax, 0)
-            n = moved.shape[0]
-            # drop zero-marginal symbols
-            for i in range(n):
-                if moved[i].sum() <= SUPPORT_EPS and n > 1:
-                    for orig, cur in list(maps[ax].items()):
-                        if cur == syms[ax][i]:
-                            maps[ax][orig] = None
-                    dropped[p_xyz.axes[ax].name].append(syms[ax][i])
-                    del syms[ax][i]
-                    probs = np.delete(probs, i, axis=ax)
-                    changed = True
-                    break
-            if changed:
-                break
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if _proportional(moved[i], moved[j]) or _proportional(moved[j], moved[i]):
-                        moved[i] += moved[j]
-                        remap(maps[ax], syms[ax][j], syms[ax][i])
-                        del syms[ax][j]
-                        probs = np.delete(probs, j, axis=ax)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-
-    axes = tuple(Alphabet(a.name, syms[i]) for i, a in enumerate(p_xyz.axes))
-    return NormalFormResult(
-        reduced=JointDist(axes, probs),
-        x_map=maps[0],
-        y_map=maps[1],
-        z_map=maps[2],
-        dropped={k: v for k, v in dropped.items() if v},
-    )
+    r = _sampling_reducer(p_xyz).reduce(_sampling_rule)
+    return r.result(JointDist(r.alphabets(), r.a))
 
 
 def is_sampling_normal_form(p_xyz):
-    res = sampling_normal_form(p_xyz)
-    return all(len(res.reduced.axes[i]) == len(p_xyz.axes[i]) for i in range(3))
+    return next(_sampling_rule(_sampling_reducer(p_xyz)), None) is None
 
 
 def bigraph_connected(p_xy):
@@ -287,15 +207,19 @@ def bigraph_connected(p_xy):
     return n_blocks <= 1
 
 
+def _inputs_connected(ch, ax):
+    """No split of input axis `ax` (0 = x, 1 = y) with disjoint
+    reachable-output sets."""
+    reach = (ch.kernel > SUPPORT_EPS).any(axis=1 - ax)  # (|input|, |Z|)
+    labels, _, _ = blocks_from_mask(reach)
+    return len(set(labels)) <= 1
+
+
 def check_condition1(ch):
     """No split of the x-alphabet with disjoint reachable-output sets."""
-    mask = (ch.kernel > SUPPORT_EPS).any(axis=1)  # (|X|, |Z|)
-    labels_x, _, _ = blocks_from_mask(mask)
-    return len(set(labels_x)) <= 1
+    return _inputs_connected(ch, 0)
 
 
 def check_condition2(ch):
     """No split of the y-alphabet with disjoint reachable-output sets."""
-    mask = (ch.kernel > SUPPORT_EPS).any(axis=0)  # (|Y|, |Z|)
-    labels_y, _, _ = blocks_from_mask(mask)
-    return len(set(labels_y)) <= 1
+    return _inputs_connected(ch, 1)

@@ -41,6 +41,7 @@ BRANCH_CAP = 10_000_000
 
 X, Y, Z, M12, M23, M31 = range(6)
 _PARTY_LINKS = {1: ("12", "31"), 2: ("12", "23"), 3: ("23", "31")}
+_LINK = {(1, 2): "12", (2, 1): "12", (2, 3): "23", (3, 2): "23", (1, 3): "31", (3, 1): "31"}
 
 
 class ProtocolSpecError(ValueError):
@@ -65,9 +66,7 @@ class Round:
     fn: object  # fn(View) -> symbol
 
     def link(self):
-        return {frozenset((1, 2)): "12", frozenset((2, 3)): "23", frozenset((1, 3)): "31"}[
-            frozenset((self.sender, self.receiver))
-        ]
+        return _LINK[(self.sender, self.receiver)]
 
 
 @dataclass(frozen=True)
@@ -169,10 +168,10 @@ def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
 
 
 # ---------------------------------------------------------------------------
-# Security checks (all tolerances 1e-9)
+# Security checks (all tolerances ZERO_TOL = 1e-9)
 
 
-def verify_correctness(e, ch, tol=ZERO_TOL):
+def verify_correctness(e, ch):
     """Charlie's conditional output law equals the channel row on every
     supported input pair."""
     d = e.joint
@@ -183,34 +182,34 @@ def verify_correctness(e, ch, tol=ZERO_TOL):
             if pxy <= SUPPORT_EPS:
                 continue
             got = p_xyz.probs[i, j] / pxy
-            if np.max(np.abs(got - ch.kernel[i, j])) > tol:
+            if np.max(np.abs(got - ch.kernel[i, j])) > ZERO_TOL:
                 return False
     return True
 
 
-def verify_privacy(e, tol=ZERO_TOL):
+def verify_privacy(e):
     """The three curious-party Markov chains, as vanishing conditional MI:
     (against Alice, against Bob, against Charlie)."""
     d = e.joint
     return (
-        cond_mutual_info(d, (M12, M31), (Y, Z), (X,)) <= tol,
-        cond_mutual_info(d, (M12, M23), (X, Z), (Y,)) <= tol,
-        cond_mutual_info(d, (M23, M31), (X, Y), (Z,)) <= tol,
+        cond_mutual_info(d, (M12, M31), (Y, Z), (X,)) <= ZERO_TOL,
+        cond_mutual_info(d, (M12, M23), (X, Z), (Y,)) <= ZERO_TOL,
+        cond_mutual_info(d, (M23, M31), (X, Y), (Z,)) <= ZERO_TOL,
     )
 
 
-def verify_cutset(e, tol=ZERO_TOL):
+def verify_cutset(e):
     """Each party's cut determines its input/output:
     (H(X|M12,M31), H(Y|M12,M23), H(Z|M23,M31)) all zero."""
     d = e.joint
     return (
-        cond_entropy(d, (X,), (M12, M31)) <= tol,
-        cond_entropy(d, (Y,), (M12, M23)) <= tol,
-        cond_entropy(d, (Z,), (M23, M31)) <= tol,
+        cond_entropy(d, (X,), (M12, M31)) <= ZERO_TOL,
+        cond_entropy(d, (Y,), (M12, M23)) <= ZERO_TOL,
+        cond_entropy(d, (Z,), (M23, M31)) <= ZERO_TOL,
     )
 
 
-def verify_info_inequality(e, tol=ZERO_TOL):
+def verify_info_inequality(e):
     """For independent inputs, unconditioned link MI dominates the MI
     conditioned on the third link, for all three rotations."""
     d = e.joint
@@ -218,23 +217,23 @@ def verify_info_inequality(e, tol=ZERO_TOL):
     for a, b, c in ((M31, M23, M12), (M12, M31, M23), (M23, M12, M31)):
         lhs = mutual_info(d, (a,), (b,))
         rhs = cond_mutual_info(d, (a,), (b,), (c,))
-        checks.append(lhs >= rhs - tol)
+        checks.append(lhs >= rhs - ZERO_TOL)
     return tuple(checks)
 
 
 def verify_transcript_independence(
-    e, bigraph_connected=None, condition1=None, condition2=None, product_inputs=None, tol=ZERO_TOL
+    e, bigraph_connected=None, condition1=None, condition2=None, product_inputs=None
 ):
     """Transcript-input independences, each checked only when its gating
     flag is True; inapplicable checks come back None."""
     d = e.joint
     out = {}
-    out["m12"] = mutual_info(d, (X, Y, Z), (M12,)) <= tol if bigraph_connected else None
-    out["m31"] = mutual_info(d, (X, Y, Z), (M31,)) <= tol if condition1 else None
-    out["m23"] = mutual_info(d, (X, Y, Z), (M23,)) <= tol if condition2 else None
+    out["m12"] = mutual_info(d, (X, Y, Z), (M12,)) <= ZERO_TOL if bigraph_connected else None
+    out["m31"] = mutual_info(d, (X, Y, Z), (M31,)) <= ZERO_TOL if condition1 else None
+    out["m23"] = mutual_info(d, (X, Y, Z), (M23,)) <= ZERO_TOL if condition2 else None
     if product_inputs:
-        out["x_m23"] = mutual_info(d, (X,), (M23,)) <= tol
-        out["y_m31"] = mutual_info(d, (Y,), (M31,)) <= tol
+        out["x_m23"] = mutual_info(d, (X,), (M23,)) <= ZERO_TOL
+        out["y_m31"] = mutual_info(d, (Y,), (M31,)) <= ZERO_TOL
     else:
         out["x_m23"] = out["y_m31"] = None
     return out

@@ -137,3 +137,27 @@ def test_blocks_from_mask_shapes():
     lu, lv, nb = blocks_from_mask(mask)
     assert nb == 2
     assert lu[0] == lv[0] and lu[1] == lv[1] and lu[0] != lu[1]
+
+
+def test_blocks_from_mask_matches_transitive_closure(rng):
+    empty_rows = empty_cols = 0
+    for _ in range(300):
+        nu, nv = (int(n) for n in rng.integers(1, 8, 2))
+        mask = rng.random((nu, nv)) < 0.3
+        lu, lv, nb = blocks_from_mask(mask)
+        # reachability in the (nu + nv)-node bipartite graph, by squaring
+        adj = np.eye(nu + nv, dtype=int)
+        adj[:nu, nu:], adj[nu:, :nu] = mask, mask.T
+        reach = adj
+        for _ in range((nu + nv).bit_length()):
+            reach = np.minimum(reach @ reach, 1)
+        labels = np.concatenate([lu, lv])
+        live = np.concatenate([mask.any(axis=1), mask.any(axis=0)])
+        assert np.array_equal(labels == -1, ~live)
+        same = labels[:, None] == labels[None, :]
+        assert np.array_equal(same[np.ix_(live, live)], reach[np.ix_(live, live)] == 1)
+        # blocks are numbered 0, 1, ... in the order of their first row
+        assert list(dict.fromkeys(lu[lu >= 0])) == list(range(nb))
+        empty_rows += not live[:nu].all()
+        empty_cols += not live[nu:].all()
+    assert empty_rows and empty_cols

@@ -177,6 +177,27 @@ def test_pair_drops_unreachable_z():
     assert res.dropped == {"Z": ["dead"]}
 
 
+def test_pair_y_merge_fills_kept_column():
+    # y="a" and y="b" agree where both carry mass (x=0); at x=1 only "b" does,
+    # so the kept column "a" takes "b"'s row there, and the off-support
+    # output 2 is then unreachable and dropped
+    x, y = Alphabet("X", (0, 1)), Alphabet("Y", ("a", "b"))
+    z = Alphabet("Z", (0, 1, 2))
+    kernel = np.zeros((2, 2, 3))
+    kernel[0, :, 0] = 1.0
+    kernel[1, 0, 2] = kernel[1, 1, 1] = 1.0
+    ch = Channel(x, y, z, kernel)
+    p = JointDist.from_pmf((x, y), {(0, "a"): 0.25, (0, "b"): 0.25, (1, "b"): 0.5})
+    assert not is_pair_normal_form(p, ch)
+    res = pair_normal_form(p, ch)
+    p2, ch2 = res.reduced
+    assert res.y_map == {"a": "a", "b": "a"}
+    assert res.dropped == {"Z": [2]} and res.z_map[2] is None
+    assert ch2.z_axis.symbols == (0, 1)
+    assert np.array_equal(ch2.kernel[:, 0], [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(p2.probs, [[0.5], [0.5]])
+
+
 def test_sampling_point_mass_collapses():
     axes = (Alphabet("X", (0, 1)), Alphabet("Y", (0, 1)), Alphabet("Z", (0, 1)))
     d = JointDist.from_pmf(axes, {(0, 1, 0): 1.0})
@@ -203,6 +224,63 @@ def test_sampling_duplicate_slice_merged():
     res = sampling_normal_form(d)
     assert len(res.reduced.axes[0]) == 1
     assert not is_sampling_normal_form(d)
+
+
+def test_sampling_drops_y_and_z_and_merges_z():
+    axes = (Alphabet("X", (0, 1)), Alphabet("Y", (0, 1, 2)), Alphabet("Z", ("a", "b", "c", "d")))
+    w = np.zeros((2, 3, 4))
+    a = np.array([[4.0, 0.0, 2.0], [2.0, 0.0, 2.0]])  # (x, y) slice of z="a"; y=1 unused
+    w[:, :, 0], w[:, :, 1] = a, 0.5 * a  # "b" is proportional to "a"
+    w[:, :, 2] = [[2.0, 0.0, 1.0], [0.0, 0.0, 3.0]]  # "c" is not; "d" never occurs
+    d = JointDist(axes, w / w.sum())
+    assert not is_sampling_normal_form(d)
+    res = sampling_normal_form(d)
+    assert res.dropped == {"Y": [1], "Z": ["d"]}
+    assert res.y_map == {0: 0, 1: None, 2: 2}
+    assert res.z_map == {"a": "a", "b": "a", "c": "c", "d": None}
+    assert [a.symbols for a in res.reduced.axes] == [(0, 1), (0, 2), ("a", "c")]
+    assert np.allclose(res.reduced.probs[:, :, 0] * w.sum(), 1.5 * a[:, [0, 2]], atol=1e-12)
+    assert is_sampling_normal_form(res.reduced)
+
+
+def _sizes(obj):
+    if isinstance(obj, Channel):
+        return len(obj.x_axis), len(obj.y_axis), len(obj.z_axis)
+    return tuple(len(a) for a in obj.axes)
+
+
+def test_is_normal_form_iff_reduction_keeps_alphabets(rng):
+    from conftest import random_joint
+
+    x, y = Alphabet("X", (0, 1, 2)), Alphabet("Y", (0, 1))
+    z = Alphabet("Z", (0, 1, 2))
+    seen = set()
+    for _ in range(40):
+        kernel = rng.random((3, 2, 3)) * (rng.random((3, 2, 3)) < 0.7)
+        if rng.integers(2):
+            kernel[2] = kernel[0]  # duplicate input row
+        if rng.integers(2):
+            kernel[:, :, 2] = kernel[:, :, 1] * rng.random()  # proportional outputs
+        if rng.integers(2):
+            kernel[:, :, 0] = 0.0  # zero output slice
+        kernel[kernel.sum(axis=2) == 0] = 1.0
+        ch = Channel(x, y, z, kernel / kernel.sum(axis=2, keepdims=True))
+        p = JointDist((x, y), random_joint(rng, (3, 2), max_weight=3))
+        d = JointDist((x, y, z), random_joint(rng, (3, 2, 3), max_weight=3))
+        reduced = channel_normal_form(ch).reduced
+        p2, ch2 = pair_normal_form(p, ch).reduced
+        cases = [
+            (is_channel_normal_form, (ch,), _sizes(reduced)),
+            (is_channel_normal_form, (reduced,), _sizes(reduced)),
+            (is_pair_normal_form, (p, ch), _sizes(ch2)),
+            (is_pair_normal_form, (p2, ch2), _sizes(ch2)),
+            (is_sampling_normal_form, (d,), _sizes(sampling_normal_form(d).reduced)),
+        ]
+        for is_normal, args, reduced_sizes in cases:
+            kept = reduced_sizes == _sizes(args[-1])
+            assert is_normal(*args) == kept
+            seen.add((is_normal.__name__, kept))
+    assert len(seen) == 6  # every form met both outcomes
 
 
 def test_bigraph_connected_cases():
