@@ -19,7 +19,10 @@ chosen separately. term_value re-evaluates any optimized term of a channel
 at given laws. Joint-form terms have one kernel, _SupportCone.values, on
 the support cone of a 3-axis joint; a channel's _TermBank maps input laws
 onto the cone of its generic support. Product-form terms (one x law, one y
-law) are evaluated by _TermBank.pair_values.
+law) are evaluated by _TermBank.pair_values, with matrix products only: the
+channel is kept z-major, (|Z|, |X|, |Y|), so the output laws of a batch of
+pairs come from one GEMM as a (|Z|, n, m) array, and their entropies
+accumulate over its |Z| contiguous slices.
 
 The switched and conditional families share their nested suprema: the
 x-candidate x y-candidate grid is scored once per channel and config, in
@@ -69,6 +72,9 @@ DEFAULT_CONFIG = OptConfig()
 # keeps exact evaluations and canonical witness labels on near-ties
 REPLACE_MARGIN = 1e-6
 _CHUNK = 256
+# z-major arrays up to this many cells take their entropy in one numpy call;
+# larger ones one z slice at a time, which keeps temporaries slice-sized
+_BLOCK_CELLS = 1 << 16
 
 LINKS = ("m12", "m23", "m31")
 
@@ -145,6 +151,17 @@ def _xlogx(p):
 
 def _H(p, axis=-1):
     return -_xlogx(p).sum(axis=axis)
+
+
+def _H_lead(p):
+    # entropy over the leading axis, accumulated over its contiguous slices
+    # in order; the one-call sum adds them in that order too (the same bits)
+    if p.size <= _BLOCK_CELLS:
+        return -_xlogx(p).sum(axis=0)
+    acc = _xlogx(p[0])
+    for q in p[1:]:
+        acc += _xlogx(q)
+    return -acc
 
 
 @dataclass
@@ -246,13 +263,19 @@ class _TermBank:
     joint of every full-support input law, whose common-part blocks every
     such law shares. Every W row sums to 1, so the cone's (X,Y) graph is
     complete.
+
+    Product-form terms read a z-major copy of W, Wz of shape (nz, nx, ny),
+    made here once. A batch of x laws A maps to the output laws A @ Wz,
+    (nz, n, ny), and each _CHUNK-row slice of them meets the y laws B in
+    one GEMM, (nz * n, ny) @ (ny, m), whose (nz, n, m) result holds every
+    pair's output law in nz contiguous slices.
     """
 
     def __init__(self, ch):
         self.ch = ch
         W = np.asarray(ch.kernel)
-        self.W = W
         self.nx, self.ny, self.nz = W.shape
+        self.Wz = np.ascontiguousarray(W.transpose(2, 0, 1))  # z-major, (nz, nx, ny)
         self.Hrow = _H(W)  # (nx, ny)
         points = _support_points(W)
         self.cone = _SupportCone((ch.x_axis, ch.y_axis, ch.z_axis), points)
@@ -265,19 +288,23 @@ class _TermBank:
         self._sweeps = {}  # cfg -> {side: _Sweep}
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
+    # Output laws are z-major, (nz, ..., ...): a law's z cells lie in nz
+    # contiguous slices, so their entropies accumulate slice by slice.
 
     def _pre_a(self, A):
-        # C[n, y, :] is the output law at y once x ~ A[n]; G is (n, ny), H and blk (n,)
-        C = np.einsum("nx,xyz->nyz", A, self.W)
-        return {"C": C, "G": _H(C), "H": _H(A), "blk": _H(A @ self.Lx)}
+        # C[:, n, y] is the output law at y once x ~ A[n]; G is (n, ny), H and blk (n,)
+        C = A @ self.Wz  # (nz, n, ny)
+        return {"C": C, "G": _H_lead(C), "H": _H(A), "blk": _H(A @ self.Lx)}
 
     def _pre_b(self, B):
-        # C[m, x, :] is the output law at x once y ~ B[m]; G is (m, nx), H and blk (m,)
-        C = np.einsum("my,xyz->mxz", B, self.W)
-        return {"C": C, "G": _H(C), "H": _H(B), "blk": _H(B @ self.Ly)}
+        # G[x, m] is the entropy of the output law at x once y ~ B[m]; H and blk (m,)
+        C = self.Wz @ B.T  # (nz, nx, m)
+        return {"G": _H_lead(C), "H": _H(B), "blk": _H(B @ self.Ly)}
 
     def pair_values(self, A, B, kinds):
-        """Evaluate product-form terms for all (A_i, B_j) pairs, chunked."""
+        """Evaluate product-form terms for all (A_i, B_j) pairs, chunked.
+        Each slice of _CHUNK rows of A takes the output laws of all its pairs
+        from one GEMM."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         pb = self._pre_b(B)
@@ -286,23 +313,27 @@ class _TermBank:
             sl = slice(lo, min(lo + _CHUNK, len(A)))
             a = A[sl]
             pa = self._pre_a(a)
-            pz = np.einsum("my,nyz->nmz", B, pa["C"])
-            h_z = _H(pz)  # (chunk, m)
+            pz = (pa["C"].reshape(-1, self.ny) @ B.T).reshape(self.nz, len(a), len(B))
+            h_z = _H_lead(pz)  # (chunk, m)
             bil = a @ self.Hrow @ B.T
             for t, kind in enumerate(kinds):
+                v = out[t][sl]  # each kind is computed in place, left to right
                 if kind == "ri_xz":
-                    v = h_z - a @ pb["G"].T - pa["blk"][:, None]
+                    np.subtract(h_z, a @ pb["G"], out=v)
+                    v -= pa["blk"][:, None]
                 elif kind == "ri_yz":
-                    v = h_z - pa["G"] @ B.T - pb["blk"][None, :]
+                    np.subtract(h_z, pa["G"] @ B.T, out=v)
+                    v -= pb["blk"][None, :]
                 elif kind == "h_xy_z":
-                    v = pa["H"][:, None] + pb["H"][None, :] + bil - h_z
+                    np.add(pa["H"][:, None], pb["H"][None, :], out=v)
+                    v += bil
+                    v -= h_z
                 elif kind == "h_yz_x":
-                    v = pb["H"][None, :] + bil
+                    np.add(pb["H"][None, :], bil, out=v)
                 elif kind == "h_xz_y":
-                    v = pa["H"][:, None] + bil
+                    np.add(pa["H"][:, None], bil, out=v)
                 else:
                     raise ValueError("unknown term kind %r" % kind)
-                out[t][sl] = v
         return out
 
     def sweep(self, side, cfg):

@@ -110,8 +110,11 @@ def _emit(args, payload):
     else:
         text = dumps(payload) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(text)
 

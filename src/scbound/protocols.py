@@ -523,6 +523,8 @@ def builtin(name, **params):
         fn = _BUILTINS[name]
     except KeyError:
         raise ValueError("unknown builtin %r; have %s" % (name, sorted(_BUILTINS)))
+    if params.get("n", 1) < 1:
+        raise ValueError("block length n must be at least 1, got %r" % params["n"])
     return fn(**params)
 
 

@@ -2,7 +2,9 @@
 
 Scan + polish: a lattice scan (auto-coarsened to a point cap for wide
 alphabets, replaced by seeded Dirichlet(1) draws plus structured candidates
-above 6 symbols) followed by coordinate-wise line searches. Each line search
+above 6 symbols, whose count grows as k^2 / 2: a candidate array of more
+than SCAN_CELL_CAP cells raises CapacityError before any of it is built)
+followed by coordinate-wise line searches. Each line search
 scores a bracket of t values, both simplex-boundary ends included, in one
 batched call and then zooms around the best t, so a supremum on a face of
 the simplex is reached, not only approached.
@@ -18,8 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dists import CapacityError
+
 GRID_POINT_CAP = 4000
 DIRICHLET_STARTS = 200
+# cells (rows x symbols) of the largest candidate array the scan builds; the
+# objectives hold several arrays of that size while scoring it
+SCAN_CELL_CAP = 1 << 22
 DIRICHLET_SEED = 20240501
 SUPPORT_BOUNDARY = 1e-9
 # line search: LINE_POINTS t values per call, the first call spanning [0, 1]
@@ -88,6 +95,12 @@ def candidate_points(k, cfg):
     elif k <= 6:
         pts = np.concatenate([simplex_grid(k, cfg.grid_resolution), structured_points(k)])
     else:
+        rows = 1 + k + k * (k - 1) // 2 + DIRICHLET_STARTS
+        if rows * k > SCAN_CELL_CAP:
+            raise CapacityError(
+                "scan over %d symbols needs %d candidate cells, over the cap of %d"
+                % (k, rows * k, SCAN_CELL_CAP)
+            )
         rng = np.random.default_rng(DIRICHLET_SEED + k)
         draws = rng.dirichlet(np.ones(k), size=DIRICHLET_STARTS)
         pts = np.concatenate([structured_points(k), draws])

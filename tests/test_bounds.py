@@ -617,6 +617,75 @@ def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
     assert ties > 0
 
 
+def _einsum_pair_values(ch, A, B, kinds):
+    # the dense einsum formulation of the product-form kernel: every output
+    # law in (pair, z) order, entropies summed over the last axis; its
+    # common-part blocks are read off the channel's support independently
+    from scbound.bounds import _xlogx
+    from scbound.common_info import blocks_from_mask
+    from scbound.dists import SUPPORT_EPS
+
+    def H(p):
+        return -_xlogx(p).sum(axis=-1)
+
+    def labels(mask):
+        lab, _, nb = blocks_from_mask(mask)
+        return np.eye(nb)[lab]
+
+    W = np.asarray(ch.kernel)
+    Ca = np.einsum("nx,xyz->nyz", A, W)
+    Cb = np.einsum("my,xyz->mxz", B, W)
+    h_z = H(np.einsum("my,nyz->nmz", B, Ca))
+    bil = A @ H(W) @ B.T
+    Ha, Hb = H(A), H(B)
+    blk_a = H(A @ labels((W > SUPPORT_EPS).any(axis=1)))
+    blk_b = H(B @ labels((W > SUPPORT_EPS).any(axis=0)))
+    vals = {
+        "ri_xz": h_z - A @ H(Cb).T - blk_a[:, None],
+        "ri_yz": h_z - H(Ca) @ B.T - blk_b[None, :],
+        "h_xy_z": Ha[:, None] + Hb[None, :] + bil - h_z,
+        "h_yz_x": Hb[None, :] + bil,
+        "h_xz_y": Ha[:, None] + bil,
+    }
+    return [vals[k] for k in kinds]
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (3, 4, 5), (2, 5, 3)])
+def test_pair_values_match_dense_einsum_oracle(rng, shape):
+    # the z-major GEMM kernel against the dense formulation for every kind,
+    # on batches of x laws spanning several _CHUNK slices (the last ragged)
+    # and y laws, both with boundary rows; the channels have zero cells
+    from scbound.bounds import _CHUNK, _TermBank
+
+    nx, ny, _ = shape
+    ch = _random_channel(rng, *shape)
+    assert (np.asarray(ch.kernel) == 0).any()
+    bank = _TermBank(ch)
+    A = rng.dirichlet(np.ones(nx), 2 * _CHUNK + 37)
+    A[:nx] = np.eye(nx)
+    A[nx, 0] = 0.0
+    A[nx] /= A[nx].sum()
+    B = rng.dirichlet(np.ones(ny), 45)
+    B[:ny] = np.eye(ny)
+    kinds = ["ri_xz", "ri_yz", "h_xy_z", "h_yz_x", "h_xz_y"]
+    got = bank.pair_values(A, B, kinds)
+    want = _einsum_pair_values(ch, A, B, kinds)
+    for kind, g, w in zip(kinds, got, want):
+        assert g.shape == (len(A), len(B))
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=kind)
+
+
+def test_h_lead_bits_do_not_depend_on_size(rng):
+    # the slice-by-slice entropy of a large z-major array has the bits of
+    # the one-call sum over its leading axis
+    from scbound.bounds import _BLOCK_CELLS, _H_lead, _xlogx
+
+    p = rng.random((5, 128, _BLOCK_CELLS // 128))
+    p[p < 0.1] = 0.0
+    assert p.size > _BLOCK_CELLS
+    assert _H_lead(p).tobytes() == (-_xlogx(p).sum(axis=0)).tobytes()
+
+
 def test_sweep_walks_the_grid_once(rng, monkeypatch):
     # both outer sides come from one pass: one pair_values call per _CHUNK
     # slice of x candidates, and the second side adds none

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -123,6 +124,33 @@ def test_capacity_exit_3(capsys):
     code, _, err = run_cli(capsys, "simulate", "--builtin", "remote-ot", "--m", "4", "--n", "4")
     assert code == 3
     assert "capacity" in err
+
+
+def test_oversize_alphabet_exits_3_before_allocating(capsys):
+    # the joint scan over 40 x 40 inputs would build a candidate array of
+    # about 2e9 cells; the cap refuses it before any is built
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "group-add", "--order", "40")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:") and "over the cap" in err
+    assert time.monotonic() - t0 < 20
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_block_length_below_1_exits_1(capsys, n):
+    code, out, err = run_cli(capsys, "simulate", "--builtin", "sum", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "block length n" in err
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "and", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % path)
 
 
 def test_reproduce_only_and(capsys):

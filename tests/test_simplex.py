@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from scbound.dists import entropy_of_array
+from scbound.dists import CapacityError, entropy_of_array
 from scbound.simplex import (
+    DIRICHLET_STARTS,
     LINE_POINTS,
+    SCAN_CELL_CAP,
     ZOOM_ROUNDS,
     OptConfig,
     candidate_points,
@@ -177,3 +179,24 @@ def test_candidates_cached_read_only():
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0] = 0.5
+
+
+def test_scan_cap_refuses_before_building(monkeypatch):
+    # the cap is checked on the candidate count, before structured_points
+    # builds anything; the joint scans of every built-in that the tests,
+    # the reproduction table and the benchmark run stay under it
+    import scbound.simplex as simplex
+    from scbound.protocols import builtin
+
+    def cells(k):
+        return (1 + k + k * (k - 1) // 2 + DIRICHLET_STARTS) * k
+
+    for name, params in [("and", {}), ("sum", {}), ("erasure", {}), ("remote-ot", {"m": 4}),
+                         ("group-add", {"order": 6})]:
+        ch = builtin(name, **params).channel
+        assert cells(len(ch.x_axis) * len(ch.y_axis)) <= SCAN_CELL_CAP, name
+    k = 15 * 15
+    assert cells(k) > SCAN_CELL_CAP
+    monkeypatch.setattr(simplex, "structured_points", lambda k: pytest.fail("built"))
+    with pytest.raises(CapacityError, match="cap"):
+        simplex.candidate_points(k, OptConfig())
