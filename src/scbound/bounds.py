@@ -72,9 +72,6 @@ DEFAULT_CONFIG = OptConfig()
 # keeps exact evaluations and canonical witness labels on near-ties
 REPLACE_MARGIN = 1e-6
 _CHUNK = 256
-# z-major arrays up to this many cells take their entropy in one numpy call;
-# larger ones one z slice at a time, which keeps temporaries slice-sized
-_BLOCK_CELLS = 1 << 16
 
 LINKS = ("m12", "m23", "m31")
 
@@ -155,9 +152,7 @@ def _H(p, axis=-1):
 
 def _H_lead(p):
     # entropy over the leading axis, accumulated over its contiguous slices
-    # in order; the one-call sum adds them in that order too (the same bits)
-    if p.size <= _BLOCK_CELLS:
-        return -_xlogx(p).sum(axis=0)
+    # in order, which keeps the temporaries slice-sized
     acc = _xlogx(p[0])
     for q in p[1:]:
         acc += _xlogx(q)
@@ -317,7 +312,9 @@ class _TermBank:
             h_z = _H_lead(pz)  # (chunk, m)
             bil = a @ self.Hrow @ B.T
             for t, kind in enumerate(kinds):
-                v = out[t][sl]  # each kind is computed in place, left to right
+                # written straight into the output slice, left to right; a one-expression
+                # form's (n, m) temporaries add ~12 MB to the group-add 4 sweep's peak RSS
+                v = out[t][sl]
                 if kind == "ri_xz":
                     np.subtract(h_z, a @ pb["G"], out=v)
                     v -= pa["blk"][:, None]

@@ -675,17 +675,6 @@ def test_pair_values_match_dense_einsum_oracle(rng, shape):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=kind)
 
 
-def test_h_lead_bits_do_not_depend_on_size(rng):
-    # the slice-by-slice entropy of a large z-major array has the bits of
-    # the one-call sum over its leading axis
-    from scbound.bounds import _BLOCK_CELLS, _H_lead, _xlogx
-
-    p = rng.random((5, 128, _BLOCK_CELLS // 128))
-    p[p < 0.1] = 0.0
-    assert p.size > _BLOCK_CELLS
-    assert _H_lead(p).tobytes() == (-_xlogx(p).sum(axis=0)).tobytes()
-
-
 def test_sweep_walks_the_grid_once(rng, monkeypatch):
     # both outer sides come from one pass: one pair_values call per _CHUNK
     # slice of x candidates, and the second side adds none
