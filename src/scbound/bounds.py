@@ -16,13 +16,18 @@ term table decides which kinds make which term: _JOINT_VARIANTS holds the
 single-law variants of each link (optimized and dealer-share bounds), and
 _PRODUCT_TERMS the switched and conditional terms, whose inner laws are
 chosen separately. term_value re-evaluates any optimized term of a channel
-at given laws. Joint-form terms have one kernel, _SupportCone.values, on
-the support cone of a 3-axis joint; a channel's _TermBank maps input laws
-onto the cone of its generic support. Product-form terms (one x law, one y
-law) are evaluated by _TermBank.pair_values, with matrix products only: the
-channel is kept z-major, (|Z|, |X|, |Y|), so the output laws of a batch of
-pairs come from one GEMM as a (|Z|, n, m) array, and their entropies
-accumulate over its |Z| contiguous slices.
+at given laws. Every term call of the optimizers' scans and polishes, and
+of term_value, is scored by one kernel, _SupportCone.values, on the
+support cone of a 3-axis joint: one GEMM onto the marginals the kinds
+read, one _xlogx and one weighted sum per _CHUNK-row slice. A channel's
+_TermBank maps input laws onto the cone of its generic support; a
+product-form term (one x law, one y law) is scored there at the product
+law, where each product-form kind equals its joint-form kind.
+
+_TermBank.pair_values serves only the nested sweep's grid, with matrix
+products only: the channel is kept z-major, (|Z|, |X|, |Y|), so the output
+laws of a slice of pairs come from one GEMM as a (|Z|, n, m) array, and
+their entropies accumulate over its |Z| contiguous slices.
 
 The switched and conditional families share their nested suprema: the
 x-candidate x y-candidate grid is scored once per channel and config, in
@@ -179,36 +184,55 @@ def _support_points(probs):
     return [tuple(int(i) for i in idx) for idx in np.argwhere(probs > SUPPORT_EPS)]
 
 
+# the entropies each term kind sums, with their signs; "blk_<pair>" is the
+# law of the pair's first-axis common-part block
+_KIND_ENTROPIES = {
+    "ri_xz": (("x", 1), ("z", 1), ("xz", -1), ("blk_xz", -1)),
+    "ri_yz": (("y", 1), ("z", 1), ("yz", -1), ("blk_yz", -1)),
+    "ri_xy": (("x", 1), ("y", 1), ("xy", -1), ("blk_xy", -1)),
+    "h_xy_z": (("xyz", 1), ("z", -1)),
+    "h_yz_x": (("xyz", 1), ("x", -1)),
+    "h_xz_y": (("xyz", 1), ("y", -1)),
+}
+
+
 class _SupportCone:
     """Distributions on a list of (x, y, z) support points, with the
-    common-part blocks of the points' pattern for each pair of axes."""
+    common-part blocks of the points' pattern for each pair of axes.
+
+    The one joint-form term kernel. For each kinds tuple, values() builds
+    once a scatter matrix T from the points onto the marginals those kinds
+    read and a weight vector w folding the cell sums, the entropy's minus
+    sign and the kinds' signs together; a marginal whose signs cancel is
+    left out, and the joint's own cells stand in for the xyz marginal, so T
+    holds no identity block. A batch is then scored in _CHUNK-row slices as
+    _xlogx(cells) @ w, one GEMM and one _xlogx per slice.
+    """
 
     def __init__(self, axes, points):
         self.axes = tuple(axes)
         self.points = list(points)
         self.n_points = len(self.points)
         shape = tuple(len(a) for a in self.axes)
+        idx = np.array(self.points, dtype=int).reshape(-1, 3)
+
+        def scatter(cells, size):
+            # support point -> marginal cell
+            mat = np.zeros((self.n_points, size))
+            mat[np.arange(self.n_points), cells] = 1.0
+            return mat
+
+        self.scatter = {ax: scatter(idx[:, i], shape[i]) for i, ax in enumerate("xyz")}
         self.pair_info = {}
         for key, (i, j) in {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}.items():
             mask = np.zeros((shape[i], shape[j]), dtype=bool)
-            for idx in self.points:
-                mask[idx[i], idx[j]] = True
-            li, lj, nb = blocks_from_mask(mask)
-            # scatter matrices: support point -> marginal cells
-            Mi = np.zeros((self.n_points, shape[i]))
-            Mj = np.zeros((self.n_points, shape[j]))
-            Mij = np.zeros((self.n_points, shape[i] * shape[j]))
-            for t, idx in enumerate(self.points):
-                Mi[t, idx[i]] = 1.0
-                Mj[t, idx[j]] = 1.0
-                Mij[t, idx[i] * shape[j] + idx[j]] = 1.0
-            self.pair_info[key] = {
-                "Mi": Mi,
-                "Mj": Mj,
-                "Mij": Mij,
-                "Li": _label_matrix(li, nb),
-                "n_blocks": nb,
-            }
+            mask[idx[:, i], idx[:, j]] = True
+            li, _, nb = blocks_from_mask(mask)
+            Li = _label_matrix(li, nb)
+            self.scatter[key] = scatter(idx[:, i] * shape[j] + idx[:, j], shape[i] * shape[j])
+            self.scatter["blk_" + key] = self.scatter[key[0]] @ Li
+            self.pair_info[key] = {"Li": Li, "n_blocks": nb}
+        self._kernels = {}  # kinds -> (reads the xyz cells, T, w)
 
     def connected(self, key):
         return self.pair_info[key]["n_blocks"] <= 1
@@ -219,51 +243,52 @@ class _SupportCone:
             probs[idx] = q[t]
         return JointDist(self.axes, probs)
 
+    def _kernel(self, kinds):
+        key = tuple(kinds)
+        if key not in self._kernels:
+            coef = {}
+            for kind in key:
+                if kind not in _KIND_ENTROPIES:
+                    raise ValueError("unknown term kind %r" % kind)
+                for m, c in _KIND_ENTROPIES[kind]:
+                    coef[m] = coef.get(m, 0) + c
+            xyz = coef.pop("xyz", 0)
+            margs = [m for m, c in coef.items() if c]
+            T = np.zeros((self.n_points, 0))
+            T = np.concatenate([T] + [self.scatter[m] for m in margs], axis=1)
+            # the cells are the xyz cells, if read, then T's columns
+            w = np.concatenate([np.full(self.n_points if xyz else 0, -xyz)]
+                               + [np.full(self.scatter[m].shape[1], -coef[m]) for m in margs])
+            self._kernels[key] = (bool(xyz), T, w.astype(float))
+        return self._kernels[key]
+
     def values(self, Qs, kinds):
         """Sum of term values for each cone distribution in the batch."""
         Qs = np.atleast_2d(np.asarray(Qs, dtype=float))
-        xy, xz, yz = self.pair_info["xy"], self.pair_info["xz"], self.pair_info["yz"]
-        h_xyz = _H(Qs)
-        p_x = Qs @ xy["Mi"]
-        p_y = Qs @ xy["Mj"]
-        p_z = Qs @ xz["Mj"]
-        h_x, h_y, h_z = _H(p_x), _H(p_y), _H(p_z)
-        h_xy = _H(Qs @ xy["Mij"])
-        h_xz = _H(Qs @ xz["Mij"])
-        h_yz = _H(Qs @ yz["Mij"])
-        total = np.zeros(len(Qs))
-        for kind in kinds:
-            if kind == "ri_xz":
-                total += h_x + h_z - h_xz - _H(p_x @ xz["Li"])
-            elif kind == "ri_yz":
-                total += h_y + h_z - h_yz - _H(p_y @ yz["Li"])
-            elif kind == "ri_xy":
-                total += h_x + h_y - h_xy - _H(p_x @ xy["Li"])
-            elif kind == "h_xy_z":
-                total += h_xyz - h_z
-            elif kind == "h_yz_x":
-                total += h_xyz - h_x
-            elif kind == "h_xz_y":
-                total += h_xyz - h_y
-            else:
-                raise ValueError("unknown term kind %r" % kind)
-        return total
+        xyz, T, w = self._kernel(kinds)
+        out = np.empty(len(Qs))
+        for lo in range(0, len(Qs), _CHUNK):
+            q = Qs[lo:lo + _CHUNK]
+            cells = np.concatenate([q, q @ T], axis=1) if xyz else q @ T
+            out[lo:lo + _CHUNK] = _xlogx(cells) @ w
+        return out
 
 
 class _TermBank:
     """Vectorized entropy kernels for one channel.
 
-    Joint-form terms are evaluated on the cone of the channel's generic
-    support, the points (x, y, z) with W > SUPPORT_EPS: the support of the
-    joint of every full-support input law, whose common-part blocks every
-    such law shares. Every W row sums to 1, so the cone's (X,Y) graph is
-    complete.
+    joint_values scores every small term call on the cone of the channel's
+    generic support, the points (x, y, z) with W > SUPPORT_EPS: the support
+    of the joint of every full-support input law, whose common-part blocks
+    every such law shares. Every W row sums to 1, so the cone's (X,Y) graph
+    is complete. Product-form terms reach it through their product laws.
 
-    Product-form terms read a z-major copy of W, Wz of shape (nz, nx, ny),
-    made here once. A batch of x laws A maps to the output laws A @ Wz,
-    (nz, n, ny), and each _CHUNK-row slice of them meets the y laws B in
-    one GEMM, (nz * n, ny) @ (ny, m), whose (nz, n, m) result holds every
-    pair's output law in nz contiguous slices.
+    pair_values serves only the nested sweep's x-candidate x y-candidate
+    grid. It reads a z-major copy of W, Wz of shape (nz, nx, ny), made here
+    once. A batch of x laws A maps to the output laws A @ Wz, (nz, n, ny),
+    and each _CHUNK-row slice of them meets the y laws B in one GEMM,
+    (nz * n, ny) @ (ny, m), whose (nz, n, m) result holds every pair's
+    output law in nz contiguous slices.
     """
 
     def __init__(self, ch):
@@ -297,9 +322,9 @@ class _TermBank:
         return {"G": _H_lead(C), "H": _H(B), "blk": _H(B @ self.Ly)}
 
     def pair_values(self, A, B, kinds):
-        """Evaluate product-form terms for all (A_i, B_j) pairs, chunked.
-        Each slice of _CHUNK rows of A takes the output laws of all its pairs
-        from one GEMM."""
+        """Evaluate product-form terms for all (A_i, B_j) pairs, chunked: the
+        nested sweep's grid kernel. Each slice of _CHUNK rows of A takes the
+        output laws of all its pairs from one GEMM."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         pb = self._pre_b(B)
@@ -358,18 +383,29 @@ class _TermBank:
         # the slice's value matrices die with this frame, before the next
         # slice is scored
         mats = dict(zip(kinds, self.pair_values(A, B, kinds)))  # (len(A), len(B)) each
+
+        def group(g):
+            # summed left to right from the first kind's matrix, which a
+            # one-kind group uses as is
+            V = mats[g[0]]
+            for k in g[1:]:
+                V = V + mats[k]
+            return V
+
         x, y = sweeps["x"], sweeps["y"]
         for g in _SWEEP_GROUPS["x"]:
-            V = sum(mats[k] for k in g)
-            x.best[g][lo:lo + len(A)] = V.max(axis=1)
-            x.arg[g][lo:lo + len(A)] = V.argmax(axis=1)
+            V = group(g)
+            arg = V.argmax(axis=1)
+            x.best[g][lo:lo + len(A)] = np.take_along_axis(V, arg[:, None], axis=1)[:, 0]
+            x.arg[g][lo:lo + len(A)] = arg
         for g in _SWEEP_GROUPS["y"]:
             # running max over x slices; strict > keeps the first index on ties
-            V = sum(mats[k] for k in g)
-            m = V.max(axis=0)
+            V = group(g)
+            arg = V.argmax(axis=0)
+            m = np.take_along_axis(V, arg[None, :], axis=0)[0]
             up = m > y.best[g]
             y.best[g][up] = m[up]
-            y.arg[g][up] = V.argmax(axis=0)[up] + lo
+            y.arg[g][up] = arg[up] + lo
 
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
@@ -500,11 +536,15 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
 
 
 def _group_values(bank, side, outer, p, kinds):
-    """One inner law's kinds against the outer law, by one pair_values call.
-    At most one of the laws may be an (n, k) batch of rows, giving (n,)
-    values; single laws give (1,)."""
+    """One inner law's kinds against the outer law, scored on the cone at
+    their product law: at a product law every product-form kind equals its
+    joint-form kind, with the same frozen blocks. At most one of the laws
+    may be an (n, k) batch of rows, giving (n,) values; single laws give
+    (1,)."""
     a, b = np.atleast_2d(outer), np.atleast_2d(p)
-    return sum(bank.pair_values(*((a, b) if side == "x" else (b, a)), kinds)).ravel()
+    if side == "y":
+        a, b = b, a
+    return bank.joint_values(a[:, :, None] * b[:, None, :], kinds)
 
 
 def _product_values(bank, side, outer, inners, groups):
@@ -554,7 +594,7 @@ def _nested(bank, name, cfg):
     """sup over the outer distribution of a sum of independently supremized
     inner terms, innermost evaluated first on the side's shared sweep, then a
     joint coordinate polish whose line searches score each bracket of trial
-    laws with one pair_values call per inner group.
+    laws with one cone call per inner group (_group_values).
 
     The term's inner groups are groups of _SWEEP_GROUPS of its outer side
     (each inner distribution may carry a sum of kinds, e.g. ri_xz + h_xy_z

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -102,6 +103,15 @@ def _manifest(args, cfg, t0):
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
+
+
+def _check_out(args):
+    """Refuse an --out in a missing directory before any work; the file
+    itself is opened only by _emit, once the report is ready."""
+    if args.out:
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(parent):
+            raise UsageError("cannot write %s: no such directory %s" % (args.out, parent))
 
 
 def _emit(args, payload):
@@ -320,6 +330,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        _check_out(args)
         return args.func(args)
     except (UsageError, ValueError, ProtocolSpecError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -25,7 +25,8 @@ from .dists import CapacityError
 GRID_POINT_CAP = 4000
 DIRICHLET_STARTS = 200
 # cells (rows x symbols) of the largest candidate array the scan builds; the
-# objectives hold several arrays of that size while scoring it
+# objectives map it onto a support cone whole, then score it in row slices,
+# so their entropy temporaries are slice-sized
 SCAN_CELL_CAP = 1 << 22
 DIRICHLET_SEED = 20240501
 SUPPORT_BOUNDARY = 1e-9

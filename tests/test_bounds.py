@@ -675,6 +675,124 @@ def test_pair_values_match_dense_einsum_oracle(rng, shape):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=kind)
 
 
+def _block_channel():
+    # z = 2 (x // 2) + y // 2: two common-part blocks on each of the (X,Z)
+    # and (Y,Z) graphs
+    kernel = np.zeros((4, 4, 4))
+    for x in range(4):
+        for y in range(4):
+            kernel[x, y, 2 * (x // 2) + y // 2] = 1.0
+    axes = [Alphabet(name, tuple(range(4))) for name in "XYZ"]
+    return Channel(*axes, kernel)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (3, 3, 3), (2, 5, 3), None])
+def test_cone_scores_product_kinds_as_pair_values(rng, shape):
+    # at a product law a b^T every product-form kind, and every sweep group,
+    # scored on the generic-support cone equals the pair kernel's value;
+    # the channels have zero cells (the last one blocks) and the laws
+    # include vertices
+    from scbound.bounds import _SWEEP_GROUPS, _TermBank
+
+    ch = _block_channel() if shape is None else _random_channel(rng, *shape)
+    assert (np.asarray(ch.kernel) == 0).any()
+    bank = _TermBank(ch)
+    nx, ny = bank.nx, bank.ny
+    if shape is None:
+        assert not bank.cone.connected("xz") and not bank.cone.connected("yz")
+    A = rng.dirichlet(np.ones(nx), 23)
+    A[:nx] = np.eye(nx)
+    A[nx, 0] = 0.0
+    A[nx] /= A[nx].sum()
+    B = rng.dirichlet(np.ones(ny), 17)
+    B[:ny] = np.eye(ny)
+    Q = (A[:, None, :, None] * B[None, :, None, :]).reshape(-1, nx, ny)
+    groups = [(k,) for k in ("ri_xz", "ri_yz", "h_xy_z", "h_yz_x", "h_xz_y")]
+    groups += [g for gs in _SWEEP_GROUPS.values() for g in gs]
+    for g in groups:
+        want = sum(bank.pair_values(A, B, g))
+        got = bank.joint_values(Q, g).reshape(len(A), len(B))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(g))
+
+
+def _per_marginal_cone_values(cone, Qs, kinds):
+    # the per-marginal formula: each marginal of the dense joints taken on
+    # its own, each block law from the support pattern, kinds summed one by
+    # one
+    from scbound.bounds import _H
+    from scbound.common_info import blocks_from_mask
+
+    shape = tuple(len(a) for a in cone.axes)
+    cells = tuple(np.array(cone.points).T)
+    P = np.zeros((len(Qs),) + shape)
+    P[(slice(None),) + cells] = Qs
+    support = np.zeros(shape, dtype=bool)
+    support[cells] = True
+
+    def h(*keep):
+        drop = tuple(1 + a for a in range(3) if a not in keep)
+        return _H(P.sum(axis=drop).reshape(len(P), -1))
+
+    def h_blk(i, j):
+        lab, _, nb = blocks_from_mask(support.any(axis=3 - i - j))
+        p_i = P.sum(axis=tuple(1 + a for a in range(3) if a != i))
+        return _H(p_i @ (lab[:, None] == np.arange(nb)).astype(float))
+
+    h_xyz, h_x, h_y, h_z = h(0, 1, 2), h(0), h(1), h(2)
+    vals = {
+        "ri_xz": h_x + h_z - h(0, 2) - h_blk(0, 2),
+        "ri_yz": h_y + h_z - h(1, 2) - h_blk(1, 2),
+        "ri_xy": h_x + h_y - h(0, 1) - h_blk(0, 1),
+        "h_xy_z": h_xyz - h_z,
+        "h_yz_x": h_xyz - h_x,
+        "h_xz_y": h_xyz - h_y,
+    }
+    return sum(vals[k] for k in kinds)
+
+
+def _random_support(rng, shape):
+    # random points of two colour classes, symbols coloured alternately, so
+    # each pair of axes has at least two common-part blocks; every symbol
+    # keeps a point
+    colour = np.ix_(*(np.arange(k) % 2 for k in shape))
+    same = (colour[0] == colour[1]) & (colour[1] == colour[2])
+    support = same & (rng.random(shape) < 0.7)
+    for p in zip(*np.nonzero(same)):
+        if any(not np.take(support, s, axis=a).any() for a, s in enumerate(p)):
+            support[p] = True
+    return support
+
+
+@pytest.mark.parametrize("cone_kind", ["and", "random"])
+def test_fused_cone_kernel_matches_per_marginal_formula(rng, and_joint, cone_kind):
+    # the one-GEMM cone kernel against each marginal's entropy taken on its
+    # own, for every single kind and every joint variant, on batches longer
+    # than _CHUNK rows (the last slice ragged) with vertex and boundary rows
+    from scbound.bounds import _CHUNK, _JOINT_VARIANTS, _SupportCone, _support_points
+
+    if cone_kind == "and":
+        axes, probs = and_joint.axes, and_joint.probs
+    else:
+        probs = _random_support(rng, (3, 4, 2)).astype(float)
+        axes = [Alphabet(name, tuple(range(k))) for name, k in zip("XYZ", probs.shape)]
+    cone = _SupportCone(axes, _support_points(probs))
+    if cone_kind == "random":
+        assert not any(cone.connected(key) for key in ("xy", "xz", "yz"))
+    Qs = rng.dirichlet(np.ones(cone.n_points), 2 * _CHUNK + 37)
+    Qs[:cone.n_points] = np.eye(cone.n_points)
+    Qs[cone.n_points, :2] = 0.0
+    Qs[cone.n_points] /= Qs[cone.n_points].sum()
+    singles = [(k,) for k in ("ri_xz", "ri_yz", "ri_xy", "h_xy_z", "h_yz_x", "h_xz_y")]
+    variants = [v for vs in _JOINT_VARIANTS.values() for v in vs]
+    for kinds in singles + variants:
+        got = cone.values(Qs, kinds)
+        assert got.shape == (len(Qs),)
+        want = _per_marginal_cone_values(cone, Qs, kinds)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(kinds))
+    with pytest.raises(ValueError, match="unknown term kind"):
+        cone.values(Qs[:3], ("ri_xz", "h_zz"))
+
+
 def test_sweep_walks_the_grid_once(rng, monkeypatch):
     # both outer sides come from one pass: one pair_values call per _CHUNK
     # slice of x candidates, and the second side adds none
@@ -702,18 +820,19 @@ def test_sweep_walks_the_grid_once(rng, monkeypatch):
 
 def test_nested_scores_each_held_group_once(monkeypatch):
     # while a line search moves one law, an inner group that law does not
-    # enter is scored once, not on every bracket: no single-pair call repeats
+    # enter is scored once, not on every bracket: no call at a single
+    # (outer, inner) product law with the same kinds repeats
     from scbound.bounds import _TermBank, _nested
 
     seen = []
-    pair_values = _TermBank.pair_values
+    joint_values = _TermBank.joint_values
 
-    def recorded(self, A, B, kinds):
-        if len(A) == len(B) == 1:
-            seen.append((np.asarray(A).tobytes(), np.asarray(B).tobytes(), tuple(kinds)))
-        return pair_values(self, A, B, kinds)
+    def recorded(self, Q, kinds):
+        if len(Q) == 1:
+            seen.append((np.asarray(Q).tobytes(), tuple(kinds)))
+        return joint_values(self, Q, kinds)
 
-    monkeypatch.setattr(_TermBank, "pair_values", recorded)
+    monkeypatch.setattr(_TermBank, "joint_values", recorded)
     bank = _TermBank(builtin("sum").channel)
     for name in ("conditional_m31", "switched_m12_bottom"):
         seen.clear()

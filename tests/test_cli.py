@@ -153,6 +153,25 @@ def test_unwritable_out_exits_1(tmp_path, capsys):
     assert err.startswith("error: cannot write %s" % path)
 
 
+@pytest.mark.parametrize("cmd", [
+    ("analyze", "--builtin", "group-add", "--order", "4"),
+    ("simulate", "--builtin", "sum"),
+    ("reproduce",),
+])
+def test_out_in_missing_dir_exits_1_before_work(tmp_path, capsys, monkeypatch, cmd):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing should be computed")
+
+    for name in ("best_bounds", "separation_report", "run_exact"):
+        monkeypatch.setattr("scbound.cli." + name, fail)
+    path = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_cli(capsys, *cmd, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % path)
+    assert not path.parent.exists()
+
+
 def test_reproduce_only_and(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--only", "and", "--grid", "0.02")
     assert code == 0
