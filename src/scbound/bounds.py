@@ -40,6 +40,7 @@ Share-size bounds for dealer-generated secret sharing and for secure
 sampling reuse the same term kernels.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,9 @@ DEFAULT_CONFIG = OptConfig()
 # a later term replaces an earlier one only if strictly better than this;
 # keeps exact evaluations and canonical witness labels on near-ties
 REPLACE_MARGIN = 1e-6
+# a link whose best term is this close to a verified protocol's entropy on
+# it skips the remaining bound families
+UPPER_TOL = 1e-9
 _CHUNK = 256
 
 LINKS = ("m12", "m23", "m31")
@@ -517,6 +521,11 @@ def _optimize_joint(bank, link, kinds, cfg):
     )
 
 
+def _improved_term(bank, link, cfg):
+    """The better variant of one link's improved bound."""
+    return _pick([_optimize_joint(bank, link, kinds, cfg) for kinds in _JOINT_VARIANTS[link]])
+
+
 def improved_bounds(ch, cfg=DEFAULT_CONFIG):
     """Optimized single-distribution bounds over full-support joint inputs.
 
@@ -527,12 +536,7 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
     """
     bank = _shared_bank(ch)
     gates = {"m12": True, "m23": check_condition2(ch), "m31": check_condition1(ch)}
-    return {
-        link: _pick([_optimize_joint(bank, link, kinds, cfg) for kinds in _JOINT_VARIANTS[link]])
-        if gates[link]
-        else None
-        for link in LINKS
-    }
+    return {link: _improved_term(bank, link, cfg) if gates[link] else None for link in LINKS}
 
 
 def _group_values(bank, side, outer, p, kinds):
@@ -650,6 +654,16 @@ def _shared_bank(ch):
     return _last_bank
 
 
+def _switched_term(bank, link, px, py, cfg):
+    """One link's switched bound: the Bob-Charlie and Charlie-Alice links
+    keep the actual marginal of the non-switched input, and the Alice-Bob
+    link takes the larger of the two nested rows."""
+    if link == "m12":
+        return _pick([_nested(bank, "switched_m12_top", cfg),
+                      _nested(bank, "switched_m12_bottom", cfg)])
+    return _switched_single(bank, "switched_" + link, py if link == "m23" else px, cfg)
+
+
 def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     """Separately-optimized switched bounds for independent full-support inputs.
 
@@ -662,12 +676,7 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     py = _as_prob_vector(p_y, bank.ny, "p_y")
     if px.min() <= SUPPORT_EPS or py.min() <= SUPPORT_EPS:
         raise PreconditionError("inputs must have full support")
-    return {
-        "m23": _switched_single(bank, "switched_m23", py, cfg),
-        "m31": _switched_single(bank, "switched_m31", px, cfg),
-        "m12": _pick([_nested(bank, "switched_m12_top", cfg),
-                      _nested(bank, "switched_m12_bottom", cfg)]),
-    }
+    return {link: _switched_term(bank, link, px, py, cfg) for link in ("m23", "m31", "m12")}
 
 
 def conditional_bounds(ch, cfg=DEFAULT_CONFIG):
@@ -725,6 +734,8 @@ class LinkBound:
     distribution_free: bool
     limit_point: bool
     terms: list
+    upper: float | None = None  # a verified protocol's entropy on the link, if given
+    skipped: tuple = ()  # families left out once the link met `upper`
 
 
 @dataclass
@@ -742,7 +753,7 @@ class BoundReport:
 
     def to_json(self):
         def link_json(lb):
-            return {
+            out = {
                 "value": lb.value,
                 "theorem": lb.theorem,
                 "distribution_free": lb.distribution_free,
@@ -753,6 +764,10 @@ class BoundReport:
                     for t in lb.terms
                 ],
             }
+            if lb.upper is not None:
+                out["upper"] = lb.upper
+                out["skipped"] = list(lb.skipped)
+            return out
 
         return {
             "links": {name: link_json(self.link(name)) for name in LINKS},
@@ -779,7 +794,7 @@ def _pick(terms):
     return best
 
 
-def _link_bound(terms):
+def _link_bound(terms, upper=None, skipped=()):
     """The link's best term, with every candidate term kept for the report."""
     best = _pick(terms)
     return LinkBound(
@@ -789,16 +804,27 @@ def _link_bound(terms):
         distribution_free=best.distribution_free,
         limit_point=best.limit_point,
         terms=terms,
+        upper=upper,
+        skipped=tuple(skipped),
     )
 
 
-def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
+def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
     """Per-link maximum over every applicable bound family.
 
     Normalizes the channel (and the pair, for the evaluation bound)
     internally and records the merges. Dependent full-support inputs are
     handled through the product of their marginals where a bound family
     needs independence.
+
+    The families run in cost order: evaluation, intermediate, improved,
+    switched, conditional. `upper`, when given, maps each link to the link
+    entropy of a protocol verified correct and private at p_xy. Every term
+    is a lower bound on that entropy, so once a link's best term is within
+    UPPER_TOL of it the link skips the remaining families: a skipped term
+    could replace the kept one only by beating it by REPLACE_MARGIN. Link
+    values, theorems, witnesses and rho are those of the full computation;
+    the report records `upper` and the skipped families per link.
     """
     if p_xy.n_axes != 2 or p_xy.axes[0] != ch.x_axis or p_xy.axes[1] != ch.y_axis:
         raise ValueError("input distribution axes do not match the channel alphabets")
@@ -818,6 +844,7 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
     }
 
     terms = {link: [] for link in LINKS}
+    skipped = {link: [] for link in LINKS}
     tri = prelim_bounds(p_nf, ch_nf)
     for link in LINKS:
         terms[link].append(
@@ -825,25 +852,17 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
         )
 
     if conditions["full_support"]:
-        p_x, p_y = _marginals(p_n)
-        tri = intermediate_bounds(p_x, p_y, ch_n)
-        for link in LINKS:
-            terms[link].append(
-                TermValue(name="intermediate_%s" % link, link=link, value=getattr(tri, link))
-            )
-        for family in (
-            improved_bounds(ch_n, cfg),
-            switched_bounds(ch_n, p_x, p_y, cfg),
-            conditional_bounds(ch_n, cfg),
-        ):
-            for link, tv in family.items():
-                if tv is not None:
-                    terms[link].append(tv)
+        for family, link, term in _families(ch_n, p_n, conditions, cfg):
+            if upper is not None and _pick(terms[link]).value >= upper[link] - UPPER_TOL:
+                skipped[link].append(family)
+            else:
+                terms[link].append(term())
 
+    up = upper or {}
     report = BoundReport(
-        h_m12=_link_bound(terms["m12"]),
-        h_m23=_link_bound(terms["m23"]),
-        h_m31=_link_bound(terms["m31"]),
+        h_m12=_link_bound(terms["m12"], up.get("m12"), skipped["m12"]),
+        h_m23=_link_bound(terms["m23"], up.get("m23"), skipped["m23"]),
+        h_m31=_link_bound(terms["m31"], up.get("m31"), skipped["m31"]),
         rho=0.0,
         conditions=conditions,
         merges={"x": chres.x_map, "y": chres.y_map, "z": chres.z_map},
@@ -851,6 +870,31 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG):
     )
     report.rho = randomness_bound(report)
     return report
+
+
+def _families(ch_n, p_n, conditions, cfg):
+    """The families after the evaluation bound, in cost order, as (family,
+    link, term) with `term()` computing that link's term; a link a family's
+    gate leaves out is not listed. The intermediate bound, computed for all
+    links at once, runs on the first call for any link; the shared nested
+    sweep on the first nested term."""
+    p_x, p_y = _marginals(p_n)
+    bank = _shared_bank(ch_n)
+    c1, c2 = conditions["condition1"], conditions["condition2"]
+    intermediate = functools.cache(lambda: intermediate_bounds(p_x, p_y, ch_n))
+
+    for link in LINKS:
+        yield "intermediate", link, lambda link=link: TermValue(
+            name="intermediate_%s" % link, link=link, value=getattr(intermediate(), link))
+    for link, gate in (("m12", True), ("m23", c2), ("m31", c1)):
+        if gate:
+            yield "improved", link, lambda link=link: _improved_term(bank, link, cfg)
+    for link in ("m23", "m31", "m12"):
+        yield "switched", link, lambda link=link: _switched_term(
+            bank, link, p_x.probs, p_y.probs, cfg)
+    for link, gate in (("m31", c1), ("m23", c2)):
+        if gate:
+            yield "conditional", link, lambda link=link: _nested(bank, "conditional_" + link, cfg)
 
 
 def _push_inputs(p_xy, chres, ch_n):

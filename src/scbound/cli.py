@@ -13,11 +13,12 @@ import sys
 import time
 
 from . import __version__
-from .bounds import best_bounds
+from .bounds import LINKS, best_bounds
 from .cmss import separation_report
 from .dists import (
     CapacityError,
     JointDist,
+    SUPPORT_EPS,
     channel_from_json,
     dist_from_json,
     dumps,
@@ -64,19 +65,22 @@ def _builtin_params(args):
 
 
 def _resolve_channel(args):
+    """(channel, input, protocol): the built-in's protocol with --builtin,
+    None with --channel."""
     if args.builtin:
         b = builtin(args.builtin, **_builtin_params(args))
-        ch, default_input = b.channel, b.default_input
+        ch, default_input, spec = b.channel, b.default_input, b.spec
     elif args.channel:
         ch = channel_from_json(_load_json(args.channel))
         default_input = JointDist.uniform((ch.x_axis, ch.y_axis))
+        spec = None
     else:
         raise UsageError("need --builtin or --channel")
     if args.dist:
         p_xy = _load_dist(args.dist, (ch.x_axis, ch.y_axis))
     else:
         p_xy = default_input
-    return ch, p_xy
+    return ch, p_xy, spec
 
 
 def _load_dist(path, axes):
@@ -106,12 +110,15 @@ def _manifest(args, cfg, t0):
 
 
 def _check_out(args):
-    """Refuse an --out in a missing directory before any work; the file
-    itself is opened only by _emit, once the report is ready."""
+    """Refuse an --out that is a directory or lies in a missing one before
+    any work; the file itself is opened only by _emit, once the report is
+    ready."""
     if args.out:
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent):
             raise UsageError("cannot write %s: no such directory %s" % (args.out, parent))
+        if os.path.isdir(args.out):
+            raise UsageError("cannot write %s: it is a directory" % args.out)
 
 
 def _emit(args, payload):
@@ -153,12 +160,33 @@ def _to_csv(payload):
     return "\n".join(rows) + "\n"
 
 
+def _run_verified(spec, ch, p_xy):
+    """Run `spec` exactly at p_xy and check it against `ch`. Returns the
+    execution, whether it passes the correctness check and all three
+    privacy checks, and its per-link entropies as upper values for
+    best_bounds: only for a verified protocol at a full-support input,
+    else None."""
+    e = run_exact(spec, p_xy)
+    verified = verify_correctness(e, ch) and all(verify_privacy(e))
+    full = bool(p_xy.probs.min() > SUPPORT_EPS)
+    return e, verified, {l: e.h(l) for l in LINKS} if verified and full else None
+
+
 def cmd_analyze(args):
     t0 = time.monotonic()
     cfg = _config(args)
-    ch, p_xy = _resolve_channel(args)
-    report = best_bounds(p_xy, ch, cfg)
+    ch, p_xy, spec = _resolve_channel(args)
+    upper = None
+    if spec is not None:
+        try:
+            _, _, upper = _run_verified(spec, ch, p_xy)
+        except CapacityError:
+            pass  # too many branches to run: no upper values
+    report = best_bounds(p_xy, ch, cfg, upper=upper)
     payload = report.to_json()
+    if upper is not None:
+        # the protocol, in the JSON form spec_from_json reads
+        payload["upper_protocol"] = {"builtin": args.builtin, "params": _builtin_params(args)}
     payload["manifest"] = _manifest(args, cfg, t0)
     _emit(args, payload)
     return 0
@@ -235,11 +263,11 @@ def _reproduce_rows(cfg, only=None):
         if only is not None and only not in name:
             continue
         b = builtin(kind, **params)
-        rep = best_bounds(b.default_input, b.channel, cfg)
-        e = run_exact(b.spec, b.default_input)
-        sim = {l: e.h(l) for l in ("m12", "m23", "m31")}
-        bounds = {l: rep.link(l).value for l in ("m12", "m23", "m31")}
-        ok = all(bounds[l] >= targets[l] - tol for l in targets)
+        e, verified, upper = _run_verified(b.spec, b.channel, b.default_input)
+        rep = best_bounds(b.default_input, b.channel, cfg, upper=upper)
+        sim = {l: e.h(l) for l in LINKS}
+        bounds = {l: rep.link(l).value for l in LINKS}
+        ok = verified and all(bounds[l] >= targets[l] - tol for l in targets)
         ok = ok and rep.rho >= rho_target - tol
         ok = ok and all(sim[l] >= bounds[l] - 1e-9 for l in sim)
         rows.append(
@@ -249,6 +277,8 @@ def _reproduce_rows(cfg, only=None):
                 "simulated": sim,
                 "rho": rep.rho,
                 "targets": targets,
+                "verified": verified,
+                "skipped": {l: list(rep.link(l).skipped) for l in LINKS},
                 "match": ok,
             }
         )
@@ -262,6 +292,7 @@ def _reproduce_rows(cfg, only=None):
                 "simulated": sep.scheme_entropies,
                 "rho": 0.0,
                 "targets": {l: LOG3 for l in ("m12", "m23", "m31")},
+                "skipped": {l: [] for l in LINKS},  # its bounds run every family
                 "match": abs(sep.gaps["m12"] - (1.826 - LOG3)) <= tol
                 and all(abs(sep.scheme_entropies[l] - LOG3) <= 1e-9 for l in sep.scheme_entropies),
             }

@@ -71,19 +71,19 @@ def simplex_grid(k, step):
     return np.column_stack([c, n - c.sum(axis=1)]) / n
 
 
-def structured_points(k):
-    """Uniform point, vertices, and all two-symbol even mixtures."""
-    pts = [np.full(k, 1.0 / k)]
-    for i in range(k):
-        v = np.zeros(k)
-        v[i] = 1.0
-        pts.append(v)
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = np.zeros(k)
-            v[i] = v[j] = 0.5
-            pts.append(v)
-    return np.array(pts)
+def structured_points(k, out=None):
+    """Uniform point, vertices, and all two-symbol even mixtures, in that
+    order (pairs (i, j), i < j, row-major), written into `out`, a zeroed
+    (1 + k + k(k-1)/2, k) array, or into a new one."""
+    n_pairs = k * (k - 1) // 2
+    pts = np.zeros((1 + k + n_pairs, k)) if out is None else out
+    pts[0] = 1.0 / k
+    pts[np.arange(1, 1 + k), np.arange(k)] = 1.0
+    i, j = np.triu_indices(k, 1)
+    rows = np.arange(1 + k, 1 + k + n_pairs)
+    pts[rows, i] = 0.5
+    pts[rows, j] = 0.5
+    return pts
 
 
 @functools.lru_cache(maxsize=64)
@@ -102,9 +102,12 @@ def candidate_points(k, cfg):
                 "scan over %d symbols needs %d candidate cells, over the cap of %d"
                 % (k, rows * k, SCAN_CELL_CAP)
             )
+        # one array, filled in place: a list of rows copied into it would
+        # peak at about three times its size
+        pts = np.zeros((rows, k))
+        structured_points(k, out=pts[:rows - DIRICHLET_STARTS])
         rng = np.random.default_rng(DIRICHLET_SEED + k)
-        draws = rng.dirichlet(np.ones(k), size=DIRICHLET_STARTS)
-        pts = np.concatenate([structured_points(k), draws])
+        pts[rows - DIRICHLET_STARTS:] = rng.dirichlet(np.ones(k), size=DIRICHLET_STARTS)
     pts.flags.writeable = False
     return pts
 

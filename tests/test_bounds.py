@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,9 +21,10 @@ from scbound.dists import (
     Channel,
     JointDist,
     PreconditionError,
+    dist_to_json,
     join,
 )
-from scbound.protocols import builtin
+from scbound.protocols import builtin, run_exact, verify_correctness, verify_privacy
 from scbound.simplex import OptConfig
 
 LOG3 = math.log2(3.0)
@@ -34,6 +36,14 @@ H_XY_GIVEN_Z_AND = 1.188721875540867
 
 def uniform_input(ch):
     return JointDist.uniform((ch.x_axis, ch.y_axis))
+
+
+@functools.cache
+def builtin_report(name, cfg=CFG, **params):
+    """A built-in and its full best_bounds report at its default input,
+    computed once for the tests that read it."""
+    b = builtin(name, **params)
+    return b, best_bounds(b.default_input, b.channel, cfg)
 
 
 def marginals(p_xy):
@@ -260,16 +270,14 @@ def test_best_bounds_and(and_channel, uniform_bits):
 
 
 def test_best_bounds_group_add_6():
-    b = builtin("group-add", order=6)
-    rep = best_bounds(b.default_input, b.channel, CFG)
+    _, rep = builtin_report("group-add", order=6)
     for link in ("m12", "m23", "m31"):
         assert rep.link(link).value == pytest.approx(math.log2(6), abs=1e-6)
     assert rep.rho == pytest.approx(math.log2(6), abs=1e-6)
 
 
 def test_best_bounds_erasure():
-    b = builtin("erasure")
-    rep = best_bounds(b.default_input, b.channel, CFG)
+    _, rep = builtin_report("erasure")
     assert rep.h_m31.value >= 1.5 - 1e-3
     assert rep.h_m12.value >= 1.0 - 1e-6
     assert rep.h_m23.value >= 1.0 - 1e-6
@@ -295,11 +303,9 @@ def test_best_bounds_erasure_general_parameters():
 def test_randomness_examples(and_channel, uniform_bits):
     rep = best_bounds(uniform_bits, and_channel, CFG)
     assert randomness_bound(rep) >= 1.826 - 1e-3
-    b = builtin("sum")
-    rep = best_bounds(b.default_input, b.channel, CFG)
+    _, rep = builtin_report("sum")
     assert rep.rho >= LOG3 - 1e-3
-    b = builtin("remote-ot", m=2)
-    rep = best_bounds(b.default_input, b.channel, CFG)
+    _, rep = builtin_report("remote-ot", m=2)
     assert rep.rho >= 3.0 - 1e-3
 
 
@@ -401,12 +407,12 @@ def test_distribution_free_terms_match_between_inputs(and_channel, uniform_bits)
 @pytest.mark.parametrize("name,kwargs", [("and", {}), ("group-add", {"order": 3})])
 def test_m12_bound_invariant_across_full_support_inputs(name, kwargs):
     # the winning Alice-Bob bound never depends on the input distribution
-    b = builtin(name, **kwargs)
+    b, rep = builtin_report(name, **kwargs)
     x_axis, y_axis = b.channel.x_axis, b.channel.y_axis
     n, m = len(x_axis), len(y_axis)
     w = np.arange(1.0, n * m + 1).reshape(n, m)
     skew = JointDist((x_axis, y_axis), w / w.sum())
-    v1 = best_bounds(b.default_input, b.channel, CFG).h_m12.value
+    v1 = rep.h_m12.value
     v2 = best_bounds(skew, b.channel, CFG).h_m12.value
     assert abs(v1 - v2) <= 1e-6
 
@@ -444,14 +450,57 @@ def test_deterministic_channel_entropy_breakdown(and_channel, uniform_bits):
 )
 def test_communication_ideal_protocols_meet_bounds(name, kwargs):
     # for these functions the protocol is optimal on every link at once
-    from scbound.protocols import run_exact
-
-    b = builtin(name, **kwargs)
-    rep = best_bounds(b.default_input, b.channel, CFG)
+    b, rep = builtin_report(name, **kwargs)
     e = run_exact(b.spec, b.default_input)
     for link in ("m12", "m23", "m31"):
         assert e.h(link) >= rep.link(link).value - 1e-9
         assert abs(e.h(link) - rep.link(link).value) <= 1e-6
+
+
+LINKS = ("m12", "m23", "m31")
+# group-add 4 runs at a coarser grid: its full nested sweep at the default
+# grid takes over a second, and the skips do not depend on the grid
+VERIFIED_BUILTINS = [
+    ("and", {}), ("sum", {}), ("erasure", {}), ("remote-ot", {"m": 2}), ("remote-ot", {"m": 3}),
+    ("group-add", {"order": 2}), ("group-add", {"order": 3}),
+    ("group-add", {"order": 4, "cfg": OptConfig(grid_resolution=0.1)}),
+    ("group-add", {"order": 5}), ("group-add", {"order": 6}),
+]
+
+
+def _witness_json(lb):
+    return {label: dist_to_json(d) for label, d in lb.witnesses.items()}
+
+
+@pytest.mark.parametrize("name,kwargs", VERIFIED_BUILTINS)
+def test_verified_upper_values_change_no_reported_number(name, kwargs):
+    # every term bounds the entropy of a verified protocol, so a link that
+    # meets it skips the remaining families and reports what the full
+    # computation reports
+    b, full = builtin_report(name, **kwargs)
+    e = run_exact(b.spec, b.default_input)
+    assert verify_correctness(e, b.channel) and all(verify_privacy(e))
+    upper = {link: e.h(link) for link in LINKS}
+    rep = best_bounds(b.default_input, b.channel, kwargs.get("cfg", CFG), upper=upper)
+    assert rep.rho == full.rho
+    assert rep.conditions == full.conditions
+    for link in LINKS:
+        got, want = rep.link(link), full.link(link)
+        assert (got.value, got.theorem) == (want.value, want.theorem)
+        assert (got.limit_point, got.distribution_free) == (want.limit_point, want.distribution_free)
+        assert _witness_json(got) == _witness_json(want)
+        assert got.upper == upper[link] and want.upper is None and want.skipped == ()
+        # the kept terms are the full list's leading terms, the rest are
+        # exactly the skipped families, and a link skips only once it is tight
+        n = len(got.terms)
+        assert [(t.name, t.value) for t in got.terms] == [(t.name, t.value) for t in want.terms[:n]]
+        assert list(got.skipped) == list(dict.fromkeys(t.name.split("_")[0]
+                                                       for t in want.terms[n:]))
+        if got.skipped:
+            assert got.value >= upper[link] - 1e-9
+    if name == "group-add":
+        # the evaluation bound alone meets the protocol on every link
+        assert all(len(rep.link(link).terms) == 1 for link in LINKS)
 
 
 def _direct_generic_ri(joint, pair, mask):

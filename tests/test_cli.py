@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
 import time
 
 import pytest
 
+from scbound.bounds import best_bounds
 from scbound.cli import main
-from scbound.dists import channel_to_json, dist_to_json, dumps
-from scbound.protocols import builtin, spec_to_json
+from scbound.dists import Alphabet, CapacityError, channel_to_json, dist_to_json, dumps
+from scbound.protocols import Round, builtin, spec_to_json
 
 LOG3 = math.log2(3.0)
 
@@ -126,15 +128,35 @@ def test_capacity_exit_3(capsys):
     assert "capacity" in err
 
 
-def test_oversize_alphabet_exits_3_before_allocating(capsys):
+def test_oversize_alphabet_exits_3_before_allocating(tmp_path, capsys):
     # the joint scan over 40 x 40 inputs would build a candidate array of
-    # about 2e9 cells; the cap refuses it before any is built
+    # about 2e9 cells; the cap refuses it before any is built. The channel
+    # is read from a file: with no protocol at hand every family runs
+    path = tmp_path / "ch.json"
+    path.write_text(dumps(channel_to_json(builtin("group-add", order=40).channel)))
     t0 = time.monotonic()
-    code, out, err = run_cli(capsys, "analyze", "--builtin", "group-add", "--order", "40")
+    code, out, err = run_cli(capsys, "analyze", "--channel", str(path))
     assert code == 3
     assert out == ""
     assert err.startswith("capacity:") and "over the cap" in err
     assert time.monotonic() - t0 < 20
+
+
+def test_verified_builtin_needs_no_oversize_scan(capsys):
+    # group-add 15's joint scan is over the cap, but its verified protocol
+    # meets the evaluation bound on every link, so no optimizer runs
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "group-add", "--order", "15")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["upper_protocol"] == {"builtin": "group-add", "params": {"n": 1, "order": 15}}
+    for link in ("m12", "m23", "m31"):
+        lb = payload["links"][link]
+        assert lb["value"] == pytest.approx(math.log2(15), abs=1e-9)
+        assert lb["upper"] == pytest.approx(math.log2(15), abs=1e-9)
+        assert lb["theorem"] == "prelim_" + link
+        nested = [] if link == "m12" else ["conditional"]
+        assert lb["skipped"] == ["intermediate", "improved", "switched"] + nested
+        assert [t["name"] for t in lb["terms"]] == ["prelim_" + link]
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -172,6 +194,107 @@ def test_out_in_missing_dir_exits_1_before_work(tmp_path, capsys, monkeypatch, c
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("cmd", [
+    ("analyze", "--builtin", "group-add", "--order", "4"),
+    ("simulate", "--builtin", "sum"),
+    ("reproduce",),
+])
+def test_out_that_is_a_directory_exits_1_before_work(tmp_path, capsys, monkeypatch, cmd):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing should be computed")
+
+    for name in ("best_bounds", "separation_report", "run_exact"):
+        monkeypatch.setattr("scbound.cli." + name, fail)
+    code, out, err = run_cli(capsys, *cmd, "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % tmp_path)
+    assert "directory" in err
+
+
+def _tampered(kind):
+    """group-add 2 with a protocol that fails a check: Charlie outputs a
+    constant, which fails correctness, or Alice also sends Charlie her
+    input, which fails privacy against Charlie with a correct output."""
+    b = builtin("group-add", order=2)
+    spec = b.spec
+    if kind == "correctness":
+        z0 = spec.z_axis.symbols[0]
+        spec = dataclasses.replace(spec, output_fn=lambda r, m23, m31: z0)
+    else:
+        leak = Round(1, 3, Alphabet("XLEAK", spec.x_axis.symbols), lambda v: v.inp)
+        spec = dataclasses.replace(spec, rounds=spec.rounds + (leak,))
+    return dataclasses.replace(b, spec=spec)
+
+
+def _full_report(b):
+    return json.loads(dumps(best_bounds(b.default_input, b.channel).to_json()))
+
+
+def _without_manifest(out):
+    payload = json.loads(out)
+    payload.pop("manifest")
+    return payload
+
+
+def test_verified_builtin_reports_upper_and_skips(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "group-add", "--order", "2")
+    assert code == 0
+    payload = _without_manifest(out)
+    full = _full_report(builtin("group-add", order=2))
+    assert payload["upper_protocol"] == {"builtin": "group-add", "params": {"n": 1, "order": 2}}
+    assert payload["rho"] == full["rho"]
+    for link in ("m12", "m23", "m31"):
+        got, want = payload["links"][link], full["links"][link]
+        assert got["upper"] == pytest.approx(1.0, abs=1e-12)
+        assert got["skipped"]
+        # only the new fields and the skipped terms differ
+        got_terms = got.pop("terms")
+        assert got_terms == want.pop("terms")[:len(got_terms)]
+        got.pop("upper"), got.pop("skipped")
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", ["correctness", "privacy"])
+def test_unverified_protocol_gets_no_upper(capsys, monkeypatch, kind):
+    b = _tampered(kind)
+    monkeypatch.setattr("scbound.cli.builtin", lambda name, **params: b)
+    code, out, _ = run_cli(capsys, "simulate", "--builtin", "group-add")
+    assert code == 2
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "group-add")
+    assert code == 0
+    payload = _without_manifest(out)
+    assert payload == _full_report(b)  # no upper, no skips, no protocol named
+    code, out, _ = run_cli(capsys, "reproduce", "--only", "group-add-2")
+    assert code == 2
+    (row,) = json.loads(out)["rows"]
+    assert not row["match"] and not row["verified"]
+    assert row["skipped"] == {"m12": [], "m23": [], "m31": []}
+
+
+def test_capacity_error_in_protocol_run_falls_back_to_full_bounds(capsys, monkeypatch):
+    def over_cap(*args, **kwargs):
+        raise CapacityError("too many branches")
+
+    monkeypatch.setattr("scbound.cli.run_exact", over_cap)
+    code, out, _ = run_cli(capsys, "analyze", "--builtin", "group-add", "--order", "2")
+    assert code == 0
+    assert _without_manifest(out) == _full_report(builtin("group-add", order=2))
+
+
+def test_channel_report_has_no_protocol_fields(tmp_path, capsys):
+    b = builtin("group-add", order=2)
+    path = tmp_path / "ch.json"
+    path.write_text(dumps(channel_to_json(b.channel)))
+    code, out, _ = run_cli(capsys, "analyze", "--channel", str(path))
+    assert code == 0
+    payload = _without_manifest(out)
+    assert "upper_protocol" not in payload
+    for link in ("m12", "m23", "m31"):
+        assert "upper" not in payload["links"][link]
+        assert "skipped" not in payload["links"][link]
+
+
 def test_reproduce_only_and(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--only", "and", "--grid", "0.02")
     assert code == 0
@@ -179,7 +302,10 @@ def test_reproduce_only_and(capsys):
     names = [r["name"] for r in payload["rows"]]
     assert "and" in names and "and-cmss-gap" in names
     row = payload["rows"][names.index("and")]
-    assert row["match"]
+    assert row["match"] and row["verified"]
+    # the and protocol meets the improved bound on the links to Charlie
+    assert row["skipped"] == {"m12": [], "m23": ["switched", "conditional"],
+                              "m31": ["switched", "conditional"]}
     assert row["bounds"]["m12"] >= 1.826 - 1e-3
     assert row["simulated"]["m12"] == pytest.approx(1 + LOG3, abs=1e-9)
 

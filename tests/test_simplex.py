@@ -6,6 +6,7 @@ import pytest
 
 from scbound.dists import CapacityError, entropy_of_array
 from scbound.simplex import (
+    DIRICHLET_SEED,
     DIRICHLET_STARTS,
     LINE_POINTS,
     SCAN_CELL_CAP,
@@ -15,6 +16,7 @@ from scbound.simplex import (
     coordinate_polish,
     optimize_over_simplex,
     simplex_grid,
+    structured_points,
 )
 
 
@@ -200,3 +202,32 @@ def test_scan_cap_refuses_before_building(monkeypatch):
     monkeypatch.setattr(simplex, "structured_points", lambda k: pytest.fail("built"))
     with pytest.raises(CapacityError, match="cap"):
         simplex.candidate_points(k, OptConfig())
+
+
+def _structured_points_from_rows(k):
+    # the list-of-rows construction the in-place one replaced, as the oracle
+    pts = [np.full(k, 1.0 / k)]
+    for i in range(k):
+        v = np.zeros(k)
+        v[i] = 1.0
+        pts.append(v)
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = np.zeros(k)
+            v[i] = v[j] = 0.5
+            pts.append(v)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("k", list(range(2, 10)) + [40])
+def test_structured_points_built_in_place_match_row_list(k):
+    want = _structured_points_from_rows(k)
+    got = structured_points(k)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    cands = candidate_points(k, OptConfig())
+    if k <= 6:
+        want = np.concatenate([simplex_grid(k, OptConfig().grid_resolution), want])
+    else:
+        rng = np.random.default_rng(DIRICHLET_SEED + k)
+        want = np.concatenate([want, rng.dirichlet(np.ones(k), size=DIRICHLET_STARTS)])
+    assert cands.shape == want.shape and cands.tobytes() == want.tobytes()
