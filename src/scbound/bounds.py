@@ -15,14 +15,16 @@ ri_* or a conditional entropy h_*), each evaluated at one input law. One
 term table decides which kinds make which term: _JOINT_VARIANTS holds the
 single-law variants of each link (optimized and dealer-share bounds), and
 _PRODUCT_TERMS the switched and conditional terms, whose inner laws are
-chosen separately. term_value re-evaluates any optimized term of a channel
-at given laws. Every term call of the optimizers' scans and polishes, and
-of term_value, is scored by one kernel, _SupportCone.values, on the
-support cone of a 3-axis joint: one GEMM onto the marginals the kinds
-read, one _xlogx and one weighted sum per _CHUNK-row slice. A channel's
-_TermBank maps input laws onto the cone of its generic support; a
-product-form term (one x law, one y law) is scored there at the product
-law, where each product-form kind equals its joint-form kind.
+chosen separately, and _EVAL_TERMS the evaluation bounds, each a per-link
+maximum of kinds tuples at one fixed law. term_value re-evaluates any
+optimized term of a channel at given laws. Every term call of the
+evaluation bounds, of the optimizers' scans and polishes, and of
+term_value, is scored by one kernel, _SupportCone.values, on the support
+cone of a 3-axis joint: one GEMM onto the marginals the kinds read, one
+_xlogx and one weighted sum per _CHUNK-row slice. A channel's _TermBank
+maps input laws onto the cone of its generic support; a product-form term
+(one x law, one y law) is scored there at the product law, where each
+product-form kind equals its joint-form kind.
 
 _TermBank.pair_values serves only the nested sweep's grid, with matrix
 products only: the channel is kept z-major, (|Z|, |X|, |Y|), so the output
@@ -45,14 +47,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common_info import blocks_from_mask, residual_info
+from .common_info import blocks_from_mask
 from .dists import (
-    Alphabet,
     JointDist,
     PreconditionError,
     SUPPORT_EPS,
     ZERO_TOL,
-    cond_entropy,
     dist_to_json,
     join,
 )
@@ -92,6 +92,24 @@ _JOINT_VARIANTS = {
     "m12": (("ri_xz", "h_xy_z"), ("ri_yz", "h_xy_z")),
     "m23": (("ri_xz", "h_yz_x"), ("ri_xy", "h_yz_x")),
     "m31": (("ri_yz", "h_xz_y"), ("ri_xy", "h_xz_y")),
+}
+
+# evaluation bounds: family -> link -> the kinds tuples maximized at one
+# fixed law. "prelim" is also the base of the dealer-share bounds; at a
+# product law "intermediate" collects both gaps on the Alice-Bob link, and
+# "sampling" adds the co-input gap on the links to Charlie.
+_EVAL_TERMS = {
+    "prelim": _JOINT_VARIANTS,
+    "intermediate": {
+        "m12": (("ri_xz", "ri_yz", "h_xy_z"),),
+        "m23": (("ri_xz", "h_yz_x"),),
+        "m31": (("ri_yz", "h_xz_y"),),
+    },
+    "sampling": {
+        "m12": (("ri_xz", "ri_yz", "h_xy_z"),),
+        "m23": (("ri_xz", "ri_xy", "h_yz_x"),),
+        "m31": (("ri_yz", "ri_xy", "h_xz_y"),),
+    },
 }
 
 # switched and conditional terms: name -> (outer label, ((inner label,
@@ -140,13 +158,6 @@ class TermValue:
     witnesses: dict = field(default_factory=dict)  # label -> JointDist
     distribution_free: bool = False
     limit_point: bool = False
-
-
-@dataclass(frozen=True)
-class LinkTriple:
-    m23: float
-    m31: float
-    m12: float
 
 
 def _xlogx(p):
@@ -219,6 +230,7 @@ class _SupportCone:
         self.n_points = len(self.points)
         shape = tuple(len(a) for a in self.axes)
         idx = np.array(self.points, dtype=int).reshape(-1, 3)
+        self.index = tuple(idx.T)  # fancy index of the points in a dense joint
 
         def scatter(cells, size):
             # support point -> marginal cell
@@ -243,8 +255,7 @@ class _SupportCone:
 
     def to_dist(self, q):
         probs = np.zeros(tuple(len(a) for a in self.axes))
-        for t, idx in enumerate(self.points):
-            probs[idx] = q[t]
+        probs[self.index] = q
         return JointDist(self.axes, probs)
 
     def _kernel(self, kinds):
@@ -430,16 +441,6 @@ def _as_prob_vector(p, size, what):
     return p
 
 
-def _dist1(axis_name, symbols, probs):
-    return JointDist((Alphabet(axis_name, symbols),), np.asarray(probs, dtype=float))
-
-
-def _marginals(p_xy):
-    p_x = _dist1(p_xy.axes[0].name, p_xy.axes[0].symbols, p_xy.probs.sum(axis=1))
-    p_y = _dist1(p_xy.axes[1].name, p_xy.axes[1].symbols, p_xy.probs.sum(axis=0))
-    return p_x, p_y
-
-
 def _is_product(p_xy):
     outer = np.outer(p_xy.probs.sum(axis=1), p_xy.probs.sum(axis=0))
     return bool(np.max(np.abs(outer - p_xy.probs)) <= ZERO_TOL)
@@ -449,39 +450,47 @@ def _is_product(p_xy):
 # Evaluation bounds (no optimization)
 
 
+def _evaluate(family, p_xyz, cone=None):
+    """An evaluation bound of _EVAL_TERMS at a 3-axis joint, {link: value}:
+    per link, the largest of its kinds tuples at the joint, scored on `cone`
+    (by default the cone of the joint's own support). Every kind is scored
+    once on its own and a tuple summed in table order: a fused call cancels
+    the entropies its kinds share inside one dot product, which read
+    group-add 5's intermediate m12 4e-15 above log2(5)."""
+    if cone is None:
+        cone = _SupportCone(p_xyz.axes, _support_points(p_xyz.probs))
+    q = p_xyz.probs[cone.index]
+    value = {k: float(cone.values(q, (k,))[0]) for k in _KIND_ENTROPIES}
+    return {link: max(sum(value[k] for k in kinds) for kinds in variants)
+            for link, variants in _EVAL_TERMS[family].items()}
+
+
 def prelim_bounds(p_xy, ch):
     """Per-link bounds at the given pair: max residual information against
     the output or the co-input, plus the conditional entropy the cut must
     carry. Requires the pair in normal form."""
     if not is_pair_normal_form(p_xy, ch):
         raise PreconditionError("(p_xy, channel) pair is not in normal form")
-    d = join(p_xy, ch)
-    ri_xz = residual_info(d.marginal({0, 2}))
-    ri_yz = residual_info(d.marginal({1, 2}))
-    ri_xy = residual_info(d.marginal({0, 1}))
-    return LinkTriple(
-        m23=max(ri_xz, ri_xy) + cond_entropy(d, {1, 2}, {0}),
-        m31=max(ri_yz, ri_xy) + cond_entropy(d, {0, 2}, {1}),
-        m12=max(ri_xz, ri_yz) + cond_entropy(d, {0, 1}, {2}),
-    )
+    return _evaluate("prelim", join(p_xy, ch))
 
 
-def intermediate_bounds(p_x, p_y, ch):
-    """Per-link bounds for independent full-support inputs; the Alice-Bob
-    link collects both residual-information terms."""
+def _full_support_inputs(p_x, p_y, ch):
+    """Independent input laws of `ch` as vectors, each of full support."""
     px = _as_prob_vector(p_x, len(ch.x_axis), "p_x")
     py = _as_prob_vector(p_y, len(ch.y_axis), "p_y")
     if px.min() <= SUPPORT_EPS or py.min() <= SUPPORT_EPS:
         raise PreconditionError("inputs must have full support")
+    return px, py
+
+
+def intermediate_bounds(p_x, p_y, ch):
+    """Per-link bounds for independent full-support inputs; the Alice-Bob
+    link collects both residual-information terms. The product joint has
+    the channel's generic support, so it is scored on the shared bank's
+    cone."""
+    px, py = _full_support_inputs(p_x, p_y, ch)
     p_xy = JointDist((ch.x_axis, ch.y_axis), np.outer(px, py))
-    d = join(p_xy, ch)
-    ri_xz = residual_info(d.marginal({0, 2}))
-    ri_yz = residual_info(d.marginal({1, 2}))
-    return LinkTriple(
-        m23=ri_xz + cond_entropy(d, {1, 2}, {0}),
-        m31=ri_yz + cond_entropy(d, {0, 2}, {1}),
-        m12=ri_xz + ri_yz + cond_entropy(d, {0, 1}, {2}),
-    )
+    return _evaluate("intermediate", join(p_xy, ch), _shared_bank(ch).cone)
 
 
 def sampling_bounds(p_xyz):
@@ -490,14 +499,7 @@ def sampling_bounds(p_xyz):
         raise ValueError("sampling_bounds expects a 3-axis joint")
     if not is_sampling_normal_form(p_xyz):
         raise PreconditionError("joint is not in sampling normal form")
-    ri_xz = residual_info(p_xyz.marginal({0, 2}))
-    ri_yz = residual_info(p_xyz.marginal({1, 2}))
-    ri_xy = residual_info(p_xyz.marginal({0, 1}))
-    return LinkTriple(
-        m23=ri_xz + ri_xy + cond_entropy(p_xyz, {1, 2}, {0}),
-        m31=ri_yz + ri_xy + cond_entropy(p_xyz, {0, 2}, {1}),
-        m12=ri_xz + ri_yz + cond_entropy(p_xyz, {0, 1}, {2}),
-    )
+    return _evaluate("sampling", p_xyz)
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +565,7 @@ def _product_term(bank, name, labels, pts, value, limit):
         name=name,
         link=name.split("_")[1],
         value=value,
-        witnesses={
-            lab: _dist1(axes[_side(lab)].name, axes[_side(lab)].symbols, p)
-            for lab, p in zip(labels, pts)
-        },
+        witnesses={lab: JointDist((axes[_side(lab)],), p) for lab, p in zip(labels, pts)},
         distribution_free=_nested_term(name),
         limit_point=limit,
     )
@@ -672,10 +671,7 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     rows and does not depend on the input distribution.
     """
     bank = _shared_bank(ch)
-    px = _as_prob_vector(p_x, bank.nx, "p_x")
-    py = _as_prob_vector(p_y, bank.ny, "p_y")
-    if px.min() <= SUPPORT_EPS or py.min() <= SUPPORT_EPS:
-        raise PreconditionError("inputs must have full support")
+    px, py = _full_support_inputs(p_x, p_y, ch)
     return {link: _switched_term(bank, link, px, py, cfg) for link in ("m23", "m31", "m12")}
 
 
@@ -843,13 +839,11 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
         "product_inputs": _is_product(p_n),
     }
 
-    terms = {link: [] for link in LINKS}
+    terms = {
+        link: [TermValue(name="prelim_%s" % link, link=link, value=v)]
+        for link, v in prelim_bounds(p_nf, ch_nf).items()
+    }
     skipped = {link: [] for link in LINKS}
-    tri = prelim_bounds(p_nf, ch_nf)
-    for link in LINKS:
-        terms[link].append(
-            TermValue(name="prelim_%s" % link, link=link, value=getattr(tri, link))
-        )
 
     if conditions["full_support"]:
         for family, link, term in _families(ch_n, p_n, conditions, cfg):
@@ -878,20 +872,19 @@ def _families(ch_n, p_n, conditions, cfg):
     gate leaves out is not listed. The intermediate bound, computed for all
     links at once, runs on the first call for any link; the shared nested
     sweep on the first nested term."""
-    p_x, p_y = _marginals(p_n)
+    px, py = p_n.probs.sum(axis=1), p_n.probs.sum(axis=0)
     bank = _shared_bank(ch_n)
     c1, c2 = conditions["condition1"], conditions["condition2"]
-    intermediate = functools.cache(lambda: intermediate_bounds(p_x, p_y, ch_n))
+    intermediate = functools.cache(lambda: intermediate_bounds(px, py, ch_n))
 
     for link in LINKS:
         yield "intermediate", link, lambda link=link: TermValue(
-            name="intermediate_%s" % link, link=link, value=getattr(intermediate(), link))
+            name="intermediate_%s" % link, link=link, value=intermediate()[link])
     for link, gate in (("m12", True), ("m23", c2), ("m31", c1)):
         if gate:
             yield "improved", link, lambda link=link: _improved_term(bank, link, cfg)
     for link in ("m23", "m31", "m12"):
-        yield "switched", link, lambda link=link: _switched_term(
-            bank, link, p_x.probs, p_y.probs, cfg)
+        yield "switched", link, lambda link=link: _switched_term(bank, link, px, py, cfg)
     for link, gate in (("m31", c1), ("m23", c2)):
         if gate:
             yield "conditional", link, lambda link=link: _nested(bank, "conditional_" + link, cfg)
@@ -930,20 +923,11 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
     of the relevant pair's generic bipartite graph."""
     if p_xyz.n_axes != 3:
         raise ValueError("cmss_bounds expects a 3-axis joint")
-    ri_xz = residual_info(p_xyz.marginal({0, 2}))
-    ri_yz = residual_info(p_xyz.marginal({1, 2}))
-    ri_xy = residual_info(p_xyz.marginal({0, 1}))
-    base = {
-        "m12": max(ri_xz, ri_yz) + cond_entropy(p_xyz, {0, 1}, {2}),
-        "m23": max(ri_xz, ri_xy) + cond_entropy(p_xyz, {1, 2}, {0}),
-        "m31": max(ri_yz, ri_xy) + cond_entropy(p_xyz, {0, 2}, {1}),
-    }
-    terms = {
-        link: [TermValue(name="cmss_prelim_%s" % link, link=link, value=base[link])]
-        for link in LINKS
-    }
-
     cone = _SupportCone(p_xyz.axes, _support_points(p_xyz.probs))
+    terms = {
+        link: [TermValue(name="cmss_prelim_%s" % link, link=link, value=v)]
+        for link, v in _evaluate("prelim", p_xyz, cone).items()
+    }
     gates = {"m12": cone.connected("xy"), "m23": cone.connected("yz"), "m31": cone.connected("xz")}
     for link in LINKS:
         if not gates[link]:

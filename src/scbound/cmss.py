@@ -106,11 +106,12 @@ class SeparationReport:
     scheme_entropies: dict  # achieved share entropies, when a scheme is known
 
 
-def separation_report(ch=None, p_xy=None, cfg=None):
+def separation_report(ch=None, p_xy=None, cfg=None, report=None):
     """Dealer-vs-protocol gap for a channel (default: AND, uniform inputs).
 
     For AND the known three-label scheme achieves the share bounds, so the
-    Alice-Bob gap is the protocol bound minus log 3.
+    Alice-Bob gap is the protocol bound minus log 3. `report`, when given,
+    is the best_bounds report of (p_xy, ch) the caller already has.
     """
     cfg = cfg or OptConfig()
     is_and = ch is None
@@ -118,7 +119,8 @@ def separation_report(ch=None, p_xy=None, cfg=None):
         ch = _and_channel()
     if p_xy is None:
         p_xy = JointDist.uniform((ch.x_axis, ch.y_axis))
-    report = bounds_mod.best_bounds(p_xy, ch, cfg)
+    if report is None:
+        report = bounds_mod.best_bounds(p_xy, ch, cfg)
     p_xyz = join(p_xy, ch)
     cm = bounds_mod.cmss_bounds(p_xyz, cfg)
     proto = {link: report.link(link).value for link in ("m12", "m23", "m31")}
@@ -131,40 +133,3 @@ def separation_report(ch=None, p_xy=None, cfg=None):
         cmss_bounds=cmss_vals, protocol_bounds=proto, gaps=gaps, scheme_entropies=scheme
     )
 
-
-def cmss_to_json(spec):
-    from .dists import alphabet_to_json, sym_str
-
-    rows = []
-    for x in spec.secret_axes[0]:
-        for y in spec.secret_axes[1]:
-            for z in spec.secret_axes[2]:
-                for r in spec.dealer_randomness:
-                    m12, m23, m31 = spec.share_fn(x, y, z, r)
-                    rows.append(
-                        {
-                            "t": [sym_str(s) for s in (x, y, z, r)],
-                            "shares": [sym_str(s) for s in (m12, m23, m31)],
-                        }
-                    )
-    return {
-        "secret_axes": [alphabet_to_json(a) for a in spec.secret_axes],
-        "dealer_randomness": alphabet_to_json(spec.dealer_randomness),
-        "share_axes": [alphabet_to_json(a) for a in spec.share_axes],
-        "share_map": rows,
-    }
-
-
-def cmss_from_json(obj):
-    from .dists import alphabet_from_json
-
-    secret_axes = tuple(alphabet_from_json(a) for a in obj["secret_axes"])
-    randomness = alphabet_from_json(obj["dealer_randomness"])
-    share_axes = tuple(alphabet_from_json(a) for a in obj["share_axes"])
-    table = {tuple(str(s) for s in row["t"]): tuple(str(s) for s in row["shares"])
-             for row in obj["share_map"]}
-
-    def share_fn(x, y, z, r):
-        return table[(x, y, z, r)]
-
-    return CmssSpec(secret_axes, randomness, share_axes, share_fn)

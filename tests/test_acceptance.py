@@ -232,7 +232,7 @@ def test_criterion_09_strengthening_chain():
         t5 = switched_bounds(b.channel, px, py, CFG)
         t6 = conditional_bounds(b.channel, CFG)
         for link in LINKS:
-            v1, v4 = getattr(t1, link), getattr(t4, link)
+            v1, v4 = t1[link], t4[link]
             v56 = t5[link].value
             if link in ("m23", "m31") and t6[link] is not None:
                 v56 = max(v56, t6[link].value)
@@ -299,7 +299,7 @@ def test_block_length_2_group_add_and_sum():
     tri = prelim_bounds(b.default_input, b.channel)
     e = run_exact(b.spec, b.default_input)
     ok = all(
-        abs(v - 2.0) <= 1e-9 for v in (tri.m12, tri.m23, tri.m31, e.h("m12"), e.h("m23"), e.h("m31"))
+        abs(v - 2.0) <= 1e-9 for v in (tri["m12"], tri["m23"], tri["m31"], e.h("m12"), e.h("m23"), e.h("m31"))
     )
 
     bs = builtin("sum", n=2)
@@ -324,7 +324,7 @@ def test_block_length_2_erasure_and_remote_ot():
     v31 = term_value(ch2, "switched_m31", {"p_X": u4, "p_Y'": u4, "p_Y''": u4})
     ok = v31 >= 2 * 1.5 - 1e-9
     tri = prelim_bounds(be.default_input, be.channel)
-    ok = ok and tri.m12 >= 2 - 1e-9 and tri.m23 >= 2 - 1e-9
+    ok = ok and tri["m12"] >= 2 - 1e-9 and tri["m23"] >= 2 - 1e-9
     e = run_exact(be.spec, be.default_input)
     ok = ok and e.h("m31") == pytest.approx(3.0, abs=1e-9)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scbound.bounds import (
+    _push_inputs,
     best_bounds,
     cmss_bounds,
     conditional_bounds,
@@ -16,14 +17,17 @@ from scbound.bounds import (
     switched_bounds,
     term_value,
 )
+from scbound.common_info import residual_info
 from scbound.dists import (
     Alphabet,
     Channel,
     JointDist,
     PreconditionError,
+    cond_entropy,
     dist_to_json,
     join,
 )
+from scbound.normal_form import channel_normal_form, pair_normal_form, sampling_normal_form
 from scbound.protocols import builtin, run_exact, verify_correctness, verify_privacy
 from scbound.simplex import OptConfig
 
@@ -58,16 +62,16 @@ def marginals(p_xy):
 def test_prelim_group_add_uniform():
     b = builtin("group-add", order=2)
     tri = prelim_bounds(b.default_input, b.channel)
-    assert (tri.m23, tri.m31, tri.m12) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    assert (tri["m23"], tri["m31"], tri["m12"]) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
 
 def test_prelim_and_uniform(and_channel, uniform_bits):
     tri = prelim_bounds(uniform_bits, and_channel)
     # residual terms from the 4-point joint; conditional entropies direct
-    assert tri.m12 == pytest.approx(I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
-    assert tri.m12 == pytest.approx(1.5, abs=1e-12)
-    assert tri.m23 == pytest.approx(I_XZ_AND + 1.0, abs=1e-12)
-    assert tri.m31 == pytest.approx(I_XZ_AND + 1.0, abs=1e-12)
+    assert tri["m12"] == pytest.approx(I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
+    assert tri["m12"] == pytest.approx(1.5, abs=1e-12)
+    assert tri["m23"] == pytest.approx(I_XZ_AND + 1.0, abs=1e-12)
+    assert tri["m31"] == pytest.approx(I_XZ_AND + 1.0, abs=1e-12)
 
 
 def test_prelim_constant_channel_collapses():
@@ -81,7 +85,7 @@ def test_prelim_constant_channel_collapses():
     p1 = JointDist.uniform((res.reduced.x_axis, res.reduced.y_axis))
     pres = pair_normal_form(p1, res.reduced)
     tri = prelim_bounds(*pres.reduced)
-    assert (tri.m23, tri.m31, tri.m12) == (0.0, 0.0, 0.0)
+    assert (tri["m23"], tri["m31"], tri["m12"]) == (0.0, 0.0, 0.0)
 
 
 def test_prelim_requires_normal_form(and_channel):
@@ -96,16 +100,16 @@ def test_prelim_requires_normal_form(and_channel):
 def test_intermediate_and(and_channel, uniform_bits):
     px, py = marginals(uniform_bits)
     tri = intermediate_bounds(px, py, and_channel)
-    assert tri.m12 == pytest.approx(2 * I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
-    assert tri.m12 == pytest.approx(1.811278124459133, abs=1e-12)
-    assert tri.m23 == pytest.approx(I_XZ_AND + 1.0, abs=1e-12)
+    assert tri["m12"] == pytest.approx(2 * I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
+    assert tri["m12"] == pytest.approx(1.811278124459133, abs=1e-12)
+    assert tri["m23"] == pytest.approx(I_XZ_AND + 1.0, abs=1e-12)
 
 
 def test_intermediate_group_add():
     b = builtin("group-add", order=2)
     px, py = marginals(b.default_input)
     tri = intermediate_bounds(px, py, b.channel)
-    assert (tri.m23, tri.m31, tri.m12) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
+    assert (tri["m23"], tri["m31"], tri["m12"]) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
 
 def test_intermediate_degenerate_singletons():
@@ -113,7 +117,7 @@ def test_intermediate_degenerate_singletons():
     x, y, z = Alphabet("X", ("*",)), Alphabet("Y", ("*",)), Alphabet("Z", ("c",))
     ch = Channel.from_function(x, y, z, lambda a, b: "c")
     tri = intermediate_bounds(JointDist.uniform((x,)), JointDist.uniform((y,)), ch)
-    assert (tri.m23, tri.m31, tri.m12) == (0.0, 0.0, 0.0)
+    assert (tri["m23"], tri["m31"], tri["m12"]) == (0.0, 0.0, 0.0)
 
 
 def test_improved_dominates_prelim_on_random_channels(rng):
@@ -142,11 +146,11 @@ def test_improved_dominates_prelim_on_random_channels(rng):
         tried += 1
         t1 = prelim_bounds(p, ch)
         imp = improved_bounds(ch, CFG)
-        assert imp["m12"].value >= t1.m12 - 1e-9
+        assert imp["m12"].value >= t1["m12"] - 1e-9
         if check_condition1(ch):
-            assert imp["m31"].value >= t1.m31 - 1e-9
+            assert imp["m31"].value >= t1["m31"] - 1e-9
         if check_condition2(ch):
-            assert imp["m23"].value >= t1.m23 - 1e-9
+            assert imp["m23"].value >= t1["m23"] - 1e-9
     assert tried >= 3
 
 
@@ -155,6 +159,94 @@ def test_intermediate_requires_full_support(and_channel):
     py = JointDist((and_channel.y_axis,), [0.5, 0.5])
     with pytest.raises(PreconditionError):
         intermediate_bounds(px, py, and_channel)
+
+
+def _oracle_evaluation(family, d):
+    """An evaluation bound of a 3-axis joint through residual_info and
+    cond_entropy on the joint itself: the formulas the cone table replaced,
+    kept as its reference."""
+    ri_xz = residual_info(d.marginal({0, 2}))
+    ri_yz = residual_info(d.marginal({1, 2}))
+    ri_xy = residual_info(d.marginal({0, 1}))
+    h = {"m12": cond_entropy(d, {0, 1}, {2}), "m23": cond_entropy(d, {1, 2}, {0}),
+         "m31": cond_entropy(d, {0, 2}, {1})}
+    if family == "prelim":
+        gaps = {"m12": max(ri_xz, ri_yz), "m23": max(ri_xz, ri_xy), "m31": max(ri_yz, ri_xy)}
+    elif family == "intermediate":
+        gaps = {"m12": ri_xz + ri_yz, "m23": ri_xz, "m31": ri_yz}
+    else:
+        gaps = {"m12": ri_xz + ri_yz, "m23": ri_xz + ri_xy, "m31": ri_yz + ri_xy}
+    return {link: gaps[link] + h[link] for link in h}
+
+
+def _assert_matches_oracle(family, values, d):
+    expected = _oracle_evaluation(family, d)
+    assert set(values) == set(expected)
+    for link in expected:
+        assert values[link] == pytest.approx(expected[link], abs=1e-12), (family, link)
+
+
+CHEAP = OptConfig(grid_resolution=0.5, refine_iters=1)
+
+
+def _check_pair(p_xy, ch):
+    """Each evaluation bound of a pair in normal form against the oracle:
+    prelim at the pair, intermediate at the product of its marginals (when
+    of full support) and the dealer-share base at its joint."""
+    d = join(p_xy, ch)
+    _assert_matches_oracle("prelim", prelim_bounds(p_xy, ch), d)
+    base = cmss_bounds(d, CHEAP)
+    _assert_matches_oracle("prelim", {l: base[l].terms[0].value for l in base}, d)
+    px, py = marginals(p_xy)
+    if px.probs.min() > 0 and py.probs.min() > 0:
+        prod = JointDist((ch.x_axis, ch.y_axis), np.outer(px.probs, py.probs))
+        _assert_matches_oracle("intermediate", intermediate_bounds(px, py, ch), join(prod, ch))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["and", "group-add", "sum", "erasure", "remote-ot"])
+def test_evaluation_table_matches_oracle_on_builtins(name, n):
+    # normalized as best_bounds does; the sampling bound at the joint's form
+    b = builtin(name, n=n)
+    chres = channel_normal_form(b.channel)
+    p_n = _push_inputs(b.default_input, chres, chres.reduced)
+    _check_pair(*pair_normal_form(p_n, chres.reduced).reduced)
+    d = sampling_normal_form(join(b.default_input, b.channel)).reduced
+    _assert_matches_oracle("sampling", sampling_bounds(d), d)
+
+
+def test_evaluation_table_matches_oracle_on_random_pairs(rng):
+    # random channels under inputs with zero cells, reduced to normal form
+    from conftest import random_joint
+
+    x, y, z = Alphabet("X", (0, 1, 2)), Alphabet("Y", (0, 1, 2)), Alphabet("Z", (0, 1, 2))
+    zero_cells = 0
+    for _ in range(16):
+        kernel = random_joint(rng, (3, 3, 3), max_weight=3).reshape(9, 3)
+        kernel[kernel.sum(axis=1) == 0, 0] = 1.0
+        ch = Channel(x, y, z, (kernel / kernel.sum(axis=1, keepdims=True)).reshape(3, 3, 3))
+        p = JointDist((x, y), random_joint(rng, (3, 3), max_weight=3))
+        p_nf, ch_nf = pair_normal_form(p, ch).reduced
+        zero_cells += int(p_nf.probs.min() == 0)
+        _check_pair(p_nf, ch_nf)
+    assert zero_cells >= 4
+
+
+def test_evaluation_table_matches_oracle_on_random_sampling_joints(rng):
+    from conftest import random_joint
+
+    axes = (Alphabet("X", (0, 1, 2)), Alphabet("Y", (0, 1, 2)), Alphabet("Z", (0, 1)))
+    for _ in range(16):
+        d = sampling_normal_form(JointDist(axes, random_joint(rng, (3, 3, 2), max_weight=3))).reduced
+        _assert_matches_oracle("sampling", sampling_bounds(d), d)
+
+
+def test_evaluation_table_matches_oracle_on_singleton_channel():
+    x, y, z = Alphabet("X", ("*",)), Alphabet("Y", ("*",)), Alphabet("Z", ("c",))
+    ch = Channel.from_function(x, y, z, lambda a, b: "c")
+    _check_pair(JointDist.uniform((x, y)), ch)
+    d = JointDist.uniform((x, y, z))
+    _assert_matches_oracle("sampling", sampling_bounds(d), d)
 
 
 # -- optimized bounds --------------------------------------------------------
@@ -326,9 +418,9 @@ def test_best_bounds_normalizes_redundant_channel(uniform_bits):
 
 def test_sampling_and_joint(and_joint):
     tri = sampling_bounds(and_joint)
-    assert tri.m23 == pytest.approx(I_XZ_AND + 0.0 + 1.0, abs=1e-12)
-    assert tri.m31 == pytest.approx(I_XZ_AND + 0.0 + 1.0, abs=1e-12)
-    assert tri.m12 == pytest.approx(2 * I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
+    assert tri["m23"] == pytest.approx(I_XZ_AND + 0.0 + 1.0, abs=1e-12)
+    assert tri["m31"] == pytest.approx(I_XZ_AND + 0.0 + 1.0, abs=1e-12)
+    assert tri["m12"] == pytest.approx(2 * I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
 
 
 def test_sampling_identical_secrets():
@@ -336,7 +428,7 @@ def test_sampling_identical_secrets():
     x, y, z = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1)), Alphabet("Z", (0, 1))
     d = JointDist.from_pmf((x, y, z), {(0, 0, 0): 0.5, (1, 1, 1): 0.5})
     tri = sampling_bounds(d)
-    assert (tri.m23, tri.m31, tri.m12) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    assert (tri["m23"], tri["m31"], tri["m12"]) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_sampling_requires_normal_form():
@@ -381,7 +473,7 @@ def test_strengthening_chain(name, kwargs):
     t5 = switched_bounds(b.channel, px, py, CFG)
     t6 = conditional_bounds(b.channel, CFG)
     for link in ("m12", "m23", "m31"):
-        v1, v4 = getattr(t1, link), getattr(t4, link)
+        v1, v4 = t1[link], t4[link]
         assert v1 <= v4 + 1e-3
         v56 = t5[link].value
         if link in ("m23", "m31") and t6[link] is not None:

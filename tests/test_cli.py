@@ -310,6 +310,26 @@ def test_reproduce_only_and(capsys):
     assert row["simulated"]["m12"] == pytest.approx(1 + LOG3, abs=1e-9)
 
 
+@pytest.mark.parametrize("only", ["and", "cmss"])
+def test_reproduce_computes_and_bounds_once(capsys, monkeypatch, only):
+    # the and row and the and-cmss-gap row share one AND report, computed
+    # with the verified protocol's upper values
+    import scbound.bounds
+
+    real, uppers = scbound.bounds.best_bounds, []
+
+    def counted(*args, **kwargs):
+        uppers.append(kwargs.get("upper"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("scbound.cli.best_bounds", counted)
+    monkeypatch.setattr("scbound.bounds.best_bounds", counted)
+    code, out, _ = run_cli(capsys, "reproduce", "--only", only)
+    assert code == 0
+    assert "and-cmss-gap" in [r["name"] for r in json.loads(out)["rows"]]
+    assert len(uppers) == 1 and uppers[0] is not None
+
+
 def test_reproduce_only_without_match_exits_1_before_work(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("no row should be computed")

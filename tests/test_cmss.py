@@ -7,14 +7,12 @@ from scbound.cmss import (
     CmssSpec,
     and_cmss,
     and_secret_dist,
-    cmss_from_json,
     cmss_joint,
-    cmss_to_json,
     separation_report,
     share_entropies,
     verify_cmss,
 )
-from scbound.bounds import cmss_bounds
+from scbound.bounds import best_bounds, cmss_bounds
 from scbound.dists import Alphabet, JointDist
 from scbound.protocols import ExecutionJoint, builtin, run_exact, verify_info_inequality
 from scbound.simplex import OptConfig
@@ -127,6 +125,12 @@ def test_separation_report_and_gap():
         assert rep.scheme_entropies[link] == pytest.approx(LOG3, abs=1e-9)
 
 
+def test_separation_report_takes_the_callers_report():
+    b = builtin("and")
+    rep = best_bounds(b.default_input, b.channel, CFG)
+    assert separation_report(cfg=CFG, report=rep) == separation_report(cfg=CFG)
+
+
 def test_separation_report_group_add_no_gap():
     b = builtin("group-add", order=2)
     rep = separation_report(ch=b.channel, cfg=CFG)
@@ -140,19 +144,3 @@ def test_separation_report_remote_ot_charlie_links():
     assert rep.gaps["m23"] == pytest.approx(0.0, abs=2e-3)
     assert rep.gaps["m31"] == pytest.approx(0.0, abs=2e-3)
 
-
-def test_cmss_json_roundtrip():
-    spec = and_cmss()
-    blob = cmss_to_json(spec)
-    spec2 = cmss_from_json(blob)
-    # string-symbol twin produces the same share statistics
-    axes2 = spec2.secret_axes
-    p2 = JointDist.from_pmf(
-        axes2, {("0", "0", "0"): 0.25, ("0", "1", "0"): 0.25,
-                ("1", "0", "0"): 0.25, ("1", "1", "1"): 0.25},
-    )
-    j2 = cmss_joint(spec2, p2)
-    h = share_entropies(j2)
-    for link in ("m12", "m23", "m31"):
-        assert h[link] == pytest.approx(LOG3, abs=1e-9)
-    assert all(verify_cmss(j2).values())

@@ -46,3 +46,17 @@ def test_python_m_scbound_runs():
     )
     assert out.returncode == 0, out.stderr
     assert [r["name"] for r in json.loads(out.stdout)["rows"]] == ["group-add-2"]
+
+
+def test_benchmark_tracer_installs():
+    # the traced benchmark wraps scbound functions by name, so a renamed or
+    # deleted one fails here and not only in the traced run
+    out = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
