@@ -64,22 +64,35 @@ def _builtin_params(args):
     return params
 
 
-def _resolve_channel(args):
-    """(channel, input, protocol): the built-in's protocol with --builtin,
-    None with --channel."""
-    if args.builtin:
+def _decode(path, decoder):
+    """Read the JSON file at `path` and decode it; content the decoder
+    cannot read (a missing field, a wrong type, a bad value) is a
+    UsageError that names the file."""
+    obj = _load_json(path)
+    try:
+        return decoder(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError("cannot read %s: %s: %s" % (path, type(exc).__name__, exc))
+
+
+def _resolve(args):
+    """(channel or None, input, protocol or None) from --spec (simulate),
+    --builtin, or --channel (analyze), with the input from --dist or else
+    the default: the built-in's own input, or uniform."""
+    ch = spec = None
+    if args.spec:
+        spec = _decode(args.spec, spec_from_json)
+        default = JointDist.uniform((spec.x_axis, spec.y_axis))
+    elif args.builtin:
         b = builtin(args.builtin, **_builtin_params(args))
-        ch, default_input, spec = b.channel, b.default_input, b.spec
+        ch, spec, default = b.channel, b.spec, b.default_input
     elif args.channel:
-        ch = channel_from_json(_load_json(args.channel))
-        default_input = JointDist.uniform((ch.x_axis, ch.y_axis))
-        spec = None
+        ch = _decode(args.channel, channel_from_json)
+        default = JointDist.uniform((ch.x_axis, ch.y_axis))
     else:
-        raise UsageError("need --builtin or --channel")
-    if args.dist:
-        p_xy = _load_dist(args.dist, (ch.x_axis, ch.y_axis))
-    else:
-        p_xy = default_input
+        other = "--spec" if args.cmd == "simulate" else "--channel"
+        raise UsageError("need --builtin or " + other)
+    p_xy = _load_dist(args.dist, default.axes) if args.dist else default
     return ch, p_xy, spec
 
 
@@ -87,7 +100,7 @@ def _load_dist(path, axes):
     """Read --dist onto `axes`. JSON loads every symbol as a string, so a
     file whose axes are `axes` as written by dist_to_json (same names, same
     symbols under sym_str, in order) is re-keyed onto `axes` themselves."""
-    p_xy = dist_from_json(_load_json(path))
+    p_xy = _decode(path, dist_from_json)
     written = tuple((a.name, tuple(sym_str(s) for s in a.symbols)) for a in axes)
     if tuple((a.name, a.symbols) for a in p_xy.axes) != written:
         raise UsageError("--dist axes do not match the input alphabets")
@@ -153,10 +166,13 @@ def _to_csv(payload):
                     % (r["name"], link, r["bounds"][link], r["simulated"][link], r["match"])
                 )
     else:
+        # simulate: dict fields flattened one level, as entropies.m12
         rows.append("key,value")
         for k, v in payload.items():
-            if isinstance(v, (int, float, str, bool)):
-                rows.append("%s,%s" % (k, v))
+            if k == "manifest":
+                continue
+            for sub, val in v.items() if isinstance(v, dict) else [(None, v)]:
+                rows.append("%s,%s" % (k if sub is None else k + "." + sub, val))
     return "\n".join(rows) + "\n"
 
 
@@ -175,7 +191,7 @@ def _run_verified(spec, ch, p_xy):
 def cmd_analyze(args):
     t0 = time.monotonic()
     cfg = _config(args)
-    ch, p_xy, spec = _resolve_channel(args)
+    ch, p_xy, spec = _resolve(args)
     upper = None
     if spec is not None:
         try:
@@ -195,20 +211,7 @@ def cmd_analyze(args):
 def cmd_simulate(args):
     t0 = time.monotonic()
     cfg = _config(args)
-    if args.spec:
-        spec = spec_from_json(_load_json(args.spec))
-        b = ch = None
-    elif args.builtin:
-        b = builtin(args.builtin, **_builtin_params(args))
-        spec, ch = b.spec, b.channel
-    else:
-        raise UsageError("need --builtin or --spec")
-    if args.dist:
-        p_xy = _load_dist(args.dist, (spec.x_axis, spec.y_axis))
-    elif b is not None:
-        p_xy = b.default_input
-    else:
-        p_xy = JointDist.uniform((spec.x_axis, spec.y_axis))
+    ch, p_xy, spec = _resolve(args)
     e = run_exact(spec, p_xy)
     lengths = expected_lengths(spec, p_xy, execution=e)
     checks = {}
@@ -354,7 +357,7 @@ def build_parser():
     ps.add_argument("--spec", help="JSON protocol file")
     _add_builtin(ps)
     _add_common(ps)
-    ps.set_defaults(func=cmd_simulate)
+    ps.set_defaults(func=cmd_simulate, channel=None)
 
     pr = sub.add_parser("reproduce", help="re-derive the worked-example table")
     pr.add_argument("--only", help="restrict to rows whose name contains this")

@@ -2,7 +2,9 @@
 
 A protocol is a static schedule of deterministic message maps over declared
 finite alphabets, with one uniform randomness symbol per party drawn up
-front (resampling makes this lossless for honest executions). Execution
+front (resampling makes this lossless for honest executions). Every message,
+and Charlie's output, is a function of one party's `View`: its input, its
+randomness and the transcripts on its two links so far. Execution
 enumerates every (x, y, r1, r2, r3) branch and accumulates the exact joint
 over inputs, output and the three link transcripts; all security checks are
 entropy statements on that joint.
@@ -15,6 +17,7 @@ based AND.
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +33,6 @@ from .dists import (
     alphabet_to_json,
     cond_entropy,
     cond_mutual_info,
-    dist_from_json,
-    dist_to_json,
     entropy,
     mutual_info,
     sym_str,
@@ -40,7 +41,6 @@ from .dists import (
 BRANCH_CAP = 10_000_000
 
 X, Y, Z, M12, M23, M31 = range(6)
-_PARTY_LINKS = {1: ("12", "31"), 2: ("12", "23"), 3: ("23", "31")}
 _LINK = {(1, 2): "12", (2, 1): "12", (2, 3): "23", (3, 2): "23", (1, 3): "31", (3, 1): "31"}
 
 
@@ -48,14 +48,16 @@ class ProtocolSpecError(ValueError):
     """A message map stepped outside its declared alphabet."""
 
 
-@dataclass(frozen=True)
-class View:
-    """What a sender can read when producing a message: its own input (None
-    for Charlie), its randomness, and the transcripts on its two links."""
+class View(NamedTuple):
+    """What a party reads to send a message, and what Charlie reads to
+    output: its own input (None for Charlie), its randomness, and the
+    transcript tuple of each link it is on (None on the link it is not on)."""
 
     inp: object
     rand: object
-    links: dict
+    m12: object
+    m23: object
+    m31: object
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,7 @@ class ProtocolSpec:
     z_axis: Alphabet
     randomness: tuple  # three Alphabets, possibly trivial
     rounds: tuple
-    output_fn: object  # fn(r3, m23_tuple, m31_tuple) -> z symbol
-    designed_for: object = None
+    output_fn: object  # fn(Charlie's final View) -> z symbol
 
     def __post_init__(self):
         for rnd in self.rounds:
@@ -111,35 +112,35 @@ def _branches(spec, x, y):
     """Run the schedule on inputs (x, y) under every randomness triple, in
     (r1, r2, r3) order.
 
-    Yields (r3, views, transcripts, z) per branch: each round's sender view
-    paired with the message sent, each link's transcript as a tuple, and the
-    output. Raises ProtocolSpecError when a message or the output is outside
-    its alphabet.
+    Yields one list per branch: the (view, symbol) pair of every round, in
+    schedule order, then Charlie's final view and the output. Raises
+    ProtocolSpecError when a message or the output is outside its alphabet.
     """
-    inputs = {1: x, 2: y, 3: None}
-    for v1, v2, v3 in itertools.product(*spec.randomness):
-        rand = {1: v1, 2: v2, 3: v3}
-        transcripts = {"12": [], "23": [], "31": []}
-        views = []
-        for rnd in spec.rounds:
-            view = View(
-                inp=inputs[rnd.sender],
-                rand=rand[rnd.sender],
-                links={l: tuple(transcripts[l]) for l in _PARTY_LINKS[rnd.sender]},
-            )
+    plan = [
+        (rnd, rnd.sender - 1, rnd.receiver - 1, View._fields.index("m" + rnd.link()))
+        for rnd in spec.rounds
+    ]
+    for r1, r2, r3 in itertools.product(*spec.randomness):
+        # each party's view fields, as lists to extend in place
+        views = [[x, r1, (), None, ()], [y, r2, (), (), None], [None, r3, None, (), ()]]
+        steps = []
+        for rnd, sender, receiver, field in plan:
+            view = View(*views[sender])
             msg = rnd.fn(view)
             if msg not in rnd.alphabet._index:
                 raise ProtocolSpecError(
                     "round %d->%d produced %r outside its alphabet"
                     % (rnd.sender, rnd.receiver, msg)
                 )
-            views.append((view, msg))
-            transcripts[rnd.link()].append(msg)
-        transcripts = {l: tuple(m) for l, m in transcripts.items()}
-        z = spec.output_fn(v3, transcripts["23"], transcripts["31"])
+            steps.append((view, msg))
+            views[sender][field] += (msg,)
+            views[receiver][field] += (msg,)
+        view = View(*views[2])
+        z = spec.output_fn(view)
         if z not in spec.z_axis._index:
             raise ProtocolSpecError("output %r outside the output alphabet" % (z,))
-        yield v3, views, transcripts, z
+        steps.append((view, z))
+        yield steps
 
 
 def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
@@ -159,12 +160,17 @@ def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
         _link_alphabet(spec, "31"),
     )
     r_weight = 1.0 / (len(r1) * len(r2) * len(r3))
-    rows = (
-        ((x, y, z, transcripts["12"], transcripts["23"], transcripts["31"]), p * r_weight)
-        for (x, y), p in p_xy.support()
-        for _, _, transcripts, z in _branches(spec, x, y)
-    )
-    return ExecutionJoint(joint=SupportJoint.accumulate(axes, rows))
+    # Charlie's final view holds m23 and m31; m12 is read off its rounds
+    on_12 = [t for t, rnd in enumerate(spec.rounds) if rnd.link() == "12"]
+
+    def rows():
+        for (x, y), p in p_xy.support():
+            for steps in _branches(spec, x, y):
+                view, z = steps[-1]
+                m12 = tuple(steps[t][1] for t in on_12)
+                yield (x, y, z, m12, view.m23, view.m31), p * r_weight
+
+    return ExecutionJoint(joint=SupportJoint.accumulate(axes, rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +341,14 @@ def group_add(order=2, n=1):
 
     rounds = (
         Round(3, 2, Alphabet("K", syms), lambda v: v.rand),
-        Round(2, 1, Alphabet("YK", syms), lambda v: add(v.inp, v.links["23"][0])),
-        Round(1, 3, Alphabet("XYK", syms), lambda v: add(v.inp, v.links["12"][0])),
+        Round(2, 1, Alphabet("YK", syms), lambda v: add(v.inp, v.m23[0])),
+        Round(1, 3, Alphabet("XYK", syms), lambda v: add(v.inp, v.m12[0])),
     )
     spec = ProtocolSpec(
         x_axis, y_axis, z_axis,
         (_trivial("R1"), _trivial("R2"), r3),
         rounds,
-        lambda r, m23, m31: sub(m31[0], r),
+        lambda v: sub(v.m31[0], v.rand),
     )
     ch = Channel.from_function(x_axis, y_axis, z_axis, add)
     return Builtin("group-add", spec, ch, _uniform_product(x_axis, y_axis))
@@ -365,14 +371,14 @@ def sum_protocol(n=1):
 
     rounds = (
         Round(3, 1, Alphabet("K", tern), lambda v: v.rand),
-        Round(1, 2, Alphabet("KX", tern), lambda v: add3(v.links["31"][0], v.inp)),
-        Round(2, 3, Alphabet("KXY", tern), lambda v: add3(v.links["12"][0], v.inp)),
+        Round(1, 2, Alphabet("KX", tern), lambda v: add3(v.m31[0], v.inp)),
+        Round(2, 3, Alphabet("KXY", tern), lambda v: add3(v.m12[0], v.inp)),
     )
     spec = ProtocolSpec(
         x_axis, y_axis, z_axis,
         (_trivial("R1"), _trivial("R2"), r3),
         rounds,
-        lambda r, m23, m31: sub3(m23[0], r),
+        lambda v: sub3(v.m23[0], v.rand),
     )
     ch = Channel.from_function(
         x_axis, y_axis, z_axis, lambda x, y: tuple(a + b for a, b in zip(x, y))
@@ -398,12 +404,12 @@ def erasure(p=0.5, q=0.5, n=1):
     )
 
     def reveal(v):
-        k = v.links["12"][0]
+        k = v.m12[0]
         return (v.inp, tuple(k[i] for i in range(n) if v.inp[i]))
 
-    def out(r, m23, m31):
-        masked = m23[0]
-        x, keys = m31[0]
+    def out(v):
+        masked = v.m23[0]
+        x, keys = v.m31[0]
         z, pos = [], 0
         for i in range(n):
             if x[i]:
@@ -455,7 +461,7 @@ def remote_ot(m=2, n=1):
         return tuple(xor(v.inp[(pi + i) % m], k[(pi + i) % m]) for i in range(m))
 
     def forward(v):
-        k, pi = v.links["12"][0]
+        k, pi = v.m12[0]
         return ((v.inp - pi) % m, k[v.inp])
 
     rounds = (
@@ -467,7 +473,7 @@ def remote_ot(m=2, n=1):
         x_axis, y_axis, z_axis,
         (r1, _trivial("R2"), _trivial("R3")),
         rounds,
-        lambda r, m23, m31: xor(m31[0][m23[0][0]], m23[0][1]),
+        lambda v: xor(v.m31[0][v.m23[0][0]], v.m23[0][1]),
     )
     ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x[y])
     return Builtin("remote-ot", spec, ch, _uniform_product(x_axis, y_axis))
@@ -492,14 +498,14 @@ def and_protocol(n=1):
         ),
         Round(
             2, 3, Alphabet("LB", tern),
-            lambda v: tuple(s[0] if b else s[2] for s, b in zip(v.links["12"][0], v.inp)),
+            lambda v: tuple(s[0] if b else s[2] for s, b in zip(v.m12[0], v.inp)),
         ),
     )
     spec = ProtocolSpec(
         x_axis, y_axis, z_axis,
         (r1, _trivial("R2"), _trivial("R3")),
         rounds,
-        lambda r, m23, m31: tuple(int(a == b) for a, b in zip(m31[0], m23[0])),
+        lambda v: tuple(int(a == b) for a, b in zip(v.m31[0], v.m23[0])),
     )
     ch = Channel.from_function(
         x_axis, y_axis, z_axis, lambda x, y: tuple(a & b for a, b in zip(x, y))
@@ -537,100 +543,89 @@ def _view_json(view):
     row = {"rand": sym_str(view.rand)}
     if view.inp is not None:
         row["input"] = sym_str(view.inp)
-    for link, msgs in sorted(view.links.items()):
-        row["m" + link] = [sym_str(s) for s in msgs]
+    for field in ("m12", "m23", "m31"):
+        msgs = getattr(view, field)
+        if msgs is not None:
+            row[field] = [sym_str(s) for s in msgs]
     return row
 
 
-def _view_key(row):
-    return (
-        row.get("input"),
-        row["rand"],
-        tuple(tuple(row.get("m" + l, [])) for l in ("12", "23", "31")),
+def _view_from_json(row):
+    """The View a JSON row describes, with string symbols: exactly the view a
+    loaded protocol, whose symbols are all strings, meets at run time."""
+
+    def msgs(field):
+        return tuple(str(s) for s in row[field]) if field in row else None
+
+    inp = row.get("input")
+    return View(
+        None if inp is None else str(inp), str(row["rand"]),
+        msgs("m12"), msgs("m23"), msgs("m31"),
     )
 
 
 def spec_to_json(spec):
-    """Serialize by exhausting every view reachable from any input pair."""
-    tables = [dict() for _ in spec.rounds]
-    out_table = {}
+    """Serialize by exhausting every view reachable from any input pair: one
+    {view: symbol} table per round, and one for the output."""
+    tables = [{} for _ in range(len(spec.rounds) + 1)]
     for x in spec.x_axis:
         for y in spec.y_axis:
-            for v3, views, transcripts, z in _branches(spec, x, y):
-                for table, (view, msg) in zip(tables, views):
-                    table[_view_key(_view_json(view))] = (view, msg)
-                links = {"23": transcripts["23"], "31": transcripts["31"]}
-                ov = View(inp=None, rand=v3, links=links)
-                out_table[_view_key(_view_json(ov))] = (ov, z)
-    rounds_json = []
-    for t, rnd in enumerate(spec.rounds):
-        rounds_json.append(
-            {
-                "sender": rnd.sender,
-                "receiver": rnd.receiver,
-                "alphabet": alphabet_to_json(rnd.alphabet),
-                "map": [
-                    {"view": _view_json(v), "send": sym_str(m)}
-                    for v, m in tables[t].values()
-                ],
-            }
-        )
+            for steps in _branches(spec, x, y):
+                for table, (view, sym) in zip(tables, steps):
+                    table[view] = sym
+
+    def table_json(table, key):
+        return [{"view": _view_json(v), key: sym_str(s)} for v, s in table.items()]
+
     return {
         "x_axis": alphabet_to_json(spec.x_axis),
         "y_axis": alphabet_to_json(spec.y_axis),
         "z_axis": alphabet_to_json(spec.z_axis),
         "randomness": [alphabet_to_json(a) for a in spec.randomness],
-        "rounds": rounds_json,
-        "output_map": [
-            {"view": _view_json(v), "z": sym_str(z)} for v, z in out_table.values()
+        "rounds": [
+            {
+                "sender": rnd.sender,
+                "receiver": rnd.receiver,
+                "alphabet": alphabet_to_json(rnd.alphabet),
+                "map": table_json(table, "send"),
+            }
+            for rnd, table in zip(spec.rounds, tables)
         ],
-        "designed_for": dist_to_json(spec.designed_for) if spec.designed_for else None,
+        "output_map": table_json(tables[-1], "z"),
     }
+
+
+def _lookup(rows, key):
+    """A message map that looks its View up in a table of JSON rows."""
+    table = {_view_from_json(r["view"]): str(r[key]) for r in rows}
+
+    def fn(view):
+        try:
+            return table[view]
+        except KeyError:
+            raise ProtocolSpecError("no table entry for view %r" % (view,))
+
+    return fn
 
 
 def spec_from_json(obj):
     """Rebuild a protocol from JSON; symbols become strings."""
     if "builtin" in obj:
         return builtin(obj["builtin"], **obj.get("params", {})).spec
-    x_axis = alphabet_from_json(obj["x_axis"])
-    y_axis = alphabet_from_json(obj["y_axis"])
-    z_axis = alphabet_from_json(obj["z_axis"])
-    randomness = tuple(alphabet_from_json(a) for a in obj["randomness"])
-
-    def make_fn(table):
-        def fn(view):
-            key = _view_key(_view_json(view))
-            try:
-                return table[key]
-            except KeyError:
-                raise ProtocolSpecError("no table entry for view %r" % (key,))
-
-        return fn
-
-    rounds = []
-    for row in obj["rounds"]:
-        table = {_view_key(r["view"]): str(r["send"]) for r in row["map"]}
-        rounds.append(
-            Round(
-                int(row["sender"]),
-                int(row["receiver"]),
-                alphabet_from_json(row["alphabet"]),
-                make_fn(table),
-            )
+    rounds = tuple(
+        Round(
+            int(row["sender"]),
+            int(row["receiver"]),
+            alphabet_from_json(row["alphabet"]),
+            _lookup(row["map"], "send"),
         )
-
-    out_table = {_view_key(r["view"]): str(r["z"]) for r in obj["output_map"]}
-
-    def output_fn(r, m23, m31):
-        view = View(inp=None, rand=r, links={"23": m23, "31": m31})
-        key = _view_key(_view_json(view))
-        try:
-            return out_table[key]
-        except KeyError:
-            raise ProtocolSpecError("no output entry for view %r" % (key,))
-
-    designed = obj.get("designed_for")
+        for row in obj["rounds"]
+    )
     return ProtocolSpec(
-        x_axis, y_axis, z_axis, randomness, tuple(rounds), output_fn,
-        designed_for=dist_from_json(designed) if designed else None,
+        alphabet_from_json(obj["x_axis"]),
+        alphabet_from_json(obj["y_axis"]),
+        alphabet_from_json(obj["z_axis"]),
+        tuple(alphabet_from_json(a) for a in obj["randomness"]),
+        rounds,
+        _lookup(obj["output_map"], "z"),
     )

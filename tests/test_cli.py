@@ -220,7 +220,7 @@ def _tampered(kind):
     spec = b.spec
     if kind == "correctness":
         z0 = spec.z_axis.symbols[0]
-        spec = dataclasses.replace(spec, output_fn=lambda r, m23, m31: z0)
+        spec = dataclasses.replace(spec, output_fn=lambda v: z0)
     else:
         leak = Round(1, 3, Alphabet("XLEAK", spec.x_axis.symbols), lambda v: v.inp)
         spec = dataclasses.replace(spec, rounds=spec.rounds + (leak,))
@@ -359,6 +359,19 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "link,value,theorem"
     assert len(lines) == 5  # three links + rho
+    code, out, _ = run_cli(capsys, "simulate", "--builtin", "group-add", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "key,value"
+    rows = dict(line.split(",") for line in lines[1:])
+    _, js, _ = run_cli(capsys, "simulate", "--builtin", "group-add")
+    payload = json.loads(js)
+    payload.pop("manifest")
+    want = {"randomness_used": str(payload.pop("randomness_used"))}
+    for field, values in payload.items():
+        want.update({"%s.%s" % (field, k): str(v) for k, v in values.items()})
+    assert rows == want
+    assert "checks.privacy_charlie" in rows and "entropies.m12" in rows
 
 
 def test_out_file(tmp_path, capsys):
@@ -392,6 +405,55 @@ def test_builtin_with_its_written_default_dist(tmp_path, capsys):
                                "--dist", str(path))
         assert code == 1
         assert "do not match" in err
+
+
+def _malformed(kind):
+    """(command line before the file, JSON content) for a malformed file."""
+    b = builtin("group-add", order=2)
+    spec = spec_to_json(b.spec)
+    if kind == "spec-row-without-rand":
+        del spec["rounds"][0]["map"][0]["view"]["rand"]
+    elif kind == "spec-without-output-map":
+        del spec["output_map"]
+    elif kind == "spec-rounds-not-a-list":
+        spec["rounds"] = 5
+    elif kind == "channel-without-kernel":
+        ch = channel_to_json(b.channel)
+        del ch["kernel"]
+        return ("analyze", "--channel"), ch
+    elif kind == "dist-without-pmf":
+        dist = dist_to_json(b.default_input)
+        del dist["pmf"]
+        return ("simulate", "--builtin", "group-add", "--dist"), dist
+    elif kind == "dist-is-a-list":
+        return ("simulate", "--builtin", "group-add", "--dist"), [1, 2]
+    return ("simulate", "--spec"), spec
+
+
+@pytest.mark.parametrize("kind", [
+    "spec-row-without-rand", "spec-without-output-map", "spec-rounds-not-a-list",
+    "channel-without-kernel", "dist-without-pmf", "dist-is-a-list",
+])
+def test_malformed_input_file_exits_1(tmp_path, capsys, kind):
+    argv, content = _malformed(kind)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read %s" % path)
+
+
+@pytest.mark.parametrize("table", ["round", "output"])
+def test_spec_missing_a_view_exits_1(tmp_path, capsys, table):
+    spec = spec_to_json(builtin("group-add", order=2).spec)
+    (spec["rounds"][1]["map"] if table == "round" else spec["output_map"]).pop()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert "no table entry" in err
 
 
 def test_non_finite_dist_exits_1(tmp_path, capsys):

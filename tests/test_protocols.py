@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -9,6 +10,8 @@ from scbound.dists import (
     Alphabet,
     CapacityError,
     JointDist,
+    channel_from_json,
+    channel_to_json,
     cond_entropy,
     entropy,
     mutual_info,
@@ -96,7 +99,7 @@ def test_corrupted_and_fails_correctness():
     b = builtin("and")
     bad = ProtocolSpec(
         b.spec.x_axis, b.spec.y_axis, b.spec.z_axis, b.spec.randomness, b.spec.rounds,
-        lambda r, m23, m31: tuple(1 - int(a == c) for a, c in zip(m31[0], m23[0])),
+        lambda v: tuple(1 - int(a == c) for a, c in zip(v.m31[0], v.m23[0])),
     )
     e = run_exact(bad, b.default_input)
     assert not verify_correctness(e, b.channel)
@@ -125,7 +128,7 @@ def test_empty_protocol_for_constant_channel():
         x, y, z,
         (Alphabet("R1", ("-",)), Alphabet("R2", ("-",)), Alphabet("R3", ("-",))),
         (),
-        lambda r, m23, m31: "c",
+        lambda v: "c",
     )
     from scbound.dists import Channel
 
@@ -146,14 +149,14 @@ def test_duplicate_input_symbol_breaks_cutset():
     r3 = Alphabet("R3", (0, 1))
     rounds = (
         Round(3, 2, Alphabet("K", (0, 1)), lambda v: v.rand),
-        Round(2, 1, Alphabet("YK", (0, 1)), lambda v: (v.inp + v.links["23"][0]) % 2),
-        Round(1, 3, Alphabet("XYK", (0, 1)), lambda v: (v.inp % 2 + v.links["12"][0]) % 2),
+        Round(2, 1, Alphabet("YK", (0, 1)), lambda v: (v.inp + v.m23[0]) % 2),
+        Round(1, 3, Alphabet("XYK", (0, 1)), lambda v: (v.inp % 2 + v.m12[0]) % 2),
     )
     spec = ProtocolSpec(
         x, y, z,
         (Alphabet("R1", ("-",)), Alphabet("R2", ("-",)), r3),
         rounds,
-        lambda r, m23, m31: (m31[0] - r) % 2,
+        lambda v: (v.m31[0] - v.rand) % 2,
     )
     e = run_exact(spec, JointDist.uniform((x, y)))
     cut_x, cut_y, cut_z = verify_cutset(e)
@@ -281,7 +284,7 @@ def test_message_outside_alphabet():
         x, y, z,
         (Alphabet("R1", ("-",)), Alphabet("R2", ("-",)), Alphabet("R3", ("-",))),
         (Round(1, 3, Alphabet("A", (0,)), lambda v: v.inp),),
-        lambda r, m23, m31: m31[0],
+        lambda v: v.m31[0],
     )
     with pytest.raises(ProtocolSpecError):
         run_exact(spec, JointDist.uniform((x, y)))
@@ -360,3 +363,66 @@ def test_spec_json_roundtrip_lookup_tables():
     assert entropies(e2) == pytest.approx(entropies(e1), abs=1e-12)
     assert all(verify_privacy(e2))
     assert all(verify_cutset(e2))
+
+
+_SPEC_CONFIGS = [
+    (name, dict(kwargs, n=n))
+    for name, kwargs in (("and", {}), ("sum", {}), ("erasure", {}), ("remote-ot", {"m": 2}),
+                         ("remote-ot", {"m": 3}), ("group-add", {"order": 2}),
+                         ("group-add", {"order": 3}))
+    for n in (1, 2)
+    if not (kwargs.get("m") == 3 and n == 2)
+]
+
+
+def _loaded(obj):
+    return json.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("name,kwargs", _SPEC_CONFIGS)
+def test_spec_json_of_a_loaded_spec_is_the_same(name, kwargs):
+    blob = spec_to_json(builtin(name, **kwargs).spec)
+    assert spec_to_json(spec_from_json(_loaded(blob))) == blob
+
+
+def _run_summary(spec, ch, p_xy):
+    e = run_exact(spec, p_xy)
+    checks = (verify_correctness(e, ch), verify_privacy(e), verify_cutset(e),
+              verify_info_inequality(e))
+    return entropies(e), expected_lengths(spec, p_xy, execution=e), checks
+
+
+@pytest.mark.parametrize("drawn", [False, True])
+@pytest.mark.parametrize("name,kwargs", _SPEC_CONFIGS)
+def test_lookup_table_twin_matches_the_closures(rng, name, kwargs, drawn):
+    b = builtin(name, **kwargs)
+    twin = spec_from_json(_loaded(spec_to_json(b.spec)))
+    twin_ch = channel_from_json(_loaded(channel_to_json(b.channel)))
+    p = b.default_input
+    if drawn:  # a full-support product input
+        marginals = [0.1 / len(a) + 0.9 * rng.dirichlet(np.ones(len(a))) for a in p.axes]
+        p = JointDist(p.axes, np.outer(*marginals))
+    h, lens, checks = _run_summary(b.spec, b.channel, p)
+    twin_h, twin_lens, twin_checks = _run_summary(
+        twin, twin_ch, JointDist((twin.x_axis, twin.y_axis), p.probs)
+    )
+    assert twin_h == pytest.approx(h, abs=1e-12)
+    assert twin_lens == pytest.approx(lens, abs=1e-12)
+    assert twin_checks == checks
+
+
+def test_output_fn_reads_charlies_view():
+    b = builtin("group-add", order=3)
+    seen = []
+
+    def output(view):
+        seen.append(view)
+        return b.spec.output_fn(view)
+
+    run_exact(dataclasses.replace(b.spec, output_fn=output), b.default_input)
+    assert len(seen) == 27  # 9 input pairs x 3 keys
+    assert len(set(seen)) == 9  # Charlie sees only the key and the masked sum
+    for view in seen:
+        assert view.inp is None and view.m12 is None
+        assert view.m23 == (view.rand,)  # Charlie's key to Bob
+        assert len(view.m31) == 1

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+from scbound.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -60,3 +63,16 @@ def test_benchmark_tracer_installs():
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_simulate_ops_run(tmp_path):
+    # the benchmark writes its spec and dist files with perfbench/workloads.py
+    # and reads them back through the CLI; every simulate op must exit 0
+    path = ROOT / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    ops = workloads.setup("simulate-n3", 1, False, str(tmp_path))
+    assert {op.argv[1] for op in ops} == {"--builtin", "--spec"}
+    for op in ops:
+        assert main(op.argv) == 0, op.id
