@@ -10,11 +10,13 @@ Usage: python scripts/and_landscape.py [--step 0.02] [--csv out.csv]
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+# scbound from the src/ next to this script, whatever the working directory
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from scbound.bounds import term_value
 from scbound.protocols import builtin

@@ -6,10 +6,12 @@ Usage: python scripts/reproduce_table.py [--grid 0.02] [--refine 60]
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+# scbound from the src/ next to this script, whatever the working directory
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from scbound.cli import _reproduce_rows
 from scbound.simplex import OptConfig

@@ -16,7 +16,9 @@ term table decides which kinds make which term: _JOINT_VARIANTS holds the
 single-law variants of each link (optimized and dealer-share bounds), and
 _PRODUCT_TERMS the switched and conditional terms, whose inner laws are
 chosen separately, and _EVAL_TERMS the evaluation bounds, each a per-link
-maximum of kinds tuples at one fixed law. term_value re-evaluates any
+maximum of kinds tuples at one fixed law. One walker, _families, says
+which optimized family runs on which link under which gate; best_bounds
+and the public family functions both read it. term_value re-evaluates any
 optimized term of a channel at given laws. Every term call of the
 evaluation bounds, of the optimizers' scans and polishes, and of
 term_value, is scored by one kernel, _SupportCone.values, on the support
@@ -299,11 +301,11 @@ class _TermBank:
     is complete. Product-form terms reach it through their product laws.
 
     pair_values serves only the nested sweep's x-candidate x y-candidate
-    grid. It reads a z-major copy of W, Wz of shape (nz, nx, ny), made here
-    once. A batch of x laws A maps to the output laws A @ Wz, (nz, n, ny),
-    and each _CHUNK-row slice of them meets the y laws B in one GEMM,
-    (nz * n, ny) @ (ny, m), whose (nz, n, m) result holds every pair's
-    output law in nz contiguous slices.
+    grid, one _CHUNK-row slice of x candidates per call. It reads a z-major
+    copy of W, Wz of shape (nz, nx, ny), made here once. A batch of x laws
+    A maps to the output laws A @ Wz, (nz, n, ny), which meet the y laws B
+    in one GEMM, (nz * n, ny) @ (ny, m), whose (nz, n, m) result holds
+    every pair's output law in nz contiguous slices.
     """
 
     def __init__(self, ch):
@@ -337,40 +339,35 @@ class _TermBank:
         return {"G": _H_lead(C), "H": _H(B), "blk": _H(B @ self.Ly)}
 
     def pair_values(self, A, B, kinds):
-        """Evaluate product-form terms for all (A_i, B_j) pairs, chunked: the
-        nested sweep's grid kernel. Each slice of _CHUNK rows of A takes the
-        output laws of all its pairs from one GEMM."""
+        """Evaluate product-form terms for all (A_i, B_j) pairs: the nested
+        sweep's grid kernel, which passes A in slices of _CHUNK rows. The
+        output laws of all pairs come from one GEMM."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        pb = self._pre_b(B)
+        pa, pb = self._pre_a(A), self._pre_b(B)
+        pz = (pa["C"].reshape(-1, self.ny) @ B.T).reshape(self.nz, len(A), len(B))
+        h_z = _H_lead(pz)  # (n, m)
+        bil = A @ self.Hrow @ B.T
         out = [np.empty((len(A), len(B))) for _ in kinds]
-        for lo in range(0, len(A), _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, len(A)))
-            a = A[sl]
-            pa = self._pre_a(a)
-            pz = (pa["C"].reshape(-1, self.ny) @ B.T).reshape(self.nz, len(a), len(B))
-            h_z = _H_lead(pz)  # (chunk, m)
-            bil = a @ self.Hrow @ B.T
-            for t, kind in enumerate(kinds):
-                # written straight into the output slice, left to right; a one-expression
-                # form's (n, m) temporaries add ~12 MB to the group-add 4 sweep's peak RSS
-                v = out[t][sl]
-                if kind == "ri_xz":
-                    np.subtract(h_z, a @ pb["G"], out=v)
-                    v -= pa["blk"][:, None]
-                elif kind == "ri_yz":
-                    np.subtract(h_z, pa["G"] @ B.T, out=v)
-                    v -= pb["blk"][None, :]
-                elif kind == "h_xy_z":
-                    np.add(pa["H"][:, None], pb["H"][None, :], out=v)
-                    v += bil
-                    v -= h_z
-                elif kind == "h_yz_x":
-                    np.add(pb["H"][None, :], bil, out=v)
-                elif kind == "h_xz_y":
-                    np.add(pa["H"][:, None], bil, out=v)
-                else:
-                    raise ValueError("unknown term kind %r" % kind)
+        for v, kind in zip(out, kinds):
+            # written straight into the output, left to right; a one-expression
+            # form's (n, m) temporaries add ~12 MB to the group-add 4 sweep's peak RSS
+            if kind == "ri_xz":
+                np.subtract(h_z, A @ pb["G"], out=v)
+                v -= pa["blk"][:, None]
+            elif kind == "ri_yz":
+                np.subtract(h_z, pa["G"] @ B.T, out=v)
+                v -= pb["blk"][None, :]
+            elif kind == "h_xy_z":
+                np.add(pa["H"][:, None], pb["H"][None, :], out=v)
+                v += bil
+                v -= h_z
+            elif kind == "h_yz_x":
+                np.add(pb["H"][None, :], bil, out=v)
+            elif kind == "h_xz_y":
+                np.add(pa["H"][:, None], bil, out=v)
+            else:
+                raise ValueError("unknown term kind %r" % kind)
         return out
 
     def sweep(self, side, cfg):
@@ -523,11 +520,6 @@ def _optimize_joint(bank, link, kinds, cfg):
     )
 
 
-def _improved_term(bank, link, cfg):
-    """The better variant of one link's improved bound."""
-    return _pick([_optimize_joint(bank, link, kinds, cfg) for kinds in _JOINT_VARIANTS[link]])
-
-
 def improved_bounds(ch, cfg=DEFAULT_CONFIG):
     """Optimized single-distribution bounds over full-support joint inputs.
 
@@ -536,9 +528,7 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
     Returns {link: best TermValue or None}; the winning variant is named
     in the TermValue's name.
     """
-    bank = _shared_bank(ch)
-    gates = {"m12": True, "m23": check_condition2(ch), "m31": check_condition1(ch)}
-    return {link: _improved_term(bank, link, cfg) if gates[link] else None for link in LINKS}
+    return _family(ch, "improved", cfg)
 
 
 def _group_values(bank, side, outer, p, kinds):
@@ -551,12 +541,6 @@ def _group_values(bank, side, outer, p, kinds):
     if side == "y":
         a, b = b, a
     return bank.joint_values(a[:, :, None] * b[:, None, :], kinds)
-
-
-def _product_values(bank, side, outer, inners, groups):
-    """Sum over the inner laws of their kinds, each evaluated against the
-    outer law."""
-    return sum(_group_values(bank, side, outer, p, kinds) for p, kinds in zip(inners, groups))
 
 
 def _product_term(bank, name, labels, pts, value, limit):
@@ -579,7 +563,7 @@ def _switched_single(bank, name, marginal, cfg):
     k = bank.ny if side == "x" else bank.nx
     res = [
         optimize_over_simplex(
-            lambda P, kinds=kinds: _product_values(bank, side, marginal, [P], [kinds]), k, cfg
+            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds), k, cfg
         )
         for _, kinds in inner
     ]
@@ -653,16 +637,6 @@ def _shared_bank(ch):
     return _last_bank
 
 
-def _switched_term(bank, link, px, py, cfg):
-    """One link's switched bound: the Bob-Charlie and Charlie-Alice links
-    keep the actual marginal of the non-switched input, and the Alice-Bob
-    link takes the larger of the two nested rows."""
-    if link == "m12":
-        return _pick([_nested(bank, "switched_m12_top", cfg),
-                      _nested(bank, "switched_m12_bottom", cfg)])
-    return _switched_single(bank, "switched_" + link, py if link == "m23" else px, cfg)
-
-
 def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     """Separately-optimized switched bounds for independent full-support inputs.
 
@@ -670,19 +644,67 @@ def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     non-switched input; the Alice-Bob value is the larger of the two nested
     rows and does not depend on the input distribution.
     """
-    bank = _shared_bank(ch)
     px, py = _full_support_inputs(p_x, p_y, ch)
-    return {link: _switched_term(bank, link, px, py, cfg) for link in ("m23", "m31", "m12")}
+    return _family(ch, "switched", cfg, px, py)
 
 
 def conditional_bounds(ch, cfg=DEFAULT_CONFIG):
     """Nested switched bounds for the links to Charlie, gated on the
     reachable-output connectivity conditions; None when not applicable."""
+    return _family(ch, "conditional", cfg)
+
+
+def _family(ch, family, cfg, px=None, py=None):
+    """One family's {link: TermValue or None} on `ch` as given, from the
+    walker; px and py are the kept marginals the switched family reads."""
+    conditions = {"condition1": check_condition1(ch), "condition2": check_condition2(ch)}
+    return {link: None if term is None else term()
+            for fam, link, term in _families(ch, px, py, conditions, cfg) if fam == family}
+
+
+def _families(ch, px, py, conditions, cfg):
+    """The families after the evaluation bound, in cost order, as (family,
+    link, term) for every link of every family: `term()` computes that
+    link's term, and is None where the family's gate leaves the link out.
+    The only place that says which family runs on which link, under which
+    gate and with which terms. The intermediate bound, computed for all
+    links at once, runs on the first call for any link; the shared nested
+    sweep on the first nested term."""
     bank = _shared_bank(ch)
-    return {
-        "m31": _nested(bank, "conditional_m31", cfg) if check_condition1(ch) else None,
-        "m23": _nested(bank, "conditional_m23", cfg) if check_condition2(ch) else None,
-    }
+    c1, c2 = conditions["condition1"], conditions["condition2"]
+    intermediate = functools.cache(lambda: intermediate_bounds(px, py, ch))
+
+    def switched(link):
+        # the links to Charlie keep the actual marginal of the non-switched
+        # input; the Alice-Bob link takes the larger of its two nested rows
+        if link != "m12":
+            return _switched_single(bank, "switched_" + link, py if link == "m23" else px, cfg)
+        return _pick([_nested(bank, "switched_m12_top", cfg),
+                      _nested(bank, "switched_m12_bottom", cfg)])
+
+    families = (
+        ("intermediate", (("m12", True), ("m23", True), ("m31", True)),
+         lambda link: TermValue(name="intermediate_%s" % link, link=link,
+                                value=intermediate()[link])),
+        # the better of the link's single-law variants
+        ("improved", (("m12", True), ("m23", c2), ("m31", c1)),
+         lambda link: _pick([_optimize_joint(bank, link, kinds, cfg)
+                             for kinds in _JOINT_VARIANTS[link]])),
+        ("switched", (("m23", True), ("m31", True), ("m12", True)), switched),
+        ("conditional", (("m31", c1), ("m23", c2)),
+         lambda link: _nested(bank, "conditional_" + link, cfg)),
+    )
+    for family, gates, term in families:
+        for link, gate in gates:
+            yield family, link, functools.partial(term, link) if gate else None
+
+
+# improved term name -> its kinds
+_IMPROVED_KINDS = {
+    "improved_%s_%s" % (link, kinds[0]): kinds
+    for link, variants in _JOINT_VARIANTS.items()
+    for kinds in variants
+}
 
 
 def term_value(ch, name, dists):
@@ -701,21 +723,15 @@ def term_value(ch, name, dists):
             size = bank.nx if _side(label) == "x" else bank.ny
             return _as_prob_vector(dists[label], size, label)
 
-        inners = [law(lab) for lab, _ in inner]
-        groups = [kinds for _, kinds in inner]
-        return float(_product_values(bank, _side(outer), law(outer), inners, groups)[0])
-    improved = {
-        "improved_%s_%s" % (link, kinds[0]): kinds
-        for link, variants in _JOINT_VARIANTS.items()
-        for kinds in variants
-    }
-    if name not in improved:
+        side, o = _side(outer), law(outer)
+        return float(sum(_group_values(bank, side, o, law(lab), kinds) for lab, kinds in inner)[0])
+    if name not in _IMPROVED_KINDS:
         raise ValueError("unknown term %r" % name)
     q = dists["p_X'Y'"]
     q = np.asarray(q.probs if isinstance(q, JointDist) else q, dtype=float)
     if q.shape != (bank.nx, bank.ny):
         raise ValueError("p_X'Y' has shape %s, expected %s" % (q.shape, (bank.nx, bank.ny)))
-    return float(bank.joint_values(q, improved[name])[0])
+    return float(bank.joint_values(q, _IMPROVED_KINDS[name])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +862,10 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
     skipped = {link: [] for link in LINKS}
 
     if conditions["full_support"]:
-        for family, link, term in _families(ch_n, p_n, conditions, cfg):
+        px, py = p_n.probs.sum(axis=1), p_n.probs.sum(axis=0)
+        for family, link, term in _families(ch_n, px, py, conditions, cfg):
+            if term is None:
+                continue
             if upper is not None and _pick(terms[link]).value >= upper[link] - UPPER_TOL:
                 skipped[link].append(family)
             else:
@@ -864,30 +883,6 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
     )
     report.rho = randomness_bound(report)
     return report
-
-
-def _families(ch_n, p_n, conditions, cfg):
-    """The families after the evaluation bound, in cost order, as (family,
-    link, term) with `term()` computing that link's term; a link a family's
-    gate leaves out is not listed. The intermediate bound, computed for all
-    links at once, runs on the first call for any link; the shared nested
-    sweep on the first nested term."""
-    px, py = p_n.probs.sum(axis=1), p_n.probs.sum(axis=0)
-    bank = _shared_bank(ch_n)
-    c1, c2 = conditions["condition1"], conditions["condition2"]
-    intermediate = functools.cache(lambda: intermediate_bounds(px, py, ch_n))
-
-    for link in LINKS:
-        yield "intermediate", link, lambda link=link: TermValue(
-            name="intermediate_%s" % link, link=link, value=intermediate()[link])
-    for link, gate in (("m12", True), ("m23", c2), ("m31", c1)):
-        if gate:
-            yield "improved", link, lambda link=link: _improved_term(bank, link, cfg)
-    for link in ("m23", "m31", "m12"):
-        yield "switched", link, lambda link=link: _switched_term(bank, link, px, py, cfg)
-    for link, gate in (("m31", c1), ("m23", c2)):
-        if gate:
-            yield "conditional", link, lambda link=link: _nested(bank, "conditional_" + link, cfg)
 
 
 def _push_inputs(p_xy, chres, ch_n):

@@ -78,7 +78,11 @@ def _decode(path, decoder):
 def _resolve(args):
     """(channel or None, input, protocol or None) from --spec (simulate),
     --builtin, or --channel (analyze), with the input from --dist or else
-    the default: the built-in's own input, or uniform."""
+    the default: the built-in's own input, or uniform. More than one input
+    source is a UsageError, raised before any file is read."""
+    given = ["--" + k for k in ("spec", "builtin", "channel") if getattr(args, k)]
+    if len(given) > 1:
+        raise UsageError("give one input, not %s" % " and ".join(given))
     ch = spec = None
     if args.spec:
         spec = _decode(args.spec, spec_from_json)

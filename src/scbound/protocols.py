@@ -317,6 +317,18 @@ def _uniform_product(x_axis, y_axis):
     return JointDist.uniform((x_axis, y_axis))
 
 
+def _xor(a, b):
+    return tuple(u ^ v for u, v in zip(a, b))
+
+
+def _add(a, b, order):
+    return tuple((u + v) % order for u, v in zip(a, b))
+
+
+def _sub(a, b, order):
+    return tuple((u - v) % order for u, v in zip(a, b))
+
+
 def _bernoulli_power(axis, p1):
     probs = np.array([
         float(np.prod([p1 if b else 1.0 - p1 for b in sym])) for sym in axis.symbols
@@ -333,24 +345,18 @@ def group_add(order=2, n=1):
     x_axis, y_axis, z_axis = (Alphabet(nm, syms) for nm in ("X", "Y", "Z"))
     r3 = Alphabet("R3", syms)
 
-    def add(a, b):
-        return tuple((u + v) % order for u, v in zip(a, b))
-
-    def sub(a, b):
-        return tuple((u - v) % order for u, v in zip(a, b))
-
     rounds = (
         Round(3, 2, Alphabet("K", syms), lambda v: v.rand),
-        Round(2, 1, Alphabet("YK", syms), lambda v: add(v.inp, v.m23[0])),
-        Round(1, 3, Alphabet("XYK", syms), lambda v: add(v.inp, v.m12[0])),
+        Round(2, 1, Alphabet("YK", syms), lambda v: _add(v.inp, v.m23[0], order)),
+        Round(1, 3, Alphabet("XYK", syms), lambda v: _add(v.inp, v.m12[0], order)),
     )
     spec = ProtocolSpec(
         x_axis, y_axis, z_axis,
         (_trivial("R1"), _trivial("R2"), r3),
         rounds,
-        lambda v: sub(v.m31[0], v.rand),
+        lambda v: _sub(v.m31[0], v.rand, order),
     )
-    ch = Channel.from_function(x_axis, y_axis, z_axis, add)
+    ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: _add(x, y, order))
     return Builtin("group-add", spec, ch, _uniform_product(x_axis, y_axis))
 
 
@@ -363,22 +369,16 @@ def sum_protocol(n=1):
     z_axis = Alphabet("Z", tern)
     r3 = Alphabet("R3", tern)
 
-    def add3(a, b):
-        return tuple((u + v) % 3 for u, v in zip(a, b))
-
-    def sub3(a, b):
-        return tuple((u - v) % 3 for u, v in zip(a, b))
-
     rounds = (
         Round(3, 1, Alphabet("K", tern), lambda v: v.rand),
-        Round(1, 2, Alphabet("KX", tern), lambda v: add3(v.m31[0], v.inp)),
-        Round(2, 3, Alphabet("KXY", tern), lambda v: add3(v.m12[0], v.inp)),
+        Round(1, 2, Alphabet("KX", tern), lambda v: _add(v.m31[0], v.inp, 3)),
+        Round(2, 3, Alphabet("KXY", tern), lambda v: _add(v.m12[0], v.inp, 3)),
     )
     spec = ProtocolSpec(
         x_axis, y_axis, z_axis,
         (_trivial("R1"), _trivial("R2"), r3),
         rounds,
-        lambda v: sub3(v.m23[0], v.rand),
+        lambda v: _sub(v.m23[0], v.rand, 3),
     )
     ch = Channel.from_function(
         x_axis, y_axis, z_axis, lambda x, y: tuple(a + b for a, b in zip(x, y))
@@ -395,9 +395,6 @@ def erasure(p=0.5, q=0.5, n=1):
     x_axis, y_axis = Alphabet("X", bits), Alphabet("Y", bits)
     z_axis = Alphabet("Z", _tuples((0, 1, 2), n))
     r2 = Alphabet("R2", bits)
-
-    def xor(a, b):
-        return tuple(u ^ v for u, v in zip(a, b))
 
     reveal_syms = tuple(
         (x, ks) for x in bits for ks in itertools.product((0, 1), repeat=sum(x))
@@ -421,7 +418,7 @@ def erasure(p=0.5, q=0.5, n=1):
 
     rounds = (
         Round(2, 1, Alphabet("K", bits), lambda v: v.rand),
-        Round(2, 3, Alphabet("YK", bits), lambda v: xor(v.inp, v.rand)),
+        Round(2, 3, Alphabet("YK", bits), lambda v: _xor(v.inp, v.rand)),
         Round(1, 3, Alphabet("XKsel", reveal_syms), reveal),
     )
     spec = ProtocolSpec(
@@ -453,12 +450,9 @@ def remote_ot(m=2, n=1):
     r1_syms = tuple((k, pi) for k in _tuples(strings, m) for pi in range(m))
     r1 = Alphabet("R1", r1_syms)
 
-    def xor(a, b):
-        return tuple(u ^ v for u, v in zip(a, b))
-
     def masked(v):
         k, pi = v.rand
-        return tuple(xor(v.inp[(pi + i) % m], k[(pi + i) % m]) for i in range(m))
+        return tuple(_xor(v.inp[(pi + i) % m], k[(pi + i) % m]) for i in range(m))
 
     def forward(v):
         k, pi = v.m12[0]
@@ -473,7 +467,7 @@ def remote_ot(m=2, n=1):
         x_axis, y_axis, z_axis,
         (r1, _trivial("R2"), _trivial("R3")),
         rounds,
-        lambda v: xor(v.m31[0][v.m23[0][0]], v.m23[0][1]),
+        lambda v: _xor(v.m31[0][v.m23[0][0]], v.m23[0][1]),
     )
     ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x[y])
     return Builtin("remote-ot", spec, ch, _uniform_product(x_axis, y_axis))

@@ -595,6 +595,43 @@ def test_verified_upper_values_change_no_reported_number(name, kwargs):
         assert all(len(rep.link(link).terms) == 1 for link in LINKS)
 
 
+@pytest.mark.parametrize("name,kwargs", [
+    ("and", {}), ("sum", {}), ("erasure", {}), ("remote-ot", {"m": 2}), ("group-add", {"order": 3}),
+])
+def test_best_bounds_family_terms_match_the_public_families(name, kwargs):
+    # best_bounds and the public family functions read one walker: each
+    # link's family term in the report is the one the family function
+    # returns on the normalized channel, and a link the family's gate
+    # leaves out is None there and absent from the report
+    b, rep = builtin_report(name, **kwargs)
+    chres = channel_normal_form(b.channel)
+    ch_n = chres.reduced
+    p_n = _push_inputs(b.default_input, chres, ch_n)
+    px, py = marginals(p_n)
+    families = {
+        "improved": improved_bounds(ch_n, CFG),
+        "switched": switched_bounds(ch_n, px, py, CFG),
+        "conditional": conditional_bounds(ch_n, CFG),
+    }
+    assert rep.conditions["full_support"]
+    gated = 0
+    for family, terms in families.items():
+        for link in LINKS:
+            got = [t for t in rep.link(link).terms if t.name.split("_")[0] == family]
+            want = terms.get(link)
+            if want is None:
+                gated += link in terms
+                assert got == []
+                continue
+            (got,) = got
+            assert (got.name, got.link, got.value) == (want.name, want.link, want.value)
+            assert (got.distribution_free, got.limit_point) == (want.distribution_free,
+                                                                want.limit_point)
+            assert _witness_json(got) == _witness_json(want)
+    # erasure fails condition 1: its improved and conditional m31 are gated
+    assert gated == (2 if name == "erasure" else 0)
+
+
 def _direct_generic_ri(joint, pair, mask):
     # I(U;V) minus the entropy of the block label, blocks frozen from `mask`
     from scbound.common_info import block_entropy, blocks_from_mask

@@ -212,6 +212,28 @@ def test_out_that_is_a_directory_exits_1_before_work(tmp_path, capsys, monkeypat
     assert "directory" in err
 
 
+@pytest.mark.parametrize("cmd, flags", [
+    (("analyze", "--channel", "{ch}", "--builtin", "and"), "--builtin and --channel"),
+    (("simulate", "--spec", "{spec}", "--builtin", "and"), "--spec and --builtin"),
+], ids=["analyze", "simulate"])
+def test_conflicting_input_sources_exit_1_before_work(tmp_path, capsys, monkeypatch, cmd, flags):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing should be computed")
+
+    for name in ("best_bounds", "run_exact", "builtin", "_decode"):
+        monkeypatch.setattr("scbound.cli." + name, fail)
+    files = {"ch": str(tmp_path / "sum.channel.json"), "spec": str(tmp_path / "sum.spec.json")}
+    b = builtin("sum")
+    with open(files["ch"], "w") as fh:
+        json.dump(channel_to_json(b.channel), fh)
+    with open(files["spec"], "w") as fh:
+        json.dump(spec_to_json(b.spec), fh)
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in cmd])
+    assert code == 1
+    assert out == ""
+    assert err == "error: give one input, not %s\n" % flags
+
+
 def _tampered(kind):
     """group-add 2 with a protocol that fails a check: Charlie outputs a
     constant, which fails correctness, or Alice also sends Charlie her

@@ -11,10 +11,25 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_and_landscape_runs():
-    # the script imports scbound from src/ relative to the repo root
     out = subprocess.run(
         [sys.executable, "scripts/and_landscape.py", "--step", "0.25"],
         cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "grid argmax:" in out.stdout
+
+
+def test_script_runs_from_another_directory(tmp_path):
+    # the script finds src/ from its own path, not from the working
+    # directory or PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "and_landscape.py"), "--step", "0.25"],
+        cwd=tmp_path,
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
