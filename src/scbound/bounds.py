@@ -29,16 +29,19 @@ maps input laws onto the cone of its generic support; a product-form term
 product-form kind equals its joint-form kind.
 
 _TermBank.pair_values serves only the nested sweep's grid, with matrix
-products only: the channel is kept z-major, (|Z|, |X|, |Y|), so the output
-laws of a slice of pairs come from one GEMM as a (|Z|, n, m) array, and
-their entropies accumulate over its |Z| contiguous slices.
+products only: the channel is kept z-major, (|Z|, |X|, |Y|), so the z-th
+cells of a slice of pairs' output laws come from one GEMM as an (n, m)
+matrix, and their entropies accumulate z by z into one (n, m) matrix; no
+(|Z|, n, m) array is built.
 
 The switched and conditional families share their nested suprema: the
 x-candidate x y-candidate grid is scored once per channel and config, in
-_CHUNK-row slices of x candidates, and each slice is reduced for both outer
-sides as it streams (a per-outer max and argmax; the y side's as a running
-max over slices). The sweep's memory is O(_CHUNK x n_y x |Z|) rather than
-O(n_x x n_y).
+slices of x candidates, and each slice is reduced for both outer sides as
+it streams (a per-outer max and argmax; the y side's as a running max over
+slices). A slice has rows <= _CHUNK x candidates with rows x n_y <=
+_SWEEP_CELLS, a matrix that fits a per-core L2 cache, and every slice is
+scored in one workspace of such matrices allocated once per sweep. The
+sweep's memory is O(rows x n_y) rather than O(n_x x n_y).
 
 Share-size bounds for dealer-generated secret sharing and for secure
 sampling reuse the same term kernels.
@@ -83,6 +86,9 @@ REPLACE_MARGIN = 1e-6
 # it skips the remaining bound families
 UPPER_TOL = 1e-9
 _CHUNK = 256
+# cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64,
+# which fits a per-core L2 cache
+_SWEEP_CELLS = 1 << 16
 
 LINKS = ("m12", "m23", "m31")
 
@@ -162,10 +168,22 @@ class TermValue:
     limit_point: bool = False
 
 
-def _xlogx(p):
-    # off-support cells become 1 * log2(1) = 0, without a masked gather/scatter
-    q = np.where(p > SUPPORT_EPS, p, 1.0)
-    return q * np.log2(q)
+def _xlogx(p, out=None, work=None):
+    """q * log2(q) cell by cell, with q = where(p > SUPPORT_EPS, p, 1): an
+    off-support cell becomes 1 * log2(1) = 0 without a masked gather or
+    scatter. Written to a fresh array, or to `out` (p itself allowed); with
+    `out` and `work`, a (float, bool) pair of buffers of p's shape, the call
+    allocates nothing."""
+    log, on = (None, None) if work is None else work
+    on = np.greater(p, SUPPORT_EPS, out=on)
+    if out is None:
+        q = np.where(on, p, 1.0)
+    else:
+        q = out
+        if q is not p:
+            np.copyto(q, p)
+        np.copyto(q, 1.0, where=np.logical_not(on, out=on))
+    return np.multiply(q, np.log2(q, out=log), out=q)
 
 
 def _H(p, axis=-1):
@@ -301,11 +319,12 @@ class _TermBank:
     is complete. Product-form terms reach it through their product laws.
 
     pair_values serves only the nested sweep's x-candidate x y-candidate
-    grid, one _CHUNK-row slice of x candidates per call. It reads a z-major
-    copy of W, Wz of shape (nz, nx, ny), made here once. A batch of x laws
-    A maps to the output laws A @ Wz, (nz, n, ny), which meet the y laws B
-    in one GEMM, (nz * n, ny) @ (ny, m), whose (nz, n, m) result holds
-    every pair's output law in nz contiguous slices.
+    grid, one slice of x candidates per call. It reads a z-major copy of W,
+    Wz of shape (nz, nx, ny), made here once. A batch of x laws A maps to
+    the output laws A @ Wz, (nz, n, ny), whose z-th slice meets the y laws B
+    in one GEMM, (n, ny) @ (ny, m): the z-th cells of every pair's output
+    law, which are taken x log x in place and summed into one (n, m)
+    matrix, z by z.
     """
 
     def __init__(self, ch):
@@ -338,25 +357,39 @@ class _TermBank:
         C = self.Wz @ B.T  # (nz, nx, m)
         return {"G": _H_lead(C), "H": _H(B), "blk": _H(B @ self.Ly)}
 
-    def pair_values(self, A, B, kinds):
-        """Evaluate product-form terms for all (A_i, B_j) pairs: the nested
-        sweep's grid kernel, which passes A in slices of _CHUNK rows. The
-        output laws of all pairs come from one GEMM."""
+    def pair_values(self, A, B, kinds, _work=None):
+        """Evaluate product-form terms for all (A_i, B_j) pairs, one (len(A),
+        len(B)) matrix per kind. The nested sweep passes its slices of x
+        laws with one _PairWork made for B, whose buffers then hold the
+        result until the next call; without one, the buffers and so the
+        returned matrices are fresh. No (nz, len(A), len(B)) array is
+        built."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        pa, pb = self._pre_a(A), self._pre_b(B)
-        pz = (pa["C"].reshape(-1, self.ny) @ B.T).reshape(self.nz, len(A), len(B))
-        h_z = _H_lead(pz)  # (n, m)
-        bil = A @ self.Hrow @ B.T
-        out = [np.empty((len(A), len(B))) for _ in kinds]
+        w = _PairWork(self, B, len(A), kinds) if _work is None else _work
+        n, Bt = len(A), B.T
+        pa, pb = self._pre_a(A), w.pre_b
+        h_z, P, bil = w.h_z[:n], w.laws[:n], w.bil[:n]
+        xlog = tuple(buf[:n] for buf in w.xlog)
+        for z, C in enumerate(pa["C"]):
+            # the z-th cells of the output laws, x log x taken in place
+            Pz = h_z if z == 0 else P
+            np.matmul(C, Bt, out=Pz)
+            _xlogx(Pz, out=Pz, work=xlog)
+            if z:
+                h_z += Pz
+        np.negative(h_z, out=h_z)
+        np.matmul(A @ self.Hrow, Bt, out=bil)
+        out = [w.kinds[kind][:n] for kind in kinds]
         for v, kind in zip(out, kinds):
-            # written straight into the output, left to right; a one-expression
-            # form's (n, m) temporaries add ~12 MB to the group-add 4 sweep's peak RSS
+            # written straight into the output, left to right
             if kind == "ri_xz":
-                np.subtract(h_z, A @ pb["G"], out=v)
+                np.matmul(A, pb["G"], out=v)
+                np.subtract(h_z, v, out=v)
                 v -= pa["blk"][:, None]
             elif kind == "ri_yz":
-                np.subtract(h_z, pa["G"] @ B.T, out=v)
+                np.matmul(pa["G"], Bt, out=v)
+                np.subtract(h_z, v, out=v)
                 v -= pb["blk"][None, :]
             elif kind == "h_xy_z":
                 np.add(pa["H"][:, None], pb["H"][None, :], out=v)
@@ -379,7 +412,8 @@ class _TermBank:
         return self._sweeps[cfg][side]
 
     def _sweep(self, cfg):
-        # pair_values takes x-side rows first; slices walk the x candidates
+        # pair_values takes x-side rows first; slices walk the x candidates,
+        # rows at a time, through one workspace
         A, B = candidate_points(self.nx, cfg), candidate_points(self.ny, cfg)
         sweeps = {}
         for side, outer, inner in (("x", A, B), ("y", B, A)):
@@ -387,21 +421,23 @@ class _TermBank:
             sweeps[side] = _Sweep(outer, inner, {g: np.full(len(outer), -np.inf) for g in gs},
                                   {g: np.zeros(len(outer), dtype=int) for g in gs})
         kinds = list(dict.fromkeys(k for gs in _SWEEP_GROUPS.values() for g in gs for k in g))
-        for lo in range(0, len(A), _CHUNK):
-            self._reduce_slice(sweeps, A[lo:lo + _CHUNK], B, lo, kinds)
+        rows = max(1, min(_CHUNK, len(A), _SWEEP_CELLS // len(B)))
+        work = _PairWork(self, B, rows, kinds)
+        for lo in range(0, len(A), rows):
+            self._reduce_slice(sweeps, A[lo:lo + rows], work, lo, kinds)
         return sweeps
 
-    def _reduce_slice(self, sweeps, A, B, lo, kinds):
-        # the slice's value matrices die with this frame, before the next
-        # slice is scored
-        mats = dict(zip(kinds, self.pair_values(A, B, kinds)))  # (len(A), len(B)) each
+    def _reduce_slice(self, sweeps, A, work, lo, kinds):
+        mats = dict(zip(kinds, self.pair_values(A, work.B, kinds, work)))  # (len(A), len(B)) each
+        total = work.group[:len(A)]
 
         def group(g):
             # summed left to right from the first kind's matrix, which a
-            # one-kind group uses as is
+            # one-kind group uses as is; a longer group's sum is written to
+            # the workspace, read before the next group is summed
             V = mats[g[0]]
             for k in g[1:]:
-                V = V + mats[k]
+                V = np.add(V, mats[k], out=total)
             return V
 
         x, y = sweeps["x"], sweeps["y"]
@@ -425,6 +461,22 @@ class _TermBank:
         """Sum of joint-form terms for each input law of the batch Q."""
         Q = np.asarray(Q, dtype=float)
         return self.cone.values(Q.reshape(-1, self.nx * self.ny) @ self.M, kinds)
+
+
+class _PairWork:
+    """pair_values' workspace for one batch of y laws B: B's side of the
+    kernel, computed once, and (rows, len(B)) buffers that hold a slice of
+    at most `rows` x laws as [:n] views: the output laws' z-th cells, the
+    x log x scratch and mask, the h_z accumulator, the bilinear term, one
+    matrix per kind and one group sum."""
+
+    def __init__(self, bank, B, rows, kinds):
+        self.B = B
+        self.pre_b = bank._pre_b(B)
+        shape = (rows, len(B))
+        self.laws, self.h_z, self.bil, self.group = (np.empty(shape) for _ in range(4))
+        self.xlog = (np.empty(shape), np.empty(shape, dtype=bool))
+        self.kinds = {kind: np.empty(shape) for kind in kinds}
 
 
 def _as_prob_vector(p, size, what):

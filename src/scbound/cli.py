@@ -66,12 +66,12 @@ def _builtin_params(args):
 
 def _decode(path, decoder):
     """Read the JSON file at `path` and decode it; content the decoder
-    cannot read (a missing field, a wrong type, a bad value) is a
-    UsageError that names the file."""
+    cannot read (a missing field or list entry, a wrong type, a bad value)
+    is a UsageError that names the file."""
     obj = _load_json(path)
     try:
         return decoder(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise UsageError("cannot read %s: %s: %s" % (path, type(exc).__name__, exc))
 
 

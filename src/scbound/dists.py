@@ -438,9 +438,22 @@ def dist_to_json(d):
     }
 
 
+def unique_dict(pairs, what):
+    """{key: value} from (key, value) pairs of a file; a key given twice is
+    a ValueError that names it, since a later entry would silently replace
+    the earlier one."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError("%s %r is given twice" % (what, key))
+        out[key] = value
+    return out
+
+
 def dist_from_json(obj):
     axes = [alphabet_from_json(a) for a in obj["axes"]]
-    pmf = {tuple(str(s) for s in row["t"]): float(row["p"]) for row in obj["pmf"]}
+    pmf = unique_dict(((tuple(str(s) for s in row["t"]), float(row["p"])) for row in obj["pmf"]),
+                      "pmf cell")
     return JointDist.from_pmf(axes, pmf)
 
 
@@ -463,10 +476,11 @@ def channel_to_json(ch):
 def channel_from_json(obj):
     x_axis, y_axis, z_axis = (alphabet_from_json(a) for a in obj["axes"])
     kernel = np.zeros((len(x_axis), len(y_axis), len(z_axis)))
-    for row in obj["kernel"]:
-        i = x_axis.index(str(row["t"][0]))
-        j = y_axis.index(str(row["t"][1]))
-        for z, p in row["row"].items():
+    rows = unique_dict((((str(r["t"][0]), str(r["t"][1])), r["row"]) for r in obj["kernel"]),
+                       "kernel row")
+    for (x, y), row in rows.items():
+        i, j = x_axis.index(x), y_axis.index(y)
+        for z, p in row.items():
             kernel[i, j, z_axis.index(str(z))] = float(p)
     return Channel(x_axis, y_axis, z_axis, kernel)
 

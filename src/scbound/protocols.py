@@ -36,6 +36,7 @@ from .dists import (
     entropy,
     mutual_info,
     sym_str,
+    unique_dict,
 )
 
 BRANCH_CAP = 10_000_000
@@ -591,7 +592,7 @@ def spec_to_json(spec):
 
 def _lookup(rows, key):
     """A message map that looks its View up in a table of JSON rows."""
-    table = {_view_from_json(r["view"]): str(r[key]) for r in rows}
+    table = unique_dict(((_view_from_json(r["view"]), str(r[key])) for r in rows), "map view")
 
     def fn(view):
         try:

@@ -775,7 +775,7 @@ def _random_channel(rng, nx, ny, nz, duplicate_x=False):
 def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
     # the fused sweep equals max/argmax of the full value matrix on both
     # sides, bit for bit, including the first-index rule on ties; the grid
-    # gives several _CHUNK slices of x candidates
+    # gives several slices of x candidates
     from scbound.bounds import _SWEEP_GROUPS, _TermBank
 
     cfg = OptConfig(grid_resolution=0.03)
@@ -831,8 +831,8 @@ def _einsum_pair_values(ch, A, B, kinds):
 @pytest.mark.parametrize("shape", [(4, 3, 2), (3, 4, 5), (2, 5, 3)])
 def test_pair_values_match_dense_einsum_oracle(rng, shape):
     # the z-major GEMM kernel against the dense formulation for every kind,
-    # on batches of x laws spanning several _CHUNK slices (the last ragged)
-    # and y laws, both with boundary rows; the channels have zero cells
+    # on a batch of x laws taller than any sweep slice and y laws, both with
+    # boundary rows; the channels have zero cells
     from scbound.bounds import _CHUNK, _TermBank
 
     nx, ny, _ = shape
@@ -972,28 +972,108 @@ def test_fused_cone_kernel_matches_per_marginal_formula(rng, and_joint, cone_kin
 
 
 def test_sweep_walks_the_grid_once(rng, monkeypatch):
-    # both outer sides come from one pass: one pair_values call per _CHUNK
-    # slice of x candidates, and the second side adds none
-    from scbound.bounds import _CHUNK, _TermBank
+    # both outer sides come from one pass: one pair_values call per slice of
+    # x candidates, as tall as _SWEEP_CELLS allows, and the second side adds
+    # none
+    from scbound.bounds import _CHUNK, _SWEEP_CELLS, _TermBank
     from scbound.simplex import candidate_points
 
     calls = []
     pair_values = _TermBank.pair_values
 
-    def counted(self, A, B, kinds):
+    def counted(self, A, B, kinds, _work=None):
         calls.append(len(A))
-        return pair_values(self, A, B, kinds)
+        return pair_values(self, A, B, kinds, _work)
 
     monkeypatch.setattr(_TermBank, "pair_values", counted)
     cfg = OptConfig(grid_resolution=0.03)
     bank = _TermBank(_random_channel(rng, 4, 3, 2))
-    n_x = len(candidate_points(bank.nx, cfg))
-    assert n_x > _CHUNK
+    n_x, n_y = len(candidate_points(bank.nx, cfg)), len(candidate_points(bank.ny, cfg))
+    rows = max(1, min(_CHUNK, n_x, _SWEEP_CELLS // n_y))
+    assert n_x > rows
     bank.sweep("x", cfg)
-    assert len(calls) == math.ceil(n_x / _CHUNK)
+    assert len(calls) == math.ceil(n_x / rows)
     bank.sweep("y", cfg)
-    assert len(calls) == math.ceil(n_x / _CHUNK)
+    assert len(calls) == math.ceil(n_x / rows)
     assert sum(calls) == n_x
+    assert max(calls) == rows
+
+
+def test_sweep_is_bit_identical_at_every_slice_height(rng, monkeypatch):
+    # slices of 1 row, of 5 rows (the last ragged) and of the whole grid:
+    # at each height both sides equal the max and first-index argmax of the
+    # value matrix scored in slices of that height, bit for bit, and the
+    # duplicated x row makes ties. Slices of 2 or more rows score every cell
+    # with the same GEMM arithmetic, so those heights agree bit for bit;
+    # numpy scores a 1-row product with gemv, which may round the last bit
+    # differently, so 1-row maxima agree to 1e-12
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    ch = _random_channel(rng, 3, 3, 3, duplicate_x=True)
+    cfg = OptConfig(grid_resolution=0.1)
+    A, B = candidate_points(3, cfg), candidate_points(3, cfg)
+    assert len(A) % 5 and len(A) <= bounds._CHUNK
+    runs = {}
+    ties = 0
+    for height in (1, 5, len(A)):
+        monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
+        bank = bounds._TermBank(ch)
+        runs[height] = {side: bank.sweep(side, cfg) for side in "xy"}
+        for side, groups in bounds._SWEEP_GROUPS.items():
+            for g in groups:
+                V = np.concatenate([sum(bank.pair_values(A[lo:lo + height], B, g))
+                                    for lo in range(0, len(A), height)])
+                if side == "y":
+                    V = V.T
+                    ties += int(((V == V.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+                assert np.array_equal(runs[height][side].best[g], V.max(axis=1))
+                assert np.array_equal(runs[height][side].arg[g], V.argmax(axis=1))
+    assert ties > 0
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            whole, five, one = (runs[h][side] for h in (len(A), 5, 1))
+            assert np.array_equal(five.best[g], whole.best[g])
+            assert np.array_equal(five.arg[g], whole.arg[g])
+            np.testing.assert_allclose(one.best[g], whole.best[g], rtol=0, atol=1e-12)
+
+
+def test_sweep_memory_stays_slice_sized():
+    # the group-add 4 sweep (3,287 x 3,287 pairs, 4 outputs) scores its grid
+    # in one workspace of L2-sized matrices; numpy reports its buffers to
+    # tracemalloc, so the peak counts every matrix the sweep allocates
+    import tracemalloc
+
+    from scbound.bounds import _TermBank
+    from scbound.simplex import candidate_points
+
+    bank = _TermBank(channel_normal_form(builtin("group-add", order=4).channel).reduced)
+    A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
+    assert (len(A), len(B), bank.nz) == (3287, 3287, 4)
+    tracemalloc.start()
+    try:
+        bank.sweep("x", CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_pair_values_without_a_workspace_returns_fresh_arrays(rng):
+    # a caller outside the sweep gets arrays that a later call leaves alone
+    from scbound.bounds import _TermBank
+
+    ch = _random_channel(rng, 4, 3, 2)
+    bank = _TermBank(ch)
+    kinds = ["ri_xz", "ri_yz", "h_xy_z", "h_yz_x", "h_xz_y"]
+    A1, A2 = rng.dirichlet(np.ones(4), 7), rng.dirichlet(np.ones(4), 7)
+    B = rng.dirichlet(np.ones(3), 5)
+    first = bank.pair_values(A1, B, kinds)
+    kept = [v.copy() for v in first]
+    bank.pair_values(A2, B, kinds)
+    for kind, v, k, w in zip(kinds, first, kept, _einsum_pair_values(ch, A1, B, kinds)):
+        assert np.array_equal(v, k), kind
+        np.testing.assert_allclose(v, w, rtol=0, atol=1e-12, err_msg=kind)
 
 
 def test_nested_scores_each_held_group_once(monkeypatch):
@@ -1029,6 +1109,13 @@ def test_xlogx_bitwise_equal_to_masked_form():
     want[mask] = p[mask] * np.log2(p[mask])
     assert _xlogx(p).tobytes() == want.tobytes()
     assert _xlogx(p[None]).tobytes() == want[None].tobytes()
+    # the in-place form, into p itself or another buffer, with its scratch
+    out, work = np.full_like(p, np.nan), (np.empty_like(p), np.empty(p.shape, dtype=bool))
+    assert _xlogx(p, out=out, work=work) is out
+    assert out.tobytes() == want.tobytes()
+    q = p.copy()
+    assert _xlogx(q, out=q, work=work) is q
+    assert q.tobytes() == want.tobytes()
 
 
 def test_term_value_reproduces_every_optimized_term():

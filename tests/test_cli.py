@@ -443,18 +443,36 @@ def _malformed(kind):
         ch = channel_to_json(b.channel)
         del ch["kernel"]
         return ("analyze", "--channel"), ch
+    elif kind == "channel-row-without-y":
+        ch = channel_to_json(b.channel)
+        del ch["kernel"][0]["t"][1]
+        return ("analyze", "--channel"), ch
     elif kind == "dist-without-pmf":
         dist = dist_to_json(b.default_input)
         del dist["pmf"]
         return ("simulate", "--builtin", "group-add", "--dist"), dist
     elif kind == "dist-is-a-list":
         return ("simulate", "--builtin", "group-add", "--dist"), [1, 2]
+    elif kind == "dist-repeated-cell":
+        # the cell, and below the kernel row, is first listed with a wrong
+        # mass, then with its own
+        dist = dist_to_json(b.default_input)
+        dist["pmf"].insert(0, dict(dist["pmf"][0], p=0.9))
+        return ("simulate", "--builtin", "group-add", "--dist"), dist
+    elif kind == "channel-repeated-row":
+        ch = channel_to_json(b.channel)
+        first = ch["kernel"][0]
+        ch["kernel"].insert(0, dict(first, row={z: 0.9 for z in first["row"]}))
+        return ("analyze", "--channel"), ch
+    elif kind == "spec-repeated-view":
+        rows = spec["rounds"][0]["map"]
+        rows.append(dict(rows[0], send="(1)" if rows[0]["send"] == "(0)" else "(0)"))
     return ("simulate", "--spec"), spec
 
 
 @pytest.mark.parametrize("kind", [
     "spec-row-without-rand", "spec-without-output-map", "spec-rounds-not-a-list",
-    "channel-without-kernel", "dist-without-pmf", "dist-is-a-list",
+    "channel-without-kernel", "channel-row-without-y", "dist-without-pmf", "dist-is-a-list",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, kind):
     argv, content = _malformed(kind)
@@ -464,6 +482,24 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, kind):
     assert code == 1
     assert out == ""
     assert err.startswith("error: cannot read %s" % path)
+
+
+@pytest.mark.parametrize("kind,repeated", [
+    ("dist-repeated-cell", "pmf cell ('(0)', '(0)')"),
+    ("channel-repeated-row", "kernel row ('(0)', '(0)')"),
+    ("spec-repeated-view", "map view View("),
+])
+def test_repeated_entry_in_input_file_exits_1(tmp_path, capsys, kind, repeated):
+    # a later entry for the same cell, row or view would silently replace
+    # the earlier one; the file is refused instead, naming the entry
+    argv, content = _malformed(kind)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read %s" % path)
+    assert repeated in err and "is given twice" in err
 
 
 @pytest.mark.parametrize("table", ["round", "output"])
