@@ -14,7 +14,6 @@ from .dists import (
     entropy,
     join,
     mutual_info,
-    product,
 )
 from .common_info import CommonPart, common_part, residual_info, residual_info_oracle
 from .normal_form import (
@@ -36,7 +35,6 @@ from .bounds import (
     intermediate_bounds,
     prelim_bounds,
     randomness_bound,
-    sampling_bounds,
     switched_bounds,
 )
 from .protocols import (

@@ -43,8 +43,8 @@ _SWEEP_CELLS, a matrix that fits a per-core L2 cache, and every slice is
 scored in one workspace of such matrices allocated once per sweep. The
 sweep's memory is O(rows x n_y) rather than O(n_x x n_y).
 
-Share-size bounds for dealer-generated secret sharing and for secure
-sampling reuse the same term kernels.
+Share-size bounds for dealer-generated secret sharing reuse the same term
+kernels.
 """
 
 import functools
@@ -67,7 +67,6 @@ from .normal_form import (
     check_condition1,
     check_condition2,
     is_pair_normal_form,
-    is_sampling_normal_form,
     pair_normal_form,
 )
 from .simplex import (
@@ -104,19 +103,13 @@ _JOINT_VARIANTS = {
 
 # evaluation bounds: family -> link -> the kinds tuples maximized at one
 # fixed law. "prelim" is also the base of the dealer-share bounds; at a
-# product law "intermediate" collects both gaps on the Alice-Bob link, and
-# "sampling" adds the co-input gap on the links to Charlie.
+# product law "intermediate" collects both gaps on the Alice-Bob link.
 _EVAL_TERMS = {
     "prelim": _JOINT_VARIANTS,
     "intermediate": {
         "m12": (("ri_xz", "ri_yz", "h_xy_z"),),
         "m23": (("ri_xz", "h_yz_x"),),
         "m31": (("ri_yz", "h_xz_y"),),
-    },
-    "sampling": {
-        "m12": (("ri_xz", "ri_yz", "h_xy_z"),),
-        "m23": (("ri_xz", "ri_xy", "h_yz_x"),),
-        "m31": (("ri_yz", "ri_xy", "h_xz_y"),),
     },
 }
 
@@ -540,15 +533,6 @@ def intermediate_bounds(p_x, p_y, ch):
     px, py = _full_support_inputs(p_x, p_y, ch)
     p_xy = JointDist((ch.x_axis, ch.y_axis), np.outer(px, py))
     return _evaluate("intermediate", join(p_xy, ch), _shared_bank(ch).cone)
-
-
-def sampling_bounds(p_xyz):
-    """Share bounds for securely sampling a 3-axis joint in normal form."""
-    if p_xyz.n_axes != 3:
-        raise ValueError("sampling_bounds expects a 3-axis joint")
-    if not is_sampling_normal_form(p_xyz):
-        raise PreconditionError("joint is not in sampling normal form")
-    return _evaluate("sampling", p_xyz)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,7 @@ def _reproduce_rows(cfg, only=None):
     if only is None or only in _CMSS_ROW:
         # AND's bounds, shared with the and row when that row ran
         sep = separation_report(cfg=cfg, report=and_rep or _verified_bounds("and", {}, cfg)[2])
+        verified = all(sep.scheme_checks.values())
         rows.append(
             {
                 "name": _CMSS_ROW,
@@ -309,8 +310,9 @@ def _reproduce_rows(cfg, only=None):
                 "simulated": sep.scheme_entropies,
                 "rho": 0.0,
                 "targets": {l: LOG3 for l in ("m12", "m23", "m31")},
+                "verified": verified,
                 "skipped": {l: [] for l in LINKS},  # its bounds run every family
-                "match": abs(sep.gaps["m12"] - (1.826 - LOG3)) <= tol
+                "match": verified and abs(sep.gaps["m12"] - (1.826 - LOG3)) <= tol
                 and all(abs(sep.scheme_entropies[l] - LOG3) <= 1e-9 for l in sep.scheme_entropies),
             }
         )

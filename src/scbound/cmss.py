@@ -104,13 +104,15 @@ class SeparationReport:
     protocol_bounds: dict  # link -> transcript lower bound
     gaps: dict  # link -> protocol bound minus share bound (clamped at 0)
     scheme_entropies: dict  # achieved share entropies, when a scheme is known
+    scheme_checks: dict  # verify_cmss of that scheme's joint, when one is known
 
 
 def separation_report(ch=None, p_xy=None, cfg=None, report=None):
     """Dealer-vs-protocol gap for a channel (default: AND, uniform inputs).
 
     For AND the known three-label scheme achieves the share bounds, so the
-    Alice-Bob gap is the protocol bound minus log 3. `report`, when given,
+    Alice-Bob gap is the protocol bound minus log 3; the report carries the
+    scheme's share entropies and its six CMSS checks. `report`, when given,
     is the best_bounds report of (p_xy, ch) the caller already has.
     """
     cfg = cfg or OptConfig()
@@ -126,10 +128,10 @@ def separation_report(ch=None, p_xy=None, cfg=None, report=None):
     proto = {link: report.link(link).value for link in ("m12", "m23", "m31")}
     cmss_vals = {link: cm[link].value for link in ("m12", "m23", "m31")}
     gaps = {link: max(proto[link] - cmss_vals[link], 0.0) for link in proto}
-    scheme = {}
+    scheme, checks = {}, {}
     if is_and:
-        scheme = share_entropies(cmss_joint(and_cmss(), and_secret_dist()))
-    return SeparationReport(
-        cmss_bounds=cmss_vals, protocol_bounds=proto, gaps=gaps, scheme_entropies=scheme
-    )
+        joint = cmss_joint(and_cmss(), and_secret_dist())
+        scheme, checks = share_entropies(joint), verify_cmss(joint)
+    return SeparationReport(cmss_bounds=cmss_vals, protocol_bounds=proto, gaps=gaps,
+                            scheme_entropies=scheme, scheme_checks=checks)
 

@@ -8,7 +8,6 @@ functionals take as they take a JointDist. Probabilities are float64;
 entropies are in bits.
 """
 
-import itertools
 import json
 import math
 
@@ -109,9 +108,6 @@ class JointDist:
     def n_axes(self):
         return len(self.axes)
 
-    def prob(self, key):
-        return float(self.probs[tuple(a.index(s) for a, s in zip(self.axes, key))])
-
     def support(self):
         """Yield (symbol-tuple, probability) for every support point."""
         for idx in np.argwhere(self.probs > SUPPORT_EPS):
@@ -125,29 +121,6 @@ class JointDist:
         return JointDist(
             tuple(self.axes[i] for i in keep), self.probs.sum(axis=drop) if drop else self.probs
         )
-
-    def group_axes(self, groups, names=None):
-        """Collapse axis groups into composite tuple-symbol axes.
-
-        groups: list of index tuples partitioning a subset of the axes; axes
-        not listed are dropped (marginalized). Used to take residual
-        information between composite variables like (U,T) and (V,W).
-        """
-        flat = [i for g in groups for i in g]
-        if len(set(flat)) != len(flat):
-            raise ValueError("axis groups overlap")
-        m = self.marginal(set(flat)) if set(flat) != set(range(self.n_axes)) else self
-        pos = {i: k for k, i in enumerate(sorted(set(flat)))}
-        order = [pos[i] for g in groups for i in g]
-        probs = np.transpose(m.probs, order)
-        sizes = [int(np.prod([len(self.axes[i]) for i in g])) for g in groups]
-        probs = probs.reshape(sizes)
-        axes = []
-        for gi, g in enumerate(groups):
-            syms = tuple(itertools.product(*(self.axes[i].symbols for i in g)))
-            name = names[gi] if names else "+".join(self.axes[i].name for i in g)
-            axes.append(Alphabet(name, syms))
-        return JointDist(axes, probs)
 
     def __eq__(self, other):
         return (
@@ -219,12 +192,6 @@ class SupportJoint:
     @property
     def n_axes(self):
         return len(self.axes)
-
-    def support(self):
-        """Yield (symbol-tuple, probability) for every support point."""
-        for idx, p in zip(self.coords, self.probs):
-            if p > SUPPORT_EPS:
-                yield tuple(a.symbols[i] for a, i in zip(self.axes, idx)), float(p)
 
     def grouped(self, keep):
         """Distinct rows of coords[:, keep], sorted, and the mass of each
@@ -402,13 +369,6 @@ def join(p_xy, ch):
         raise ValueError("input distribution axes do not match channel alphabets")
     probs = p_xy.probs[:, :, None] * ch.kernel
     return JointDist((ch.x_axis, ch.y_axis, ch.z_axis), probs)
-
-
-def product(p_a, p_b):
-    """Independent product; axes are concatenated."""
-    shape = p_a.probs.shape + p_b.probs.shape
-    probs = np.outer(p_a.probs.ravel(), p_b.probs.ravel()).reshape(shape)
-    return JointDist(p_a.axes + p_b.axes, probs)
 
 
 # ---------------------------------------------------------------------------

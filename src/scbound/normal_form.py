@@ -25,7 +25,6 @@ class NormalFormResult:
     x_map: dict = field(default_factory=dict)
     y_map: dict = field(default_factory=dict)
     z_map: dict = field(default_factory=dict)
-    dropped: dict = field(default_factory=dict)  # axis name -> [symbols]
 
 
 def _proportional(u, v):
@@ -47,8 +46,8 @@ def _pairs(n):
 
 class _Reducer:
     """A 3-axis array, optional (X, Y) input masses (the pair form), and per
-    axis its symbols, its map from original symbol to representative (None
-    once dropped), and its dropped symbols keyed by axis name."""
+    axis its symbols and its map from original symbol to representative
+    (None once dropped)."""
 
     def __init__(self, axes, array, probs=None):
         self.axes = tuple(axes)
@@ -56,7 +55,6 @@ class _Reducer:
         self.probs = None if probs is None else np.array(probs)
         self.syms = [list(ax.symbols) for ax in self.axes]
         self.maps = [{s: s for s in ax.symbols} for ax in self.axes]
-        self.dropped = {}
 
     def _remove(self, ax, j, into):
         gone = self.syms[ax].pop(j)
@@ -84,7 +82,6 @@ class _Reducer:
         self._remove(ax, j, self.syms[ax][i])
 
     def drop(self, ax, j):
-        self.dropped.setdefault(self.axes[ax].name, []).append(self.syms[ax][j])
         self._remove(ax, j, None)
         if self.probs is not None:
             # a pair's off-support rows may have lost mass; renormalize them
@@ -105,7 +102,7 @@ class _Reducer:
         return [Alphabet(ax.name, syms) for ax, syms in zip(self.axes, self.syms)]
 
     def result(self, reduced):
-        return NormalFormResult(reduced, *self.maps, dropped=self.dropped)
+        return NormalFormResult(reduced, *self.maps)
 
 
 # -- rules: each yields (primitive, axis, index...) moves in scan order -------
@@ -178,7 +175,7 @@ def pair_normal_form(p_xy, ch):
     """Reduce a (p_XY, p_Z|XY) pair; support-restricted equivalences.
 
     Output symbols with zero probability under every supported input pair are
-    dropped and recorded in `dropped`.
+    dropped; z_map sends them to None.
     """
     r = _pair_reducer(p_xy, ch).reduce(_pair_rule)
     x, y, z = r.alphabets()

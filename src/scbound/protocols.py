@@ -144,14 +144,14 @@ def _branches(spec, x, y):
         yield steps
 
 
-def run_exact(spec, p_xy, branch_cap=BRANCH_CAP):
+def run_exact(spec, p_xy):
     """Enumerate all branches and return the exact execution joint."""
     if p_xy.n_axes != 2 or p_xy.axes[0] != spec.x_axis or p_xy.axes[1] != spec.y_axis:
         raise ValueError("input distribution axes do not match the protocol")
     r1, r2, r3 = spec.randomness
     branches = len(spec.x_axis) * len(spec.y_axis) * len(r1) * len(r2) * len(r3)
-    if branches > branch_cap:
-        raise CapacityError("%d branches exceed cap %d" % (branches, branch_cap))
+    if branches > BRANCH_CAP:
+        raise CapacityError("%d branches exceed cap %d" % (branches, BRANCH_CAP))
     axes = (
         spec.x_axis,
         spec.y_axis,

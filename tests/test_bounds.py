@@ -13,7 +13,6 @@ from scbound.bounds import (
     intermediate_bounds,
     prelim_bounds,
     randomness_bound,
-    sampling_bounds,
     switched_bounds,
     term_value,
 )
@@ -172,10 +171,8 @@ def _oracle_evaluation(family, d):
          "m31": cond_entropy(d, {0, 2}, {1})}
     if family == "prelim":
         gaps = {"m12": max(ri_xz, ri_yz), "m23": max(ri_xz, ri_xy), "m31": max(ri_yz, ri_xy)}
-    elif family == "intermediate":
-        gaps = {"m12": ri_xz + ri_yz, "m23": ri_xz, "m31": ri_yz}
     else:
-        gaps = {"m12": ri_xz + ri_yz, "m23": ri_xz + ri_xy, "m31": ri_yz + ri_xy}
+        gaps = {"m12": ri_xz + ri_yz, "m23": ri_xz, "m31": ri_yz}
     return {link: gaps[link] + h[link] for link in h}
 
 
@@ -206,13 +203,11 @@ def _check_pair(p_xy, ch):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", ["and", "group-add", "sum", "erasure", "remote-ot"])
 def test_evaluation_table_matches_oracle_on_builtins(name, n):
-    # normalized as best_bounds does; the sampling bound at the joint's form
+    # normalized as best_bounds does
     b = builtin(name, n=n)
     chres = channel_normal_form(b.channel)
     p_n = _push_inputs(b.default_input, chres, chres.reduced)
     _check_pair(*pair_normal_form(p_n, chres.reduced).reduced)
-    d = sampling_normal_form(join(b.default_input, b.channel)).reduced
-    _assert_matches_oracle("sampling", sampling_bounds(d), d)
 
 
 def test_evaluation_table_matches_oracle_on_random_pairs(rng):
@@ -233,20 +228,21 @@ def test_evaluation_table_matches_oracle_on_random_pairs(rng):
 
 
 def test_evaluation_table_matches_oracle_on_random_sampling_joints(rng):
+    # random 3-axis joints with zero cells, reduced to sampling normal form:
+    # the dealer-share base scores each at the joint itself
     from conftest import random_joint
 
     axes = (Alphabet("X", (0, 1, 2)), Alphabet("Y", (0, 1, 2)), Alphabet("Z", (0, 1)))
     for _ in range(16):
         d = sampling_normal_form(JointDist(axes, random_joint(rng, (3, 3, 2), max_weight=3))).reduced
-        _assert_matches_oracle("sampling", sampling_bounds(d), d)
+        base = cmss_bounds(d, CHEAP)
+        _assert_matches_oracle("prelim", {l: base[l].terms[0].value for l in base}, d)
 
 
 def test_evaluation_table_matches_oracle_on_singleton_channel():
     x, y, z = Alphabet("X", ("*",)), Alphabet("Y", ("*",)), Alphabet("Z", ("c",))
     ch = Channel.from_function(x, y, z, lambda a, b: "c")
     _check_pair(JointDist.uniform((x, y)), ch)
-    d = JointDist.uniform((x, y, z))
-    _assert_matches_oracle("sampling", sampling_bounds(d), d)
 
 
 # -- optimized bounds --------------------------------------------------------
@@ -413,30 +409,7 @@ def test_best_bounds_normalizes_redundant_channel(uniform_bits):
     assert rep.h_m12.value >= 1.826 - 1e-3
 
 
-# -- sampling and dealer bounds ----------------------------------------------
-
-
-def test_sampling_and_joint(and_joint):
-    tri = sampling_bounds(and_joint)
-    assert tri["m23"] == pytest.approx(I_XZ_AND + 0.0 + 1.0, abs=1e-12)
-    assert tri["m31"] == pytest.approx(I_XZ_AND + 0.0 + 1.0, abs=1e-12)
-    assert tri["m12"] == pytest.approx(2 * I_XZ_AND + H_XY_GIVEN_Z_AND, abs=1e-12)
-
-
-def test_sampling_identical_secrets():
-    # X = Y = Z a uniform bit: every residual and conditional term vanishes
-    x, y, z = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1)), Alphabet("Z", (0, 1))
-    d = JointDist.from_pmf((x, y, z), {(0, 0, 0): 0.5, (1, 1, 1): 0.5})
-    tri = sampling_bounds(d)
-    assert (tri["m23"], tri["m31"], tri["m12"]) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
-
-
-def test_sampling_requires_normal_form():
-    # an independent component makes slices proportional, hence reducible
-    x, y, z = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1)), Alphabet("Z", ("c",))
-    d = JointDist.uniform((x, y, z))
-    with pytest.raises(PreconditionError):
-        sampling_bounds(d)
+# -- dealer bounds ----------------------------------------------------------
 
 
 def test_cmss_bounds_and_joint(and_joint):

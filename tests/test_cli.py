@@ -352,6 +352,30 @@ def test_reproduce_computes_and_bounds_once(capsys, monkeypatch, only):
     assert len(uppers) == 1 and uppers[0] is not None
 
 
+def test_reproduce_cmss_row_requires_the_scheme_checks(capsys, monkeypatch):
+    # a scheme whose Bob-Charlie share depends on X: Bob and Charlie cannot
+    # reconstruct from it, and it leaks X to both, so the row is not verified
+    import scbound.cmss
+
+    base = scbound.cmss.and_cmss()
+
+    def share(x, y, z, r):
+        a, b, c = r
+        return a, (a if x else c), (a if x else b)
+
+    tampered = dataclasses.replace(base, share_fn=share)
+    checks = scbound.cmss.verify_cmss(
+        scbound.cmss.cmss_joint(tampered, scbound.cmss.and_secret_dist()))
+    assert [k for k, ok in checks.items() if not ok] == [
+        "reconstruct_y", "reconstruct_z", "privacy_bob", "privacy_charlie"]
+    monkeypatch.setattr("scbound.cmss.and_cmss", lambda: tampered)
+    code, out, _ = run_cli(capsys, "reproduce", "--only", "cmss")
+    assert code == 2
+    (row,) = json.loads(out)["rows"]
+    assert row["name"] == "and-cmss-gap"
+    assert row["verified"] is False and row["match"] is False
+
+
 def test_reproduce_only_without_match_exits_1_before_work(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("no row should be computed")

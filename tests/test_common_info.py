@@ -128,7 +128,10 @@ def test_data_processing_inequality(rng):
     for _ in range(40):
         d = _markov_chain_quadruple(rng)
         lhs = residual_info(d.marginal({1, 3}))
-        rhs = residual_info(d.group_axes([(0, 1), (2, 3)]))
+        # (U,T) and (V,W) as two composite axes: the (u, t, v, w) array
+        # reshaped to (u t, v w)
+        nu, nt, nv, nw = d.probs.shape
+        rhs = residual_info(pair(d.probs.reshape(nu * nt, nv * nw)))
         assert lhs <= rhs + 1e-9
 
 

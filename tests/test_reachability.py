@@ -1,0 +1,154 @@
+"""Every function of scbound is reached by a command, or it is listed here.
+
+A fixed set of in-process `scbound` commands runs under `sys.setprofile`,
+which records each code object of the package that is entered. Every `def`
+in `src/scbound` must be among them or on ALLOWLIST with the reason it
+stays. Dunders and the functions nested in an allowlisted one need no
+entry. An allowlist entry that is no longer defined, or that the commands
+now enter, fails too, so the list cannot go stale.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from scbound import cli
+from scbound.dists import dumps
+from scbound.protocols import builtin, spec_to_json
+from scbound.simplex import candidate_points
+
+SRC = pathlib.Path(cli.__file__).parent
+
+_SPANS = "wrapped by name in perfbench/spans.py, whose traced run perfbench/selftest.py checks"
+_REFERENCE = "a reference the tests compare the cone kernel against"
+ALLOWLIST = {
+    "bounds.improved_bounds": _SPANS,
+    "bounds.switched_bounds": _SPANS,
+    "bounds.conditional_bounds": _SPANS,
+    "bounds._family": "the family reader behind improved/switched/conditional_bounds",
+    "normal_form.is_channel_normal_form": _SPANS,
+    "normal_form.sampling_normal_form": _SPANS,
+    "normal_form.is_sampling_normal_form": _SPANS,
+    "normal_form._sampling_rule": "the rule of the sampling normal form",
+    "normal_form._sampling_reducer": "the reducer of the sampling normal form",
+    "protocols.verify_transcript_independence": _SPANS,
+    "common_info.residual_info": _SPANS + "; " + _REFERENCE,
+    "dists.JointDist.marginal": _SPANS + "; execution joints take SupportJoint.marginal",
+    "common_info.common_part": _REFERENCE,
+    "common_info.CommonPart.entropy": "the block entropy of common_part's result",
+    "common_info._block_mass": "the block masses of common_part and block_entropy",
+    "common_info.residual_info_oracle": _REFERENCE,
+    "common_info._set_partitions": "the partitions residual_info_oracle enumerates",
+    "common_info.block_entropy": _REFERENCE,
+    "bounds.term_value": "re-evaluates a reported term; scripts/and_landscape.py calls it",
+    "protocols.spec_to_json": "writes the --spec files simulate reads; perfbench inputs use it",
+    "protocols._view_json": "the view rows of spec_to_json",
+    "dists.channel_to_json": "writes the --channel files analyze reads; perfbench inputs use it",
+    "dists.Channel.row": "the kernel rows of channel_to_json",
+}
+
+# a channel that reduces to AND by one merge of each kind: x=1 and x=2 have
+# equal rows, and outputs "0" and "0'" are proportional
+_MERGES = {
+    "axes": [{"name": "X", "symbols": ["0", "1", "2"]}, {"name": "Y", "symbols": ["0", "1"]},
+             {"name": "Z", "symbols": ["0", "0'", "1"]}],
+    "kernel": [{"t": [x, y], "row": {"1": 1.0} if x != "0" and y == "1"
+                else {"0": 0.5, "0'": 0.5}}
+               for x in ("0", "1", "2") for y in ("0", "1")],
+}
+_DIST = {
+    "axes": _MERGES["axes"][:2],
+    "pmf": [{"t": [x, y], "p": 0.25 if x == "0" else 0.125}
+            for x in ("0", "1", "2") for y in ("0", "1")],
+}
+
+
+def _commands(tmp):
+    channel, dist, spec = tmp / "channel.json", tmp / "dist.json", tmp / "spec.json"
+    channel.write_text(json.dumps(_MERGES))
+    dist.write_text(json.dumps(_DIST))
+    spec.write_text(dumps(spec_to_json(builtin("and").spec)))
+    return [
+        ["reproduce", "--format", "csv"],
+        ["analyze", "--builtin", "remote-ot", "--m", "3"],  # the Dirichlet scan
+        ["analyze", "--builtin", "erasure", "--p", "1"],  # a pair-form drop
+        ["analyze", "--channel", str(channel), "--dist", str(dist), "--format", "csv"],
+        ["simulate", "--spec", str(spec)],
+        ["simulate", "--builtin", "sum", "--n", "2", "--format", "csv"],
+    ]
+
+
+def _definitions():
+    """{(file name, first line): qualified name} of every def in scbound.
+    The first line is the first decorator's, as in the code object."""
+    defs = {}
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    defs[(path.name, line)] = prefix + child.name
+                visit(path, child, prefix + child.name + ".")
+            else:
+                visit(path, child, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(path, ast.parse(path.read_text()), path.stem + ".")
+    return defs
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """(every def's qualified name, the names the commands entered)."""
+    commands = _commands(tmp_path_factory.mktemp("reach"))
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    candidate_points.cache_clear()  # filled by earlier tests, it would skip the scan grids
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [cli.main(argv) for argv in commands]
+        finally:
+            sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    defs = _definitions()
+    keys = {(pathlib.Path(f).name, line) for f, line in seen if pathlib.Path(f).parent == SRC}
+    return set(defs.values()), {defs[k] for k in keys & defs.keys()}
+
+
+def _excused(name):
+    """A dunder, an allowlisted name or a function nested in one."""
+    last = name.rsplit(".", 1)[-1]
+    if last.startswith("__") and last.endswith("__"):
+        return True
+    parts = name.split(".")
+    return any(".".join(parts[:i]) in ALLOWLIST for i in range(2, len(parts) + 1))
+
+
+def test_every_function_is_reached_or_allowlisted(reach):
+    defined, entered = reach
+    unreached = sorted(n for n in defined - entered if not _excused(n))
+    assert not unreached, "no command reaches: %s" % ", ".join(unreached)
+
+
+def test_allowlist_names_defined_functions(reach):
+    defined, _ = reach
+    assert all(reason for reason in ALLOWLIST.values())
+    gone = sorted(set(ALLOWLIST) - defined)
+    assert not gone, "allowlisted but not defined: %s" % ", ".join(gone)
+
+
+def test_allowlist_names_unreached_functions(reach):
+    _, entered = reach
+    reached = sorted(set(ALLOWLIST) & entered)
+    assert not reached, "allowlisted but reached by a command: %s" % ", ".join(reached)
