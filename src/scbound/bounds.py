@@ -13,17 +13,17 @@ pattern, so boundary-approaching witnesses evaluate to their limits.
 Every optimized term is a sum of term kinds (a residual-information gap
 ri_* or a conditional entropy h_*), each evaluated at one input law. One
 term table decides which kinds make which term: _JOINT_VARIANTS holds the
-single-law variants of each link (optimized and dealer-share bounds), and
-_PRODUCT_TERMS the switched and conditional terms, whose inner laws are
-chosen separately, and _EVAL_TERMS the evaluation bounds, each a per-link
-maximum of kinds tuples at one fixed law. One walker, _families, says
-which optimized family runs on which link under which gate; best_bounds
-and the public family functions both read it. term_value re-evaluates any
-optimized term of a channel at given laws. Every term call of the
-evaluation bounds, of the optimizers' scans and polishes, and of
+single-law variants of each link (optimized and dealer-share bounds),
+_EVAL_TERMS the evaluation bounds, each a per-link maximum of kinds tuples
+at one fixed law, and _TERMS every optimized term by its outer law and its
+inner laws' kinds. One walker, _families, reads _TERMS and _LINK_CONDITION
+to say which optimized family runs on which link under which gate;
+best_bounds and the public family functions both read it, and term_value
+re-evaluates any _TERMS entry of a channel at given laws. Every term call
+of the evaluation bounds, of the optimizers' scans and polishes, and of
 term_value, is scored by one kernel, _SupportCone.values, on the support
 cone of a 3-axis joint: one GEMM onto the marginals the kinds read, one
-_xlogx and one weighted sum per _CHUNK-row slice. A channel's _TermBank
+xlogx and one weighted sum per _CHUNK-row slice. A channel's _TermBank
 maps input laws onto the cone of its generic support; a product-form term
 (one x law, one y law) is scored there at the product law, where each
 product-form kind equals its joint-form kind.
@@ -47,7 +47,9 @@ Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
 """
 
+import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +59,10 @@ from .dists import (
     JointDist,
     PreconditionError,
     SUPPORT_EPS,
-    ZERO_TOL,
     dist_to_json,
+    is_product,
     join,
+    xlogx,
 )
 from .normal_form import (
     bigraph_connected,
@@ -113,12 +116,17 @@ _EVAL_TERMS = {
     },
 }
 
-# switched and conditional terms: name -> (outer label, ((inner label,
-# kinds), ...)). Each inner law is maximized separately against the outer
-# law. A primed outer label is optimized too, as a nested supremum on its
-# side's shared sweep; "p_X" and "p_Y" are the kept marginal of the actual
-# input and are not witnesses.
-_PRODUCT_TERMS = {
+# every optimized term: "<family>_<link>[_<variant>]" -> (outer label,
+# ((inner label, kinds), ...)), grouped by family and link in run order.
+# An improved term scores its kinds at its one joint law p_X'Y' (inner label
+# None), one term per single-law variant. A switched or conditional term
+# maximizes each inner law separately against the outer law. A primed outer
+# label is optimized too, and the term is distribution-free: over the joint
+# law, or as a nested supremum on its side's shared sweep. "p_X" and "p_Y"
+# are the kept marginal of the actual input and are not witnesses.
+_TERMS = {
+    **{"improved_%s_%s" % (link, kinds[0]): ("p_X'Y'", ((None, kinds),))
+       for link, variants in _JOINT_VARIANTS.items() for kinds in variants},
     "switched_m23": ("p_Y", (("p_X'", ("ri_xz",)), ("p_X''", ("h_yz_x",)))),
     "switched_m31": ("p_X", (("p_Y'", ("ri_yz",)), ("p_Y''", ("h_xz_y",)))),
     "switched_m12_top": ("p_X'", (("p_Y'", ("ri_yz",)), ("p_Y''", ("ri_xz", "h_xy_z")))),
@@ -127,13 +135,22 @@ _PRODUCT_TERMS = {
     "conditional_m23": ("p_Y'", (("p_X'", ("ri_xz",)), ("p_X''", ("h_yz_x",)))),
 }
 
+# a distribution-free term on a link to Charlie holds only under the link's
+# reachable-output connectivity condition, which also forces the link's
+# transcript independent of the inputs in the randomness bound
+_LINK_CONDITION = {"m23": "condition2", "m31": "condition1"}
+
 
 def _side(label):
+    """"xy" for the joint law, else the input the one-axis law is on."""
+    if label == "p_X'Y'":
+        return "xy"
     return "x" if label.startswith("p_X") else "y"
 
 
-def _nested_term(name):
-    return _PRODUCT_TERMS[name][0].endswith("'")
+def _free(name):
+    # distribution-free: a primed outer label
+    return _TERMS[name][0].endswith("'")
 
 
 # inner-term groups of the nested sweeps, per outer side; the kinds of one
@@ -142,8 +159,8 @@ _SWEEP_GROUPS = {
     side: tuple(
         dict.fromkeys(
             kinds
-            for name, (outer, inner) in _PRODUCT_TERMS.items()
-            if _nested_term(name) and _side(outer) == side
+            for name, (outer, inner) in _TERMS.items()
+            if _free(name) and _side(outer) == side
             for _, kinds in inner
         )
     )
@@ -161,34 +178,16 @@ class TermValue:
     limit_point: bool = False
 
 
-def _xlogx(p, out=None, work=None):
-    """q * log2(q) cell by cell, with q = where(p > SUPPORT_EPS, p, 1): an
-    off-support cell becomes 1 * log2(1) = 0 without a masked gather or
-    scatter. Written to a fresh array, or to `out` (p itself allowed); with
-    `out` and `work`, a (float, bool) pair of buffers of p's shape, the call
-    allocates nothing."""
-    log, on = (None, None) if work is None else work
-    on = np.greater(p, SUPPORT_EPS, out=on)
-    if out is None:
-        q = np.where(on, p, 1.0)
-    else:
-        q = out
-        if q is not p:
-            np.copyto(q, p)
-        np.copyto(q, 1.0, where=np.logical_not(on, out=on))
-    return np.multiply(q, np.log2(q, out=log), out=q)
-
-
 def _H(p, axis=-1):
-    return -_xlogx(p).sum(axis=axis)
+    return -xlogx(p).sum(axis=axis)
 
 
 def _H_lead(p):
     # entropy over the leading axis, accumulated over its contiguous slices
     # in order, which keeps the temporaries slice-sized
-    acc = _xlogx(p[0])
+    acc = xlogx(p[0])
     for q in p[1:]:
-        acc += _xlogx(q)
+        acc += xlogx(q)
     return -acc
 
 
@@ -234,7 +233,7 @@ class _SupportCone:
     sign and the kinds' signs together; a marginal whose signs cancel is
     left out, and the joint's own cells stand in for the xyz marginal, so T
     holds no identity block. A batch is then scored in _CHUNK-row slices as
-    _xlogx(cells) @ w, one GEMM and one _xlogx per slice.
+    xlogx(cells) @ w, one GEMM and one xlogx per slice.
     """
 
     def __init__(self, axes, points):
@@ -298,7 +297,7 @@ class _SupportCone:
         for lo in range(0, len(Qs), _CHUNK):
             q = Qs[lo:lo + _CHUNK]
             cells = np.concatenate([q, q @ T], axis=1) if xyz else q @ T
-            out[lo:lo + _CHUNK] = _xlogx(cells) @ w
+            out[lo:lo + _CHUNK] = xlogx(cells) @ w
         return out
 
 
@@ -368,7 +367,7 @@ class _TermBank:
             # the z-th cells of the output laws, x log x taken in place
             Pz = h_z if z == 0 else P
             np.matmul(C, Bt, out=Pz)
-            _xlogx(Pz, out=Pz, work=xlog)
+            xlogx(Pz, work=xlog)
             if z:
                 h_z += Pz
         np.negative(h_z, out=h_z)
@@ -483,11 +482,6 @@ def _as_prob_vector(p, size, what):
     return p
 
 
-def _is_product(p_xy):
-    outer = np.outer(p_xy.probs.sum(axis=1), p_xy.probs.sum(axis=0))
-    return bool(np.max(np.abs(outer - p_xy.probs)) <= ZERO_TOL)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation bounds (no optimization)
 
@@ -539,21 +533,14 @@ def intermediate_bounds(p_x, p_y, ch):
 # Optimized bounds
 
 
-def _optimize_joint(bank, link, kinds, cfg):
-    """Maximize a sum of joint-form terms over full-support p_X'Y'."""
+def _optimize_joint(bank, name, cfg):
+    """An improved term: its kinds maximized over full-support p_X'Y'."""
     nx, ny = bank.nx, bank.ny
+    (_, kinds), = _TERMS[name][1]
     res = optimize_over_simplex(
-        lambda Q: bank.joint_values(Q.reshape(-1, nx, ny), kinds), nx * ny, cfg
+        lambda Q: _group_values(bank, "xy", Q.reshape(-1, nx, ny), None, kinds), nx * ny, cfg
     )
-    witness = JointDist((bank.ch.x_axis, bank.ch.y_axis), res.witness.reshape(nx, ny))
-    return TermValue(
-        name="improved_%s_%s" % (link, kinds[0]),
-        link=link,
-        value=res.value,
-        witnesses={"p_X'Y'": witness},
-        distribution_free=True,
-        limit_point=res.limit_point,
-    )
+    return _term(bank, name, [res.witness.reshape(nx, ny)], res.value, res.limit_point)
 
 
 def improved_bounds(ch, cfg=DEFAULT_CONFIG):
@@ -568,25 +555,30 @@ def improved_bounds(ch, cfg=DEFAULT_CONFIG):
 
 
 def _group_values(bank, side, outer, p, kinds):
-    """One inner law's kinds against the outer law, scored on the cone at
-    their product law: at a product law every product-form kind equals its
-    joint-form kind, with the same frozen blocks. At most one of the laws
-    may be an (n, k) batch of rows, giving (n,) values; single laws give
-    (1,)."""
+    """One group's kinds scored on the cone: at the joint law `outer` if
+    `side` is "xy", else at the product of the outer law, on `side`, and the
+    inner law p, where every product-form kind equals its joint-form kind.
+    At most one law may be a batch of rows, giving one value per row."""
+    if side == "xy":
+        return bank.joint_values(outer, kinds)
     a, b = np.atleast_2d(outer), np.atleast_2d(p)
     if side == "y":
         a, b = b, a
     return bank.joint_values(a[:, :, None] * b[:, None, :], kinds)
 
 
-def _product_term(bank, name, labels, pts, value, limit):
-    axes = {"x": bank.ch.x_axis, "y": bank.ch.y_axis}
+def _term(bank, name, pts, value, limit):
+    """The TermValue of `name`, whose witnesses are its primed outer law,
+    if any, then its inner laws, given in that order as `pts`."""
+    (outer, inner), ch = _TERMS[name], bank.ch
+    labels = [outer] * _free(name) + [lab for lab, _ in inner if lab is not None]
+    axes = {"x": (ch.x_axis,), "y": (ch.y_axis,), "xy": (ch.x_axis, ch.y_axis)}
     return TermValue(
         name=name,
         link=name.split("_")[1],
         value=value,
-        witnesses={lab: JointDist((axes[_side(lab)],), p) for lab, p in zip(labels, pts)},
-        distribution_free=_nested_term(name),
+        witnesses={lab: JointDist(axes[_side(lab)], p) for lab, p in zip(labels, pts)},
+        distribution_free=_free(name),
         limit_point=limit,
     )
 
@@ -594,7 +586,7 @@ def _product_term(bank, name, labels, pts, value, limit):
 def _switched_single(bank, name, marginal, cfg):
     """A switched term at the kept input marginal: each inner law maximized
     on its own against it."""
-    outer, inner = _PRODUCT_TERMS[name]
+    outer, inner = _TERMS[name]
     side = _side(outer)
     k = bank.ny if side == "x" else bank.nx
     res = [
@@ -603,14 +595,8 @@ def _switched_single(bank, name, marginal, cfg):
         )
         for _, kinds in inner
     ]
-    return _product_term(
-        bank,
-        name,
-        [lab for lab, _ in inner],
-        [r.witness for r in res],
-        sum(r.value for r in res),
-        any(r.limit_point for r in res),
-    )
+    return _term(bank, name, [r.witness for r in res], sum(r.value for r in res),
+                 any(r.limit_point for r in res))
 
 
 def _nested(bank, name, cfg):
@@ -625,7 +611,7 @@ def _nested(bank, name, cfg):
     the grid for both sides' groups. While the polish moves one law, an
     inner group that law does not enter is scored once, not per bracket.
     """
-    outer, inner = _PRODUCT_TERMS[name]
+    outer, inner = _TERMS[name]
     side = _side(outer)
     groups = [kinds for _, kinds in inner]
     sw = bank.sweep(side, cfg)
@@ -653,7 +639,7 @@ def _nested(bank, name, cfg):
 
     value, pts, _ = coordinate_polish(values, pts, cfg, value=float(totals[i]))
     limit = any(p.min() <= SUPPORT_BOUNDARY for p in pts)
-    return _product_term(bank, name, [outer] + [lab for lab, _ in inner], pts, value, limit)
+    return _term(bank, name, pts, value, limit)
 
 
 _last_bank = None
@@ -701,46 +687,33 @@ def _family(ch, family, cfg, px=None, py=None):
 def _families(ch, px, py, conditions, cfg):
     """The families after the evaluation bound, in cost order, as (family,
     link, term) for every link of every family: `term()` computes that
-    link's term, and is None where the family's gate leaves the link out.
-    The only place that says which family runs on which link, under which
-    gate and with which terms. The intermediate bound, computed for all
-    links at once, runs on the first call for any link; the shared nested
-    sweep on the first nested term."""
+    link's term, and is None where _LINK_CONDITION leaves the link out.
+    The intermediate bound, computed for all links at once, runs on the
+    first call for any link; the optimized families follow _TERMS, each
+    link keeping the better of its terms, and the shared nested sweep runs
+    on the first nested term."""
     bank = _shared_bank(ch)
-    c1, c2 = conditions["condition1"], conditions["condition2"]
     intermediate = functools.cache(lambda: intermediate_bounds(px, py, ch))
-
-    def switched(link):
-        # the links to Charlie keep the actual marginal of the non-switched
-        # input; the Alice-Bob link takes the larger of its two nested rows
-        if link != "m12":
-            return _switched_single(bank, "switched_" + link, py if link == "m23" else px, cfg)
-        return _pick([_nested(bank, "switched_m12_top", cfg),
-                      _nested(bank, "switched_m12_bottom", cfg)])
-
-    families = (
-        ("intermediate", (("m12", True), ("m23", True), ("m31", True)),
-         lambda link: TermValue(name="intermediate_%s" % link, link=link,
-                                value=intermediate()[link])),
-        # the better of the link's single-law variants
-        ("improved", (("m12", True), ("m23", c2), ("m31", c1)),
-         lambda link: _pick([_optimize_joint(bank, link, kinds, cfg)
-                             for kinds in _JOINT_VARIANTS[link]])),
-        ("switched", (("m23", True), ("m31", True), ("m12", True)), switched),
-        ("conditional", (("m31", c1), ("m23", c2)),
-         lambda link: _nested(bank, "conditional_" + link, cfg)),
-    )
-    for family, gates, term in families:
-        for link, gate in gates:
-            yield family, link, functools.partial(term, link) if gate else None
+    for link in LINKS:
+        yield "intermediate", link, functools.partial(
+            lambda link: TermValue(name="intermediate_" + link, link=link,
+                                   value=intermediate()[link]), link)
+    for (family, link), names in itertools.groupby(_TERMS, lambda n: n.split("_")[:2]):
+        names = list(names)
+        cond = _LINK_CONDITION.get(link) if _free(names[0]) else None
+        yield family, link, None if cond and not conditions[cond] else functools.partial(
+            lambda names: _pick([_run_term(bank, n, cfg, px, py) for n in names]), names)
 
 
-# improved term name -> its kinds
-_IMPROVED_KINDS = {
-    "improved_%s_%s" % (link, kinds[0]): kinds
-    for link, variants in _JOINT_VARIANTS.items()
-    for kinds in variants
-}
+def _run_term(bank, name, cfg, px, py):
+    """Optimize one _TERMS entry, by its outer law: the joint law alone, a
+    kept input marginal (px or py), or a nested supremum."""
+    outer = _TERMS[name][0]
+    if _side(outer) == "xy":
+        return _optimize_joint(bank, name, cfg)
+    if not _free(name):
+        return _switched_single(bank, name, px if outer == "p_X" else py, cfg)
+    return _nested(bank, name, cfg)
 
 
 def term_value(ch, name, dists):
@@ -751,23 +724,24 @@ def term_value(ch, name, dists):
     laws (JointDist or arrays). switched_m23 and switched_m31 also read the
     kept input marginal, under "p_Y" and "p_X".
     """
-    bank = _shared_bank(ch)
-    if name in _PRODUCT_TERMS:
-        outer, inner = _PRODUCT_TERMS[name]
-
-        def law(label):
-            size = bank.nx if _side(label) == "x" else bank.ny
-            return _as_prob_vector(dists[label], size, label)
-
-        side, o = _side(outer), law(outer)
-        return float(sum(_group_values(bank, side, o, law(lab), kinds) for lab, kinds in inner)[0])
-    if name not in _IMPROVED_KINDS:
+    if name not in _TERMS:
         raise ValueError("unknown term %r" % name)
-    q = dists["p_X'Y'"]
-    q = np.asarray(q.probs if isinstance(q, JointDist) else q, dtype=float)
-    if q.shape != (bank.nx, bank.ny):
-        raise ValueError("p_X'Y' has shape %s, expected %s" % (q.shape, (bank.nx, bank.ny)))
-    return float(bank.joint_values(q, _IMPROVED_KINDS[name])[0])
+    bank = _shared_bank(ch)
+
+    def law(label):
+        # a vector on its input, or the (|X|, |Y|) joint law
+        p, side = dists[label], _side(label)
+        if side != "xy":
+            return _as_prob_vector(p, bank.nx if side == "x" else bank.ny, label)
+        q = np.asarray(p.probs if isinstance(p, JointDist) else p, dtype=float)
+        if q.shape != (bank.nx, bank.ny):
+            raise ValueError("%s has shape %s, expected %s" % (label, q.shape, (bank.nx, bank.ny)))
+        return q
+
+    outer, inner = _TERMS[name]
+    side, o = _side(outer), law(outer)
+    return float(sum(_group_values(bank, side, o, None if lab is None else law(lab), kinds)
+                     for lab, kinds in inner)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -825,18 +799,13 @@ class BoundReport:
                 ax: {str(k): (None if v is None else str(v)) for k, v in m.items()}
                 for ax, m in self.merges.items()
             },
-            "config": {
-                "grid_resolution": self.config.grid_resolution,
-                "refine_iters": self.config.refine_iters,
-            },
+            "config": dataclasses.asdict(self.config),
         }
 
 
 def _pick(terms):
     best = None
     for t in terms:
-        if t is None:
-            continue
         if best is None or t.value > best.value + REPLACE_MARGIN:
             best = t
     return best
@@ -888,7 +857,7 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
         "condition1": check_condition1(ch_n),
         "condition2": check_condition2(ch_n),
         "full_support": bool(p_n.probs.min() > SUPPORT_EPS),
-        "product_inputs": _is_product(p_n),
+        "product_inputs": is_product(p_n),
     }
 
     terms = {
@@ -936,10 +905,8 @@ def randomness_bound(report):
     if report.conditions.get("bigraph_connected"):
         vals.append(report.h_m12.value)
     if report.conditions.get("full_support"):
-        if report.conditions.get("condition1"):
-            vals.append(report.h_m31.value)
-        if report.conditions.get("condition2"):
-            vals.append(report.h_m23.value)
+        vals += [report.link(link).value for link, cond in _LINK_CONDITION.items()
+                 if report.conditions.get(cond)]
     return max(vals, default=0.0)
 
 

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from . import bounds as bounds_mod
 from .dists import (
     Alphabet,
-    Channel,
     JointDist,
     SupportJoint,
     entropy,
     join,
 )
-from .protocols import M12, M23, M31, ExecutionJoint, verify_cutset, verify_privacy
+from .protocols import M12, M23, M31, ExecutionJoint, builtin, verify_cutset, verify_privacy
 from .simplex import OptConfig
 
 
@@ -68,14 +67,15 @@ def and_cmss():
     """The three-label AND scheme: a random permutation (a, b, c) of {0,1,2};
     the Alice-Bob share is a, Alice's link to Charlie carries a iff X=1 else
     b, Bob's carries a iff Y=1 else c. All three shares are uniform over
-    three labels."""
-    ch = _and_channel()
+    three labels. The secrets are those of the AND built-in, whose inputs
+    are 1-tuples of bits."""
+    ch = builtin("and").channel
     labels = Alphabet("L", (0, 1, 2))
     perms = Alphabet("R", tuple(itertools.permutations((0, 1, 2))))
 
     def share(x, y, z, r):
         a, b, c = r
-        return a, (a if y else c), (a if x else b)
+        return a, (a if y[0] else c), (a if x[0] else b)
 
     return CmssSpec(
         secret_axes=(ch.x_axis, ch.y_axis, ch.z_axis),
@@ -86,16 +86,10 @@ def and_cmss():
     )
 
 
-def _and_channel():
-    bit = (0, 1)
-    x_axis, y_axis, z_axis = Alphabet("X", bit), Alphabet("Y", bit), Alphabet("Z", bit)
-    return Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x & y)
-
-
 def and_secret_dist():
     """Uniform independent input bits pushed through AND."""
-    ch = _and_channel()
-    return join(JointDist.uniform((ch.x_axis, ch.y_axis)), ch)
+    b = builtin("and")
+    return join(b.default_input, b.channel)
 
 
 @dataclass
@@ -118,7 +112,7 @@ def separation_report(ch=None, p_xy=None, cfg=None, report=None):
     cfg = cfg or OptConfig()
     is_and = ch is None
     if is_and:
-        ch = _and_channel()
+        ch = builtin("and").channel
     if p_xy is None:
         p_xy = JointDist.uniform((ch.x_axis, ch.y_axis))
     if report is None:

@@ -304,12 +304,24 @@ def _check_axis_set(d, axes, what):
     return set(int(i) for i in axes)
 
 
+def xlogx(p, work=None):
+    """q * log2(q) cell by cell, with q = where(p > SUPPORT_EPS, p, 1): an
+    off-support cell becomes 1 * log2(1) = 0 without a masked gather or
+    scatter. With `work`, a (float, bool) pair of buffers of p's shape, q is
+    p itself, overwritten, and the call allocates nothing."""
+    if work is None:
+        q = np.where(p > SUPPORT_EPS, p, 1.0)
+        return np.multiply(q, np.log2(q), out=q)
+    log, off = work
+    np.logical_not(np.greater(p, SUPPORT_EPS, out=off), out=off)
+    np.copyto(p, 1.0, where=off)
+    return np.multiply(p, np.log2(p, out=log), out=p)
+
+
 def entropy_of_array(p):
     """H of a raw probability array in bits, with 0 log 0 := 0."""
     p = np.asarray(p, dtype=float)
-    mask = p > SUPPORT_EPS
-    vals = p[mask]
-    return float(-(vals * np.log2(vals)).sum())
+    return float(-xlogx(p[p > SUPPORT_EPS]).sum())
 
 
 def _marginal_probs(d, axes):
@@ -361,6 +373,12 @@ def cond_mutual_info(d, axes_a, axes_b, given_axes):
         raise ValueError("axis sets overlap")
     v = entropy(d, a | c) + entropy(d, b | c) - entropy(d, a | b | c) - entropy(d, c)
     return max(v, 0.0)
+
+
+def is_product(p_xy):
+    """Whether a 2-axis law is its marginals' product, within ZERO_TOL."""
+    outer = np.outer(p_xy.probs.sum(axis=1), p_xy.probs.sum(axis=0))
+    return bool(np.max(np.abs(outer - p_xy.probs)) <= ZERO_TOL)
 
 
 def join(p_xy, ch):

@@ -391,7 +391,11 @@ def erasure(p=0.5, q=0.5, n=1):
     """Controlled erasure: Alice's bit decides whether Charlie sees Bob's bit
     or an erasure (output symbol 2). Bob one-time-pads his input to Charlie
     and hands the key to Alice; Alice reveals her input and the key bits at
-    the non-erased positions."""
+    the non-erased positions. p and q are the probabilities of a 1 in each
+    of Alice's and Bob's input bits."""
+    for name, v in (("p", p), ("q", q)):
+        if not 0 <= v <= 1:
+            raise ValueError("erasure parameter %s must be in [0, 1], got %r" % (name, v))
     bits = _tuples((0, 1), n)
     x_axis, y_axis = Alphabet("X", bits), Alphabet("Y", bits)
     z_axis = Alphabet("Z", _tuples((0, 1, 2), n))

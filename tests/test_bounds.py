@@ -772,12 +772,11 @@ def _einsum_pair_values(ch, A, B, kinds):
     # the dense einsum formulation of the product-form kernel: every output
     # law in (pair, z) order, entropies summed over the last axis; its
     # common-part blocks are read off the channel's support independently
-    from scbound.bounds import _xlogx
     from scbound.common_info import blocks_from_mask
-    from scbound.dists import SUPPORT_EPS
+    from scbound.dists import SUPPORT_EPS, xlogx
 
     def H(p):
-        return -_xlogx(p).sum(axis=-1)
+        return -xlogx(p).sum(axis=-1)
 
     def labels(mask):
         lab, _, nb = blocks_from_mask(mask)
@@ -1073,28 +1072,25 @@ def test_nested_scores_each_held_group_once(monkeypatch):
 
 
 def test_xlogx_bitwise_equal_to_masked_form():
-    from scbound.bounds import _xlogx
-    from scbound.dists import SUPPORT_EPS
+    from scbound.dists import SUPPORT_EPS, xlogx
 
     p = np.array([0.0, 1e-13, SUPPORT_EPS, 2e-12, 0.5, 1.0])
     want = np.zeros_like(p)
     mask = p > SUPPORT_EPS
     want[mask] = p[mask] * np.log2(p[mask])
-    assert _xlogx(p).tobytes() == want.tobytes()
-    assert _xlogx(p[None]).tobytes() == want[None].tobytes()
-    # the in-place form, into p itself or another buffer, with its scratch
-    out, work = np.full_like(p, np.nan), (np.empty_like(p), np.empty(p.shape, dtype=bool))
-    assert _xlogx(p, out=out, work=work) is out
-    assert out.tobytes() == want.tobytes()
+    assert xlogx(p).tobytes() == want.tobytes()
+    assert xlogx(p[None]).tobytes() == want[None].tobytes()
+    # the in-place form, over p itself, with its scratch
+    work = (np.empty_like(p), np.empty(p.shape, dtype=bool))
     q = p.copy()
-    assert _xlogx(q, out=q, work=work) is q
+    assert xlogx(q, work=work) is q
     assert q.tobytes() == want.tobytes()
 
 
 def test_term_value_reproduces_every_optimized_term():
     # every optimized term re-evaluates from its witnesses, plus the kept
     # input marginals, through the one evaluator
-    from scbound.bounds import _PRODUCT_TERMS
+    from scbound.bounds import _TERMS
 
     cfg = OptConfig(grid_resolution=0.05, refine_iters=20)
     names = set()
@@ -1110,8 +1106,48 @@ def test_term_value_reproduces_every_optimized_term():
             names.add(tv.name)
             got = term_value(ch, tv.name, {**tv.witnesses, "p_X": px, "p_Y": py})
             assert got == pytest.approx(tv.value, abs=1e-12), tv.name
-    assert set(_PRODUCT_TERMS) <= names
+    assert {n for n in _TERMS if not n.startswith("improved_")} <= names
     assert any(n.startswith("improved_") for n in names)
+
+
+def test_term_value_scores_every_term_against_the_joint_oracle(rng):
+    # every _TERMS entry, scored through term_value at random full-support
+    # laws, is the sum over its groups of their kinds on the group's
+    # assembled joint: the joint law itself, or the product of the outer and
+    # inner laws
+    from scbound.bounds import _TERMS, _side
+    from scbound.dists import SUPPORT_EPS, cond_entropy
+
+    assert len(_TERMS) == 12
+    pairs = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+    for nx, ny, nz in ((3, 2, 3), (2, 3, 2), (2, 2, 3)):
+        ch = _random_channel(rng, nx, ny, nz)
+        support = ch.kernel > SUPPORT_EPS
+        masks = {"xy": np.ones((nx, ny), dtype=bool), "xz": support.any(axis=1),
+                 "yz": support.any(axis=0)}
+
+        def kind_value(joint, kind):
+            if kind.startswith("ri_"):
+                return _direct_generic_ri(joint, pairs[kind[3:]], masks[kind[3:]])
+            target, given = kind[2:4], kind[5]  # h_<target>_<given>
+            return cond_entropy(joint, tuple("xyz".index(a) for a in target),
+                                ("xyz".index(given),))
+
+        def draw(label):
+            shape = {"x": (nx,), "y": (ny,), "xy": (nx, ny)}[_side(label)]
+            p = rng.random(shape) + 0.05
+            return p / p.sum()
+
+        for name, (outer, inner) in _TERMS.items():
+            laws = {lab: draw(lab) for lab in [outer] + [lab for lab, _ in inner if lab]}
+            want = 0.0
+            for lab, kinds in inner:
+                o = laws[outer]
+                q = o if lab is None else (np.outer(o, laws[lab]) if _side(outer) == "x"
+                                           else np.outer(laws[lab], o))
+                joint = join(JointDist((ch.x_axis, ch.y_axis), q), ch)
+                want += sum(kind_value(joint, kind) for kind in kinds)
+            assert term_value(ch, name, laws) == pytest.approx(want, abs=1e-10), name
 
 
 def test_remote_ot_improved_m23_reaches_limit():

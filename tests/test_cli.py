@@ -3,12 +3,20 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from scbound.bounds import best_bounds
 from scbound.cli import main
-from scbound.dists import Alphabet, CapacityError, channel_to_json, dist_to_json, dumps
-from scbound.protocols import Round, builtin, spec_to_json
+from scbound.dists import (
+    Alphabet,
+    CapacityError,
+    JointDist,
+    channel_to_json,
+    dist_to_json,
+    dumps,
+)
+from scbound.protocols import Round, builtin, run_exact, spec_to_json, verify_info_inequality
 
 LOG3 = math.log2(3.0)
 
@@ -361,7 +369,7 @@ def test_reproduce_cmss_row_requires_the_scheme_checks(capsys, monkeypatch):
 
     def share(x, y, z, r):
         a, b, c = r
-        return a, (a if x else c), (a if x else b)
+        return a, (a if x[0] else c), (a if x[0] else b)
 
     tampered = dataclasses.replace(base, share_fn=share)
     checks = scbound.cmss.verify_cmss(
@@ -451,6 +459,38 @@ def test_builtin_with_its_written_default_dist(tmp_path, capsys):
                                "--dist", str(path))
         assert code == 1
         assert "do not match" in err
+
+
+def test_simulate_dependent_input_leaves_info_checks_null(tmp_path, capsys):
+    # the information inequality holds only for independent inputs: at a
+    # dependent input, where it fails, its three checks are null and a
+    # correct, private protocol exits 0
+    b = builtin("sum")
+    dep = JointDist(b.default_input.axes, np.array([[0.4, 0.1], [0.1, 0.4]]))
+    path = tmp_path / "dist.json"
+    path.write_text(dumps(dist_to_json(dep)))
+    assert not all(verify_info_inequality(run_exact(b.spec, dep)))
+    code, out, _ = run_cli(capsys, "simulate", "--builtin", "sum", "--dist", str(path))
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    info = [k for k in checks if k.startswith("info_ineq")]
+    assert len(info) == 3 and all(checks[k] is None for k in info)
+    assert all(v is True for k, v in checks.items() if k not in info)
+    code, out, _ = run_cli(capsys, "simulate", "--builtin", "sum", "--dist", str(path),
+                           "--format", "csv")
+    assert code == 0
+    assert "checks.info_ineq_31_23,\n" in out and "checks.privacy_bob,True\n" in out
+    # at a product input the checks run
+    _, out, _ = run_cli(capsys, "simulate", "--builtin", "sum")
+    assert all(v is True for v in json.loads(out)["checks"].values())
+
+
+@pytest.mark.parametrize("flag,value", [("--p", "1.5"), ("--q", "-0.1"), ("--p", "nan")])
+def test_erasure_parameter_outside_unit_interval_exits_1(capsys, flag, value):
+    for cmd in ("analyze", "simulate"):
+        code, out, err = run_cli(capsys, cmd, "--builtin", "erasure", flag, value)
+        assert code == 1 and out == ""
+        assert "erasure parameter %s must be in [0, 1]" % flag[2:] in err
 
 
 def _malformed(kind):

@@ -48,7 +48,7 @@ def test_and_scheme_m12_is_uniform_label():
 
 def test_leaky_scheme_fails_privacy():
     base = and_cmss()
-    leaky_m31 = Alphabet("M31", tuple((l, y) for l in (0, 1, 2) for y in (0, 1)))
+    leaky_m31 = Alphabet("M31", tuple((l, y) for l in (0, 1, 2) for y in base.secret_axes[1]))
 
     def share(x, y, z, r):
         m12, m23, m31 = base.share_fn(x, y, z, r)

@@ -38,18 +38,23 @@ def test_script_runs_from_another_directory(tmp_path):
     assert "grid argmax:" in out.stdout
 
 
-def test_reproduce_table_runs():
+def test_reproduce_csv_runs():
+    # the worked-example table as CSV: one line per row and link, all matching
     out = subprocess.run(
-        [sys.executable, "scripts/reproduce_table.py", "--grid", "0.25", "--refine", "4"],
+        [sys.executable, "-m", "scbound", "reproduce", "--format", "csv",
+         "--grid", "0.25", "--refine", "4"],
         cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    rows = out.stdout.splitlines()[1:-1]  # between the header and the total
-    assert len(rows) == 8
-    assert all(r.endswith("ok") for r in rows)
+    header, *rows = out.stdout.splitlines()
+    assert header == "name,link,bound,simulated,match"
+    assert len(rows) == 8 * 3
+    assert len({r.split(",")[0] for r in rows}) == 8
+    assert all(r.endswith(",True") for r in rows)
 
 
 def test_python_m_scbound_runs():
