@@ -359,7 +359,7 @@ class _TermBank:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         w = _PairWork(self, B, len(A), kinds) if _work is None else _work
-        n, Bt = len(A), B.T
+        n, Bt = len(A), w.Bt
         pa, pb = self._pre_a(A), w.pre_b
         h_z, P, bil = w.h_z[:n], w.laws[:n], w.bil[:n]
         xlog = tuple(buf[:n] for buf in w.xlog)
@@ -420,6 +420,13 @@ class _TermBank:
         return sweeps
 
     def _reduce_slice(self, sweeps, A, work, lo, kinds):
+        """Fold one slice of x candidates A, starting at grid row lo, into
+        both sides' sweeps. An x-side group's max and first argmax along
+        each row are final. A y-side group keeps a running max per column
+        over the slices: V.max(axis=0), a contiguous reduction, finds the
+        columns that rise above it (strict >, so the first slice wins a
+        tie), and only those columns take the strided argmax and the value
+        read back from V; a slice where no column rises costs one max."""
         mats = dict(zip(kinds, self.pair_values(A, work.B, kinds, work)))  # (len(A), len(B)) each
         total = work.group[:len(A)]
 
@@ -441,11 +448,11 @@ class _TermBank:
         for g in _SWEEP_GROUPS["y"]:
             # running max over x slices; strict > keeps the first index on ties
             V = group(g)
-            arg = V.argmax(axis=0)
-            m = np.take_along_axis(V, arg[None, :], axis=0)[0]
-            up = m > y.best[g]
-            y.best[g][up] = m[up]
-            y.arg[g][up] = arg[up] + lo
+            cols = np.flatnonzero(V.max(axis=0) > y.best[g])
+            if cols.size:
+                arg = V[:, cols].argmax(axis=0)
+                y.best[g][cols] = V[arg, cols]
+                y.arg[g][cols] = arg + lo
 
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
@@ -457,13 +464,16 @@ class _TermBank:
 
 class _PairWork:
     """pair_values' workspace for one batch of y laws B: B's side of the
-    kernel, computed once, and (rows, len(B)) buffers that hold a slice of
-    at most `rows` x laws as [:n] views: the output laws' z-th cells, the
-    x log x scratch and mask, the h_z accumulator, the bilinear term, one
-    matrix per kind and one group sum."""
+    kernel, computed once, a C-contiguous copy Bt of B.T, which every
+    GEMM of a slice takes as its right operand (a product on the
+    transposed view costs about twice as much), and (rows, len(B)) buffers
+    that hold a slice of at most `rows` x laws as [:n] views: the output
+    laws' z-th cells, the x log x scratch and mask, the h_z accumulator,
+    the bilinear term, one matrix per kind and one group sum."""
 
     def __init__(self, bank, B, rows, kinds):
         self.B = B
+        self.Bt = np.ascontiguousarray(B.T)
         self.pre_b = bank._pre_b(B)
         shape = (rows, len(B))
         self.laws, self.h_z, self.bil, self.group = (np.empty(shape) for _ in range(4))

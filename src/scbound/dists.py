@@ -143,10 +143,11 @@ class SupportJoint:
     product and probs[r] its mass. Points are distinct and inside their axes;
     masses are finite and nonnegative and sum to 1 within 1e-12. This is the
     form of execution joints, whose support is a vanishing share of the
-    product of their six alphabets. Immutable after construction.
+    product of their six alphabets. Immutable after construction, so each
+    grouping on an axis set is computed once and kept.
     """
 
-    __slots__ = ("axes", "coords", "probs")
+    __slots__ = ("axes", "coords", "probs", "_groups")
 
     def __init__(self, axes, coords, probs):
         axes = tuple(axes)
@@ -171,6 +172,7 @@ class SupportJoint:
         self.axes = axes
         self.coords = coords
         self.probs = _checked_masses(probs)
+        self._groups = {}  # tuple(keep) -> grouped(keep), read-only arrays
 
     @classmethod
     def accumulate(cls, axes, rows):
@@ -195,9 +197,16 @@ class SupportJoint:
 
     def grouped(self, keep):
         """Distinct rows of coords[:, keep], sorted, and the mass of each
-        (summed in row order)."""
-        rows, inverse = _unique_rows(self.coords[:, keep])
-        return rows, np.bincount(inverse, weights=self.probs, minlength=len(rows))
+        (summed in row order), as read-only arrays made once per axis list:
+        the verify checks take the same marginals again and again."""
+        key = tuple(keep)
+        if key not in self._groups:
+            rows, inverse = _unique_rows(self.coords[:, list(key)])
+            mass = np.bincount(inverse, weights=self.probs, minlength=len(rows))
+            rows.setflags(write=False)
+            mass.setflags(write=False)
+            self._groups[key] = rows, mass
+        return self._groups[key]
 
     def marginal(self, axes_idx):
         """Dense JointDist over the kept axes, in their original order."""

@@ -447,6 +447,8 @@ def remote_ot(m=2, n=1):
     """Remote one-out-of-m OT on n-bit strings: Alice pads all strings and a
     rotation offset to Bob, sends the rotated masked strings to Charlie; Bob
     forwards the rotated index and the one key Charlie needs."""
+    if m < 1:
+        raise ValueError("remote-ot m (the number of strings) must be >= 1, got %r" % m)
     strings = _tuples((0, 1), n)
     x_syms = _tuples(strings, m)
     x_axis = Alphabet("X", x_syms)

@@ -1010,6 +1010,89 @@ def test_sweep_is_bit_identical_at_every_slice_height(rng, monkeypatch):
             np.testing.assert_allclose(one.best[g], whole.best[g], rtol=0, atol=1e-12)
 
 
+def _running_y_reduction(slices, n_y):
+    # the earlier y-side reduction, kept as the oracle: the first-index
+    # argmax of every column of each slice, its value taken along it, then a
+    # running max over slices replaced only on strict >. Also counts the
+    # slices in which no column rises and the columns whose slice max ties
+    # the running max of earlier slices
+    best, arg = np.full(n_y, -np.inf), np.zeros(n_y, dtype=int)
+    quiet = ties = 0
+    for lo, V in slices:
+        a = V.argmax(axis=0)
+        m = np.take_along_axis(V, a[None, :], axis=0)[0]
+        up = m > best
+        quiet += not up.any()
+        ties += int((m == best).sum())
+        best[up] = m[up]
+        arg[up] = a[up] + lo
+    return best, arg, quiet, ties
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 3, 2), (3, 4, 3)])
+def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
+    # the y side's running reduction (column max first, argmax only on the
+    # columns that rise) equals the argmax-of-every-column oracle bit for
+    # bit, at slices of 1 row, of 5 rows (the last ragged) and of the whole
+    # grid, on channels with zero cells and a duplicated x input; the runs
+    # include slices where no column rises and columns whose later slice
+    # ties an earlier maximum, which must keep the earlier index
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    ch = _random_channel(rng, *shape, duplicate_x=True)
+    assert (np.asarray(ch.kernel) == 0).any()
+    cfg = OptConfig(grid_resolution=0.1)
+    A, B = candidate_points(shape[0], cfg), candidate_points(shape[1], cfg)
+    assert len(A) % 5 and len(A) <= bounds._CHUNK
+    quiet = ties = 0
+    for height in (1, 5, len(A)):
+        monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
+        bank = bounds._TermBank(ch)
+        sw = bank.sweep("y", cfg)
+        for g in bounds._SWEEP_GROUPS["y"]:
+            slices = []
+            for lo in range(0, len(A), height):
+                mats = bank.pair_values(A[lo:lo + height], B, g)
+                V = mats[0]
+                for mat in mats[1:]:
+                    V = V + mat
+                slices.append((lo, V))
+            best, arg, q, t = _running_y_reduction(slices, len(B))
+            assert np.array_equal(sw.best[g], best)
+            assert np.array_equal(sw.arg[g], arg)
+            quiet, ties = quiet + q, ties + t
+    assert quiet > 0 and ties > 0
+
+
+def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
+    # fixed slices through _reduce_slice: the second slice raises nothing,
+    # the third ties column 0's maximum (index kept) and raises column 1
+    import scbound.bounds as bounds
+
+    bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 2, 2, 2))
+    kinds = list(dict.fromkeys(k for gs in bounds._SWEEP_GROUPS.values() for h in gs for k in h))
+    g = bounds._SWEEP_GROUPS["y"][0]
+    slices = [np.array([[1.0, 2.0], [3.0, 0.5]]),
+              np.array([[0.0, 1.0], [2.0, 1.5]]),
+              np.array([[3.0, 2.5], [-1.0, 4.0]])]
+    # three 2-row slices of x candidates against 2 y candidates
+    sweeps = {side: bounds._Sweep(None, None,
+                                  {h: np.full(n, -np.inf) for h in bounds._SWEEP_GROUPS[side]},
+                                  {h: np.zeros(n, dtype=int) for h in bounds._SWEEP_GROUPS[side]})
+              for side, n in (("x", 6), ("y", 2))}
+    work = bounds._PairWork(bank, np.eye(2), 2, kinds)
+    for i, V in enumerate(slices):
+        # group g sums to V; every other kind reads 0
+        mats = [V if k == g[0] else np.zeros((2, 2)) for k in kinds]
+        monkeypatch.setattr(bank, "pair_values", lambda *args, mats=mats: mats)
+        bank._reduce_slice(sweeps, np.eye(2), work, 2 * i, kinds)
+    best, arg, quiet, ties = _running_y_reduction(list(zip((0, 2, 4), slices)), 2)
+    assert quiet == 1 and ties == 1
+    assert sweeps["y"].best[g].tolist() == best.tolist() == [3.0, 4.0]
+    assert sweeps["y"].arg[g].tolist() == arg.tolist() == [1, 5]
+
+
 def test_sweep_memory_stays_slice_sized():
     # the group-add 4 sweep (3,287 x 3,287 pairs, 4 outputs) scores its grid
     # in one workspace of L2-sized matrices; numpy reports its buffers to

@@ -493,6 +493,14 @@ def test_erasure_parameter_outside_unit_interval_exits_1(capsys, flag, value):
         assert "erasure parameter %s must be in [0, 1]" % flag[2:] in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_remote_ot_m_below_one_exits_1(capsys, value):
+    for cmd in ("analyze", "simulate"):
+        code, out, err = run_cli(capsys, cmd, "--builtin", "remote-ot", "--m", value)
+        assert code == 1 and out == ""
+        assert "remote-ot m (the number of strings) must be >= 1, got %s" % value in err
+
+
 def _malformed(kind):
     """(command line before the file, JSON content) for a malformed file."""
     b = builtin("group-add", order=2)

@@ -118,6 +118,36 @@ def test_support_joint_groups_past_int64():
     assert mass.tolist() == [0.25] * 4
 
 
+def test_support_joint_groupings_are_cached_read_only_and_exact():
+    # an execution joint regroups the same axis sets for every verify check:
+    # each grouping is made once, kept read-only, and equals a fresh
+    # _unique_rows + bincount bit for bit
+    import itertools
+
+    from scbound.protocols import builtin, run_exact
+
+    b = builtin("sum", n=2)
+    s = run_exact(b.spec, b.default_input).joint
+    fresh = SupportJoint(s.axes, s.coords, s.probs)
+    subsets = [list(c) for r in (1, 2, 3) for c in itertools.combinations(range(s.n_axes), r)]
+    for keep in subsets:
+        rows, mass = s.grouped(keep)
+        want_rows, inverse = _unique_rows(s.coords[:, keep])
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(mass, np.bincount(inverse, weights=s.probs,
+                                                minlength=len(want_rows)))
+        assert not rows.flags.writeable and not mass.flags.writeable
+        with pytest.raises(ValueError):
+            mass[0] = 0.0
+        again = s.grouped(tuple(keep))
+        assert again[0] is rows and again[1] is mass
+    for keep in subsets:
+        for _ in range(2):
+            assert entropy(s, keep) == entropy(fresh, keep)
+            assert np.array_equal(s.marginal(keep).probs, fresh.marginal(keep).probs)
+    assert cond_entropy(s, (2,), (0, 1)) == cond_entropy(fresh, (2,), (0, 1))
+
+
 def test_channel_validation():
     x, y, z = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1)), Alphabet("Z", (0, 1))
     bad = np.full((2, 2, 2), 0.4)
