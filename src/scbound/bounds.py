@@ -22,8 +22,10 @@ best_bounds and the public family functions both read it, and term_value
 re-evaluates any _TERMS entry of a channel at given laws. Every term call
 of the evaluation bounds, of the optimizers' scans and polishes, and of
 term_value, is scored by one kernel, _SupportCone.values, on the support
-cone of a 3-axis joint: one GEMM onto the marginals the kinds read, one
-xlogx and one weighted sum per _CHUNK-row slice. A channel's _TermBank
+cone of a 3-axis joint, in slices: _CHUNK rows of a batch, or whole
+brackets, up to _STACK_CELLS cells, of the polish's (lines, LINE_POINTS,
+points) stacks. A slice is one GEMM onto the marginals the kinds read (one
+per bracket), one xlogx and one weighted sum. A channel's _TermBank
 maps input laws onto the cone of its generic support; a product-form term
 (one x law, one y law) is scored there at the product law, where each
 product-form kind equals its joint-form kind.
@@ -88,6 +90,10 @@ REPLACE_MARGIN = 1e-6
 # it skips the remaining bound families
 UPPER_TOL = 1e-9
 _CHUNK = 256
+# cells of one slice of a stack of brackets in _SupportCone.values: 128 KiB
+# of float64. Larger temporaries cost page faults on every call, as glibc's
+# allocator maps or trims them afresh: up to 3x the time per bracket.
+_STACK_CELLS = 1 << 14
 # cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64,
 # which fits a per-core L2 cache
 _SWEEP_CELLS = 1 << 16
@@ -233,7 +239,12 @@ class _SupportCone:
     sign and the kinds' signs together; a marginal whose signs cancel is
     left out, and the joint's own cells stand in for the xyz marginal, so T
     holds no identity block. A batch is then scored in _CHUNK-row slices as
-    xlogx(cells) @ w, one GEMM and one xlogx per slice.
+    xlogx(cells) @ w, one GEMM and one xlogx per slice. A 3-D stack of
+    brackets is scored in slices of as many whole brackets as fit
+    _STACK_CELLS cells, by stacked matmuls, which numpy runs as one GEMM
+    and one gemv per bracket: each bracket's floats are those of the
+    bracket scored alone, which a flattened (brackets x rows) batch would
+    not keep, as BLAS rounds a product's rows differently with its height.
     """
 
     def __init__(self, axes, points):
@@ -290,15 +301,24 @@ class _SupportCone:
         return self._kernels[key]
 
     def values(self, Qs, kinds):
-        """Sum of term values for each cone distribution in the batch."""
-        Qs = np.atleast_2d(np.asarray(Qs, dtype=float))
+        """Sum of term values for each cone distribution: the (n,) values of
+        an (n, n_points) batch or the (b, r) values of a (b, r, n_points)
+        stack of brackets."""
+        Qs = np.asarray(Qs, dtype=float)
         xyz, T, w = self._kernel(kinds)
-        out = np.empty(len(Qs))
-        for lo in range(0, len(Qs), _CHUNK):
-            q = Qs[lo:lo + _CHUNK]
-            cells = np.concatenate([q, q @ T], axis=1) if xyz else q @ T
-            out[lo:lo + _CHUNK] = xlogx(cells) @ w
-        return out
+        if Qs.ndim == 3:
+            # whole brackets per slice, as many as fit _STACK_CELLS cells
+            step = max(1, _STACK_CELLS // (Qs.shape[1] * len(w)))
+        else:
+            Qs, step = np.atleast_2d(Qs), _CHUNK
+
+        def score(q):
+            cells = np.concatenate([q, q @ T], axis=-1) if xyz else q @ T
+            return xlogx(cells) @ w
+
+        if len(Qs) <= step:
+            return score(Qs)
+        return np.concatenate([score(Qs[lo:lo + step]) for lo in range(0, len(Qs), step)])
 
 
 class _TermBank:
@@ -457,9 +477,10 @@ class _TermBank:
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
     def joint_values(self, Q, kinds):
-        """Sum of joint-form terms for each input law of the batch Q."""
+        """Sum of joint-form terms for each input law of the batch Q, an
+        (..., nx, ny) array of laws, as a (...) array."""
         Q = np.asarray(Q, dtype=float)
-        return self.cone.values(Q.reshape(-1, self.nx * self.ny) @ self.M, kinds)
+        return self.cone.values(Q.reshape(Q.shape[:-2] + (self.nx * self.ny,)) @ self.M, kinds)
 
 
 class _PairWork:
@@ -548,7 +569,8 @@ def _optimize_joint(bank, name, cfg):
     nx, ny = bank.nx, bank.ny
     (_, kinds), = _TERMS[name][1]
     res = optimize_over_simplex(
-        lambda Q: _group_values(bank, "xy", Q.reshape(-1, nx, ny), None, kinds), nx * ny, cfg
+        lambda Q: _group_values(bank, "xy", Q.reshape(Q.shape[:-1] + (nx, ny)), None, kinds),
+        nx * ny, cfg,
     )
     return _term(bank, name, [res.witness.reshape(nx, ny)], res.value, res.limit_point)
 
@@ -568,13 +590,14 @@ def _group_values(bank, side, outer, p, kinds):
     """One group's kinds scored on the cone: at the joint law `outer` if
     `side` is "xy", else at the product of the outer law, on `side`, and the
     inner law p, where every product-form kind equals its joint-form kind.
-    At most one law may be a batch of rows, giving one value per row."""
+    At most one law may be a batch (..., k) of rows, giving one value per
+    row; a single law gives one value."""
     if side == "xy":
         return bank.joint_values(outer, kinds)
     a, b = np.atleast_2d(outer), np.atleast_2d(p)
     if side == "y":
         a, b = b, a
-    return bank.joint_values(a[:, :, None] * b[:, None, :], kinds)
+    return bank.joint_values(a[..., :, None] * b[..., None, :], kinds)
 
 
 def _term(bank, name, pts, value, limit):
@@ -612,8 +635,8 @@ def _switched_single(bank, name, marginal, cfg):
 def _nested(bank, name, cfg):
     """sup over the outer distribution of a sum of independently supremized
     inner terms, innermost evaluated first on the side's shared sweep, then a
-    joint coordinate polish whose line searches score each bracket of trial
-    laws with one cone call per inner group (_group_values).
+    joint coordinate polish whose line searches score each round of their
+    stacked brackets with one cone call per inner group (_group_values).
 
     The term's inner groups are groups of _SWEEP_GROUPS of its outer side
     (each inner distribution may carry a sum of kinds, e.g. ri_xz + h_xy_z

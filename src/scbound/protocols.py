@@ -449,6 +449,8 @@ def remote_ot(m=2, n=1):
     forwards the rotated index and the one key Charlie needs."""
     if m < 1:
         raise ValueError("remote-ot m (the number of strings) must be >= 1, got %r" % m)
+    if n < 1:
+        raise ValueError("remote-ot n (the string length in bits) must be >= 1, got %r" % n)
     strings = _tuples((0, 1), n)
     x_syms = _tuples(strings, m)
     x_axis = Alphabet("X", x_syms)
@@ -530,7 +532,8 @@ def builtin(name, **params):
         fn = _BUILTINS[name]
     except KeyError:
         raise ValueError("unknown builtin %r; have %s" % (name, sorted(_BUILTINS)))
-    if params.get("n", 1) < 1:
+    # remote-ot's n is a string length, which remote_ot checks itself
+    if name != "remote-ot" and params.get("n", 1) < 1:
         raise ValueError("block length n must be at least 1, got %r" % params["n"])
     return fn(**params)
 

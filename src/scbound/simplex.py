@@ -5,9 +5,17 @@ alphabets, replaced by seeded Dirichlet(1) draws plus structured candidates
 above 6 symbols, whose count grows as k^2 / 2: a candidate array of more
 than SCAN_CELL_CAP cells raises CapacityError before any of it is built)
 followed by coordinate-wise line searches. Each line search
-scores a bracket of t values, both simplex-boundary ends included, in one
-batched call and then zooms around the best t, so a supremum on a face of
-the simplex is reached, not only approached.
+scores a bracket of t values, both simplex-boundary ends included, and then
+zooms around the best t, so a supremum on a face of the simplex is reached,
+not only approached. The pending line searches of one law run in lockstep:
+each bracket round of the batch is one call on a (lines, LINE_POINTS, k)
+stack, and the polish keeps exactly the value and points of the same line
+searches run one at a time.
+
+An objective maps a (..., k) array of laws to the (...) array of their
+values. The lockstep polish returns the one-at-a-time result bit for bit as
+long as the objective scores each bracket of a stack as it scores that
+(LINE_POINTS, k) bracket alone.
 
 Every reported value is the objective evaluated at the reported point, so
 for the bound expressions any returned point certifies a valid lower bound;
@@ -30,11 +38,14 @@ DIRICHLET_STARTS = 200
 SCAN_CELL_CAP = 1 << 22
 DIRICHLET_SEED = 20240501
 SUPPORT_BOUNDARY = 1e-9
-# line search: LINE_POINTS t values per call, the first call spanning [0, 1]
-# with both ends, then ZOOM_ROUNDS calls each inside the best t's neighbours;
-# the final spacing is 1/32 * (2/34)**5, about 2.2e-8
+# line search: LINE_POINTS t values per bracket, the first bracket spanning
+# [0, 1] with both ends, then ZOOM_ROUNDS brackets each inside the best t's
+# neighbours; the final spacing is 1/32 * (2/34)**5, about 2.2e-8
 LINE_POINTS = 33
 ZOOM_ROUNDS = 5
+_STEPS = np.arange(1, LINE_POINTS + 1)  # a bracket is lo + h * _STEPS
+# the first bracket, at h = 1/32 and lo = -h: 0, 1/32, ..., 1 exactly
+_FIRST = (-1.0 / (LINE_POINTS - 1) + 1.0 / (LINE_POINTS - 1) * _STEPS)[None]
 
 
 @dataclass(frozen=True)
@@ -112,80 +123,112 @@ def candidate_points(k, cfg):
     return pts
 
 
-def _line_rows(p, coord, ts):
-    """Law p with coordinate `coord` moved to each weight of ts and the rest
-    scaled proportionally: one row per t, by one broadcast multiply."""
-    rest = 1.0 - p[coord]
-    if rest > 1e-15:
-        rows = p * ((1.0 - ts) / rest)[:, None]
-    else:
-        rows = np.repeat(((1.0 - ts) / (len(p) - 1))[:, None], len(p), axis=1)
-    rows[:, coord] = ts
-    return rows
+def _line_searches(score, p, cs):
+    """Best (values, rows) on the lines that move each coordinate c of cs of
+    law p over [0, 1], all from p, run in lockstep: a list of floats and a
+    (len(cs), k) array of rows.
 
-
-def _line_search(score, p, coord):
-    """Best (value, row) on the line that moves coordinate `coord` of p over
-    [0, 1].
-
-    The first bracket is LINE_POINTS evenly spaced t values from 0 to 1, both
-    ends included; each of ZOOM_ROUNDS further brackets puts LINE_POINTS
-    values strictly between the best t so far and its two neighbours. Each
-    bracket is one `score` call on an (LINE_POINTS, k) array of rows.
+    The row at t on the line of c puts weight t on c and scales the rest of
+    p by (1 - t) / (1 - p[c]); at the vertex of c (1 - p[c] <= 1e-15) the
+    rest is uniform, the same formula with ones in place of p and k - 1 in
+    place of 1 - p[c]. Each line's first bracket is LINE_POINTS evenly
+    spaced t values from 0 to 1, both ends included; each of ZOOM_ROUNDS
+    further brackets puts LINE_POINTS values strictly between the line's
+    best t so far and its two neighbours. Each round makes one `score` call
+    on the (len(cs), LINE_POINTS, k) stack of all the lines' brackets. Only
+    the rows and the scores are arrays: each line's best value, t and
+    bracket are Python floats, so no line's arithmetic depends on the lines
+    beside it.
     """
-    ts = np.linspace(0.0, 1.0, LINE_POINTS)
-    h = ts[1]
-    best, row, t = -np.inf, None, 0.0
-    for _ in range(ZOOM_ROUNDS + 1):
-        rows = _line_rows(p, coord, ts)
+    b, k = len(cs), len(p)
+    rests = [1.0 - float(p[c]) for c in cs]
+    vertex = [rest <= 1e-15 for rest in rests]
+    P = np.where(np.array(vertex)[:, None], 1.0, p) if any(vertex) else p
+    den = np.array([k - 1.0 if v else rest for v, rest in zip(vertex, rests)])[:, None]
+    # flat index of each bracket row's coordinate c in the stack
+    at = np.arange(0, b * LINE_POINTS * k, k).reshape(b, LINE_POINTS) + np.array(cs)[:, None]
+    P3, lines = P[..., None, :], np.arange(b)
+    best, t = [-np.inf] * b, [0.0] * b
+    h = [1.0 / (LINE_POINTS - 1)] * b
+    lo = [-h[0]] * b
+    ts = _FIRST
+    for r in range(ZOOM_ROUNDS + 1):
+        if r:
+            ts = np.array(lo)[:, None] + np.array(h)[:, None] * _STEPS
+        rows = P3 * ((1.0 - ts) / den)[:, :, None]
+        rows.reshape(-1)[at] = ts
         f = np.asarray(score(rows), dtype=float)
-        j = int(np.argmax(f))
-        if f[j] > best:
-            best, row, t = float(f[j]), rows[j].copy(), ts[j]
-        lo, hi = max(0.0, t - h), min(1.0, t + h)
-        h = (hi - lo) / (LINE_POINTS + 1)
-        ts = lo + h * np.arange(1, LINE_POINTS + 1)
-    return best, row
+        js = f.argmax(axis=1)
+        for i, (fj, j) in enumerate(zip(f[lines, js].tolist(), js.tolist())):
+            if fj > best[i]:
+                # ts[i, j], by the same float operations
+                best[i], t[i] = fj, lo[i] + h[i] * (j + 1)
+            lo[i], hi = max(0.0, t[i] - h[i]), min(1.0, t[i] + h[i])
+            h[i] = (hi - lo[i]) / (LINE_POINTS + 1)
+    # each line's best row, rebuilt once from its t
+    t = np.array(t)
+    rows = P * ((1.0 - t)[:, None] / den)
+    rows[lines, cs] = t
+    return best, rows
 
 
 def coordinate_polish(values, points, cfg, value=None):
     """Cycle batched line searches over all coordinates of all laws.
 
     `points` is a list of 1-D simplex points (mutated copies are returned).
-    `values(s, rows, points)` scores each row of the (n, k_s) array `rows`
-    in place of law s, the other laws held at `points`. Runs cfg.refine_iters
-    line searches, stopping early once a full cycle brings no improvement.
-    Returns (value, points, rows scored); the value is the objective at the
-    returned points.
+    `values(s, rows, points)` maps the (..., k_s) array `rows` to the (...)
+    values of each row in place of law s, the other laws held at `points`.
+    Runs cfg.refine_iters line searches in coordinate order, stopping early
+    once a full cycle brings no improvement, and returns (value, points,
+    rows scored); the value is the objective at the returned points.
+
+    The next line searches of the current law run in lockstep
+    (_line_searches), as many as the budget, the stop rule and a width
+    allow. The width is one at first and after a gain, and doubles after a
+    batch without one, so the lines run again, which are wasted work,
+    never outnumber the lines the polish needs. The results are read in
+    coordinate order up to the first gain, which is taken; the lines after
+    it are run again from the new point. So the value and points are those
+    of the line searches run one at a time, and the rows scored include
+    the lines run again.
     """
     points = [np.array(p, dtype=float) for p in points]
     best = float(values(0, points[0][None], points)[0]) if value is None else value
     coords = [(s, c) for s, p in enumerate(points) for c in range(len(p)) if len(p) > 1]
     if not coords:
         return best, points, 0
-    evals = 0
-    since_improve = 0
-    for it in range(cfg.refine_iters):
-        s, c = coords[it % len(coords)]
-        f, row = _line_search(lambda rows: values(s, rows, points), points[s], c)
-        evals += (ZOOM_ROUNDS + 1) * LINE_POINTS
-        if f > best + 1e-14:
-            best = f
-            points[s] = row
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= len(coords):
+    n = len(coords)
+    evals = it = since_improve = 0
+    width = 1
+    while it < cfg.refine_iters and since_improve < n:
+        s = coords[it % n][0]
+        cap = min(width, cfg.refine_iters - it, n - since_improve)
+        cs = []  # the next coordinates in cycle order, up to the end of law s
+        for m in range(cap):
+            law, c = coords[(it + m) % n]
+            if law != s:
                 break
+            cs.append(c)
+        fs, rows = _line_searches(lambda r: values(s, r, points), points[s], cs)
+        evals += len(cs) * (ZOOM_ROUNDS + 1) * LINE_POINTS
+        width *= 2
+        for f, row in zip(fs, rows):
+            it += 1
+            if f > best + 1e-14:
+                best, points[s] = f, row.copy()
+                since_improve, width = 0, 1
+                break
+            since_improve += 1
     return best, points, evals
 
 
 def optimize_over_simplex(values, k, cfg):
     """Maximize a batched objective over the simplex of k symbols.
 
-    `values` maps an (n, k) array of laws to their (n,) values. The scan
-    scores every candidate point in one call; the polish then scores one
-    line bracket per call. Deterministic for a fixed cfg.
+    `values` maps a (..., k) array of laws to their (...) values. The scan
+    scores every candidate point in one (n, k) call; the polish then scores
+    one (lines, LINE_POINTS, k) stack of brackets per call. Deterministic
+    for a fixed cfg.
     """
     cands = candidate_points(k, cfg)
     vals = np.asarray(values(cands), dtype=float)

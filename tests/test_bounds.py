@@ -943,6 +943,39 @@ def test_fused_cone_kernel_matches_per_marginal_formula(rng, and_joint, cone_kin
         cone.values(Qs[:3], ("ri_xz", "h_zz"))
 
 
+@pytest.mark.parametrize("name,params", [("and", {"n": 3}), ("sum", {"n": 3}),
+                                         ("remote-ot", {"m": 3}), ("random", {})],
+                         ids=["and-n3", "sum-n3", "remote-ot-m3", "random"])
+def test_stacked_kernel_scores_each_bracket_as_alone(rng, name, params):
+    # a lockstep polish round scores a (b, LINE_POINTS, ...) stack of
+    # brackets; each bracket's values must be bit for bit those of the
+    # bracket scored alone, as the one-at-a-time polish scored it, for the
+    # cone kernel and for the joint-law map onto the cone
+    from scbound.bounds import _JOINT_VARIANTS, _TermBank
+    from scbound.simplex import LINE_POINTS
+
+    if name == "random":
+        axes = [Alphabet(a, (0, 1, 2)) for a in "XYZ"]
+        ch = Channel(*axes, rng.dirichlet(np.ones(3), size=(3, 3)))
+    else:
+        ch = builtin(name, **params).channel
+    bank = _TermBank(channel_normal_form(ch).reduced)
+    cone, b = bank.cone, 7
+    Qs = rng.dirichlet(np.ones(cone.n_points), size=(b, LINE_POINTS))
+    n = min(LINE_POINTS, cone.n_points)
+    Qs[0, :n] = np.eye(cone.n_points)[:n]  # vertices
+    Qs[1, :, :2] = 0.0  # a face
+    Qs[1] /= Qs[1].sum(axis=1, keepdims=True)
+    laws = rng.dirichlet(np.ones(bank.nx * bank.ny), size=(b, LINE_POINTS))
+    laws = laws.reshape(b, LINE_POINTS, bank.nx, bank.ny)
+    for kinds in dict.fromkeys(v for vs in _JOINT_VARIANTS.values() for v in vs):
+        got = cone.values(Qs, kinds)
+        assert got.shape == (b, LINE_POINTS)
+        assert np.array_equal(got, np.stack([cone.values(q, kinds) for q in Qs])), kinds
+        got = bank.joint_values(laws, kinds)
+        assert np.array_equal(got, np.stack([bank.joint_values(q, kinds) for q in laws])), kinds
+
+
 def test_sweep_walks_the_grid_once(rng, monkeypatch):
     # both outer sides come from one pass: one pair_values call per slice of
     # x candidates, as tall as _SWEEP_CELLS allows, and the second side adds
@@ -1141,7 +1174,7 @@ def test_nested_scores_each_held_group_once(monkeypatch):
     joint_values = _TermBank.joint_values
 
     def recorded(self, Q, kinds):
-        if len(Q) == 1:
+        if np.ndim(Q) == 3 and len(Q) == 1:
             seen.append((np.asarray(Q).tobytes(), tuple(kinds)))
         return joint_values(self, Q, kinds)
 

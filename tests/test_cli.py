@@ -501,6 +501,20 @@ def test_remote_ot_m_below_one_exits_1(capsys, value):
         assert "remote-ot m (the number of strings) must be >= 1, got %s" % value in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_remote_ot_n_below_one_names_the_string_length(capsys, value):
+    # for remote-ot --n is the string length in bits, not a block length;
+    # the other built-ins keep the block-length message
+    for cmd in ("analyze", "simulate"):
+        code, out, err = run_cli(capsys, cmd, "--builtin", "remote-ot", "--n", value)
+        assert code == 1 and out == ""
+        assert "remote-ot n (the string length in bits) must be >= 1, got %s" % value in err
+        assert "block length" not in err
+        code, out, err = run_cli(capsys, cmd, "--builtin", "sum", "--n", value)
+        assert code == 1 and out == ""
+        assert "block length n must be at least 1, got %s" % value in err
+
+
 def _malformed(kind):
     """(command line before the file, JSON content) for a malformed file."""
     b = builtin("group-add", order=2)
