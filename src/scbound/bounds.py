@@ -41,9 +41,18 @@ x-candidate x y-candidate grid is scored once per channel and config, in
 slices of x candidates, and each slice is reduced for both outer sides as
 it streams (a per-outer max and argmax; the y side's as a running max over
 slices). A slice has rows <= _CHUNK x candidates with rows x n_y <=
-_SWEEP_CELLS, a matrix that fits a per-core L2 cache, and every slice is
-scored in one workspace of such matrices allocated once per sweep. The
-sweep's memory is O(rows x n_y) rather than O(n_x x n_y).
+_SWEEP_CELLS, a matrix that fits a per-core L2 cache. A sweep of two or
+more slices of at least _SWEEP_CELLS // 2 cells is split between two
+workers when two CPUs are usable: the calling thread scores the first half
+of the slices and a thread started and joined inside the sweep the second;
+smaller sweeps, and every sweep on one CPU, stay on the calling thread.
+The split pays in full when BLAS runs one thread (see _TermBank._sweep).
+Each worker scores its slices in its own workspace of five such matrices,
+one per product-form kind, and the workers share one y side. The second
+worker's y-side running max replaces the first's only on strict >, the
+rule one worker applies from slice to slice, so the result is that of one
+worker, bit for bit. The sweep's memory is O(rows x n_y) rather than
+O(n_x x n_y).
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
@@ -52,6 +61,8 @@ kernels.
 import dataclasses
 import functools
 import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +183,15 @@ _SWEEP_GROUPS = {
     )
     for side in "xy"
 }
+# the product-form kinds pair_values scores, one workspace matrix each
+_PAIR_KINDS = ("ri_xz", "ri_yz", "h_xy_z", "h_yz_x", "h_xz_y")
+# the sweep's (side, group) pairs in the order a slice folds them: the
+# one-kind groups first, so that a longer group can then be summed in place
+# into its first kind's matrix, which no later group may read
+_SLICE_GROUPS = sorted(((side, g) for side, gs in _SWEEP_GROUPS.items() for g in gs),
+                       key=lambda sg: len(sg[1]))
+assert not any(g[0] in h for i, (_, g) in enumerate(_SLICE_GROUPS) if len(g) > 1
+               for _, h in _SLICE_GROUPS[i + 1:]), "a group summed in place feeds a later one"
 
 
 @dataclass
@@ -336,7 +356,10 @@ class _TermBank:
     the output laws A @ Wz, (nz, n, ny), whose z-th slice meets the y laws B
     in one GEMM, (n, ny) @ (ny, m): the z-th cells of every pair's output
     law, which are taken x log x in place and summed into one (n, m)
-    matrix, z by z.
+    matrix, z by z. The sweep runs its slices on one or two workers, each
+    with its own _PairWork; pair_values, _pre_a and _reduce_slice write
+    only to the worker's workspace, its rows of the x side and its own y
+    side, and read the bank's arrays, so two workers share one bank.
     """
 
     def __init__(self, ch):
@@ -371,49 +394,47 @@ class _TermBank:
 
     def pair_values(self, A, B, kinds, _work=None):
         """Evaluate product-form terms for all (A_i, B_j) pairs, one (len(A),
-        len(B)) matrix per kind. The nested sweep passes its slices of x
-        laws with one _PairWork made for B, whose buffers then hold the
-        result until the next call; without one, the buffers and so the
-        returned matrices are fresh. No (nz, len(A), len(B)) array is
-        built."""
+        len(B)) matrix per kind of `kinds`, in that order. All five kinds of
+        _PAIR_KINDS are computed on every call, as each serves as another's
+        scratch; `kinds` only picks the ones returned, so that a caller
+        outside the sweep (the tests) gets the kinds of one group. The
+        nested sweep passes its slices of x laws with one _PairWork made for
+        B, whose five matrices then hold every kind's result until the next
+        call; without one, the matrices and so the returned ones are fresh.
+        No (nz, len(A), len(B)) array is built."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        w = _PairWork(self, B, len(A), kinds) if _work is None else _work
+        w = _PairWork(self, B, len(A)) if _work is None else _work
         n, Bt = len(A), w.Bt
         pa, pb = self._pre_a(A), w.pre_b
-        h_z, P, bil = w.h_z[:n], w.laws[:n], w.bil[:n]
-        xlog = tuple(buf[:n] for buf in w.xlog)
+        ri_xz, ri_yz, h_xy_z, h_yz_x, h_xz_y = (w.mats[kind][:n] for kind in _PAIR_KINDS)
+        # h_z accumulates in ri_xz's matrix; the z-th cells of the output
+        # laws and their log scratch use ri_yz's and h_xy_z's, not yet written
+        h_z, xlog = ri_xz, (h_xy_z, w.off[:n])
         for z, C in enumerate(pa["C"]):
             # the z-th cells of the output laws, x log x taken in place
-            Pz = h_z if z == 0 else P
+            Pz = h_z if z == 0 else ri_yz
             np.matmul(C, Bt, out=Pz)
             xlogx(Pz, work=xlog)
             if z:
                 h_z += Pz
         np.negative(h_z, out=h_z)
+        bil = h_yz_x  # becomes h_yz_x in place once h_xy_z and h_xz_y read it
         np.matmul(A @ self.Hrow, Bt, out=bil)
-        out = [w.kinds[kind][:n] for kind in kinds]
-        for v, kind in zip(out, kinds):
-            # written straight into the output, left to right
-            if kind == "ri_xz":
-                np.matmul(A, pb["G"], out=v)
-                np.subtract(h_z, v, out=v)
-                v -= pa["blk"][:, None]
-            elif kind == "ri_yz":
-                np.matmul(pa["G"], Bt, out=v)
-                np.subtract(h_z, v, out=v)
-                v -= pb["blk"][None, :]
-            elif kind == "h_xy_z":
-                np.add(pa["H"][:, None], pb["H"][None, :], out=v)
-                v += bil
-                v -= h_z
-            elif kind == "h_yz_x":
-                np.add(pb["H"][None, :], bil, out=v)
-            elif kind == "h_xz_y":
-                np.add(pa["H"][:, None], bil, out=v)
-            else:
-                raise ValueError("unknown term kind %r" % kind)
-        return out
+        # each kind left to right, in an order that reads h_z and bil before
+        # their matrices are overwritten
+        np.matmul(pa["G"], Bt, out=ri_yz)
+        np.subtract(h_z, ri_yz, out=ri_yz)
+        ri_yz -= pb["blk"][None, :]
+        np.add(pa["H"][:, None], pb["H"][None, :], out=h_xy_z)
+        h_xy_z += bil
+        h_xy_z -= h_z
+        np.matmul(A, pb["G"], out=h_xz_y)  # A.G_b, before h_xz_y is written
+        np.subtract(h_z, h_xz_y, out=ri_xz)
+        ri_xz -= pa["blk"][:, None]
+        np.add(pa["H"][:, None], bil, out=h_xz_y)
+        np.add(pb["H"][None, :], bil, out=h_yz_x)
+        return [w.mats[kind][:n] for kind in kinds]
 
     def sweep(self, side, cfg):
         """Every inner-term group of one outer side, maximized over the inner
@@ -424,55 +445,106 @@ class _TermBank:
         return self._sweeps[cfg][side]
 
     def _sweep(self, cfg):
-        # pair_values takes x-side rows first; slices walk the x candidates,
-        # rows at a time, through one workspace
+        """One pass over the grid in slices of x candidates, shared by up to
+        two workers. The calling thread takes the first half of the slices
+        and a thread started here the second, each in its own _PairWork
+        (both allocated here, both on one y side), when the sweep has two
+        slices or more of at least _SWEEP_CELLS // 2 cells and two CPUs are
+        usable; on smaller slices the thread costs more than it saves
+        (remote-ot m=2's 13 slices of 256 x 55 cells: 2.1 ms on one worker,
+        2.4 ms on two, one BLAS thread). The x-side rows the workers write
+        are disjoint; the second worker keeps its own y-side running max,
+        which replaces the first's only on strict >, as a later slice does
+        within one worker. The thread is joined before the sweep returns or
+        raises, and its exception is raised here. The CPUs are counted by
+        os.sched_getaffinity where the OS has it, else by os.cpu_count.
+        The split pays in full when BLAS runs one thread. A multi-threaded
+        OpenBLAS keeps its pool threads spinning on the cores for a while
+        after a large GEMM, and the second worker then shares a core with
+        them: on 2 cores with the BLAS thread variables unset, the
+        group-add 4 sweep inside `analyze` took 65 ms on two workers
+        against 81 ms on one (52 ms with one BLAS thread), and the sweeps
+        of group-add 5 and 6 and remote-ot m=3 took 1-2 ms more."""
         A, B = candidate_points(self.nx, cfg), candidate_points(self.ny, cfg)
-        sweeps = {}
-        for side, outer, inner in (("x", A, B), ("y", B, A)):
+
+        def fresh(side, outer, inner):
             gs = _SWEEP_GROUPS[side]
-            sweeps[side] = _Sweep(outer, inner, {g: np.full(len(outer), -np.inf) for g in gs},
-                                  {g: np.zeros(len(outer), dtype=int) for g in gs})
-        kinds = list(dict.fromkeys(k for gs in _SWEEP_GROUPS.values() for g in gs for k in g))
+            return _Sweep(outer, inner, {g: np.full(len(outer), -np.inf) for g in gs},
+                          {g: np.zeros(len(outer), dtype=int) for g in gs})
+
+        sweeps = {"x": fresh("x", A, B), "y": fresh("y", B, A)}
         rows = max(1, min(_CHUNK, len(A), _SWEEP_CELLS // len(B)))
-        work = _PairWork(self, B, rows, kinds)
-        for lo in range(0, len(A), rows):
-            self._reduce_slice(sweeps, A[lo:lo + rows], work, lo, kinds)
+        los = range(0, len(A), rows)
+        work = _PairWork(self, B, rows)
+        # the CPUs this process may run on, where the OS can tell (Linux)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        split = cpus >= 2 and len(los) >= 2 and rows * len(B) >= _SWEEP_CELLS // 2
+        half = (len(los) + 1) // 2 if split else len(los)
+        errors = []
+
+        def run(sweeps, work, los):
+            # one worker's slices; a failure is kept, and raised once the
+            # thread has ended
+            try:
+                for lo in los:
+                    self._reduce_slice(sweeps, A[lo:lo + rows], work, lo)
+            except BaseException as exc:
+                errors.append(exc)
+
+        if split:
+            later = {"x": sweeps["x"], "y": fresh("y", B, A)}
+            own = _PairWork(self, B, rows, (work.Bt, work.pre_b))
+            thread = threading.Thread(target=run, args=(later, own, los[half:]))
+            thread.start()
+        try:
+            run(sweeps, work, los[:half])
+        finally:
+            if split:
+                thread.join()
+        if errors:
+            raise errors[0]
+        if split:
+            y, z = sweeps["y"], later["y"]
+            for g in _SWEEP_GROUPS["y"]:
+                up = z.best[g] > y.best[g]
+                y.best[g][up] = z.best[g][up]
+                y.arg[g][up] = z.arg[g][up]
         return sweeps
 
-    def _reduce_slice(self, sweeps, A, work, lo, kinds):
+    def _reduce_slice(self, sweeps, A, work, lo):
         """Fold one slice of x candidates A, starting at grid row lo, into
         both sides' sweeps. An x-side group's max and first argmax along
         each row are final. A y-side group keeps a running max per column
         over the slices: V.max(axis=0), a contiguous reduction, finds the
         columns that rise above it (strict >, so the first slice wins a
         tie), and only those columns take the strided argmax and the value
-        read back from V; a slice where no column rises costs one max."""
-        mats = dict(zip(kinds, self.pair_values(A, work.B, kinds, work)))  # (len(A), len(B)) each
-        total = work.group[:len(A)]
-
-        def group(g):
-            # summed left to right from the first kind's matrix, which a
-            # one-kind group uses as is; a longer group's sum is written to
-            # the workspace, read before the next group is summed
-            V = mats[g[0]]
-            for k in g[1:]:
-                V = np.add(V, mats[k], out=total)
-            return V
-
+        read back from V, in blocks of at most _STACK_CELLS cells, so that
+        neither worker's gathered copy grows past 128 KiB; a slice where
+        no column rises costs one max.
+        The one-kind groups are reduced first, on the kind matrices as
+        pair_values leaves them; a longer group is then summed left to
+        right in place into its first kind's matrix, which no later group
+        reads (ri_xz += h_xy_z, ri_yz += h_xy_z)."""
+        mats = dict(zip(_PAIR_KINDS, self.pair_values(A, work.B, _PAIR_KINDS, work)))
         x, y = sweeps["x"], sweeps["y"]
-        for g in _SWEEP_GROUPS["x"]:
-            V = group(g)
-            arg = V.argmax(axis=1)
-            x.best[g][lo:lo + len(A)] = np.take_along_axis(V, arg[:, None], axis=1)[:, 0]
-            x.arg[g][lo:lo + len(A)] = arg
-        for g in _SWEEP_GROUPS["y"]:
-            # running max over x slices; strict > keeps the first index on ties
-            V = group(g)
-            cols = np.flatnonzero(V.max(axis=0) > y.best[g])
-            if cols.size:
-                arg = V[:, cols].argmax(axis=0)
-                y.best[g][cols] = V[arg, cols]
-                y.arg[g][cols] = arg + lo
+        for side, g in _SLICE_GROUPS:
+            V = mats[g[0]]  # (len(A), len(B))
+            for k in g[1:]:
+                V += mats[k]
+            if side == "x":
+                arg = V.argmax(axis=1)
+                x.best[g][lo:lo + len(A)] = np.take_along_axis(V, arg[:, None], axis=1)[:, 0]
+                x.arg[g][lo:lo + len(A)] = arg
+            else:
+                # running max over x slices; strict > keeps the first index on ties
+                rising = np.flatnonzero(V.max(axis=0) > y.best[g])
+                step = max(1, _STACK_CELLS // len(V))
+                for c in range(0, rising.size, step):
+                    cols = rising[c:c + step]
+                    arg = V[:, cols].argmax(axis=0)
+                    y.best[g][cols] = V[arg, cols]
+                    y.arg[g][cols] = arg + lo
 
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
@@ -485,21 +557,21 @@ class _TermBank:
 
 class _PairWork:
     """pair_values' workspace for one batch of y laws B: B's side of the
-    kernel, computed once, a C-contiguous copy Bt of B.T, which every
-    GEMM of a slice takes as its right operand (a product on the
-    transposed view costs about twice as much), and (rows, len(B)) buffers
-    that hold a slice of at most `rows` x laws as [:n] views: the output
-    laws' z-th cells, the x log x scratch and mask, the h_z accumulator,
-    the bilinear term, one matrix per kind and one group sum."""
+    kernel (a C-contiguous copy Bt of B.T, which every GEMM of a slice takes
+    as its right operand, as a product on the transposed view costs about
+    twice as much, and pre_b), computed once or shared with another
+    workspace on the same B, and five (rows, len(B)) matrices, one per
+    product-form kind, plus a bool mask for x log x, that hold a slice of at
+    most `rows` x laws as [:n] views. pair_values uses the kind matrices not
+    yet written as its scratch: the output laws' z-th cells, the log, the
+    h_z accumulator and the bilinear term."""
 
-    def __init__(self, bank, B, rows, kinds):
+    def __init__(self, bank, B, rows, y_side=None):
         self.B = B
-        self.Bt = np.ascontiguousarray(B.T)
-        self.pre_b = bank._pre_b(B)
+        self.Bt, self.pre_b = y_side or (np.ascontiguousarray(B.T), bank._pre_b(B))
         shape = (rows, len(B))
-        self.laws, self.h_z, self.bil, self.group = (np.empty(shape) for _ in range(4))
-        self.xlog = (np.empty(shape), np.empty(shape, dtype=bool))
-        self.kinds = {kind: np.empty(shape) for kind in kinds}
+        self.mats = {kind: np.empty(shape) for kind in _PAIR_KINDS}
+        self.off = np.empty(shape, dtype=bool)
 
 
 def _as_prob_vector(p, size, what):
@@ -666,7 +738,7 @@ def _nested(bank, name, cfg):
         return fixed[key]
 
     def values(s, rows, ps):
-        # rows in place of law s: one pair_values call per inner group it enters
+        # rows in place of law s: one joint_values call per inner group it enters
         laws = ps[:s] + [rows] + ps[s + 1:]
         return sum(group_values(laws[0], p, kinds) for p, kinds in zip(laws[1:], groups))
 

@@ -1067,9 +1067,10 @@ def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
     # the y side's running reduction (column max first, argmax only on the
     # columns that rise) equals the argmax-of-every-column oracle bit for
     # bit, at slices of 1 row, of 5 rows (the last ragged) and of the whole
-    # grid, on channels with zero cells and a duplicated x input; the runs
-    # include slices where no column rises and columns whose later slice
-    # ties an earlier maximum, which must keep the earlier index
+    # grid, on channels with zero cells and a duplicated x input, with the
+    # rising columns taken in blocks of 7; the runs include slices where no
+    # column rises and columns whose later slice ties an earlier maximum,
+    # which must keep the earlier index
     import scbound.bounds as bounds
     from scbound.simplex import candidate_points
 
@@ -1081,6 +1082,7 @@ def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
     quiet = ties = 0
     for height in (1, 5, len(A)):
         monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
+        monkeypatch.setattr(bounds, "_STACK_CELLS", height * 7)
         bank = bounds._TermBank(ch)
         sw = bank.sweep("y", cfg)
         for g in bounds._SWEEP_GROUPS["y"]:
@@ -1098,43 +1100,188 @@ def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
     assert quiet > 0 and ties > 0
 
 
-def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
-    # fixed slices through _reduce_slice: the second slice raises nothing,
-    # the third ties column 0's maximum (index kept) and raises column 1
+def _force_workers(monkeypatch, n):
+    # the sweep takes its worker count from the CPUs the process may run on;
+    # os.sched_getaffinity exists on Linux only, so it may be absent
     import scbound.bounds as bounds
 
-    bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 2, 2, 2))
-    kinds = list(dict.fromkeys(k for gs in bounds._SWEEP_GROUPS.values() for h in gs for k in h))
+    monkeypatch.setattr(bounds.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _record_threads(monkeypatch):
+    # the thread of every pair_values call, in call order
+    import threading
+
+    from scbound.bounds import _TermBank
+
+    seen = []
+    pair_values = _TermBank.pair_values
+
+    def recorded(self, A, B, kinds, _work=None):
+        seen.append(threading.get_ident())
+        return pair_values(self, A, B, kinds, _work)
+
+    monkeypatch.setattr(_TermBank, "pair_values", recorded)
+    return seen
+
+
+def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
+    # fixed 2-row slices through the sweep, on one worker and on two: the
+    # second slice raises nothing, the third ties column 0's maximum (index
+    # kept) and raises column 1, the fourth ties both. At two workers the
+    # last two slices are the second worker's, so column 0's tie crosses the
+    # workers' boundary and the first worker's index must survive the merge
+    import threading
+
+    import scbound.bounds as bounds
+
     g = bounds._SWEEP_GROUPS["y"][0]
     slices = [np.array([[1.0, 2.0], [3.0, 0.5]]),
               np.array([[0.0, 1.0], [2.0, 1.5]]),
-              np.array([[3.0, 2.5], [-1.0, 4.0]])]
-    # three 2-row slices of x candidates against 2 y candidates
-    sweeps = {side: bounds._Sweep(None, None,
-                                  {h: np.full(n, -np.inf) for h in bounds._SWEEP_GROUPS[side]},
-                                  {h: np.zeros(n, dtype=int) for h in bounds._SWEEP_GROUPS[side]})
-              for side, n in (("x", 6), ("y", 2))}
-    work = bounds._PairWork(bank, np.eye(2), 2, kinds)
-    for i, V in enumerate(slices):
-        # group g sums to V; every other kind reads 0
-        mats = [V if k == g[0] else np.zeros((2, 2)) for k in kinds]
-        monkeypatch.setattr(bank, "pair_values", lambda *args, mats=mats: mats)
-        bank._reduce_slice(sweeps, np.eye(2), work, 2 * i, kinds)
-    best, arg, quiet, ties = _running_y_reduction(list(zip((0, 2, 4), slices)), 2)
-    assert quiet == 1 and ties == 1
-    assert sweeps["y"].best[g].tolist() == best.tolist() == [3.0, 4.0]
-    assert sweeps["y"].arg[g].tolist() == arg.tolist() == [1, 5]
+              np.array([[3.0, 2.5], [-1.0, 4.0]]),
+              np.array([[3.0, 4.0], [0.0, 0.0]])]
+    best, arg, quiet, ties = _running_y_reduction(list(zip((0, 2, 4, 6), slices)), 2)
+    assert quiet == 2 and ties == 3
+    # eight x candidates, whose first cell is their row, in four 2-row
+    # slices against 2 y candidates
+    A = np.zeros((8, 3))
+    A[:, 0] = np.arange(8)
+    monkeypatch.setattr(bounds, "candidate_points", lambda k, cfg: A if k == 3 else np.eye(2))
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 4)
+    main = threading.get_ident()
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 3, 2, 2))
+        threads = {}
+
+        def pair_values(A, B, kinds, _work=None, threads=threads):
+            # group g sums to the slice; every other kind reads 0
+            i = int(A[0, 0]) // 2
+            threads[i] = threading.get_ident()
+            return [slices[i].copy() if k == g[0] else np.zeros((2, 2)) for k in kinds]
+
+        monkeypatch.setattr(bank, "pair_values", pair_values)
+        sw = bank.sweep("y", CFG)
+        assert sw.best[g].tolist() == best.tolist() == [3.0, 4.0]
+        assert sw.arg[g].tolist() == arg.tolist() == [1, 5]
+        assert [threads[i] == main for i in range(4)] == [True, True, workers == 1, workers == 1]
 
 
-def test_sweep_memory_stays_slice_sized():
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 2)])
+def test_sweep_workers_agree_bit_for_bit(rng, monkeypatch, shape):
+    # one worker and two give the same maxima and first-index argmaxes on
+    # both sides; the duplicated x input makes y-side ties whose rows lie in
+    # different workers' halves of the grid, which keep the first half's
+    # index. A short switch interval interleaves the two threads finely
+    import sys
+    import threading
+
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    ch = _random_channel(rng, *shape, duplicate_x=True)
+    cfg = OptConfig(grid_resolution=0.1)
+    A, B = candidate_points(shape[0], cfg), candidate_points(shape[1], cfg)
+    height = 5
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
+    boundary = (math.ceil(len(A) / height) + 1) // 2 * height  # the second worker's first row
+    seen = _record_threads(monkeypatch)
+    runs, threads = {}, {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            bank = bounds._TermBank(ch)
+            runs[workers] = {side: bank.sweep(side, cfg) for side in "xy"}
+            threads[workers] = seen[:]
+            del seen[:]
+    finally:
+        sys.setswitchinterval(interval)
+    for workers, used in threads.items():
+        assert len(used) == math.ceil(len(A) / height)
+        assert len(set(used)) == workers and threading.get_ident() in used
+    crossing = 0
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            one, two = runs[1][side], runs[2][side]
+            assert np.array_equal(one.best[g], two.best[g])
+            assert np.array_equal(one.arg[g], two.arg[g])
+            if side == "y":
+                V = np.concatenate([sum(bank.pair_values(A[lo:lo + height], B, g))
+                                    for lo in range(0, len(A), height)])
+                top = V == V.max(axis=0)
+                first_half, second_half = top[:boundary].any(axis=0), top[boundary:].any(axis=0)
+                crossing += int((first_half & second_half).sum())
+                assert np.array_equal(two.arg[g], V.argmax(axis=0))
+                assert (two.arg[g][first_half] < boundary).all()
+    assert crossing > 0
+
+
+def test_sweep_workers_agree_on_group_add_4(monkeypatch):
+    # the default grid of group-add 4, 3,287 x 3,287 pairs in slices of 19
+    # rows, which split between two workers
+    from scbound.bounds import _SWEEP_GROUPS, _TermBank
+
+    ch = channel_normal_form(builtin("group-add", order=4).channel).reduced
+    seen = _record_threads(monkeypatch)
+    runs = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        del seen[:]
+        bank = _TermBank(ch)
+        runs[workers] = {side: bank.sweep(side, CFG) for side in "xy"}
+        assert len(seen) == 173 and len(set(seen)) == workers
+    for side, groups in _SWEEP_GROUPS.items():
+        for g in groups:
+            assert np.array_equal(runs[1][side].best[g], runs[2][side].best[g])
+            assert np.array_equal(runs[1][side].arg[g], runs[2][side].arg[g])
+
+
+def test_a_failing_worker_is_raised_after_the_join(rng, monkeypatch):
+    # a slice of the second worker raises: the sweep raises that exception
+    # once the worker thread has ended, and caches nothing
+    import threading
+
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    _force_workers(monkeypatch, 2)
+    cfg = OptConfig(grid_resolution=0.1)
+    bank = bounds._TermBank(_random_channel(rng, 3, 3, 3))
+    A, B = candidate_points(3, cfg), candidate_points(3, cfg)
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(B))
+    last = A[5 * (math.ceil(len(A) / 5) - 1)]  # the first row of the last slice
+    pair_values = bounds._TermBank.pair_values
+    failed_on = []
+
+    def failing(self, A, B, kinds, _work=None):
+        if np.array_equal(A[0], last):
+            failed_on.append(threading.get_ident())
+            raise RuntimeError("slice failed")
+        return pair_values(self, A, B, kinds, _work)
+
+    monkeypatch.setattr(bounds._TermBank, "pair_values", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="slice failed"):
+        bank.sweep("x", cfg)
+    assert failed_on and failed_on[0] != threading.get_ident()
+    assert threading.active_count() == before
+    assert bank._sweeps == {}
+
+
+def test_sweep_memory_stays_slice_sized(monkeypatch):
     # the group-add 4 sweep (3,287 x 3,287 pairs, 4 outputs) scores its grid
-    # in one workspace of L2-sized matrices; numpy reports its buffers to
-    # tracemalloc, so the peak counts every matrix the sweep allocates
+    # in two workers' workspaces of L2-sized matrices; numpy reports its
+    # buffers to tracemalloc, so the peak counts every matrix the sweep
+    # allocates, in either thread
     import tracemalloc
 
     from scbound.bounds import _TermBank
     from scbound.simplex import candidate_points
 
+    _force_workers(monkeypatch, 2)
+    seen = _record_threads(monkeypatch)
     bank = _TermBank(channel_normal_form(builtin("group-add", order=4).channel).reduced)
     A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
     assert (len(A), len(B), bank.nz) == (3287, 3287, 4)
@@ -1144,7 +1291,47 @@ def test_sweep_memory_stays_slice_sized():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(set(seen)) == 2
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2])
+def test_sweep_counts_cpus_without_sched_getaffinity(rng, monkeypatch, cpus):
+    # where the OS has no os.sched_getaffinity (macOS, Windows) the sweep
+    # counts os.cpu_count(), which may be None, and still runs
+    import threading
+
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    monkeypatch.delattr(bounds.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(bounds.os, "cpu_count", lambda: cpus)
+    cfg = OptConfig(grid_resolution=0.1)
+    A, B = candidate_points(3, cfg), candidate_points(3, cfg)
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(B))
+    seen = _record_threads(monkeypatch)
+    sw = bounds._TermBank(_random_channel(rng, 3, 3, 3)).sweep("x", cfg)
+    assert len(seen) == math.ceil(len(A) / 5)
+    assert len(set(seen)) == (2 if cpus == 2 else 1) and threading.get_ident() in seen
+    assert all(np.isfinite(v).all() for v in sw.best.values())
+
+
+def test_reproduce_sweep_stays_on_one_worker(monkeypatch):
+    # remote-ot m=2, the one multi-slice sweep of reproduce: its 13 slices
+    # of 256 x 55 cells hold fewer than _SWEEP_CELLS // 2, where a second
+    # worker costs more than it saves
+    import threading
+
+    from scbound.bounds import _SWEEP_CELLS, _TermBank
+    from scbound.simplex import candidate_points
+
+    _force_workers(monkeypatch, 2)
+    seen = _record_threads(monkeypatch)
+    bank = _TermBank(channel_normal_form(builtin("remote-ot", m=2).channel).reduced)
+    A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
+    assert (len(A), len(B)) == (3287, 55) and 256 * 55 < _SWEEP_CELLS // 2
+    bank.sweep("x", CFG)
+    assert len(seen) == 13 and set(seen) == {threading.get_ident()}
 
 
 def test_pair_values_without_a_workspace_returns_fresh_arrays(rng):
