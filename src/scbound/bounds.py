@@ -69,6 +69,7 @@ import numpy as np
 
 from .common_info import blocks_from_mask
 from .dists import (
+    CapacityError,
     JointDist,
     PreconditionError,
     SUPPORT_EPS,
@@ -108,6 +109,10 @@ _STACK_CELLS = 1 << 14
 # cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64,
 # which fits a per-core L2 cache
 _SWEEP_CELLS = 1 << 16
+# cells of a support cone's scatter matrices, points x (its three axes and
+# three axis pairs): 256 MiB of float64. The largest the tests build is
+# 7.9M (a 40 x 40 x 40 channel); remote-ot --m 3 --n 4 would need 1.0e9.
+CONE_CELL_CAP = 1 << 25
 
 LINKS = ("m12", "m23", "m31")
 
@@ -272,6 +277,13 @@ class _SupportCone:
         self.points = list(points)
         self.n_points = len(self.points)
         shape = tuple(len(a) for a in self.axes)
+        nx, ny, nz = shape
+        cells = self.n_points * (nx + ny + nz + nx * ny + nx * nz + ny * nz)
+        if cells > CONE_CELL_CAP:
+            raise CapacityError(
+                "support cone of %d points over %dx%dx%d needs %d scatter cells, over the cap of %d"
+                % (self.n_points, nx, ny, nz, cells, CONE_CELL_CAP)
+            )
         idx = np.array(self.points, dtype=int).reshape(-1, 3)
         self.index = tuple(idx.T)  # fancy index of the points in a dense joint
 

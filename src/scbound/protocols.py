@@ -4,10 +4,18 @@ A protocol is a static schedule of deterministic message maps over declared
 finite alphabets, with one uniform randomness symbol per party drawn up
 front (resampling makes this lossless for honest executions). Every message,
 and Charlie's output, is a function of one party's `View`: its input, its
-randomness and the transcripts on its two links so far. Execution
-enumerates every (x, y, r1, r2, r3) branch and accumulates the exact joint
-over inputs, output and the three link transcripts; all security checks are
-entropy statements on that joint.
+randomness and the transcripts on its two links so far. Execution walks
+every (x, y, r1, r2, r3) branch, round by round, as integer arrays in
+blocks of whole input pairs, and sums the exact joint over inputs, output
+and the three link transcripts; all security checks are entropy statements
+on that joint.
+
+The call contract: maps are deterministic functions of their `View`, and
+each map is called once per distinct view the branches reach, in the order
+the branches first reach them (a map is not called once per branch). Its
+transcripts hold the round alphabets' own symbols. A map that steps outside
+its alphabet raises ProtocolSpecError at the first such view of its round;
+errors surface round by round, not branch by branch.
 
 Built-ins: the one-time-pad group adder, the masked arithmetic sum, the
 controlled erasure transfer, remote one-out-of-m OT, and the permutation
@@ -16,6 +24,7 @@ based AND.
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,43 +118,143 @@ def _link_alphabet(spec, link):
     return Alphabet("M" + link, syms if syms else ((),))
 
 
-def _branches(spec, x, y):
-    """Run the schedule on inputs (x, y) under every randomness triple, in
-    (r1, r2, r3) order.
+# A party's two links, in View field order
+_PARTY_LINKS = {1: ("12", "31"), 2: ("12", "23"), 3: ("23", "31")}
+# the walker runs whole input pairs in blocks of about this many branches
+# (at least one pair), so its arrays never grow with BRANCH_CAP
+_BLOCK_BRANCHES = 1 << 16
 
-    Yields one list per branch: the (view, symbol) pair of every round, in
-    schedule order, then Charlie's final view and the output. Raises
+
+def _codes(cols, sizes):
+    """One int64 code per row of the integer columns, equal exactly where
+    the rows are equal: their mixed-radix number, renumbered densely before
+    a column would overflow it. One sort of one key is the cheaper way to
+    group a round's branches: dists._unique_rows, which sorts column by
+    column, took 1.8 ms against 0.8 ms on 13,824 rows of 4 columns."""
+    code, span = np.zeros(len(cols[0]), dtype=np.int64), 1
+    for col, size in zip(cols, sizes):
+        if span * size >= 1 << 63:
+            _, code = np.unique(code, return_inverse=True)
+            span = int(code.max()) + 1
+        code = code * size + col
+        span *= size
+    return code
+
+
+def _first_seen(code):
+    """The first row of each distinct code, in first-seen order, and each
+    row's position among them."""
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _walk(spec, xs, ys, mass):
+    """Run the schedule on input index pairs (xs[i], ys[i]), each under every
+    randomness triple in (r1, r2, r3) order, a branch of pair i weighing
+    mass[i].
+
+    Each round's map, and Charlie's output map, is called once per distinct
+    sender view, in first-seen branch order. A view is keyed by its codes
+    (input index, randomness index, transcript number on each of the
+    sender's links), where a transcript's number is the mixed-radix number
+    of its message indices, so a link's final number is its index in
+    _link_alphabet. Returns the per-round {key: (View, symbol index)}
+    tables, the output's last, and the distinct (x, y, z, m12, m23, m31)
+    index rows in first-seen order with their masses, each summed from 0.0
+    in branch order. Blocks hold whole input pairs and every row holds its
+    pair, so each row's branches all fall in one block. Raises
     ProtocolSpecError when a message or the output is outside its alphabet.
     """
-    plan = [
-        (rnd, rnd.sender - 1, rnd.receiver - 1, View._fields.index("m" + rnd.link()))
-        for rnd in spec.rounds
-    ]
-    for r1, r2, r3 in itertools.product(*spec.randomness):
-        # each party's view fields, as lists to extend in place
-        views = [[x, r1, (), None, ()], [y, r2, (), (), None], [None, r3, None, (), ()]]
-        steps = []
-        for rnd, sender, receiver, field in plan:
-            view = View(*views[sender])
-            msg = rnd.fn(view)
-            if msg not in rnd.alphabet._index:
-                raise ProtocolSpecError(
-                    "round %d->%d produced %r outside its alphabet"
-                    % (rnd.sender, rnd.receiver, msg)
-                )
-            steps.append((view, msg))
-            views[sender][field] += (msg,)
-            views[receiver][field] += (msg,)
-        view = View(*views[2])
-        z = spec.output_fn(view)
-        if z not in spec.z_axis._index:
-            raise ProtocolSpecError("output %r outside the output alphabet" % (z,))
-        steps.append((view, z))
-        yield steps
+    r_sizes = [len(a) for a in spec.randomness]
+    # the (r1, r2, r3) index columns of every triple, r3 fastest, as in
+    # itertools.product
+    r_cols = np.unravel_index(np.arange(np.prod(r_sizes)), r_sizes)
+    n_r = len(r_cols[0])
+    link_rounds = {link: spec.link_rounds(link) for link in ("12", "23", "31")}
+    texts = {}  # (link, depth, transcript number) -> symbol tuple
+
+    def text(link, depth, t):
+        got = texts.get((link, depth, t))
+        if got is None:
+            got = ()
+            if depth:
+                a = link_rounds[link][depth - 1].alphabet
+                got = text(link, depth - 1, t // len(a)) + (a.symbols[t % len(a)],)
+            texts[link, depth, t] = got
+        return got
+
+    # per step: the sender, its map, alphabet and miss message, the link it
+    # sends on (None for the output), its input symbols (Charlie has one,
+    # None) and randomness symbols, and its links' View fields, depths and
+    # spans (the count of transcript numbers so far)
+    plan, depth, span = [], dict.fromkeys(link_rounds, 0), dict.fromkeys(link_rounds, 1)
+    inputs = {1: spec.x_axis.symbols, 2: spec.y_axis.symbols, 3: (None,)}
+    for rnd in spec.rounds + (None,):
+        if rnd is None:
+            party, fn, alphabet, link = 3, spec.output_fn, spec.z_axis, None
+            miss = "output %r outside the output alphabet"
+        else:
+            party, fn, alphabet, link = rnd.sender, rnd.fn, rnd.alphabet, rnd.link()
+            miss = "round %d->%d produced %%r outside its alphabet" % (rnd.sender, rnd.receiver)
+        links = [(View._fields.index("m" + on), on, depth[on], span[on])
+                 for on in _PARTY_LINKS[party]]
+        plan.append((party, fn, alphabet, miss, link, inputs[party],
+                     spec.randomness[party - 1].symbols, links))
+        if link is not None:
+            depth[link] += 1
+            span[link] *= len(alphabet)
+    tables = [{} for _ in plan]
+    sizes = [len(spec.x_axis), len(spec.y_axis), len(spec.z_axis),
+             span["12"], span["23"], span["31"]]
+
+    rows, masses = [], []
+    per = max(1, _BLOCK_BRANCHES // n_r)
+    for lo in range(0, len(xs), per):
+        bx, by = xs[lo:lo + per], ys[lo:lo + per]
+        n = len(bx) * n_r
+        inp = {1: np.repeat(bx, n_r), 2: np.repeat(by, n_r), 3: np.zeros(n, dtype=np.int64)}
+        rand = {p: np.tile(r_cols[p - 1], len(bx)) for p in (1, 2, 3)}
+        tid = {on: np.zeros(n, dtype=np.int64) for on in link_rounds}
+        for step, table in zip(plan, tables):
+            party, fn, alphabet, miss, link, inp_syms, rand_syms, links = step
+            (pos_a, la, da, span_a), (pos_b, lb, db, span_b) = links
+            cols = [inp[party], rand[party], tid[la], tid[lb]]
+            first, inverse = _first_seen(
+                _codes(cols, [len(inp_syms), len(rand_syms), span_a, span_b])
+            )
+            sent = []
+            for key in zip(*(c[first].tolist() for c in cols)):
+                hit = table.get(key)
+                if hit is None:
+                    row = [inp_syms[key[0]], rand_syms[key[1]], None, None, None]
+                    row[pos_a] = text(la, da, key[2])
+                    row[pos_b] = text(lb, db, key[3])
+                    view = View(*row)
+                    sym = fn(view)
+                    i = alphabet._index.get(sym)
+                    if i is None:
+                        raise ProtocolSpecError(miss % (sym,))
+                    hit = table[key] = (view, i)
+                sent.append(hit[1])
+            sent = np.array(sent, dtype=np.int64)[inverse]
+            if link is None:
+                z = sent
+            else:
+                tid[link] = tid[link] * len(alphabet) + sent
+        cols = [inp[1], inp[2], z, tid["12"], tid["23"], tid["31"]]
+        first, inverse = _first_seen(_codes(cols, sizes))
+        rows.append(np.stack([c[first] for c in cols], axis=1))
+        masses.append(np.bincount(inverse, weights=np.repeat(mass[lo:lo + per], n_r),
+                                  minlength=len(first)))
+    return tables, np.concatenate(rows), np.concatenate(masses)
 
 
 def run_exact(spec, p_xy):
-    """Enumerate all branches and return the exact execution joint."""
+    """Walk all branches of the supported input pairs and return the exact
+    execution joint."""
     if p_xy.n_axes != 2 or p_xy.axes[0] != spec.x_axis or p_xy.axes[1] != spec.y_axis:
         raise ValueError("input distribution axes do not match the protocol")
     r1, r2, r3 = spec.randomness
@@ -161,17 +270,9 @@ def run_exact(spec, p_xy):
         _link_alphabet(spec, "31"),
     )
     r_weight = 1.0 / (len(r1) * len(r2) * len(r3))
-    # Charlie's final view holds m23 and m31; m12 is read off its rounds
-    on_12 = [t for t, rnd in enumerate(spec.rounds) if rnd.link() == "12"]
-
-    def rows():
-        for (x, y), p in p_xy.support():
-            for steps in _branches(spec, x, y):
-                view, z = steps[-1]
-                m12 = tuple(steps[t][1] for t in on_12)
-                yield (x, y, z, m12, view.m23, view.m31), p * r_weight
-
-    return ExecutionJoint(joint=SupportJoint.accumulate(axes, rows()))
+    xs, ys = np.nonzero(p_xy.probs > SUPPORT_EPS)  # the support, in support() order
+    _, coords, probs = _walk(spec, xs, ys, p_xy.probs[xs, ys] * r_weight)
+    return ExecutionJoint(joint=SupportJoint(axes, coords, probs))
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +672,12 @@ def _view_from_json(row):
 def spec_to_json(spec):
     """Serialize by exhausting every view reachable from any input pair: one
     {view: symbol} table per round, and one for the output."""
-    tables = [{} for _ in range(len(spec.rounds) + 1)]
-    for x in spec.x_axis:
-        for y in spec.y_axis:
-            for steps in _branches(spec, x, y):
-                for table, (view, sym) in zip(tables, steps):
-                    table[view] = sym
+    xs, ys = np.indices((len(spec.x_axis), len(spec.y_axis))).reshape(2, -1)
+    tables, _, _ = _walk(spec, xs, ys, np.ones(len(xs)))
 
-    def table_json(table, key):
-        return [{"view": _view_json(v), key: sym_str(s)} for v, s in table.items()]
+    def table_json(table, alphabet, key):
+        return [{"view": _view_json(v), key: sym_str(alphabet.symbols[i])}
+                for v, i in table.values()]
 
     return {
         "x_axis": alphabet_to_json(spec.x_axis),
@@ -591,11 +689,11 @@ def spec_to_json(spec):
                 "sender": rnd.sender,
                 "receiver": rnd.receiver,
                 "alphabet": alphabet_to_json(rnd.alphabet),
-                "map": table_json(table, "send"),
+                "map": table_json(table, rnd.alphabet, "send"),
             }
             for rnd, table in zip(spec.rounds, tables)
         ],
-        "output_map": table_json(tables[-1], "z"),
+        "output_map": table_json(tables[-1], spec.z_axis, "z"),
     }
 
 

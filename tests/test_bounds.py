@@ -678,6 +678,18 @@ def test_joint_term_kernels_match_direct_computation(rng):
         assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_oversize_support_cone_refused_before_allocating():
+    from scbound.bounds import _SupportCone
+    from scbound.dists import CapacityError
+
+    # the support of remote-ot --m 3 --n 4: 12,288 points, whose (X, Z)
+    # scatter alone would be 12,288 x 65,536 float64 cells, 6 GiB
+    axes = (Alphabet("X", range(4096)), Alphabet("Y", range(3)), Alphabet("Z", range(16)))
+    points = [(x, y, (x >> 4 * y) & 15) for x in range(4096) for y in range(3)]
+    with pytest.raises(CapacityError, match="scatter cells, over the cap"):
+        _SupportCone(axes, points)
+
+
 def test_cone_term_kernels_match_direct_computation(rng, and_joint):
     from scbound.bounds import _SupportCone, _support_points
     from scbound.common_info import block_entropy, blocks_from_mask

@@ -136,6 +136,16 @@ def test_capacity_exit_3(capsys):
     assert "capacity" in err
 
 
+def test_oversize_support_cone_exits_3(capsys, monkeypatch):
+    # a small cap stands in for the 1.0e9 scatter cells of remote-ot --m 3
+    # --n 4, which a run could reach only after minutes in the normal forms
+    monkeypatch.setattr("scbound.bounds.CONE_CELL_CAP", 71)  # AND needs 4 x 18 = 72
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "and")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:") and "scatter cells" in err
+
+
 def test_oversize_alphabet_exits_3_before_allocating(tmp_path, capsys):
     # the joint scan over 40 x 40 inputs would build a candidate array of
     # about 2e9 cells; the cap refuses it before any is built. The channel

@@ -2,19 +2,26 @@ import dataclasses
 import itertools
 import json
 import math
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scbound import protocols
 from scbound.dists import (
     Alphabet,
     CapacityError,
     JointDist,
+    SupportJoint,
     channel_from_json,
     channel_to_json,
     cond_entropy,
     entropy,
     mutual_info,
+    sym_str,
 )
 from scbound.cmss import and_cmss, and_secret_dist, cmss_joint, verify_cmss
 from scbound.protocols import (
@@ -27,6 +34,10 @@ from scbound.protocols import (
     ProtocolSpec,
     ProtocolSpecError,
     Round,
+    View,
+    _codes,
+    _link_alphabet,
+    _view_json,
     builtin,
     expected_lengths,
     huffman_lengths,
@@ -421,9 +432,187 @@ def test_output_fn_reads_charlies_view():
         return b.spec.output_fn(view)
 
     run_exact(dataclasses.replace(b.spec, output_fn=output), b.default_input)
-    assert len(seen) == 27  # 9 input pairs x 3 keys
-    assert len(set(seen)) == 9  # Charlie sees only the key and the masked sum
+    # 9 input pairs x 3 keys, but Charlie sees only the key and the masked
+    # sum, and the map is called once per distinct view
+    assert len(seen) == len(set(seen)) == 9
     for view in seen:
         assert view.inp is None and view.m12 is None
         assert view.m23 == (view.rand,)  # Charlie's key to Bob
         assert len(view.m31) == 1
+
+
+# -- the branch walker against a depth-first oracle ----------------------------
+
+
+def _oracle_branches(spec, x, y):
+    """The depth-first enumeration the walker replaces: run the schedule on
+    inputs (x, y) under every randomness triple in (r1, r2, r3) order,
+    building one View and calling one map per round of every branch. Yields
+    one list per branch: the (view, symbol) pair of every round, then
+    Charlie's final view and the output."""
+    plan = [
+        (rnd, rnd.sender - 1, rnd.receiver - 1, View._fields.index("m" + rnd.link()))
+        for rnd in spec.rounds
+    ]
+    for r1, r2, r3 in itertools.product(*spec.randomness):
+        views = [[x, r1, (), None, ()], [y, r2, (), (), None], [None, r3, None, (), ()]]
+        steps = []
+        for rnd, sender, receiver, field in plan:
+            view = View(*views[sender])
+            msg = rnd.fn(view)
+            if msg not in rnd.alphabet._index:
+                raise ProtocolSpecError("round %d->%d produced %r outside its alphabet"
+                                        % (rnd.sender, rnd.receiver, msg))
+            steps.append((view, msg))
+            views[sender][field] += (msg,)
+            views[receiver][field] += (msg,)
+        view = View(*views[2])
+        z = spec.output_fn(view)
+        if z not in spec.z_axis._index:
+            raise ProtocolSpecError("output %r outside the output alphabet" % (z,))
+        steps.append((view, z))
+        yield steps
+
+
+def _oracle_joint(spec, p_xy):
+    axes = (spec.x_axis, spec.y_axis, spec.z_axis) + tuple(
+        _link_alphabet(spec, link) for link in ("12", "23", "31"))
+    r_weight = 1.0 / math.prod(len(a) for a in spec.randomness)
+    on_12 = [t for t, rnd in enumerate(spec.rounds) if rnd.link() == "12"]
+
+    def rows():
+        for (x, y), p in p_xy.support():
+            for steps in _oracle_branches(spec, x, y):
+                view, z = steps[-1]
+                m12 = tuple(steps[t][1] for t in on_12)
+                yield (x, y, z, m12, view.m23, view.m31), p * r_weight
+
+    return SupportJoint.accumulate(axes, rows())
+
+
+def _oracle_tables(spec, pairs):
+    """Each round's {view: symbol} table, then the output's, in first-seen
+    branch order over the input pairs."""
+    tables = [{} for _ in range(len(spec.rounds) + 1)]
+    for x, y in pairs:
+        for steps in _oracle_branches(spec, x, y):
+            for table, (view, sym) in zip(tables, steps):
+                table[view] = sym
+    return tables
+
+
+def _oracle_maps(spec):
+    """The map rows of spec_to_json, from the oracle's tables."""
+    tables = _oracle_tables(spec, itertools.product(spec.x_axis, spec.y_axis))
+    rows = [[{"view": _view_json(v), key: sym_str(s)} for v, s in table.items()]
+            for table, key in zip(tables, ["send"] * len(spec.rounds) + ["z"])]
+    return rows[:-1], rows[-1]
+
+
+def _assert_same_joint(got, want):
+    assert got.axes == want.axes
+    assert np.array_equal(got.coords, want.coords)
+    assert got.probs.tobytes() == want.probs.tobytes()
+
+
+def _hashed_map(alphabet, salt, off):
+    """A lookup table filled by a hash of the view, so it is a fixed
+    function of the view whatever order the views come in; where `off`
+    and the hash say so, the symbol is outside the alphabet."""
+
+    def fn(view):
+        h = zlib.crc32(("%d|%r" % (salt, tuple(view))).encode())
+        if off and h % 5 == 0:
+            return "off"
+        return alphabet.symbols[h % len(alphabet)]
+
+    return fn
+
+
+@st.composite
+def _random_protocols(draw):
+    size = st.integers(2, 3)
+    x = Alphabet("X", tuple(range(draw(size))))
+    y = Alphabet("Y", tuple("ab"[:draw(st.integers(1, 2))] + "c"))  # string symbols
+    z = Alphabet("Z", tuple(range(draw(size))))
+    rand = tuple(Alphabet("R%d" % i, tuple(range(draw(st.integers(1, 3))))) for i in (1, 2, 3))
+    off = draw(st.booleans())  # may a map step outside its alphabet?
+    rounds = []
+    for t in range(draw(st.integers(1, 4))):
+        sender, receiver = draw(st.permutations((1, 2, 3)))[:2]
+        a = Alphabet("A%d" % t, tuple(range(draw(size))))
+        rounds.append(Round(sender, receiver, a, _hashed_map(a, t, off)))
+    spec = ProtocolSpec(x, y, z, rand, tuple(rounds), _hashed_map(z, -1, off))
+    full = draw(st.booleans())
+    weights = np.array(draw(st.lists(st.integers(1 if full else 0, 3),
+                                     min_size=len(x) * len(y), max_size=len(x) * len(y))),
+                       dtype=float).reshape(len(x), len(y))
+    if not weights.any():
+        weights[0, 0] = 1.0
+    return spec, JointDist((x, y), weights / weights.sum())
+
+
+def _recorded(spec):
+    """spec with every map wrapped to log its views, and the logs."""
+    logs = [[] for _ in range(len(spec.rounds) + 1)]
+
+    def logged(fn, log):
+        def wrapped(view):
+            log.append(view)
+            return fn(view)
+        return wrapped
+
+    rounds = tuple(dataclasses.replace(r, fn=logged(r.fn, log)) for r, log in zip(spec.rounds, logs))
+    return dataclasses.replace(spec, rounds=rounds, output_fn=logged(spec.output_fn, logs[-1])), logs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_protocols(), st.sampled_from([1, 7, 1 << 16]))
+def test_walker_matches_the_depth_first_oracle(case, block):
+    spec, p_xy = case
+    try:
+        want = _oracle_joint(spec, p_xy)
+    except ProtocolSpecError:
+        want = None
+    recorded, logs = _recorded(spec)
+    with mock.patch.object(protocols, "_BLOCK_BRANCHES", block):
+        if want is None:
+            with pytest.raises(ProtocolSpecError):
+                run_exact(recorded, p_xy)
+        else:
+            _assert_same_joint(run_exact(recorded, p_xy).joint, want)
+            # each map ran once per distinct view, in first-seen order
+            pairs = [key for key, _ in p_xy.support()]
+            assert logs == [list(t) for t in _oracle_tables(spec, pairs)]
+        try:
+            want_maps = _oracle_maps(spec)
+        except ProtocolSpecError:
+            with pytest.raises(ProtocolSpecError):
+                spec_to_json(spec)
+            return
+        blob = spec_to_json(spec)
+    assert ([r["map"] for r in blob["rounds"]], blob["output_map"]) == want_maps
+    twin = spec_from_json(_loaded(blob))
+    twin_p = JointDist((twin.x_axis, twin.y_axis), p_xy.probs)
+    _assert_same_joint(run_exact(twin, twin_p).joint, _oracle_joint(twin, twin_p))
+    assert spec_to_json(twin) == blob
+
+
+def test_walker_codes_renumber_before_int64_overflow():
+    # the mixed-radix number of these rows would need 2^81 values; wrapped
+    # to 64 bits, rows 0 and 1 would get the same code
+    cols = [np.array([0, 2**24, 0, 2**24]), np.array([5, 5, 5, 6]), np.array([1, 1, 1, 0])]
+    code = _codes(cols, [2**40, 2**40, 3])
+    assert code[0] == code[2]
+    assert len(set(code.tolist())) == 3
+
+
+@pytest.mark.parametrize("block", [1, 500])
+def test_walker_blocks_match_one_block_on_and_n3(monkeypatch, block):
+    b = builtin("and", n=3)  # 64 input pairs x 216 permutations: 13,824 branches
+    whole = run_exact(b.spec, b.default_input).joint
+    blob = spec_to_json(b.spec)
+    _assert_same_joint(whole, _oracle_joint(b.spec, b.default_input))
+    monkeypatch.setattr("scbound.protocols._BLOCK_BRANCHES", block)  # 64 or 32 blocks
+    _assert_same_joint(run_exact(b.spec, b.default_input).joint, whole)
+    assert spec_to_json(b.spec) == blob
