@@ -37,10 +37,11 @@ matrix, and their entropies accumulate z by z into one (n, m) matrix; no
 (|Z|, n, m) array is built.
 
 The switched and conditional families share their nested suprema: the
-x-candidate x y-candidate grid is scored once per channel and config, in
-slices of x candidates, and each slice is reduced for both outer sides as
-it streams (a per-outer max and argmax; the y side's as a running max over
-slices). A slice has rows <= _CHUNK x candidates with rows x n_y <=
+x-candidate x y-candidate grid is scored once per term bank and config
+(best_bounds builds one bank per call, each public family function its
+own), in slices of x candidates, and each slice is reduced for both outer
+sides as it streams (a per-outer max and argmax; the y side's as a running
+max over slices). A slice has rows <= _CHUNK x candidates with rows x n_y <=
 _SWEEP_CELLS, a matrix that fits a per-core L2 cache. A sweep of two or
 more slices of at least _SWEEP_CELLS // 2 cells is split between two
 workers when two CPUs are usable: the calling thread scores the first half
@@ -71,6 +72,7 @@ from .common_info import blocks_from_mask
 from .dists import (
     CapacityError,
     JointDist,
+    LINKS,
     PreconditionError,
     SUPPORT_EPS,
     dist_to_json,
@@ -113,8 +115,6 @@ _SWEEP_CELLS = 1 << 16
 # three axis pairs): 256 MiB of float64. The largest the tests build is
 # 7.9M (a 40 x 40 x 40 channel); remote-ot --m 3 --n 4 would need 1.0e9.
 CONE_CELL_CAP = 1 << 25
-
-LINKS = ("m12", "m23", "m31")
 
 # -- the term table ----------------------------------------------------------
 
@@ -240,6 +240,13 @@ def _label_matrix(labels, n_blocks):
 
 def _support_points(probs):
     return [tuple(int(i) for i in idx) for idx in np.argwhere(probs > SUPPORT_EPS)]
+
+
+def _generic_cone(ch):
+    """The cone of a channel's generic support, the points (x, y, z) with
+    W > SUPPORT_EPS: the support of the joint of every full-support input
+    law."""
+    return _SupportCone((ch.x_axis, ch.y_axis, ch.z_axis), _support_points(ch.kernel))
 
 
 # the entropies each term kind sums, with their signs; "blk_<pair>" is the
@@ -380,11 +387,10 @@ class _TermBank:
         self.nx, self.ny, self.nz = W.shape
         self.Wz = np.ascontiguousarray(W.transpose(2, 0, 1))  # z-major, (nz, nx, ny)
         self.Hrow = _H(W)  # (nx, ny)
-        points = _support_points(W)
-        self.cone = _SupportCone((ch.x_axis, ch.y_axis, ch.z_axis), points)
+        self.cone = _generic_cone(ch)
         # Q.reshape(-1, nx * ny) @ M is the joint of input laws Q on the cone
-        self.M = np.zeros((self.nx * self.ny, len(points)))
-        for t, (x, y, z) in enumerate(points):
+        self.M = np.zeros((self.nx * self.ny, self.cone.n_points))
+        for t, (x, y, z) in enumerate(self.cone.points):
             self.M[x * self.ny + y, t] = W[x, y, z]
         self.Lx = self.cone.pair_info["xz"]["Li"]  # x-side blocks of the (X,Z) graph
         self.Ly = self.cone.pair_info["yz"]["Li"]  # y-side blocks of the (Y,Z) graph
@@ -637,11 +643,11 @@ def _full_support_inputs(p_x, p_y, ch):
 def intermediate_bounds(p_x, p_y, ch):
     """Per-link bounds for independent full-support inputs; the Alice-Bob
     link collects both residual-information terms. The product joint has
-    the channel's generic support, so it is scored on the shared bank's
-    cone."""
+    the channel's generic support, so it is scored on that cone, as the
+    optimized families are."""
     px, py = _full_support_inputs(p_x, p_y, ch)
     p_xy = JointDist((ch.x_axis, ch.y_axis), np.outer(px, py))
-    return _evaluate("intermediate", join(p_xy, ch), _shared_bank(ch).cone)
+    return _evaluate("intermediate", join(p_xy, ch), _generic_cone(ch))
 
 
 # ---------------------------------------------------------------------------
@@ -759,23 +765,6 @@ def _nested(bank, name, cfg):
     return _term(bank, name, pts, value, limit)
 
 
-_last_bank = None
-
-
-def _shared_bank(ch):
-    """The term bank of `ch`, reused while the same channel object is passed,
-    so the improved, switched and conditional families share one bank and
-    the last two share its one fused nested sweep.
-
-    A one-entry cache keyed on identity: Channel is immutable but not
-    hashable, and the cached bank keeps its channel alive.
-    """
-    global _last_bank
-    if _last_bank is None or _last_bank.ch is not ch:
-        _last_bank = _TermBank(ch)
-    return _last_bank
-
-
 def switched_bounds(ch, p_x, p_y, cfg=DEFAULT_CONFIG):
     """Separately-optimized switched bounds for independent full-support inputs.
 
@@ -798,19 +787,19 @@ def _family(ch, family, cfg, px=None, py=None):
     walker; px and py are the kept marginals the switched family reads."""
     conditions = {"condition1": check_condition1(ch), "condition2": check_condition2(ch)}
     return {link: None if term is None else term()
-            for fam, link, term in _families(ch, px, py, conditions, cfg) if fam == family}
+            for fam, link, term in _families(_TermBank(ch), px, py, conditions, cfg)
+            if fam == family}
 
 
-def _families(ch, px, py, conditions, cfg):
+def _families(bank, px, py, conditions, cfg):
     """The families after the evaluation bound, in cost order, as (family,
     link, term) for every link of every family: `term()` computes that
     link's term, and is None where _LINK_CONDITION leaves the link out.
     The intermediate bound, computed for all links at once, runs on the
     first call for any link; the optimized families follow _TERMS, each
-    link keeping the better of its terms, and the shared nested sweep runs
-    on the first nested term."""
-    bank = _shared_bank(ch)
-    intermediate = functools.cache(lambda: intermediate_bounds(px, py, ch))
+    link keeping the better of its terms, and the bank's nested sweep runs
+    on the first nested term and serves both nested families."""
+    intermediate = functools.cache(lambda: intermediate_bounds(px, py, bank.ch))
     for link in LINKS:
         yield "intermediate", link, functools.partial(
             lambda link: TermValue(name="intermediate_" + link, link=link,
@@ -843,7 +832,7 @@ def term_value(ch, name, dists):
     """
     if name not in _TERMS:
         raise ValueError("unknown term %r" % name)
-    bank = _shared_bank(ch)
+    bank = _TermBank(ch)
 
     def law(label):
         # a vector on its input, or the (|X|, |Y|) joint law
@@ -985,7 +974,7 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
 
     if conditions["full_support"]:
         px, py = p_n.probs.sum(axis=1), p_n.probs.sum(axis=0)
-        for family, link, term in _families(ch_n, px, py, conditions, cfg):
+        for family, link, term in _families(_TermBank(ch_n), px, py, conditions, cfg):
             if term is None:
                 continue
             if upper is not None and _pick(terms[link]).value >= upper[link] - UPPER_TOL:
@@ -995,9 +984,7 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
 
     up = upper or {}
     report = BoundReport(
-        h_m12=_link_bound(terms["m12"], up.get("m12"), skipped["m12"]),
-        h_m23=_link_bound(terms["m23"], up.get("m23"), skipped["m23"]),
-        h_m31=_link_bound(terms["m31"], up.get("m31"), skipped["m31"]),
+        **{"h_" + link: _link_bound(terms[link], up.get(link), skipped[link]) for link in LINKS},
         rho=0.0,
         conditions=conditions,
         merges={"x": chres.x_map, "y": chres.y_map, "z": chres.z_map},

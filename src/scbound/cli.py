@@ -14,11 +14,12 @@ import sys
 import time
 
 from . import __version__
-from .bounds import LINKS, best_bounds
+from .bounds import best_bounds
 from .cmss import separation_report
 from .dists import (
     CapacityError,
     JointDist,
+    LINKS,
     SUPPORT_EPS,
     channel_from_json,
     cond_entropy,
@@ -160,14 +161,14 @@ def _to_csv(payload):
     rows = []
     if "links" in payload:
         rows.append("link,value,theorem")
-        for link in ("m12", "m23", "m31"):
+        for link in LINKS:
             lb = payload["links"][link]
             rows.append("%s,%.12g,%s" % (link, lb["value"], lb["theorem"]))
         rows.append("rho,%.12g," % payload["rho"])
     elif "rows" in payload:
         rows.append("name,link,bound,simulated,match")
         for r in payload["rows"]:
-            for link in ("m12", "m23", "m31"):
+            for link in LINKS:
                 rows.append(
                     "%s,%s,%.12g,%.12g,%s"
                     % (r["name"], link, r["bounds"][link], r["simulated"][link], r["match"])
@@ -234,7 +235,7 @@ def cmd_simulate(args):
     i1, i2, i3 = verify_info_inequality(e) if is_product(p_xy) else (None,) * 3
     checks.update({"info_ineq_31_23": i1, "info_ineq_12_31": i2, "info_ineq_23_12": i3})
     payload = {
-        "entropies": {l: e.h(l) for l in ("m12", "m23", "m31")},
+        "entropies": {l: e.h(l) for l in LINKS},
         "expected_lengths": lengths,
         "checks": checks,
         "randomness_used": _randomness_used(e),
@@ -253,9 +254,8 @@ _REPRODUCE_ROWS = (
     ("and", ("and", {}), {"m12": 1.826, "m23": LOG3, "m31": LOG3}, 1.826),
     ("remote-ot-2", ("remote-ot", {"m": 2}), {"m12": 3.0, "m23": 2.0, "m31": 2.0}, 3.0),
     ("group-add-2", ("group-add", {"order": 2}), {"m12": 1.0, "m23": 1.0, "m31": 1.0}, 1.0),
-    ("group-add-3", ("group-add", {"order": 3}), {l: LOG3 for l in ("m12", "m23", "m31")}, LOG3),
-    ("group-add-6", ("group-add", {"order": 6}),
-     {l: 1 + LOG3 for l in ("m12", "m23", "m31")}, 1 + LOG3),
+    ("group-add-3", ("group-add", {"order": 3}), {l: LOG3 for l in LINKS}, LOG3),
+    ("group-add-6", ("group-add", {"order": 6}), {l: 1 + LOG3 for l in LINKS}, 1 + LOG3),
     ("sum", ("sum", {}), {"m12": 1.5, "m23": LOG3, "m31": LOG3}, LOG3),
     ("erasure", ("erasure", {}), {"m12": 1.0, "m23": 1.0, "m31": 1.5}, 1.0),
 )
@@ -313,7 +313,7 @@ def _reproduce_rows(cfg, only=None):
                 "bounds": sep.cmss_bounds,
                 "simulated": sep.scheme_entropies,
                 "rho": 0.0,
-                "targets": {l: LOG3 for l in ("m12", "m23", "m31")},
+                "targets": {l: LOG3 for l in LINKS},
                 "verified": verified,
                 "skipped": {l: [] for l in LINKS},  # its bounds run every family
                 "match": verified and abs(sep.gaps["m12"] - (1.826 - LOG3)) <= tol

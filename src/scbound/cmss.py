@@ -15,11 +15,12 @@ from . import bounds as bounds_mod
 from .dists import (
     Alphabet,
     JointDist,
+    LINKS,
     SupportJoint,
     entropy,
     join,
 )
-from .protocols import M12, M23, M31, ExecutionJoint, builtin, verify_cutset, verify_privacy
+from .protocols import LINK_AXIS, ExecutionJoint, builtin, verify_cutset, verify_privacy
 from .simplex import OptConfig
 
 
@@ -56,11 +57,7 @@ def verify_cmss(joint):
 
 
 def share_entropies(joint):
-    return {
-        "m12": entropy(joint, (M12,)),
-        "m23": entropy(joint, (M23,)),
-        "m31": entropy(joint, (M31,)),
-    }
+    return {link: entropy(joint, (LINK_AXIS[link],)) for link in LINKS}
 
 
 def and_cmss():
@@ -119,8 +116,8 @@ def separation_report(ch=None, p_xy=None, cfg=None, report=None):
         report = bounds_mod.best_bounds(p_xy, ch, cfg)
     p_xyz = join(p_xy, ch)
     cm = bounds_mod.cmss_bounds(p_xyz, cfg)
-    proto = {link: report.link(link).value for link in ("m12", "m23", "m31")}
-    cmss_vals = {link: cm[link].value for link in ("m12", "m23", "m31")}
+    proto = {link: report.link(link).value for link in LINKS}
+    cmss_vals = {link: cm[link].value for link in LINKS}
     gaps = {link: max(proto[link] - cmss_vals[link], 0.0) for link in proto}
     scheme, checks = {}, {}
     if is_and:

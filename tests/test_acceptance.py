@@ -24,7 +24,7 @@ from scbound.bounds import (
 from scbound.cli import main
 from scbound.cmss import and_cmss, and_secret_dist, cmss_joint, separation_report, share_entropies, verify_cmss
 from scbound.common_info import residual_info, residual_info_oracle
-from scbound.dists import Alphabet, JointDist
+from scbound.dists import LINKS, Alphabet, JointDist
 from scbound.normal_form import bigraph_connected, check_condition1, check_condition2
 from scbound.protocols import (
     builtin,
@@ -40,7 +40,6 @@ from scbound.simplex import OptConfig
 
 LOG3 = math.log2(3.0)
 CFG = OptConfig()
-LINKS = ("m12", "m23", "m31")
 
 
 def _report(criterion, ok):

@@ -21,6 +21,7 @@ from scbound.dists import (
     Alphabet,
     Channel,
     JointDist,
+    LINKS,
     PreconditionError,
     cond_entropy,
     dist_to_json,
@@ -521,8 +522,6 @@ def test_communication_ideal_protocols_meet_bounds(name, kwargs):
         assert e.h(link) >= rep.link(link).value - 1e-9
         assert abs(e.h(link) - rep.link(link).value) <= 1e-6
 
-
-LINKS = ("m12", "m23", "m31")
 # group-add 4 runs at a coarser grid: its full nested sweep at the default
 # grid takes over a second, and the skips do not depend on the grid
 VERIFIED_BUILTINS = [

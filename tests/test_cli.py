@@ -525,10 +525,18 @@ def test_remote_ot_n_below_one_names_the_string_length(capsys, value):
         assert "block length n must be at least 1, got %s" % value in err
 
 
+# AND on one-character symbols, so that a "t" row written as a string
+# would split into valid symbols
+_AND_CHANNEL = {
+    "axes": [{"name": name, "symbols": ["0", "1"]} for name in ("X", "Y", "Z")],
+    "kernel": [{"t": [x, y], "row": {str(int(x == y == "1")): 1.0}} for x in "01" for y in "01"],
+}
+
+
 def _malformed(kind):
     """(command line before the file, JSON content) for a malformed file."""
     b = builtin("group-add", order=2)
-    spec = spec_to_json(b.spec)
+    spec = spec_to_json(b.spec)  # rounds 3->2, 2->1, 1->3
     if kind == "spec-row-without-rand":
         del spec["rounds"][0]["map"][0]["view"]["rand"]
     elif kind == "spec-without-output-map":
@@ -543,6 +551,22 @@ def _malformed(kind):
         ch = channel_to_json(b.channel)
         del ch["kernel"][0]["t"][1]
         return ("analyze", "--channel"), ch
+    elif kind == "channel-row-with-a-third-entry":
+        ch = channel_to_json(b.channel)
+        ch["kernel"][0]["t"].append("junk")
+        return ("analyze", "--channel"), ch
+    elif kind == "channel-row-as-a-string":
+        ch = json.loads(json.dumps(_AND_CHANNEL))
+        ch["kernel"][0]["t"] = "00"
+        return ("analyze", "--channel"), ch
+    elif kind in ("spec-sender-1.7", "spec-sender-true"):
+        spec["rounds"][2]["sender"] = 1.7 if kind == "spec-sender-1.7" else True
+    elif kind == "spec-receiver-true":
+        spec["rounds"][1]["receiver"] = True
+    elif kind == "spec-two-randomness-alphabets":
+        del spec["randomness"][0]
+    elif kind == "spec-four-randomness-alphabets":
+        spec["randomness"].append(spec["randomness"][0])
     elif kind == "dist-without-pmf":
         dist = dist_to_json(b.default_input)
         del dist["pmf"]
@@ -569,6 +593,9 @@ def _malformed(kind):
 @pytest.mark.parametrize("kind", [
     "spec-row-without-rand", "spec-without-output-map", "spec-rounds-not-a-list",
     "channel-without-kernel", "channel-row-without-y", "dist-without-pmf", "dist-is-a-list",
+    "channel-row-with-a-third-entry", "channel-row-as-a-string", "spec-sender-1.7",
+    "spec-sender-true", "spec-receiver-true", "spec-two-randomness-alphabets",
+    "spec-four-randomness-alphabets",
 ])
 def test_malformed_input_file_exits_1(tmp_path, capsys, kind):
     argv, content = _malformed(kind)
@@ -596,6 +623,20 @@ def test_repeated_entry_in_input_file_exits_1(tmp_path, capsys, kind, repeated):
     assert out == ""
     assert err.startswith("error: cannot read %s" % path)
     assert repeated in err and "is given twice" in err
+
+
+@pytest.mark.parametrize("t", ["00", ["0", "0", "0"]])
+def test_dist_row_not_one_symbol_per_axis_exits_1(tmp_path, capsys, t):
+    # on one-character symbols the string "00" would split into a valid row
+    channel, dist = tmp_path / "channel.json", tmp_path / "dist.json"
+    channel.write_text(json.dumps(_AND_CHANNEL))
+    rows = [{"t": [x, y], "p": 0.25} for x in "01" for y in "01"]
+    rows[0]["t"] = t
+    dist.write_text(json.dumps({"axes": _AND_CHANNEL["axes"][:2], "pmf": rows}))
+    code, out, err = run_cli(capsys, "analyze", "--channel", str(channel), "--dist", str(dist))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read %s" % dist)
 
 
 @pytest.mark.parametrize("table", ["round", "output"])

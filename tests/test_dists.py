@@ -21,7 +21,7 @@ from scbound.dists import (
     entropy,
     join,
     mutual_info,
-    _unique_rows,
+    _codes,
 )
 
 
@@ -91,13 +91,28 @@ def test_support_joint_matches_dense(and_joint):
         SupportJoint.accumulate(and_joint.axes, [((0, 0), 1.0)])
 
 
-def test_unique_rows_matches_numpy(rng):
-    for n, k, hi in ((0, 3, 4), (1, 1, 2), (60, 3, 3), (500, 6, 4), (200, 2, 2**40)):
+def test_row_codes_match_numpy_unique(rng):
+    # sorted codes give np.unique(axis=0)'s rows and inverse, and the
+    # walker's first-seen grouping of the same codes gives the rows in the
+    # order a scan meets them; 2**40 and 2048 symbols on 2 and 6 columns
+    # pass int64 and renumber
+    from scbound.protocols import _first_seen
+
+    for n, k, hi in ((0, 3, 4), (1, 1, 2), (60, 3, 3), (500, 6, 4), (200, 2, 2**40),
+                     (300, 6, 2048)):
         cols = rng.integers(0, hi, size=(n, k))
-        rows, inverse = _unique_rows(cols)
+        cols[n // 2:] = cols[:n - n // 2]  # repeat the first half's rows
+        code = _codes(cols.T, [hi] * k)
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         ref_rows, ref_inverse = np.unique(cols, axis=0, return_inverse=True)
-        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(cols[first], ref_rows)
         assert np.array_equal(inverse, ref_inverse.reshape(-1))
+        seen = {}
+        for i, row in enumerate(map(tuple, cols.tolist())):
+            seen.setdefault(row, i)
+        first, rank = _first_seen(code)
+        assert first.tolist() == list(seen.values())
+        assert [list(seen)[r] for r in rank.tolist()] == list(map(tuple, cols.tolist()))
 
 
 def test_support_joint_groups_past_int64():
@@ -118,10 +133,22 @@ def test_support_joint_groups_past_int64():
     assert mass.tolist() == [0.25] * 4
 
 
+def test_support_joint_refuses_duplicate_rows_past_int64():
+    # on 6 axes of 2048 symbols, a code wrapped to 64 bits would give the
+    # rows 0 and 512 * 2048**5 = 2**64 one code; the real codes tell them apart
+    axes = tuple(Alphabet("A%d" % i, range(2048)) for i in range(6))
+    low, high, top = [0] * 6, [512] + [0] * 5, [2047] * 6
+    assert SupportJoint(axes, [low, high, top], [0.5, 0.25, 0.25]).grouped(range(6))[0].tolist() \
+        == [low, high, top]
+    for coords in ([low, high, low], [high, top, high], [top, low, top]):
+        with pytest.raises(ValueError, match="duplicate coordinate rows"):
+            SupportJoint(axes, coords, [0.5, 0.25, 0.25])
+
+
 def test_support_joint_groupings_are_cached_read_only_and_exact():
     # an execution joint regroups the same axis sets for every verify check:
-    # each grouping is made once, kept read-only, and equals a fresh
-    # _unique_rows + bincount bit for bit
+    # each grouping is made once, kept read-only, and equals numpy's sorted
+    # distinct rows and a bincount on its inverse bit for bit
     import itertools
 
     from scbound.protocols import builtin, run_exact
@@ -132,7 +159,8 @@ def test_support_joint_groupings_are_cached_read_only_and_exact():
     subsets = [list(c) for r in (1, 2, 3) for c in itertools.combinations(range(s.n_axes), r)]
     for keep in subsets:
         rows, mass = s.grouped(keep)
-        want_rows, inverse = _unique_rows(s.coords[:, keep])
+        want_rows, inverse = np.unique(s.coords[:, keep], axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(mass, np.bincount(inverse, weights=s.probs,
                                                 minlength=len(want_rows)))
@@ -146,6 +174,10 @@ def test_support_joint_groupings_are_cached_read_only_and_exact():
             assert entropy(s, keep) == entropy(fresh, keep)
             assert np.array_equal(s.marginal(keep).probs, fresh.marginal(keep).probs)
     assert cond_entropy(s, (2,), (0, 1)) == cond_entropy(fresh, (2,), (0, 1))
+    # unsigned coordinates group as signed ones do
+    unsigned = SupportJoint(s.axes, s.coords.astype(np.uint64), s.probs)
+    for keep in subsets:
+        assert all(np.array_equal(a, b) for a, b in zip(unsigned.grouped(keep), s.grouped(keep)))
 
 
 def test_channel_validation():

@@ -5,7 +5,9 @@ which records each code object of the package that is entered. Every `def`
 in `src/scbound` must be among them or on ALLOWLIST with the reason it
 stays. Dunders and the functions nested in an allowlisted one need no
 entry. An allowlist entry that is no longer defined, or that the commands
-now enter, fails too, so the list cannot go stale.
+now enter, fails too, so the list cannot go stale. No module rebinds its
+own state through a `global` statement either: a cache that outlives a
+call belongs to the object or the caller that owns it.
 """
 
 import ast
@@ -152,3 +154,11 @@ def test_allowlist_names_unreached_functions(reach):
     _, entered = reach
     reached = sorted(set(ALLOWLIST) & entered)
     assert not reached, "allowlisted but reached by a command: %s" % ", ".join(reached)
+
+
+def test_no_module_has_a_global_statement():
+    found = sorted("%s:%d" % (path.name, node.lineno)
+                   for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Global))
+    assert not found, "global statements: %s" % ", ".join(found)
