@@ -30,21 +30,17 @@ def main():
 
     ch = builtin("and").channel
     grid = np.arange(args.step, 1.0, args.step)
-    rows = ["a,b,value"]
-    best = (-1.0, None)
-    for a in grid:
-        for b in grid:
-            laws = {"p_X'": [1 - a, a], "p_Y'": [1 - b, b], "p_Y''": [0.5, 0.5]}
-            v = term_value(ch, "switched_m12_top", laws)
-            rows.append("%.4f,%.4f,%.6f" % (a, b, v))
-            if v > best[0]:
-                best = (v, (a, b))
+    a, b = np.meshgrid(grid, grid, indexing="ij")
+    laws = {"p_X'": np.stack([1 - a, a], -1), "p_Y'": np.stack([1 - b, b], -1),
+            "p_Y''": [0.5, 0.5]}
+    values = term_value(ch, "switched_m12_top", laws)  # the whole grid in one call
+    rows = ["a,b,value"] + ["%.4f,%.4f,%.6f" % r for r in zip(a.flat, b.flat, values.flat)]
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(rows) + "\n")
         print("wrote %d grid points to %s" % (len(rows) - 1, args.csv))
-    (v, (a, b)) = best
-    print("grid argmax: a=%.3f b=%.3f value=%.6f" % (a, b, v))
+    i = np.argmax(values)  # the first grid point of the largest value
+    print("grid argmax: a=%.3f b=%.3f value=%.6f" % (a.flat[i], b.flat[i], values.flat[i]))
 
 
 if __name__ == "__main__":

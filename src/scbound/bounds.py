@@ -828,26 +828,32 @@ def term_value(ch, name, dists):
     `name` is the name of a TermValue from improved_bounds, switched_bounds
     or conditional_bounds, and `dists` maps the term's witness labels to
     laws (JointDist or arrays). switched_m23 and switched_m31 also read the
-    kept input marginal, under "p_Y" and "p_X".
+    kept input marginal, under "p_Y" and "p_X". An array may carry leading
+    batch axes, which broadcast against the other laws' (one bank scores
+    them all): the value is a float for single laws and an array of the
+    broadcast batch shape otherwise.
     """
     if name not in _TERMS:
         raise ValueError("unknown term %r" % name)
     bank = _TermBank(ch)
+    shapes = {"x": (bank.nx,), "y": (bank.ny,), "xy": (bank.nx, bank.ny)}
 
     def law(label):
-        # a vector on its input, or the (|X|, |Y|) joint law
-        p, side = dists[label], _side(label)
-        if side != "xy":
-            return _as_prob_vector(p, bank.nx if side == "x" else bank.ny, label)
+        # (..., |input|) laws on one input, or (..., |X|, |Y|) joint laws; a
+        # JointDist is one law
+        p, shape = dists[label], shapes[_side(label)]
         q = np.asarray(p.probs if isinstance(p, JointDist) else p, dtype=float)
-        if q.shape != (bank.nx, bank.ny):
-            raise ValueError("%s has shape %s, expected %s" % (label, q.shape, (bank.nx, bank.ny)))
+        if q.shape[-len(shape):] != shape or (isinstance(p, JointDist) and q.ndim != len(shape)):
+            raise ValueError("%s has shape %s, not %s after any batch axes"
+                             % (label, q.shape, shape))
         return q
 
     outer, inner = _TERMS[name]
-    side, o = _side(outer), law(outer)
-    return float(sum(_group_values(bank, side, o, None if lab is None else law(lab), kinds)
-                     for lab, kinds in inner)[0])
+    laws = {lab: law(lab) for lab in [outer] + [lab for lab, _ in inner if lab is not None]}
+    total = sum(_group_values(bank, _side(outer), laws[outer], laws.get(lab), kinds)
+                for lab, kinds in inner)
+    single = all(q.ndim == len(shapes[_side(lab)]) for lab, q in laws.items())
+    return float(total[0]) if single else total
 
 
 # ---------------------------------------------------------------------------

@@ -1464,6 +1464,38 @@ def test_term_value_scores_every_term_against_the_joint_oracle(rng):
             assert term_value(ch, name, laws) == pytest.approx(want, abs=1e-10), name
 
 
+def test_term_value_scores_a_batch_as_its_points(rng):
+    # laws with leading batch axes broadcast against each other, and one
+    # call scores the batch: each entry is the call on its own point's laws
+    from scbound.bounds import _TERMS, _side
+
+    ch = _random_channel(rng, 3, 2, 3)
+    sizes = {"x": (3,), "y": (2,), "xy": (3, 2)}
+
+    def draw(lead, label):
+        p = rng.random(lead + sizes[_side(label)]) * (rng.random(lead + sizes[_side(label)]) < 0.8)
+        p[..., 0] += 0.01  # keep every law normalizable
+        return p / p.sum(axis=tuple(range(-len(sizes[_side(label)]), 0)), keepdims=True)
+
+    for name, (outer, inner) in _TERMS.items():
+        labels = [outer] + [lab for lab, _ in inner if lab]
+        laws = {lab: draw((4, 1) if k % 2 else (1, 5), lab) for k, lab in enumerate(labels)}
+        got = term_value(ch, name, laws)
+        assert got.shape == ((4, 5) if len(laws) > 1 else (1, 5))
+        for i, j in np.ndindex(got.shape):
+            point = {lab: p[min(i, len(p) - 1), min(j, p.shape[1] - 1)] for lab, p in laws.items()}
+            assert got[i, j] == pytest.approx(term_value(ch, name, point), abs=1e-12), name
+        # one batch law among single ones
+        single = {lab: p[0, 0] for lab, p in laws.items()}
+        batch = draw((6,), outer)
+        got = term_value(ch, name, {**single, outer: batch})
+        assert got.shape == (6,)
+        assert isinstance(term_value(ch, name, single), float)
+        for i in range(6):
+            want = term_value(ch, name, {**single, outer: batch[i]})
+            assert got[i] == pytest.approx(want, abs=1e-12), name
+
+
 def test_remote_ot_improved_m23_reaches_limit():
     # the supremum 2 is approached on a face of the simplex (four zero cells);
     # the batched line search reaches that face instead of stopping short
@@ -1484,3 +1516,9 @@ def test_term_value_rejects_bad_input(and_channel):
         term_value(and_channel, "improved_m12_ri_xz", {"p_X'Y'": np.full(4, 0.25)})
     with pytest.raises(ValueError):
         term_value(and_channel, "conditional_m31", {"p_X'": [1.0], "p_Y'": [1, 0], "p_Y''": [1, 0]})
+    with pytest.raises(ValueError):  # a batch of laws of the wrong size
+        term_value(and_channel, "switched_m31", {"p_X": [0.5, 0.5], "p_Y'": np.full((4, 3), 1 / 3),
+                                                  "p_Y''": [1, 0]})
+    with pytest.raises(ValueError):  # a joint law where a law on one input belongs
+        term_value(and_channel, "switched_m31", {"p_X": JointDist.uniform(
+            (and_channel.x_axis, and_channel.y_axis)), "p_Y'": [1, 0], "p_Y''": [1, 0]})

@@ -138,7 +138,8 @@ def test_capacity_exit_3(capsys):
 
 def test_oversize_support_cone_exits_3(capsys, monkeypatch):
     # a small cap stands in for the 1.0e9 scatter cells of remote-ot --m 3
-    # --n 4, which a run could reach only after minutes in the normal forms
+    # --n 4, which a run reaches only after some 9 s, most of it spent in
+    # the normal forms of its 4,096 x 3 x 16 channel
     monkeypatch.setattr("scbound.bounds.CONE_CELL_CAP", 71)  # AND needs 4 x 18 = 72
     code, out, err = run_cli(capsys, "analyze", "--builtin", "and")
     assert code == 3
@@ -158,6 +159,20 @@ def test_oversize_alphabet_exits_3_before_allocating(tmp_path, capsys):
     assert out == ""
     assert err.startswith("capacity:") and "over the cap" in err
     assert time.monotonic() - t0 < 20
+
+
+def test_large_alphabet_reaches_its_capacity_exit_quickly(tmp_path, capsys):
+    # remote-ot --m 3 --n 3 has a 512 x 3 x 8 channel. Read from a file, it
+    # passes both normal forms, then its joint scan over 1,536 symbols is
+    # refused. Pairwise row compares in Python took 4-6 s to get there
+    path = tmp_path / "ch.json"
+    path.write_text(dumps(channel_to_json(builtin("remote-ot", m=3, n=3).channel)))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", "--channel", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:")
+    assert time.monotonic() - t0 < 2
 
 
 def test_verified_builtin_needs_no_oversize_scan(capsys):

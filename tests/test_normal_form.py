@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scbound.dists import Alphabet, Channel, JointDist, join
+from scbound.dists import ZERO_TOL, Alphabet, Channel, JointDist, join
 from scbound.normal_form import (
     bigraph_connected,
     channel_normal_form,
@@ -27,14 +27,30 @@ def test_and_already_normal(and_channel):
 
 
 def test_duplicate_x_row_merged():
-    x = Alphabet("X", (0, 1, 2))
+    x = Alphabet("X", (0, 1, 2, 3, 4))
     y = Alphabet("Y", (0, 1))
     z = Alphabet("Z", (0, 1))
-    # rows for x=0 and x=2 are identical
+    # the rows of x=0, 2 and 4 are identical, and so are those of x=1 and 3
     ch = Channel.from_function(x, y, z, lambda a, b: (a % 2) & b)
     res = channel_normal_form(ch)
     assert len(res.reduced.x_axis) == 2
-    assert res.x_map[2] == 0 and res.x_map[1] == 1
+    assert res.x_map == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
+
+
+def test_moves_follow_the_restart_order_on_tolerance_chains():
+    # equality within ZERO_TOL is not transitive, so the order of the moves
+    # shapes the result. W(0|x,y) = 1/4 + k[x][y] * 0.4 ZERO_TOL: merging
+    # y=2 into y=1 brings the x rows within tolerance, and that x merge
+    # comes next, as if the reduction restarted after every move. Draining
+    # the y moves first would also merge y=3 into y=1 while x=1 is still
+    # there, and then collapse the channel to one symbol per axis
+    k = np.array([[-1, 0, 2, 2], [-2, 1, -1, 2]]) * 0.4 * ZERO_TOL
+    kernel = np.stack([0.25 + k, 0.75 - k], axis=2)
+    axes = [Alphabet(n, tuple(range(s))) for n, s in zip("XYZ", kernel.shape)]
+    res = channel_normal_form(Channel(*axes, kernel))
+    assert res.x_map == {0: 0, 1: 0}
+    assert res.y_map == {0: 0, 1: 0, 2: 0, 3: 3}
+    assert res.z_map == {0: 0, 1: 1}
 
 
 def test_proportional_z_merged():
@@ -279,6 +295,33 @@ def test_is_normal_form_iff_reduction_keeps_alphabets(rng):
             assert is_normal(*args) == kept
             seen.add((is_normal.__name__, kept))
     assert len(seen) == 6  # every form met both outcomes
+
+
+def test_pair_normal_form_of_its_result_keeps_every_symbol(rng):
+    # a reduced pair reduces to itself: every map is the identity and the
+    # arrays come back unchanged
+    from conftest import random_joint
+
+    for _ in range(60):
+        shape = tuple(int(k) for k in rng.integers(1, 6, 3))
+        axes = [Alphabet(n, tuple(range(k))) for n, k in zip("XYZ", shape)]
+        kernel = rng.integers(0, 3, shape) * (rng.random(shape) < 0.6)
+        if shape[0] > 1 and rng.integers(2):
+            kernel[-1] = kernel[0]  # duplicate input row
+        if shape[2] > 1 and rng.integers(2):
+            kernel[..., -1] = 2 * kernel[..., 0]  # proportional outputs
+        kernel = kernel.astype(float)
+        kernel[kernel.sum(axis=2) == 0] = 1.0
+        ch = Channel(*axes, kernel / kernel.sum(axis=2, keepdims=True))
+        p = JointDist(axes[:2], random_joint(rng, shape[:2], max_weight=3))
+        p2, ch2 = pair_normal_form(p, ch).reduced
+        again = pair_normal_form(p2, ch2)
+        maps = (again.x_map, again.y_map, again.z_map)
+        for ax, m in zip((ch2.x_axis, ch2.y_axis, ch2.z_axis), maps):
+            assert m == {s: s for s in ax.symbols}
+        p3, ch3 = again.reduced
+        assert np.array_equal(p3.probs, p2.probs) and np.array_equal(ch3.kernel, ch2.kernel)
+        assert is_pair_normal_form(p2, ch2)
 
 
 def test_bigraph_connected_cases():

@@ -14,6 +14,7 @@ from scbound import protocols
 from scbound.dists import (
     Alphabet,
     CapacityError,
+    Channel,
     JointDist,
     SupportJoint,
     channel_from_json,
@@ -115,6 +116,26 @@ def test_corrupted_and_fails_correctness():
     e = run_exact(bad, b.default_input)
     assert not verify_correctness(e, b.channel)
     assert all(verify_privacy(e))  # relabeling the output leaks nothing new
+
+
+def test_correctness_compares_supported_rows_only():
+    # AND run where (1, 1) never occurs: a supported row off by 2e-9 fails,
+    # one off by 5e-10 passes, and a change on the unsupported row is ignored
+    b = builtin("and")
+    x, y = b.spec.x_axis, b.spec.y_axis
+    e = run_exact(b.spec, JointDist((x, y), [[0.25, 0.25], [0.5, 0.0]]))
+
+    def channel(cells):
+        kernel = b.channel.kernel.copy()
+        for (i, j), row in cells.items():
+            kernel[i, j] = row
+        return Channel(x, y, b.spec.z_axis, kernel)
+
+    assert verify_correctness(e, b.channel)
+    assert not verify_correctness(e, channel({(1, 0): [1 - 2e-9, 2e-9]}))
+    assert verify_correctness(e, channel({(1, 0): [1 - 5e-10, 5e-10]}))
+    assert verify_correctness(e, channel({(1, 1): [1.0, 0.0]}))
+    assert not verify_correctness(e, channel({(1, 1): [1.0, 0.0], (0, 1): [0.5, 0.5]}))
 
 
 def test_plaintext_input_fails_privacy_against_bob():

@@ -36,8 +36,6 @@ ALLOWLIST = {
     "normal_form.is_channel_normal_form": _SPANS,
     "normal_form.sampling_normal_form": _SPANS,
     "normal_form.is_sampling_normal_form": _SPANS,
-    "normal_form._sampling_rule": "the rule of the sampling normal form",
-    "normal_form._sampling_reducer": "the reducer of the sampling normal form",
     "protocols.verify_transcript_independence": _SPANS,
     "common_info.residual_info": _SPANS + "; " + _REFERENCE,
     "dists.JointDist.marginal": _SPANS + "; execution joints take SupportJoint.marginal",
