@@ -48,31 +48,15 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path):
+def _decode(path, decoder):
+    """Read the JSON file at `path` and decode it; a file that is missing or
+    not JSON, or content the decoder cannot read (a missing field or list
+    entry, a wrong type, a bad value), is a UsageError naming the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
-
-
-def _builtin_params(args):
-    params = {"n": args.n}
-    if args.builtin == "group-add":
-        params["order"] = args.order
-    if args.builtin == "remote-ot":
-        params["m"] = args.m
-    if args.builtin == "erasure":
-        params["p"] = args.p
-        params["q"] = args.q
-    return params
-
-
-def _decode(path, decoder):
-    """Read the JSON file at `path` and decode it; content the decoder
-    cannot read (a missing field or list entry, a wrong type, a bad value)
-    is a UsageError that names the file."""
-    obj = _load_json(path)
     try:
         return decoder(obj)
     except (LookupError, TypeError, ValueError) as exc:
@@ -80,19 +64,22 @@ def _decode(path, decoder):
 
 
 def _resolve(args):
-    """(channel or None, input, protocol or None) from --spec (simulate),
-    --builtin, or --channel (analyze), with the input from --dist or else
-    the default: the built-in's own input, or uniform. More than one input
-    source is a UsageError, raised before any file is read."""
+    """(channel, input, protocol, built-in), each None where absent, from
+    --spec (simulate), --builtin or --channel (analyze), the input from
+    --dist or else the built-in's own or uniform. Two input sources, or a
+    built-in flag without --builtin, are refused before any file is read."""
     given = ["--" + k for k in ("spec", "builtin", "channel") if getattr(args, k)]
     if len(given) > 1:
         raise UsageError("give one input, not %s" % " and ".join(given))
-    ch = spec = None
+    params = {k: v for k in _PARAMS if (v := getattr(args, k)) is not None}
+    if params and not args.builtin:
+        raise UsageError("%s given without --builtin" % " ".join("--" + k for k in params))
+    ch = spec = b = None
     if args.spec:
         spec = _decode(args.spec, spec_from_json)
         default = JointDist.uniform((spec.x_axis, spec.y_axis))
     elif args.builtin:
-        b = builtin(args.builtin, **_builtin_params(args))
+        b = builtin(args.builtin, **params)
         ch, spec, default = b.channel, b.spec, b.default_input
     elif args.channel:
         ch = _decode(args.channel, channel_from_json)
@@ -101,7 +88,7 @@ def _resolve(args):
         other = "--spec" if args.cmd == "simulate" else "--channel"
         raise UsageError("need --builtin or " + other)
     p_xy = _load_dist(args.dist, default.axes) if args.dist else default
-    return ch, p_xy, spec
+    return ch, p_xy, spec, b
 
 
 def _load_dist(path, axes):
@@ -119,14 +106,14 @@ def _config(args):
     return OptConfig(grid_resolution=args.grid, refine_iters=args.refine)
 
 
-def _manifest(args, cfg, t0):
+def _manifest(args, t0, cfg=None):
     return {
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
         "inputs": {k: getattr(args, k) for k in ("builtin", "channel", "dist", "spec")
                    if getattr(args, k, None)},
-        "config": dataclasses.asdict(cfg),
         "version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 3),
+        **({} if cfg is None else {"config": dataclasses.asdict(cfg)}),
     }
 
 
@@ -200,7 +187,7 @@ def _run_verified(spec, ch, p_xy):
 def cmd_analyze(args):
     t0 = time.monotonic()
     cfg = _config(args)
-    ch, p_xy, spec = _resolve(args)
+    ch, p_xy, spec, b = _resolve(args)
     upper = None
     if spec is not None:
         try:
@@ -211,16 +198,15 @@ def cmd_analyze(args):
     payload = report.to_json()
     if upper is not None:
         # the protocol, in the JSON form spec_from_json reads
-        payload["upper_protocol"] = {"builtin": args.builtin, "params": _builtin_params(args)}
-    payload["manifest"] = _manifest(args, cfg, t0)
+        payload["upper_protocol"] = {"builtin": b.name, "params": b.params}
+    payload["manifest"] = _manifest(args, t0, cfg)
     _emit(args, payload)
     return 0
 
 
 def cmd_simulate(args):
     t0 = time.monotonic()
-    cfg = _config(args)
-    ch, p_xy, spec = _resolve(args)
+    ch, p_xy, spec, _ = _resolve(args)
     e = run_exact(spec, p_xy)
     lengths = expected_lengths(spec, p_xy, execution=e)
     checks = {}
@@ -239,7 +225,7 @@ def cmd_simulate(args):
         "expected_lengths": lengths,
         "checks": checks,
         "randomness_used": _randomness_used(e),
-        "manifest": _manifest(args, cfg, t0),
+        "manifest": _manifest(args, t0),
     }
     _emit(args, payload)
     return 0 if all(v is None or v for v in checks.values()) else 2
@@ -327,27 +313,36 @@ def cmd_reproduce(args):
     t0 = time.monotonic()
     cfg = _config(args)
     rows = _reproduce_rows(cfg, args.only)
-    payload = {"rows": rows, "manifest": _manifest(args, cfg, t0)}
+    payload = {"rows": rows, "manifest": _manifest(args, t0, cfg)}
     _emit(args, payload)
     return 0 if all(r["match"] for r in rows) else 2
 
 
-def _add_common(p):
+def _add_optimizer(p):
     cfg = OptConfig()
     p.add_argument("--grid", type=float, default=cfg.grid_resolution, help="scan grid resolution")
     p.add_argument("--refine", type=int, default=cfg.refine_iters, help="refinement line searches")
+
+
+def _add_common(p):
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+# a built-in takes the parameters, and defaults, of its builder's signature
+_PARAMS = {
+    "order": (int, "group order for group-add"),
+    "m": (int, "number of strings for remote-ot"),
+    "n": (int, "block length; for remote-ot, the string length in bits, not a block length"),
+    "p": (float, "Bernoulli parameter for Alice (erasure)"),
+    "q": (float, "Bernoulli parameter for Bob (erasure)"),
+}
+
+
 def _add_builtin(p):
     p.add_argument("--builtin", choices=("and", "group-add", "sum", "erasure", "remote-ot"))
-    p.add_argument("--order", type=int, default=2, help="group order for group-add")
-    p.add_argument("--m", type=int, default=2, help="number of strings for remote-ot")
-    p.add_argument("--n", type=int, default=1, help="block length; for remote-ot, the string "
-                   "length in bits, not a block length")
-    p.add_argument("--p", type=float, default=0.5, help="Bernoulli parameter for Alice (erasure)")
-    p.add_argument("--q", type=float, default=0.5, help="Bernoulli parameter for Bob (erasure)")
+    for name, (kind, text) in _PARAMS.items():
+        p.add_argument("--" + name, type=kind, help=text)
     p.add_argument("--dist", help="JSON input distribution")
 
 
@@ -362,6 +357,7 @@ def build_parser():
     pa = sub.add_parser("analyze", help="compute per-link lower bounds")
     pa.add_argument("--channel", help="JSON channel file")
     _add_builtin(pa)
+    _add_optimizer(pa)
     _add_common(pa)
     pa.set_defaults(func=cmd_analyze, spec=None)
 
@@ -373,8 +369,9 @@ def build_parser():
 
     pr = sub.add_parser("reproduce", help="re-derive the worked-example table")
     pr.add_argument("--only", help="restrict to rows whose name contains this")
+    _add_optimizer(pr)
     _add_common(pr)
-    pr.set_defaults(func=cmd_reproduce, builtin=None, channel=None, dist=None, spec=None)
+    pr.set_defaults(func=cmd_reproduce)
 
     return parser
 

@@ -300,9 +300,6 @@ class Channel:
                 kernel[i, j, z_axis.index(fn(x, y))] = 1.0
         return cls(x_axis, y_axis, z_axis, kernel)
 
-    def row(self, x, y):
-        return self.kernel[self.x_axis.index(x), self.y_axis.index(y)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Channel)
@@ -468,11 +465,11 @@ def dist_from_json(obj):
 
 def channel_to_json(ch):
     rows = []
-    for x in ch.x_axis:
-        for y in ch.y_axis:
+    for i, x in enumerate(ch.x_axis):
+        for j, y in enumerate(ch.y_axis):
             row = {
                 sym_str(z): float(p)
-                for z, p in zip(ch.z_axis.symbols, ch.row(x, y))
+                for z, p in zip(ch.z_axis.symbols, ch.kernel[i, j])
                 if p > SUPPORT_EPS
             }
             rows.append({"t": [sym_str(x), sym_str(y)], "row": row})

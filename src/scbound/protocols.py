@@ -23,9 +23,10 @@ based AND.
 """
 
 import heapq
+import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,8 @@ from .dists import (
 )
 
 BRANCH_CAP = 10_000_000
+# the elements (tuples x factors) one product of a built-in's symbols may hold
+PRODUCT_CAP = 1 << 23
 
 X, Y, Z, M12, M23, M31 = range(6)
 LINK_AXIS = dict(zip(LINKS, (M12, M23, M31)))  # a link's axis in an execution joint
@@ -382,10 +385,20 @@ class Builtin:
     spec: ProtocolSpec
     channel: Channel
     default_input: JointDist
+    params: dict = None  # every builder parameter, as builtin() bound them
+
+
+def _product(*factors):
+    """itertools.product of the factors as a tuple, or a CapacityError before
+    any is built when it would hold over PRODUCT_CAP tuples x factors."""
+    size = math.prod(map(len, factors)) * len(factors)
+    if size > PRODUCT_CAP:
+        raise CapacityError("a product of %d elements exceeds cap %d" % (size, PRODUCT_CAP))
+    return tuple(itertools.product(*factors))
 
 
 def _tuples(base, n):
-    return tuple(itertools.product(base, repeat=n))
+    return _product(*(base,) * n)
 
 
 def _trivial(name):
@@ -475,9 +488,7 @@ def erasure(p=0.5, q=0.5, n=1):
     z_axis = Alphabet("Z", _tuples((0, 1, 2), n))
     r2 = Alphabet("R2", bits)
 
-    reveal_syms = tuple(
-        (x, ks) for x in bits for ks in itertools.product((0, 1), repeat=sum(x))
-    )
+    reveal_syms = tuple((x, ks) for x in bits for ks in _tuples((0, 1), sum(x)))
 
     def reveal(v):
         k = v.m12[0]
@@ -530,7 +541,7 @@ def remote_ot(m=2, n=1):
     x_axis = Alphabet("X", x_syms)
     y_axis = Alphabet("Y", tuple(range(m)))
     z_axis = Alphabet("Z", strings)
-    r1_syms = tuple((k, pi) for k in _tuples(strings, m) for pi in range(m))
+    r1_syms = _product(x_syms, range(m))
     r1 = Alphabet("R1", r1_syms)
 
     def masked(v):
@@ -543,8 +554,8 @@ def remote_ot(m=2, n=1):
 
     rounds = (
         Round(1, 2, Alphabet("KP", r1_syms), lambda v: v.rand),
-        Round(1, 3, Alphabet("MS", _tuples(strings, m)), masked),
-        Round(2, 3, Alphabet("CK", tuple((c, k) for c in range(m) for k in strings)), forward),
+        Round(1, 3, Alphabet("MS", x_syms), masked),
+        Round(2, 3, Alphabet("CK", _product(range(m), strings)), forward),
     )
     spec = ProtocolSpec(
         x_axis, y_axis, z_axis,
@@ -600,16 +611,22 @@ _BUILTINS = {
 
 
 def builtin(name, **params):
-    """Construct a named built-in; params: order (group-add), m (remote-ot),
-    p/q (erasure), n (all)."""
+    """Construct a named built-in from the parameters its builder's signature
+    takes, at their defaults unless given; any other is a ValueError."""
     try:
         fn = _BUILTINS[name]
     except KeyError:
         raise ValueError("unknown builtin %r; have %s" % (name, sorted(_BUILTINS)))
+    try:
+        bound = inspect.signature(fn).bind(**params)
+    except TypeError as exc:
+        raise ValueError("builtin %r: %s" % (name, exc))
+    bound.apply_defaults()
+    params = bound.arguments
     # remote-ot's n is a string length, which remote_ot checks itself
-    if name != "remote-ot" and params.get("n", 1) < 1:
+    if name != "remote-ot" and params["n"] < 1:
         raise ValueError("block length n must be at least 1, got %r" % params["n"])
-    return fn(**params)
+    return replace(fn(**params), params=params)
 
 
 # ---------------------------------------------------------------------------

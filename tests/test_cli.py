@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from scbound.bounds import best_bounds
-from scbound.cli import main
+from scbound.cli import build_parser, main
 from scbound.dists import (
     Alphabet,
     CapacityError,
@@ -16,7 +18,14 @@ from scbound.dists import (
     dist_to_json,
     dumps,
 )
-from scbound.protocols import Round, builtin, run_exact, spec_to_json, verify_info_inequality
+from scbound.protocols import (
+    PRODUCT_CAP,
+    Round,
+    builtin,
+    run_exact,
+    spec_to_json,
+    verify_info_inequality,
+)
 
 LOG3 = math.log2(3.0)
 
@@ -679,3 +688,129 @@ def test_non_finite_dist_exits_1(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv, "--dist", str(dpath))
         assert code == 1
         assert "non-finite" in err
+
+
+# the parameters each built-in takes at its defaults, as reports echo them
+_BUILTIN_PARAMS = {
+    "and": {"n": 1},
+    "group-add": {"n": 1, "order": 2},
+    "sum": {"n": 1},
+    "erasure": {"n": 1, "p": 0.5, "q": 0.5},
+    "remote-ot": {"m": 2, "n": 1},
+}
+_FLAGS = ("order", "m", "n", "p", "q")
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "simulate"])
+@pytest.mark.parametrize("name", sorted(_BUILTIN_PARAMS))
+def test_builtin_takes_its_own_flags_only(capsys, monkeypatch, cmd, name):
+    _, plain, _ = run_cli(capsys, cmd, "--builtin", name)
+    every = []
+    for flag in _FLAGS:
+        if flag in _BUILTIN_PARAMS[name]:
+            # the flag at the builder's default gives the same report
+            value = str(_BUILTIN_PARAMS[name][flag])
+            every += ["--" + flag, value]
+            code, out, _ = run_cli(capsys, cmd, "--builtin", name, "--" + flag, value)
+            assert code == 0
+            assert _without_manifest(out) == _without_manifest(plain)
+    code, out, _ = run_cli(capsys, cmd, "--builtin", name, *every)
+    assert code == 0
+    assert _without_manifest(out) == _without_manifest(plain)
+    if cmd == "analyze":
+        want = {"builtin": name, "params": _BUILTIN_PARAMS[name]}
+        assert json.loads(plain)["upper_protocol"] == want
+        assert json.loads(out)["upper_protocol"] == want
+
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing should be computed")
+
+    for fn in ("best_bounds", "run_exact"):
+        monkeypatch.setattr("scbound.cli." + fn, fail)
+    for flag in set(_FLAGS) - set(_BUILTIN_PARAMS[name]):
+        code, out, err = run_cli(capsys, cmd, "--builtin", name, "--" + flag, "2")
+        assert code == 1 and out == ""
+        assert err == "error: builtin %r: got an unexpected keyword argument %r\n" % (name, flag)
+
+
+@pytest.mark.parametrize("flag", _FLAGS)
+@pytest.mark.parametrize("cmd", [("analyze", "--channel"), ("simulate", "--spec")])
+def test_builtin_flag_without_builtin_exits_1_before_work(tmp_path, capsys, monkeypatch,
+                                                          cmd, flag):
+    def fail(*args, **kwargs):
+        raise AssertionError("no file should be read")
+
+    monkeypatch.setattr("scbound.cli._decode", fail)
+    code, out, err = run_cli(capsys, *cmd, str(tmp_path / "input.json"), "--" + flag, "2")
+    assert code == 1 and out == ""
+    assert err == "error: --%s given without --builtin\n" % flag
+
+
+def test_optimizer_flags_belong_to_the_commands_that_optimize(capsys):
+    for flag in ("--grid", "--refine"):
+        value = "0.1" if flag == "--grid" else "3"
+        code, out, err = run_cli(capsys, "simulate", "--builtin", "sum", flag, value)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: %s" % flag in err
+    config = {"grid_resolution": 0.1, "refine_iters": 3}
+    for cmd in (("analyze", "--builtin", "group-add"), ("reproduce", "--only", "group-add-2")):
+        code, out, _ = run_cli(capsys, *cmd, "--grid", "0.1", "--refine", "3")
+        assert code == 0
+        assert json.loads(out)["manifest"]["config"] == config
+    _, out, _ = run_cli(capsys, "simulate", "--builtin", "sum")
+    assert set(json.loads(out)["manifest"]) == {"command", "inputs", "version", "wall_time_s"}
+
+
+def test_spec_file_builtin_param_it_does_not_take_exits_1(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"builtin": "and", "params": {"order": 3}}))
+    code, out, err = run_cli(capsys, "simulate", "--spec", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read %s" % path)
+    assert "unexpected keyword argument 'order'" in err
+
+
+def test_each_command_has_a_fixed_option_set():
+    # a flag comes in only together with the command code that reads it
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    builtin_flags = {"--builtin", "--order", "--m", "--n", "--p", "--q", "--dist"}
+    common = {"-h", "--help", "--out", "--format"}
+    want = {
+        "analyze": {"--channel", "--grid", "--refine"} | builtin_flags | common,
+        "simulate": {"--spec"} | builtin_flags | common,
+        "reproduce": {"--only", "--grid", "--refine"} | common,
+    }
+    got = {cmd: {s for a in p._actions for s in a.option_strings}
+           for cmd, p in sub.choices.items()}
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("and", "--n", "8"), ("and", "--n", "10"), ("sum", "--n", "14"),
+    ("remote-ot", "--m", "23", "--n", "1"),
+])
+def test_oversize_builtin_exits_3_before_it_is_built(capsys, monkeypatch, argv):
+    # every product the built-ins take goes through the cap: a product over
+    # it fails this test instead of being built
+    real = itertools.product
+
+    def capped(*factors):
+        assert math.prod(map(len, factors)) * len(factors) <= PRODUCT_CAP
+        return real(*factors)
+
+    monkeypatch.setattr(itertools, "product", capped)
+    t0 = time.monotonic()
+    for cmd in ("analyze", "simulate"):
+        code, out, err = run_cli(capsys, cmd, "--builtin", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("capacity: a product of") and "exceeds cap %d" % PRODUCT_CAP in err
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("name,params", [
+    ("and", {"n": 5}), ("sum", {"n": 6}), ("erasure", {"n": 7}), ("remote-ot", {"m": 3, "n": 3}),
+    ("remote-ot", {"m": 2, "n": 5}), ("group-add", {"order": 14, "n": 2}),
+])
+def test_largest_runnable_builtins_stay_under_the_product_cap(name, params):
+    b = builtin(name, **params)
+    assert b.params == dict(_BUILTIN_PARAMS[name], **params)
