@@ -15,7 +15,7 @@ from .dists import (
     join,
     mutual_info,
 )
-from .common_info import CommonPart, common_part, residual_info, residual_info_oracle
+from .common_info import CommonPart, common_part, residual_info
 from .normal_form import (
     NormalFormResult,
     bigraph_connected,

@@ -37,23 +37,23 @@ matrix, and their entropies accumulate z by z into one (n, m) matrix; no
 (|Z|, n, m) array is built.
 
 The switched and conditional families share their nested suprema: the
-x-candidate x y-candidate grid is scored once per term bank and config
-(best_bounds builds one bank per call, each public family function its
-own), in slices of x candidates, and each slice is reduced for both outer
-sides as it streams (a per-outer max and argmax; the y side's as a running
-max over slices). A slice has rows <= _CHUNK x candidates with rows x n_y <=
-_SWEEP_CELLS, a matrix that fits a per-core L2 cache. A sweep of two or
-more slices of at least _SWEEP_CELLS // 2 cells is split between two
-workers when two CPUs are usable: the calling thread scores the first half
-of the slices and a thread started and joined inside the sweep the second;
-smaller sweeps, and every sweep on one CPU, stay on the calling thread.
-The split pays in full when BLAS runs one thread (see _TermBank._sweep).
-Each worker scores its slices in its own workspace of five such matrices,
-one per product-form kind, and the workers share one y side. The second
-worker's y-side running max replaces the first's only on strict >, the
-rule one worker applies from slice to slice, so the result is that of one
-worker, bit for bit. The sweep's memory is O(rows x n_y) rather than
-O(n_x x n_y).
+x-candidate x y-candidate grid is scored once per term bank, which holds
+its call's config (best_bounds builds one bank per call, each public
+family function its own), in slices of x candidates, and each slice is
+reduced for both outer sides as it streams (a per-outer max and argmax;
+the y side's as a running max over slices). A slice has rows <= _CHUNK x
+candidates with rows x n_y <= _SWEEP_CELLS, a matrix that fits a per-core
+L2 cache. A sweep of two or more slices of at least _SWEEP_CELLS // 2
+cells is split between two workers when two CPUs are usable: the calling
+thread scores the first half of the slices and a thread started and
+joined inside the sweep the second; smaller sweeps, and every sweep on
+one CPU, stay on the calling thread. The split pays in full when BLAS
+runs one thread (see _TermBank._sweeps). Each worker scores its slices in
+its own workspace of five such matrices, one per product-form kind, and
+the workers share one y side. The second worker's y-side running max
+replaces the first's only on strict >, the rule one worker applies from
+slice to slice, so the result is that of one worker, bit for bit. The
+sweep's memory is O(rows x n_y) rather than O(n_x x n_y).
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
@@ -70,6 +70,7 @@ import numpy as np
 
 from .common_info import blocks_from_mask
 from .dists import (
+    CONE_CELL_CAP,
     CapacityError,
     JointDist,
     LINKS,
@@ -85,7 +86,6 @@ from .normal_form import (
     channel_normal_form,
     check_condition1,
     check_condition2,
-    is_pair_normal_form,
     pair_normal_form,
 )
 from .simplex import (
@@ -111,10 +111,6 @@ _STACK_CELLS = 1 << 14
 # cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64,
 # which fits a per-core L2 cache
 _SWEEP_CELLS = 1 << 16
-# cells of a support cone's scatter matrices, points x (its three axes and
-# three axis pairs): 256 MiB of float64. The largest the tests build is
-# 7.9M (a 40 x 40 x 40 channel); remote-ot --m 3 --n 4 would need 1.0e9.
-CONE_CELL_CAP = 1 << 25
 
 # -- the term table ----------------------------------------------------------
 
@@ -381,8 +377,9 @@ class _TermBank:
     side, and read the bank's arrays, so two workers share one bank.
     """
 
-    def __init__(self, ch):
+    def __init__(self, ch, cfg=DEFAULT_CONFIG):
         self.ch = ch
+        self.cfg = cfg
         W = np.asarray(ch.kernel)
         self.nx, self.ny, self.nz = W.shape
         self.Wz = np.ascontiguousarray(W.transpose(2, 0, 1))  # z-major, (nz, nx, ny)
@@ -394,7 +391,6 @@ class _TermBank:
             self.M[x * self.ny + y, t] = W[x, y, z]
         self.Lx = self.cone.pair_info["xz"]["Li"]  # x-side blocks of the (X,Z) graph
         self.Ly = self.cone.pair_info["yz"]["Li"]  # y-side blocks of the (Y,Z) graph
-        self._sweeps = {}  # cfg -> {side: _Sweep}
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
     # Output laws are z-major, (nz, ..., ...): a law's z cells lie in nz
@@ -454,15 +450,14 @@ class _TermBank:
         np.add(pb["H"][None, :], bil, out=h_yz_x)
         return [w.mats[kind][:n] for kind in kinds]
 
-    def sweep(self, side, cfg):
+    def sweep(self, side):
         """Every inner-term group of one outer side, maximized over the inner
         candidates for each outer candidate; both sides come from one pass
-        over the grid, made once per cfg."""
-        if cfg not in self._sweeps:
-            self._sweeps[cfg] = self._sweep(cfg)
-        return self._sweeps[cfg][side]
+        over the grid, made on the first call."""
+        return self._sweeps[side]
 
-    def _sweep(self, cfg):
+    @functools.cached_property
+    def _sweeps(self):
         """One pass over the grid in slices of x candidates, shared by up to
         two workers. The calling thread takes the first half of the slices
         and a thread started here the second, each in its own _PairWork
@@ -483,7 +478,7 @@ class _TermBank:
         group-add 4 sweep inside `analyze` took 65 ms on two workers
         against 81 ms on one (52 ms with one BLAS thread), and the sweeps
         of group-add 5 and 6 and remote-ot m=3 took 1-2 ms more."""
-        A, B = candidate_points(self.nx, cfg), candidate_points(self.ny, cfg)
+        A, B = candidate_points(self.nx, self.cfg), candidate_points(self.ny, self.cfg)
 
         def fresh(side, outer, inner):
             gs = _SWEEP_GROUPS[side]
@@ -623,12 +618,10 @@ def _evaluate(family, p_xyz, cone=None):
 
 
 def prelim_bounds(p_xy, ch):
-    """Per-link bounds at the given pair: max residual information against
-    the output or the co-input, plus the conditional entropy the cut must
-    carry. Requires the pair in normal form."""
-    if not is_pair_normal_form(p_xy, ch):
-        raise PreconditionError("(p_xy, channel) pair is not in normal form")
-    return _evaluate("prelim", join(p_xy, ch))
+    """Per-link bounds at the pair's normal form: max residual information
+    against the output or the co-input, plus the conditional entropy the cut
+    must carry."""
+    return _evaluate("prelim", join(*pair_normal_form(p_xy, ch).reduced))
 
 
 def _full_support_inputs(p_x, p_y, ch):
@@ -654,13 +647,13 @@ def intermediate_bounds(p_x, p_y, ch):
 # Optimized bounds
 
 
-def _optimize_joint(bank, name, cfg):
+def _optimize_joint(bank, name):
     """An improved term: its kinds maximized over full-support p_X'Y'."""
     nx, ny = bank.nx, bank.ny
     (_, kinds), = _TERMS[name][1]
     res = optimize_over_simplex(
         lambda Q: _group_values(bank, "xy", Q.reshape(Q.shape[:-1] + (nx, ny)), None, kinds),
-        nx * ny, cfg,
+        nx * ny, bank.cfg,
     )
     return _term(bank, name, [res.witness.reshape(nx, ny)], res.value, res.limit_point)
 
@@ -706,7 +699,7 @@ def _term(bank, name, pts, value, limit):
     )
 
 
-def _switched_single(bank, name, marginal, cfg):
+def _switched_single(bank, name, marginal):
     """A switched term at the kept input marginal: each inner law maximized
     on its own against it."""
     outer, inner = _TERMS[name]
@@ -714,7 +707,7 @@ def _switched_single(bank, name, marginal, cfg):
     k = bank.ny if side == "x" else bank.nx
     res = [
         optimize_over_simplex(
-            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds), k, cfg
+            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds), k, bank.cfg
         )
         for _, kinds in inner
     ]
@@ -722,7 +715,7 @@ def _switched_single(bank, name, marginal, cfg):
                  any(r.limit_point for r in res))
 
 
-def _nested(bank, name, cfg):
+def _nested(bank, name):
     """sup over the outer distribution of a sum of independently supremized
     inner terms, innermost evaluated first on the side's shared sweep, then a
     joint coordinate polish whose line searches score each round of their
@@ -730,14 +723,14 @@ def _nested(bank, name, cfg):
 
     The term's inner groups are groups of _SWEEP_GROUPS of its outer side
     (each inner distribution may carry a sum of kinds, e.g. ri_xz + h_xy_z
-    shares one inner variable). One fused pass per bank and config scores
-    the grid for both sides' groups. While the polish moves one law, an
-    inner group that law does not enter is scored once, not per bracket.
+    shares one inner variable). One fused pass per bank scores the grid
+    for both sides' groups. While the polish moves one law, an inner group
+    that law does not enter is scored once, not per bracket.
     """
     outer, inner = _TERMS[name]
     side = _side(outer)
     groups = [kinds for _, kinds in inner]
-    sw = bank.sweep(side, cfg)
+    sw = bank.sweep(side)
     totals = np.zeros(len(sw.outer))
     for kinds in groups:
         totals += sw.best[kinds]
@@ -760,7 +753,7 @@ def _nested(bank, name, cfg):
         laws = ps[:s] + [rows] + ps[s + 1:]
         return sum(group_values(laws[0], p, kinds) for p, kinds in zip(laws[1:], groups))
 
-    value, pts, _ = coordinate_polish(values, pts, cfg, value=float(totals[i]))
+    value, pts, _ = coordinate_polish(values, pts, bank.cfg, value=float(totals[i]))
     limit = any(p.min() <= SUPPORT_BOUNDARY for p in pts)
     return _term(bank, name, pts, value, limit)
 
@@ -787,11 +780,11 @@ def _family(ch, family, cfg, px=None, py=None):
     walker; px and py are the kept marginals the switched family reads."""
     conditions = {"condition1": check_condition1(ch), "condition2": check_condition2(ch)}
     return {link: None if term is None else term()
-            for fam, link, term in _families(_TermBank(ch), px, py, conditions, cfg)
+            for fam, link, term in _families(_TermBank(ch, cfg), px, py, conditions)
             if fam == family}
 
 
-def _families(bank, px, py, conditions, cfg):
+def _families(bank, px, py, conditions):
     """The families after the evaluation bound, in cost order, as (family,
     link, term) for every link of every family: `term()` computes that
     link's term, and is None where _LINK_CONDITION leaves the link out.
@@ -808,18 +801,18 @@ def _families(bank, px, py, conditions, cfg):
         names = list(names)
         cond = _LINK_CONDITION.get(link) if _free(names[0]) else None
         yield family, link, None if cond and not conditions[cond] else functools.partial(
-            lambda names: _pick([_run_term(bank, n, cfg, px, py) for n in names]), names)
+            lambda names: _pick([_run_term(bank, n, px, py) for n in names]), names)
 
 
-def _run_term(bank, name, cfg, px, py):
+def _run_term(bank, name, px, py):
     """Optimize one _TERMS entry, by its outer law: the joint law alone, a
     kept input marginal (px or py), or a nested supremum."""
     outer = _TERMS[name][0]
     if _side(outer) == "xy":
-        return _optimize_joint(bank, name, cfg)
+        return _optimize_joint(bank, name)
     if not _free(name):
-        return _switched_single(bank, name, px if outer == "p_X" else py, cfg)
-    return _nested(bank, name, cfg)
+        return _switched_single(bank, name, px if outer == "p_X" else py)
+    return _nested(bank, name)
 
 
 def term_value(ch, name, dists):
@@ -941,10 +934,10 @@ def _link_bound(terms, upper=None, skipped=()):
 def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
     """Per-link maximum over every applicable bound family.
 
-    Normalizes the channel (and the pair, for the evaluation bound)
-    internally and records the merges. Dependent full-support inputs are
-    handled through the product of their marginals where a bound family
-    needs independence.
+    Normalizes the channel internally and records the merges; prelim_bounds
+    reduces the pair, once, for the evaluation bound. Dependent full-support
+    inputs are handled through the product of their marginals where a bound
+    family needs independence.
 
     The families run in cost order: evaluation, intermediate, improved,
     switched, conditional. `upper`, when given, maps each link to the link
@@ -961,9 +954,6 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
     ch_n = chres.reduced
     p_n = _push_inputs(p_xy, chres, ch_n)
 
-    pairres = pair_normal_form(p_n, ch_n)
-    p_nf, ch_nf = pairres.reduced
-
     conditions = {
         "bigraph_connected": bigraph_connected(p_n),
         "condition1": check_condition1(ch_n),
@@ -974,13 +964,13 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
 
     terms = {
         link: [TermValue(name="prelim_%s" % link, link=link, value=v)]
-        for link, v in prelim_bounds(p_nf, ch_nf).items()
+        for link, v in prelim_bounds(p_n, ch_n).items()
     }
     skipped = {link: [] for link in LINKS}
 
     if conditions["full_support"]:
         px, py = p_n.probs.sum(axis=1), p_n.probs.sum(axis=0)
-        for family, link, term in _families(_TermBank(ch_n), px, py, conditions, cfg):
+        for family, link, term in _families(_TermBank(ch_n, cfg), px, py, conditions):
             if term is None:
                 continue
             if upper is not None and _pick(terms[link]).value >= upper[link] - UPPER_TOL:

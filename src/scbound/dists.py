@@ -19,6 +19,12 @@ ZERO_TOL = 1e-9
 # the three links of the triangle (Alice-Bob, Bob-Charlie, Charlie-Alice),
 # as reports, bounds and execution joints name them
 LINKS = ("m12", "m23", "m31")
+# cells of a support cone's scatter matrices, points x (its three axes and
+# three axis pairs): 256 MiB of float64. The largest the tests build is
+# 7.9M (a 40 x 40 x 40 channel); remote-ot --m 3 --n 4 would need 1.0e9.
+# A channel or distribution file is refused at load above as many dense
+# cells, before its array is allocated.
+CONE_CELL_CAP = 1 << 25
 
 
 class CapacityError(Exception):
@@ -456,8 +462,18 @@ def _symbols(t, arity, what):
     return tuple(str(s) for s in t)
 
 
+def _check_cells(axes, what):
+    """A CapacityError, before any array is allocated, when a file's axes
+    span more dense cells than CONE_CELL_CAP."""
+    cells = math.prod(len(a) for a in axes)
+    if cells > CONE_CELL_CAP:
+        raise CapacityError("%s of %s symbols needs %d cells, over the cap of %d"
+                            % (what, "x".join(str(len(a)) for a in axes), cells, CONE_CELL_CAP))
+
+
 def dist_from_json(obj):
     axes = [alphabet_from_json(a) for a in obj["axes"]]
+    _check_cells(axes, "distribution")
     pmf = unique_dict(((_symbols(row["t"], len(axes), "pmf cell"), float(row["p"]))
                        for row in obj["pmf"]), "pmf cell")
     return JointDist.from_pmf(axes, pmf)
@@ -481,6 +497,7 @@ def channel_to_json(ch):
 
 def channel_from_json(obj):
     x_axis, y_axis, z_axis = (alphabet_from_json(a) for a in obj["axes"])
+    _check_cells((x_axis, y_axis, z_axis), "channel")
     kernel = np.zeros((len(x_axis), len(y_axis), len(z_axis)))
     rows = unique_dict(((_symbols(r["t"], 2, "kernel row"), r["row"]) for r in obj["kernel"]),
                        "kernel row")

@@ -125,9 +125,8 @@ class ExecutionJoint:
 
 
 def _link_alphabet(spec, link):
-    rounds = spec.link_rounds(link)
-    syms = tuple(itertools.product(*(r.alphabet.symbols for r in rounds)))
-    return Alphabet(link.upper(), syms if syms else ((),))
+    # a link with no rounds carries the one empty transcript, ()
+    return Alphabet(link.upper(), _product(*(r.alphabet.symbols for r in spec.link_rounds(link))))
 
 
 # the walker runs whole input pairs in blocks of about this many branches

@@ -23,7 +23,7 @@ from scbound.bounds import (
 )
 from scbound.cli import main
 from scbound.cmss import and_cmss, and_secret_dist, cmss_joint, separation_report, share_entropies, verify_cmss
-from scbound.common_info import residual_info, residual_info_oracle
+from scbound.common_info import residual_info
 from scbound.dists import LINKS, Alphabet, JointDist
 from scbound.normal_form import bigraph_connected, check_condition1, check_condition2
 from scbound.protocols import (
@@ -37,6 +37,8 @@ from scbound.protocols import (
     verify_transcript_independence,
 )
 from scbound.simplex import OptConfig
+
+from common_info_oracle import residual_info_oracle
 
 LOG3 = math.log2(3.0)
 CFG = OptConfig()

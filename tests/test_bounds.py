@@ -88,13 +88,40 @@ def test_prelim_constant_channel_collapses():
     assert (tri["m23"], tri["m31"], tri["m12"]) == (0.0, 0.0, 0.0)
 
 
-def test_prelim_requires_normal_form(and_channel):
-    # a zero column makes the pair reducible
+def test_prelim_is_the_bound_of_the_pair_normal_form(and_channel):
+    # a zero column makes the pair reducible: prelim_bounds reduces it itself
+    # and reports the bound of its normal form, bit for bit
     p = JointDist.from_pmf(
         (and_channel.x_axis, and_channel.y_axis), {(0, 0): 0.5, (0, 1): 0.25, (1, 1): 0.25}
     )
-    with pytest.raises(PreconditionError):
-        prelim_bounds(p, and_channel)
+    assert prelim_bounds(p, and_channel) == prelim_bounds(*pair_normal_form(p, and_channel).reduced)
+
+
+@pytest.mark.parametrize("name,params", [("and", {}), ("erasure", {"p": 1})])
+def test_best_bounds_reduces_the_pair_once(monkeypatch, name, params):
+    # one pair normal form per call, and no is_pair_normal_form check, on a
+    # full-support input and on one whose pair drops an output (erasure at
+    # p = 1)
+    import scbound.bounds as bounds
+    import scbound.normal_form as normal_form
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "pair_normal_form", counted(normal_form.pair_normal_form))
+    monkeypatch.setattr(bounds, "is_pair_normal_form", counted(normal_form.is_pair_normal_form),
+                        raising=False)
+    for attr in ("is_pair_normal_form", "_keeps_symbols"):
+        monkeypatch.setattr(normal_form, attr, counted(getattr(normal_form, attr)))
+    b = builtin(name, **params)
+    report = best_bounds(b.default_input, b.channel, CHEAP)
+    assert calls == ["pair_normal_form"]
+    assert report.conditions["full_support"] == (name == "and")
 
 
 def test_intermediate_and(and_channel, uniform_bits):
@@ -606,7 +633,8 @@ def test_best_bounds_family_terms_match_the_public_families(name, kwargs):
 
 def _direct_generic_ri(joint, pair, mask):
     # I(U;V) minus the entropy of the block label, blocks frozen from `mask`
-    from scbound.common_info import block_entropy, blocks_from_mask
+    from common_info_oracle import block_entropy
+    from scbound.common_info import blocks_from_mask
     from scbound.dists import mutual_info
 
     i, j = pair
@@ -691,8 +719,7 @@ def test_oversize_support_cone_refused_before_allocating():
 
 def test_cone_term_kernels_match_direct_computation(rng, and_joint):
     from scbound.bounds import _SupportCone, _support_points
-    from scbound.common_info import block_entropy, blocks_from_mask
-    from scbound.dists import SUPPORT_EPS, cond_entropy, mutual_info
+    from scbound.dists import SUPPORT_EPS, cond_entropy
 
     cone = _SupportCone(and_joint.axes, _support_points(and_joint.probs))
     for _ in range(10):
@@ -763,11 +790,11 @@ def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
     from scbound.bounds import _SWEEP_GROUPS, _TermBank
 
     cfg = OptConfig(grid_resolution=0.03)
-    bank = _TermBank(_random_channel(rng, *shape, duplicate_x=duplicate_x))
+    bank = _TermBank(_random_channel(rng, *shape, duplicate_x=duplicate_x), cfg)
     ties = 0
     for side, groups in _SWEEP_GROUPS.items():
-        sw = bank.sweep(side, cfg)
-        assert bank.sweep(side, cfg) is sw
+        sw = bank.sweep(side)
+        assert bank.sweep(side) is sw
         for g in groups:
             if side == "x":
                 V = sum(bank.pair_values(sw.outer, sw.inner, g))
@@ -1003,13 +1030,13 @@ def test_sweep_walks_the_grid_once(rng, monkeypatch):
 
     monkeypatch.setattr(_TermBank, "pair_values", counted)
     cfg = OptConfig(grid_resolution=0.03)
-    bank = _TermBank(_random_channel(rng, 4, 3, 2))
+    bank = _TermBank(_random_channel(rng, 4, 3, 2), cfg)
     n_x, n_y = len(candidate_points(bank.nx, cfg)), len(candidate_points(bank.ny, cfg))
     rows = max(1, min(_CHUNK, n_x, _SWEEP_CELLS // n_y))
     assert n_x > rows
-    bank.sweep("x", cfg)
+    bank.sweep("x")
     assert len(calls) == math.ceil(n_x / rows)
-    bank.sweep("y", cfg)
+    bank.sweep("y")
     assert len(calls) == math.ceil(n_x / rows)
     assert sum(calls) == n_x
     assert max(calls) == rows
@@ -1034,8 +1061,8 @@ def test_sweep_is_bit_identical_at_every_slice_height(rng, monkeypatch):
     ties = 0
     for height in (1, 5, len(A)):
         monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
-        bank = bounds._TermBank(ch)
-        runs[height] = {side: bank.sweep(side, cfg) for side in "xy"}
+        bank = bounds._TermBank(ch, cfg)
+        runs[height] = {side: bank.sweep(side) for side in "xy"}
         for side, groups in bounds._SWEEP_GROUPS.items():
             for g in groups:
                 V = np.concatenate([sum(bank.pair_values(A[lo:lo + height], B, g))
@@ -1094,8 +1121,8 @@ def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
     for height in (1, 5, len(A)):
         monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
         monkeypatch.setattr(bounds, "_STACK_CELLS", height * 7)
-        bank = bounds._TermBank(ch)
-        sw = bank.sweep("y", cfg)
+        bank = bounds._TermBank(ch, cfg)
+        sw = bank.sweep("y")
         for g in bounds._SWEEP_GROUPS["y"]:
             slices = []
             for lo in range(0, len(A), height):
@@ -1162,7 +1189,7 @@ def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
     main = threading.get_ident()
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
-        bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 3, 2, 2))
+        bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 3, 2, 2), CFG)
         threads = {}
 
         def pair_values(A, B, kinds, _work=None, threads=threads):
@@ -1172,7 +1199,7 @@ def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
             return [slices[i].copy() if k == g[0] else np.zeros((2, 2)) for k in kinds]
 
         monkeypatch.setattr(bank, "pair_values", pair_values)
-        sw = bank.sweep("y", CFG)
+        sw = bank.sweep("y")
         assert sw.best[g].tolist() == best.tolist() == [3.0, 4.0]
         assert sw.arg[g].tolist() == arg.tolist() == [1, 5]
         assert [threads[i] == main for i in range(4)] == [True, True, workers == 1, workers == 1]
@@ -1203,8 +1230,8 @@ def test_sweep_workers_agree_bit_for_bit(rng, monkeypatch, shape):
     try:
         for workers in (1, 2):
             _force_workers(monkeypatch, workers)
-            bank = bounds._TermBank(ch)
-            runs[workers] = {side: bank.sweep(side, cfg) for side in "xy"}
+            bank = bounds._TermBank(ch, cfg)
+            runs[workers] = {side: bank.sweep(side) for side in "xy"}
             threads[workers] = seen[:]
             del seen[:]
     finally:
@@ -1240,8 +1267,8 @@ def test_sweep_workers_agree_on_group_add_4(monkeypatch):
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
         del seen[:]
-        bank = _TermBank(ch)
-        runs[workers] = {side: bank.sweep(side, CFG) for side in "xy"}
+        bank = _TermBank(ch, CFG)
+        runs[workers] = {side: bank.sweep(side) for side in "xy"}
         assert len(seen) == 173 and len(set(seen)) == workers
     for side, groups in _SWEEP_GROUPS.items():
         for g in groups:
@@ -1259,7 +1286,7 @@ def test_a_failing_worker_is_raised_after_the_join(rng, monkeypatch):
 
     _force_workers(monkeypatch, 2)
     cfg = OptConfig(grid_resolution=0.1)
-    bank = bounds._TermBank(_random_channel(rng, 3, 3, 3))
+    bank = bounds._TermBank(_random_channel(rng, 3, 3, 3), cfg)
     A, B = candidate_points(3, cfg), candidate_points(3, cfg)
     monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(B))
     last = A[5 * (math.ceil(len(A) / 5) - 1)]  # the first row of the last slice
@@ -1275,10 +1302,10 @@ def test_a_failing_worker_is_raised_after_the_join(rng, monkeypatch):
     monkeypatch.setattr(bounds._TermBank, "pair_values", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="slice failed"):
-        bank.sweep("x", cfg)
+        bank.sweep("x")
     assert failed_on and failed_on[0] != threading.get_ident()
     assert threading.active_count() == before
-    assert bank._sweeps == {}
+    assert "_sweeps" not in vars(bank)
 
 
 def test_sweep_memory_stays_slice_sized(monkeypatch):
@@ -1293,12 +1320,12 @@ def test_sweep_memory_stays_slice_sized(monkeypatch):
 
     _force_workers(monkeypatch, 2)
     seen = _record_threads(monkeypatch)
-    bank = _TermBank(channel_normal_form(builtin("group-add", order=4).channel).reduced)
+    bank = _TermBank(channel_normal_form(builtin("group-add", order=4).channel).reduced, CFG)
     A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
     assert (len(A), len(B), bank.nz) == (3287, 3287, 4)
     tracemalloc.start()
     try:
-        bank.sweep("x", CFG)
+        bank.sweep("x")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1321,7 +1348,7 @@ def test_sweep_counts_cpus_without_sched_getaffinity(rng, monkeypatch, cpus):
     A, B = candidate_points(3, cfg), candidate_points(3, cfg)
     monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(B))
     seen = _record_threads(monkeypatch)
-    sw = bounds._TermBank(_random_channel(rng, 3, 3, 3)).sweep("x", cfg)
+    sw = bounds._TermBank(_random_channel(rng, 3, 3, 3), cfg).sweep("x")
     assert len(seen) == math.ceil(len(A) / 5)
     assert len(set(seen)) == (2 if cpus == 2 else 1) and threading.get_ident() in seen
     assert all(np.isfinite(v).all() for v in sw.best.values())
@@ -1338,10 +1365,10 @@ def test_reproduce_sweep_stays_on_one_worker(monkeypatch):
 
     _force_workers(monkeypatch, 2)
     seen = _record_threads(monkeypatch)
-    bank = _TermBank(channel_normal_form(builtin("remote-ot", m=2).channel).reduced)
+    bank = _TermBank(channel_normal_form(builtin("remote-ot", m=2).channel).reduced, CFG)
     A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
     assert (len(A), len(B)) == (3287, 55) and 256 * 55 < _SWEEP_CELLS // 2
-    bank.sweep("x", CFG)
+    bank.sweep("x")
     assert len(seen) == 13 and set(seen) == {threading.get_ident()}
 
 
@@ -1377,10 +1404,10 @@ def test_nested_scores_each_held_group_once(monkeypatch):
         return joint_values(self, Q, kinds)
 
     monkeypatch.setattr(_TermBank, "joint_values", recorded)
-    bank = _TermBank(builtin("sum").channel)
+    bank = _TermBank(builtin("sum").channel, OptConfig(grid_resolution=0.1, refine_iters=20))
     for name in ("conditional_m31", "switched_m12_bottom"):
         seen.clear()
-        _nested(bank, name, OptConfig(grid_resolution=0.1, refine_iters=20))
+        _nested(bank, name)
         assert seen
         assert len(seen) == len(set(seen))
 

@@ -184,6 +184,39 @@ def test_large_alphabet_reaches_its_capacity_exit_quickly(tmp_path, capsys):
     assert time.monotonic() - t0 < 2
 
 
+def _oversize_file(kind):
+    """(command, file content) of a small input file that would need an
+    oversize array: a channel of three 3,000-symbol axes (2.7e10 kernel
+    cells), a distribution of two 6,000-symbol axes (3.6e7 cells) or a spec
+    whose m12 carries 8 rounds of 20 symbols (20^8 transcripts)."""
+    def axis(name, n):
+        return {"name": name, "symbols": [str(i) for i in range(n)]}
+
+    if kind == "channel":
+        return ("analyze", "--channel"), {"axes": [axis(a, 3000) for a in "XYZ"], "kernel": []}
+    if kind == "dist":
+        return ("analyze", "--builtin", "and", "--dist"), {"axes": [axis(a, 6000) for a in "XY"],
+                                                           "pmf": []}
+    one = axis("-", 1)
+    spec = {"x_axis": axis("X", 1), "y_axis": axis("Y", 1), "z_axis": axis("Z", 1),
+            "randomness": [one] * 3, "output_map": [],
+            "rounds": [{"sender": 1, "receiver": 2, "alphabet": axis("M", 20), "map": []}] * 8}
+    return ("simulate", "--spec"), spec
+
+
+@pytest.mark.parametrize("kind", ["channel", "dist", "spec"])
+def test_oversize_input_file_exits_3_before_allocating(tmp_path, capsys, kind):
+    command, content = _oversize_file(kind)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity:")
+    assert time.monotonic() - t0 < 2
+
+
 def test_verified_builtin_needs_no_oversize_scan(capsys):
     # group-add 15's joint scan is over the cap, but its verified protocol
     # meets the evaluation bound on every link, so no optimizer runs

@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbound.common_info import (
-    blocks_from_mask,
-    common_part,
-    residual_info,
-    residual_info_oracle,
-)
+from scbound.common_info import blocks_from_mask, common_part, residual_info
 from scbound.dists import Alphabet, CapacityError, JointDist, mutual_info
+
+from common_info_oracle import residual_info_oracle
 
 
 def pair(probs, nu=None, nv=None):

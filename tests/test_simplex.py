@@ -379,12 +379,11 @@ def test_lockstep_polish_matches_one_at_a_time_on_cone_objectives(monkeypatch, c
         ch = builtin("and", n=3).channel
     else:
         ch = _random_rounding_channel(np.random.default_rng(7))
-    bank = bounds._TermBank(channel_normal_form(ch).reduced)
+    bank = bounds._TermBank(channel_normal_form(ch).reduced, OptConfig())
     px, py = np.full(bank.nx, 1.0 / bank.nx), np.full(bank.ny, 1.0 / bank.ny)
-    cfg = OptConfig()
 
     def run_all():
-        return {name: bounds._run_term(bank, name, cfg, px, py) for name in bounds._TERMS}
+        return {name: bounds._run_term(bank, name, px, py) for name in bounds._TERMS}
 
     got = run_all()
     monkeypatch.setattr(simplex, "coordinate_polish", _oracle_polish)
