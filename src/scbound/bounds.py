@@ -25,7 +25,8 @@ term_value, is scored by one kernel, _SupportCone.values, on the support
 cone of a 3-axis joint, in slices: _CHUNK rows of a batch, or whole
 brackets, up to _STACK_CELLS cells, of the polish's (lines, LINE_POINTS,
 points) stacks. A slice is one GEMM onto the marginals the kinds read (one
-per bracket), one xlogx and one weighted sum. A channel's _TermBank
+per bracket), whose 0/1 operand is built from the cone's integer cell maps,
+one xlogx and one weighted sum. A channel's _TermBank
 maps input laws onto the cone of its generic support; a product-form term
 (one x law, one y law) is scored there at the product law, where each
 product-form kind equals its joint-form kind.
@@ -226,16 +227,8 @@ class _Sweep:
     arg: dict  # group -> (n_outer,) first inner index attaining it
 
 
-def _label_matrix(labels, n_blocks):
-    mat = np.zeros((len(labels), max(n_blocks, 1)))
-    for i, lab in enumerate(labels):
-        if lab >= 0:
-            mat[i, lab] = 1.0
-    return mat
-
-
 def _support_points(probs):
-    return [tuple(int(i) for i in idx) for idx in np.argwhere(probs > SUPPORT_EPS)]
+    return np.nonzero(probs > SUPPORT_EPS)
 
 
 def _generic_cone(ch):
@@ -258,15 +251,18 @@ _KIND_ENTROPIES = {
 
 
 class _SupportCone:
-    """Distributions on a list of (x, y, z) support points, with the
-    common-part blocks of the points' pattern for each pair of axes.
+    """Distributions on (x, y, z) support points, given by their index
+    columns. cells[m] is (each point's cell in marginal m, the number of
+    cells) for x, y, z, xy, xz, yz and blk_<pair>, the common-part block of
+    the point's first-axis symbol in the pair's support graph; labels[pair]
+    is that block for every first-axis symbol, -1 for one with no point.
 
     The one joint-form term kernel. For each kinds tuple, values() builds
-    once a scatter matrix T from the points onto the marginals those kinds
-    read and a weight vector w folding the cell sums, the entropy's minus
-    sign and the kinds' signs together; a marginal whose signs cancel is
-    left out, and the joint's own cells stand in for the xyz marginal, so T
-    holds no identity block. A batch is then scored in _CHUNK-row slices as
+    once a 0/1 matrix T from the points onto the marginals those kinds read
+    and a weight vector w folding the cell sums, the entropy's minus sign
+    and the kinds' signs together; a marginal whose signs cancel is left
+    out, and the joint's own cells stand in for the xyz marginal, so T holds
+    no identity block. A batch is then scored in _CHUNK-row slices as
     xlogx(cells) @ w, one GEMM and one xlogx per slice. A 3-D stack of
     brackets is scored in slices of as many whole brackets as fit
     _STACK_CELLS cells, by stacked matmuls, which numpy runs as one GEMM
@@ -275,41 +271,30 @@ class _SupportCone:
     not keep, as BLAS rounds a product's rows differently with its height.
     """
 
-    def __init__(self, axes, points):
+    def __init__(self, axes, index):
         self.axes = tuple(axes)
-        self.points = list(points)
-        self.n_points = len(self.points)
-        shape = tuple(len(a) for a in self.axes)
-        nx, ny, nz = shape
+        self.index = tuple(index)  # fancy index of the points in a dense joint
+        self.n_points = len(self.index[0])
+        shape = nx, ny, nz = tuple(len(a) for a in self.axes)
         cells = self.n_points * (nx + ny + nz + nx * ny + nx * nz + ny * nz)
         if cells > CONE_CELL_CAP:
             raise CapacityError(
                 "support cone of %d points over %dx%dx%d needs %d scatter cells, over the cap of %d"
                 % (self.n_points, nx, ny, nz, cells, CONE_CELL_CAP)
             )
-        idx = np.array(self.points, dtype=int).reshape(-1, 3)
-        self.index = tuple(idx.T)  # fancy index of the points in a dense joint
-
-        def scatter(cells, size):
-            # support point -> marginal cell
-            mat = np.zeros((self.n_points, size))
-            mat[np.arange(self.n_points), cells] = 1.0
-            return mat
-
-        self.scatter = {ax: scatter(idx[:, i], shape[i]) for i, ax in enumerate("xyz")}
-        self.pair_info = {}
+        self.cells = {ax: (i, n) for ax, i, n in zip("xyz", self.index, shape)}
+        self.labels = {}
         for key, (i, j) in {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}.items():
+            u, v = self.index[i], self.index[j]
             mask = np.zeros((shape[i], shape[j]), dtype=bool)
-            mask[idx[:, i], idx[:, j]] = True
-            li, _, nb = blocks_from_mask(mask)
-            Li = _label_matrix(li, nb)
-            self.scatter[key] = scatter(idx[:, i] * shape[j] + idx[:, j], shape[i] * shape[j])
-            self.scatter["blk_" + key] = self.scatter[key[0]] @ Li
-            self.pair_info[key] = {"Li": Li, "n_blocks": nb}
+            mask[u, v] = True
+            self.labels[key], _, nb = blocks_from_mask(mask)
+            self.cells[key] = (u * shape[j] + v, shape[i] * shape[j])
+            self.cells["blk_" + key] = (self.labels[key][u], max(nb, 1))
         self._kernels = {}  # kinds -> (reads the xyz cells, T, w)
 
     def connected(self, key):
-        return self.pair_info[key]["n_blocks"] <= 1
+        return self.cells["blk_" + key][1] <= 1
 
     def to_dist(self, q):
         probs = np.zeros(tuple(len(a) for a in self.axes))
@@ -327,11 +312,14 @@ class _SupportCone:
                     coef[m] = coef.get(m, 0) + c
             xyz = coef.pop("xyz", 0)
             margs = [m for m, c in coef.items() if c]
-            T = np.zeros((self.n_points, 0))
-            T = np.concatenate([T] + [self.scatter[m] for m in margs], axis=1)
+            sizes = [self.cells[m][1] for m in margs]
+            # one 1 per point and marginal, in the marginal's block of columns
+            T, rows = np.zeros((self.n_points, sum(sizes))), np.arange(self.n_points)
+            for m, lo in zip(margs, np.cumsum([0] + sizes)):
+                T[rows, lo + self.cells[m][0]] = 1.0
             # the cells are the xyz cells, if read, then T's columns
             w = np.concatenate([np.full(self.n_points if xyz else 0, -xyz)]
-                               + [np.full(self.scatter[m].shape[1], -coef[m]) for m in margs])
+                               + [np.full(n, -coef[m]) for m, n in zip(margs, sizes)])
             self._kernels[key] = (bool(xyz), T, w.astype(float))
         return self._kernels[key]
 
@@ -386,11 +374,14 @@ class _TermBank:
         self.Hrow = _H(W)  # (nx, ny)
         self.cone = _generic_cone(ch)
         # Q.reshape(-1, nx * ny) @ M is the joint of input laws Q on the cone
+        x, y, z = self.cone.index
         self.M = np.zeros((self.nx * self.ny, self.cone.n_points))
-        for t, (x, y, z) in enumerate(self.cone.points):
-            self.M[x * self.ny + y, t] = W[x, y, z]
-        self.Lx = self.cone.pair_info["xz"]["Li"]  # x-side blocks of the (X,Z) graph
-        self.Ly = self.cone.pair_info["yz"]["Li"]  # y-side blocks of the (Y,Z) graph
+        self.M[x * self.ny + y, np.arange(self.cone.n_points)] = W[x, y, z]
+        # x-side blocks of the (X,Z) graph and y-side blocks of the (Y,Z)
+        # graph, one 0/1 column each; a symbol with no point has a zero row
+        labels, cells = self.cone.labels, self.cone.cells
+        self.Lx, self.Ly = ((labels[k][:, None] == np.arange(cells["blk_" + k][1])).astype(float)
+                            for k in ("xz", "yz"))
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
     # Output laws are z-major, (nz, ..., ...): a law's z cells lie in nz
@@ -992,9 +983,10 @@ def best_bounds(p_xy, ch, cfg=DEFAULT_CONFIG, upper=None):
 
 def _push_inputs(p_xy, chres, ch_n):
     """Apply the channel's input merges to the input distribution."""
+    xi = [ch_n.x_axis.index(chres.x_map[x]) for x in p_xy.axes[0]]
+    yi = [ch_n.y_axis.index(chres.y_map[y]) for y in p_xy.axes[1]]
     probs = np.zeros((len(ch_n.x_axis), len(ch_n.y_axis)))
-    for (x, y), p in p_xy.support():
-        probs[ch_n.x_axis.index(chres.x_map[x]), ch_n.y_axis.index(chres.y_map[y])] += p
+    np.add.at(probs, np.ix_(xi, yi), p_xy.probs)
     return JointDist((ch_n.x_axis, ch_n.y_axis), probs)
 
 

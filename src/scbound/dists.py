@@ -476,7 +476,14 @@ def dist_from_json(obj):
     _check_cells(axes, "distribution")
     pmf = unique_dict(((_symbols(row["t"], len(axes), "pmf cell"), float(row["p"]))
                        for row in obj["pmf"]), "pmf cell")
-    return JointDist.from_pmf(axes, pmf)
+    d = JointDist.from_pmf(axes, pmf)
+    # every sum over the support leaves out cells at or below SUPPORT_EPS,
+    # so a law enters with them zeroed and the rest rescaled to 1
+    tiny = (d.probs > 0.0) & (d.probs <= SUPPORT_EPS)
+    if not tiny.any():
+        return d
+    probs = np.where(tiny, 0.0, d.probs)
+    return JointDist(axes, probs / probs.sum())
 
 
 def channel_to_json(ch):

@@ -712,9 +712,27 @@ def test_oversize_support_cone_refused_before_allocating():
     # the support of remote-ot --m 3 --n 4: 12,288 points, whose (X, Z)
     # scatter alone would be 12,288 x 65,536 float64 cells, 6 GiB
     axes = (Alphabet("X", range(4096)), Alphabet("Y", range(3)), Alphabet("Z", range(16)))
-    points = [(x, y, (x >> 4 * y) & 15) for x in range(4096) for y in range(3)]
+    x, y = np.repeat(np.arange(4096), 3), np.tile(np.arange(3), 4096)
     with pytest.raises(CapacityError, match="scatter cells, over the cap"):
-        _SupportCone(axes, points)
+        _SupportCone(axes, (x, y, (x >> 4 * y) & 15))
+
+
+def test_generic_cone_holds_no_dense_marginal_maps():
+    # group-add 40's cone has 1,600 points over 40 x 40 x 40 cells: one
+    # dense 0/1 map per marginal took 60 MB, its integer cell maps take KBs
+    import tracemalloc
+
+    from scbound.bounds import _generic_cone
+
+    ch = builtin("group-add", order=40).channel
+    tracemalloc.start()
+    try:
+        cone = _generic_cone(ch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cone.n_points == 40 * 40
+    assert peak < 1 << 20
 
 
 def test_cone_term_kernels_match_direct_computation(rng, and_joint):
@@ -911,7 +929,7 @@ def _per_marginal_cone_values(cone, Qs, kinds):
     from scbound.common_info import blocks_from_mask
 
     shape = tuple(len(a) for a in cone.axes)
-    cells = tuple(np.array(cone.points).T)
+    cells = cone.index
     P = np.zeros((len(Qs),) + shape)
     P[(slice(None),) + cells] = Qs
     support = np.zeros(shape, dtype=bool)

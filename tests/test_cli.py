@@ -15,6 +15,7 @@ from scbound.dists import (
     CapacityError,
     JointDist,
     channel_to_json,
+    dist_from_json,
     dist_to_json,
     dumps,
 )
@@ -526,6 +527,25 @@ def test_builtin_with_its_written_default_dist(tmp_path, capsys):
                                "--dist", str(path))
         assert code == 1
         assert "do not match" in err
+
+
+def test_dist_with_masses_under_the_support_threshold_runs(tmp_path, capsys):
+    # a valid law with three cells of 9.9e-13, at most SUPPORT_EPS, and the
+    # rest on the first cell: every sum over the support leaves those cells
+    # out, so the law enters with them zeroed and the rest rescaled to 1
+    b = builtin("and")
+    dist = dist_to_json(b.default_input)
+    for i, row in enumerate(dist["pmf"]):
+        row["p"] = 1.0 - 3 * 9.9e-13 if i == 0 else 9.9e-13
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist))
+    assert dist_from_json(dist).probs.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "and", "--dist", str(path))
+    assert code == 0, err
+    assert json.loads(out)["conditions"]["full_support"] is False
+    code, out, err = run_cli(capsys, "simulate", "--builtin", "and", "--dist", str(path))
+    assert code == 0, err
+    assert json.loads(out)["checks"]["correctness"] is True
 
 
 def test_simulate_dependent_input_leaves_info_checks_null(tmp_path, capsys):

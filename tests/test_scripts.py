@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 
 from scbound.cli import main
+from scbound.dists import dumps
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -96,3 +98,21 @@ def test_benchmark_simulate_ops_run(tmp_path):
     assert {op.argv[1] for op in ops} == {"--builtin", "--spec"}
     for op in ops:
         assert main(op.argv) == 0, op.id
+
+
+def test_report_digests_leave_out_the_manifest(capsys):
+    # scripts/report_digests.py prints one (exit code, sha256, command) line
+    # per report: the digest is that of the report without its manifest,
+    # which holds the wall time, and a refused command keeps its exit code
+    path = ROOT / "scripts" / "report_digests.py"
+    module_spec = importlib.util.spec_from_file_location("report_digests", path)
+    digests = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(digests)
+    argv = ["simulate", "--builtin", "and"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["manifest"]
+    want = hashlib.sha256(dumps(report).encode()).hexdigest()
+    assert digests.digest(argv) == (0, want)
+    assert digests.digest(["simulate", "--builtin", "sum"])[1] != want
+    assert digests.digest(["simulate", "--builtin", "and", "--order", "3"])[0] == 1
