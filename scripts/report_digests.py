@@ -13,10 +13,11 @@ is empty:
 The commands are `reproduce` (JSON and CSV), `analyze` of every built-in at
 its defaults and at a few parameter choices, every `analyze-wide` operation
 of the benchmark at seeds 0-2 (from perfbench/workloads.py), group-add of
-orders 8 and 14 read with `--channel`, a channel that reduces to AND by
-merges (with and without `--dist`), and `simulate` of every built-in. They
-run in this process, one after another: about 6 s in all on 2 cores with
-one BLAS thread.
+orders 8 and 14 and sum at n = 2 read with `--channel`, a 4 x 4 x 2 channel
+symmetric in X and Y but for one cell (the two sides of the nested sweep's
+symmetric path), a channel that reduces to AND by merges (with and without
+`--dist`), and `simulate` of every built-in. They run in this process, one
+after another: about 8 s in all on 2 cores with one BLAS thread.
 
 Usage: python scripts/report_digests.py
 """
@@ -56,6 +57,15 @@ MERGES = {
     "kernel": [{"t": [x, y], "row": {"1": 1.0} if x != "0" and y == "1"
                 else {"0": 0.5, "0'": 0.5}}
                for x in ("0", "1", "2") for y in ("0", "1")],
+}
+# a 4 x 4 x 2 channel symmetric in X and Y but for the one cell (0, 1), so
+# its nested sweep scores the whole grid, where sum --n 2's scores half
+NEAR_SYMMETRIC = {
+    "axes": [{"name": a, "symbols": ["0", "1", "2", "3"]} for a in "XY"]
+    + [{"name": "Z", "symbols": ["0", "1"]}],
+    "kernel": [{"t": [str(x), str(y)], "row": {"0": 1 - p, "1": p}}
+               for x in range(4) for y in range(4)
+               for p in [0.9 if (x, y) == (0, 1) else ((x + y) % 4 + 1) / 6]],
 }
 MERGES_DIST = {
     "axes": MERGES["axes"][:2],
@@ -100,10 +110,13 @@ def commands(tmp):
     for seed in range(3):
         indir = os.path.join(tmp, "seed%d" % seed)
         cmds += [op.argv for op in workloads.setup("analyze-wide", seed, False, indir)]
-    for order in (8, 14):
-        ch = channel_to_json(builtin("group-add", order=order).channel)
-        path = _write(os.path.join(tmp, "group-add-%d.json" % order), ch)
-        cmds.append(["analyze", "--channel", path])
+    for name, params in (("group-add", {"order": 8}), ("group-add", {"order": 14}),
+                         ("sum", {"n": 2})):
+        ch = channel_to_json(builtin(name, **params).channel)
+        stem = "-".join([name] + ["%s" % v for v in params.values()])
+        cmds.append(["analyze", "--channel", _write(os.path.join(tmp, stem + ".json"), ch)])
+    cmds.append(["analyze", "--channel",
+                 _write(os.path.join(tmp, "near-symmetric.json"), NEAR_SYMMETRIC)])
     merges = _write(os.path.join(tmp, "merges.json"), MERGES)
     cmds.append(["analyze", "--channel", merges])
     cmds.append(["analyze", "--channel", merges,

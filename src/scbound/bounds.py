@@ -43,23 +43,39 @@ its call's config (best_bounds builds one bank per call, each public
 family function its own), in slices of x candidates, and each slice is
 reduced for both outer sides as it streams (a per-outer max and argmax;
 the y side's as a running max over slices). A slice has rows <= _CHUNK x
-candidates with rows x n_y <= _SWEEP_CELLS, a matrix that fits a per-core
-L2 cache. A sweep of two or more slices of at least _SWEEP_CELLS // 2
-cells is split between two workers when two CPUs are usable: the calling
-thread scores the first half of the slices and a thread started and
-joined inside the sweep the second; smaller sweeps, and every sweep on
-one CPU, stay on the calling thread. The split pays in full when BLAS
-runs one thread (see _TermBank._sweeps). Each worker scores its slices in
-its own workspace of five such matrices, one per product-form kind, and
-the workers share one y side. The second worker's y-side running max
+candidates with rows x n_y <= _SWEEP_CELLS, a 512 KB matrix. A sweep of
+two or more slices of at least _SWEEP_CELLS // 2 cells is split between
+two workers when two CPUs are usable: the calling thread scores the first
+slices, as few as hold half the cells scored, and a thread started and
+joined inside the sweep the rest; smaller sweeps, and every sweep on one
+CPU, stay on the calling thread. The split pays in full when BLAS runs
+one thread (see _TermBank._sweeps). Each worker scores its slices in its
+own workspace of five such matrices, one per product-form kind, and the
+workers share one y side. The second worker's y-side running max
 replaces the first's only on strict >, the rule one worker applies from
 slice to slice, so the result is that of one worker, bit for bit. The
 sweep's memory is O(rows x n_y) rather than O(n_x x n_y).
+
+On a channel symmetric in X and Y (_symmetric: the z-major kernel equals
+its X<->Y transpose, and both sides have the same candidates) the sweep
+scores each unordered pair of candidates once. A slice of x rows [lo, hi)
+scores grid columns [lo, n) only: the cells of row i left of that are
+the mirror group's cells of column i (_mirror: ri_xz <-> ri_yz, h_xz_y
+<-> h_yz_x, h_xy_z itself), which the y side's running column max
+already holds. Once the workers join, one elementwise max per x-side
+group completes it from its mirror's y side, the smaller index winning a
+tie, and the y side is then set to the x side's mirror. About half the
+cells are scored (50.3% on group-add 4's 3,287 x 3,287 grid), and the
+split balances the cells, not the slices. A mirror cell's last bits may
+differ from the direct cell's, so a maximum may move by an ulp or so
+against the full grid, and an index only where the maximum ties within
+that.
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
 """
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -109,8 +125,9 @@ _CHUNK = 256
 # of float64. Larger temporaries cost page faults on every call, as glibc's
 # allocator maps or trims them afresh: up to 3x the time per bracket.
 _STACK_CELLS = 1 << 14
-# cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64,
-# which fits a per-core L2 cache
+# cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64.
+# One such matrix fits a 2 MiB per-core L2 cache; a worker's five plus its
+# mask (2.6 MB) do not.
 _SWEEP_CELLS = 1 << 16
 
 # -- the term table ----------------------------------------------------------
@@ -194,6 +211,27 @@ _SLICE_GROUPS = sorted(((side, g) for side, gs in _SWEEP_GROUPS.items() for g in
                        key=lambda sg: len(sg[1]))
 assert not any(g[0] in h for i, (_, g) in enumerate(_SLICE_GROUPS) if len(g) > 1
                for _, h in _SLICE_GROUPS[i + 1:]), "a group summed in place feeds a later one"
+
+
+def _mirror(group):
+    """The group's kinds with X and Y swapped: ri_xz <-> ri_yz, h_xz_y <->
+    h_yz_x, and h_xy_z and ri_xy to themselves. On a channel symmetric in X
+    and Y, a kind's value at (x law a, y law b) is its mirror's at (x law
+    b, y law a)."""
+    swap = str.maketrans("xy", "yx")
+    return tuple("_".join([head] + ["".join(sorted(a.translate(swap))) for a in axes])
+                 for head, *axes in (kind.split("_") for kind in group))
+
+
+assert sorted(map(_mirror, _SWEEP_GROUPS["x"])) == sorted(_SWEEP_GROUPS["y"]), \
+    "a sweep group has no mirror"
+
+
+def _symmetric(Wz, A, B):
+    """Whether the nested sweep scores each unordered pair of candidates
+    once: the z-major kernel equals its X<->Y transpose and both sides have
+    the same candidates."""
+    return np.array_equal(Wz, Wz.transpose(0, 2, 1)) and np.array_equal(A, B)
 
 
 @dataclass
@@ -327,7 +365,8 @@ class _SupportCone:
         """Sum of term values for each cone distribution: the (n,) values of
         an (n, n_points) batch or the (b, r) values of a (b, r, n_points)
         stack of brackets."""
-        Qs = np.asarray(Qs, dtype=float)
+        # in C order: the GEMM rounds an F-ordered operand's products differently
+        Qs = np.ascontiguousarray(Qs, dtype=float)
         xyz, T, w = self._kernel(kinds)
         if Qs.ndim == 3:
             # whole brackets per slice, as many as fit _STACK_CELLS cells
@@ -450,8 +489,9 @@ class _TermBank:
     @functools.cached_property
     def _sweeps(self):
         """One pass over the grid in slices of x candidates, shared by up to
-        two workers. The calling thread takes the first half of the slices
-        and a thread started here the second, each in its own _PairWork
+        two workers. The calling thread takes the first slices, as few as
+        hold half the cells the sweep scores, and a thread started here the
+        rest, each in its own _PairWork
         (both allocated here, both on one y side), when the sweep has two
         slices or more of at least _SWEEP_CELLS // 2 cells and two CPUs are
         usable; on smaller slices the thread costs more than it saves
@@ -468,7 +508,22 @@ class _TermBank:
         them: on 2 cores with the BLAS thread variables unset, the
         group-add 4 sweep inside `analyze` took 65 ms on two workers
         against 81 ms on one (52 ms with one BLAS thread), and the sweeps
-        of group-add 5 and 6 and remote-ot m=3 took 1-2 ms more."""
+        of group-add 5 and 6 and remote-ot m=3 took 1-2 ms more.
+
+        When _symmetric(Wz, A, B) holds (the kernel equals its X<->Y
+        transpose and A equals B), the slice at x row lo scores the grid
+        columns [lo, n) only: _reduce_slice is passed B[lo:] and the
+        workspace's view on it (_PairWork.columns). Row i's cells left of
+        its slice are the mirror group's (_mirror) cells of column i,
+        which every slice from row 0 to the end of i's slice has folded
+        into the y side's running max. After the join each x-side group
+        takes its mirror's y-side max where that is greater, or equal at a
+        smaller index, and the y side is set to the x side's mirror. The
+        slices then shrink with lo, so the split counts cells: group-add
+        4's 173 slices of 19 rows score 50.3% of the grid, the first 51
+        slices on the calling thread. The sweep took 0.11-0.12 s on two
+        workers against 0.15-0.17 s for the full grid (2 cores, one BLAS
+        thread)."""
         A, B = candidate_points(self.nx, self.cfg), candidate_points(self.ny, self.cfg)
 
         def fresh(side, outer, inner):
@@ -479,12 +534,15 @@ class _TermBank:
         sweeps = {"x": fresh("x", A, B), "y": fresh("y", B, A)}
         rows = max(1, min(_CHUNK, len(A), _SWEEP_CELLS // len(B)))
         los = range(0, len(A), rows)
+        mirror = _symmetric(self.Wz, A, B)
         work = _PairWork(self, B, rows)
         # the CPUs this process may run on, where the OS can tell (Linux)
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         split = cpus >= 2 and len(los) >= 2 and rows * len(B) >= _SWEEP_CELLS // 2
-        half = (len(los) + 1) // 2 if split else len(los)
+        # the first worker's slices: the fewest whose cells scored reach half
+        cells = np.cumsum([min(rows, len(A) - lo) * (len(B) - lo * mirror) for lo in los])
+        half = int(np.argmax(2 * cells >= cells[-1])) + 1 if split else len(los)
         errors = []
 
         def run(sweeps, work, los):
@@ -492,7 +550,8 @@ class _TermBank:
             # thread has ended
             try:
                 for lo in los:
-                    self._reduce_slice(sweeps, A[lo:lo + rows], work, lo)
+                    self._reduce_slice(sweeps, A[lo:lo + rows],
+                                       work.columns(lo) if mirror else work, lo)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -514,12 +573,24 @@ class _TermBank:
                 up = z.best[g] > y.best[g]
                 y.best[g][up] = z.best[g][up]
                 y.arg[g][up] = z.arg[g][up]
+        if mirror:
+            # x row i has its columns from its slice's first row on; the
+            # rest are the mirror group's column i, which the y side holds
+            x, y = sweeps["x"], sweeps["y"]
+            for g in _SWEEP_GROUPS["x"]:
+                h = _mirror(g)
+                xb, xa, yb, ya = x.best[g], x.arg[g], y.best[h], y.arg[h]
+                up = (yb > xb) | ((yb == xb) & (ya < xa))
+                xb[up], xa[up] = yb[up], ya[up]
+                y.best[h], y.arg[h] = xb.copy(), xa.copy()
         return sweeps
 
     def _reduce_slice(self, sweeps, A, work, lo):
-        """Fold one slice of x candidates A, starting at grid row lo, into
-        both sides' sweeps. An x-side group's max and first argmax along
-        each row are final. A y-side group keeps a running max per column
+        """Fold one slice of x candidates A, starting at grid row lo,
+        against the y candidates work.B, a tail of the grid's columns (all
+        of them unless the sweep is symmetric), into both sides' sweeps.
+        An x-side group's max and first argmax along each row are final
+        over those columns. A y-side group keeps a running max per column
         over the slices: V.max(axis=0), a contiguous reduction, finds the
         columns that rise above it (strict >, so the first slice wins a
         tie), and only those columns take the strided argmax and the value
@@ -532,23 +603,25 @@ class _TermBank:
         reads (ri_xz += h_xy_z, ri_yz += h_xy_z)."""
         mats = dict(zip(_PAIR_KINDS, self.pair_values(A, work.B, _PAIR_KINDS, work)))
         x, y = sweeps["x"], sweeps["y"]
+        first = len(x.inner) - len(work.B)  # the grid column of work.B[0]
         for side, g in _SLICE_GROUPS:
-            V = mats[g[0]]  # (len(A), len(B))
+            V = mats[g[0]]  # (len(A), len(work.B))
             for k in g[1:]:
                 V += mats[k]
             if side == "x":
                 arg = V.argmax(axis=1)
                 x.best[g][lo:lo + len(A)] = np.take_along_axis(V, arg[:, None], axis=1)[:, 0]
-                x.arg[g][lo:lo + len(A)] = arg
+                x.arg[g][lo:lo + len(A)] = arg + first
             else:
                 # running max over x slices; strict > keeps the first index on ties
-                rising = np.flatnonzero(V.max(axis=0) > y.best[g])
+                best, args = y.best[g][first:], y.arg[g][first:]
+                rising = np.flatnonzero(V.max(axis=0) > best)
                 step = max(1, _STACK_CELLS // len(V))
                 for c in range(0, rising.size, step):
                     cols = rising[c:c + step]
                     arg = V[:, cols].argmax(axis=0)
-                    y.best[g][cols] = V[arg, cols]
-                    y.arg[g][cols] = arg + lo
+                    best[cols] = V[arg, cols]
+                    args[cols] = arg + lo
 
     # -- joint-form terms: Q (n, nx, ny) -------------------------------------
 
@@ -576,6 +649,22 @@ class _PairWork:
         shape = (rows, len(B))
         self.mats = {kind: np.empty(shape) for kind in _PAIR_KINDS}
         self.off = np.empty(shape, dtype=bool)
+
+    def columns(self, lo):
+        """This workspace on the y laws B[lo:], without copies: column views
+        of B's side, and (rows, len(B) - lo) matrices laid out contiguously
+        at the start of this workspace's buffers. A column slice of the
+        full-width matrices would touch every row's cache lines, and a
+        narrow slice then costs as much as a full one (a group-add 4 slice
+        at half width: 1.22 ms so, 0.58 ms laid out contiguously, 1.11 ms
+        at full width; medians of 200 calls, one BLAS thread)."""
+        view = copy.copy(self)
+        view.B, view.Bt = self.B[lo:], self.Bt[:, lo:]
+        view.pre_b = {key: a[..., lo:] for key, a in self.pre_b.items()}
+        m = len(view.B)
+        view.mats = {kind: a.ravel()[:len(a) * m].reshape(-1, m) for kind, a in self.mats.items()}
+        view.off = self.off.ravel()[:len(self.off) * m].reshape(-1, m)
+        return view
 
 
 def _as_prob_vector(p, size, what):

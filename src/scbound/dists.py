@@ -25,6 +25,10 @@ LINKS = ("m12", "m23", "m31")
 # A channel or distribution file is refused at load above as many dense
 # cells, before its array is allocated.
 CONE_CELL_CAP = 1 << 25
+# dense cells of a kernel built from a function (the built-ins): 512 MiB of
+# float64. The largest built-ins that build, erasure and sum at n = 7, need
+# 35.8M; sum at n = 12 would need 8.9e12.
+KERNEL_CELL_CAP = 1 << 26
 
 
 class CapacityError(Exception):
@@ -299,7 +303,9 @@ class Channel:
 
     @classmethod
     def from_function(cls, x_axis, y_axis, z_axis, fn):
-        """Deterministic channel z = fn(x, y)."""
+        """Deterministic channel z = fn(x, y); a CapacityError, before the
+        kernel is allocated, above KERNEL_CELL_CAP cells."""
+        _check_cells((x_axis, y_axis, z_axis), "kernel", KERNEL_CELL_CAP)
         kernel = np.zeros((len(x_axis), len(y_axis), len(z_axis)))
         for i, x in enumerate(x_axis):
             for j, y in enumerate(y_axis):
@@ -462,18 +468,18 @@ def _symbols(t, arity, what):
     return tuple(str(s) for s in t)
 
 
-def _check_cells(axes, what):
-    """A CapacityError, before any array is allocated, when a file's axes
-    span more dense cells than CONE_CELL_CAP."""
+def _check_cells(axes, what, cap):
+    """A CapacityError, before any array is allocated, when the axes span
+    more dense cells than `cap`: CONE_CELL_CAP for a file's."""
     cells = math.prod(len(a) for a in axes)
-    if cells > CONE_CELL_CAP:
+    if cells > cap:
         raise CapacityError("%s of %s symbols needs %d cells, over the cap of %d"
-                            % (what, "x".join(str(len(a)) for a in axes), cells, CONE_CELL_CAP))
+                            % (what, "x".join(str(len(a)) for a in axes), cells, cap))
 
 
 def dist_from_json(obj):
     axes = [alphabet_from_json(a) for a in obj["axes"]]
-    _check_cells(axes, "distribution")
+    _check_cells(axes, "distribution", CONE_CELL_CAP)
     pmf = unique_dict(((_symbols(row["t"], len(axes), "pmf cell"), float(row["p"]))
                        for row in obj["pmf"]), "pmf cell")
     d = JointDist.from_pmf(axes, pmf)
@@ -504,7 +510,7 @@ def channel_to_json(ch):
 
 def channel_from_json(obj):
     x_axis, y_axis, z_axis = (alphabet_from_json(a) for a in obj["axes"])
-    _check_cells((x_axis, y_axis, z_axis), "channel")
+    _check_cells((x_axis, y_axis, z_axis), "channel", CONE_CELL_CAP)
     kernel = np.zeros((len(x_axis), len(y_axis), len(z_axis)))
     rows = unique_dict(((_symbols(r["t"], 2, "kernel row"), r["row"]) for r in obj["kernel"]),
                        "kernel row")

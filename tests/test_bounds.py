@@ -1567,3 +1567,220 @@ def test_term_value_rejects_bad_input(and_channel):
     with pytest.raises(ValueError):  # a joint law where a law on one input belongs
         term_value(and_channel, "switched_m31", {"p_X": JointDist.uniform(
             (and_channel.x_axis, and_channel.y_axis)), "p_Y'": [1, 0], "p_Y''": [1, 0]})
+
+
+def test_sweep_workers_agree_on_remote_ot_m3(monkeypatch):
+    # the general path at real size: remote-ot m=3's reduced channel (8 x 3
+    # inputs) is not symmetric in X and Y, and its default grid, 237 x 1,333
+    # pairs in slices of 49 rows, splits between two workers
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    ch = channel_normal_form(builtin("remote-ot", m=3).channel).reduced
+    bank = bounds._TermBank(ch, CFG)
+    assert not bounds._symmetric(bank.Wz, candidate_points(bank.nx, CFG),
+                                 candidate_points(bank.ny, CFG))
+    seen = _record_threads(monkeypatch)
+    runs = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        del seen[:]
+        bank = bounds._TermBank(ch, CFG)
+        runs[workers] = {side: bank.sweep(side) for side in "xy"}
+        assert len(seen) == 5 and len(set(seen)) == workers
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            assert np.array_equal(runs[1][side].best[g], runs[2][side].best[g])
+            assert np.array_equal(runs[1][side].arg[g], runs[2][side].arg[g])
+
+
+def _symmetric_channel(rng, n, nz):
+    # W(x, y) = W(y, x), with x = 1 a duplicate of x = 0 (so y = 1 of y = 0),
+    # which makes ties; the rows keep zero cells
+    K = rng.random((n, n, nz)) * (rng.random((n, n, nz)) < 0.7)
+    K[..., 0] += 0.05
+    K[1], K[:, 1] = K[0], K[:, 0]
+    S = (K + K.transpose(1, 0, 2)) / 2
+    S /= S.sum(axis=2, keepdims=True)
+    axes = [Alphabet(name, tuple(range(k))) for name, k in zip("XYZ", (n, n, nz))]
+    return Channel(*axes, S)
+
+
+def _full_and_mirrored(monkeypatch, ch, cfg):
+    # both sides of the sweep with the symmetric path turned off, then on
+    import scbound.bounds as bounds
+
+    symmetric = bounds._symmetric
+    monkeypatch.setattr(bounds, "_symmetric", lambda Wz, A, B: False)
+    bank = bounds._TermBank(ch, cfg)
+    full = {side: bank.sweep(side) for side in "xy"}
+    monkeypatch.setattr(bounds, "_symmetric", symmetric)
+    bank = bounds._TermBank(ch, cfg)
+    assert symmetric(bank.Wz, full["x"].outer, full["x"].inner)
+    return bank, full, {side: bank.sweep(side) for side in "xy"}
+
+
+@pytest.mark.parametrize("height", [1, 5, 1000])
+def test_mirrored_sweep_matches_the_full_grid(rng, monkeypatch, height):
+    # on a symmetric channel the sweep scores each slice of x rows [lo, hi)
+    # on grid columns [lo, n) only and completes the x side from the y side;
+    # at slices of 1 row, of 5 rows (the last ragged) and of the whole grid,
+    # the y side is the x side's mirror exactly, every maximum is within
+    # 1e-12 of the full grid's, and every index is the full grid's first
+    # argmax wherever that maximum is unique by more than 1e-12
+    import scbound.bounds as bounds
+
+    cfg = OptConfig(grid_resolution=0.1)
+    n = len(bounds.candidate_points(3, cfg))
+    assert n % 5 and n <= bounds._CHUNK
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", min(height, n) * n)
+    bank, full, mirrored = _full_and_mirrored(monkeypatch, _symmetric_channel(rng, 3, 3), cfg)
+    near = 0
+    for g in bounds._SWEEP_GROUPS["x"]:
+        h = bounds._mirror(g)
+        assert np.array_equal(mirrored["y"].best[h], mirrored["x"].best[g])
+        assert np.array_equal(mirrored["y"].arg[h], mirrored["x"].arg[g])
+    A, B, rows = full["x"].outer, full["x"].inner, min(height, n)
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            # the full grid in slices of the sweep's height, as it scores them
+            V = np.concatenate([sum(bank.pair_values(A[lo:lo + rows], B, g))
+                                for lo in range(0, n, rows)])
+            if side == "y":
+                V = V.T
+            top = V.max(axis=1)
+            assert np.array_equal(full[side].best[g], top)
+            np.testing.assert_allclose(mirrored[side].best[g], top, rtol=0, atol=1e-12)
+            unique = (V >= top[:, None] - 1e-12).sum(axis=1) == 1
+            near += int((~unique).sum())
+            assert np.array_equal(mirrored[side].arg[g][unique], V.argmax(axis=1)[unique])
+            # the arg of a maximum that is not unique still attains it
+            hit = V[np.arange(len(V)), mirrored[side].arg[g]]
+            np.testing.assert_allclose(hit, top, rtol=0, atol=1e-12)
+    assert near > 0
+
+
+def test_mirrored_sweep_on_group_add_4_scores_half_the_grid(monkeypatch):
+    # group-add 4's default grid, 3,287 x 3,287 pairs in 173 slices of 19
+    # rows: the symmetric path scores at most 51% of the cells, and matches
+    # the full grid's maxima within 1e-12; where its index differs from the
+    # full grid's, the cell it names is within 1e-12 of the maximum
+    import scbound.bounds as bounds
+
+    cells = []
+    pair_values = bounds._TermBank.pair_values
+
+    def counted(self, A, B, kinds, _work=None):
+        cells.append(len(A) * len(B))
+        return pair_values(self, A, B, kinds, _work)
+
+    monkeypatch.setattr(bounds._TermBank, "pair_values", counted)
+    ch = channel_normal_form(builtin("group-add", order=4).channel).reduced
+    bank, full, mirrored = _full_and_mirrored(monkeypatch, ch, CFG)
+    n = len(full["x"].outer)
+    assert n == 3287 and len(cells) == 2 * 173
+    assert sum(cells[:173]) == n * n and sum(cells[173:]) <= 0.51 * n * n
+    monkeypatch.setattr(bounds._TermBank, "pair_values", pair_values)
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            one, two = full[side], mirrored[side]
+            np.testing.assert_allclose(two.best[g], one.best[g], rtol=0, atol=1e-12)
+            for i in np.flatnonzero(two.arg[g] != one.arg[g]):
+                a, b = one.outer[i:i + 1], one.inner[two.arg[g][i]:two.arg[g][i] + 1]
+                v = sum(bank.pair_values(*((a, b) if side == "x" else (b, a)), g))
+                assert v[0, 0] == pytest.approx(one.best[g][i], abs=1e-12)
+
+
+def test_mirrored_sweep_workers_agree_bit_for_bit(rng, monkeypatch):
+    # on the symmetric path one worker and two give the same sweep on both
+    # sides; the split is balanced by the cells each slice scores, which
+    # shrink with its first row, so the first worker takes fewer slices than
+    # half. A short switch interval interleaves the two threads finely
+    import sys
+    import threading
+
+    import scbound.bounds as bounds
+
+    cfg = OptConfig(grid_resolution=0.05)
+    n = len(bounds.candidate_points(3, cfg))
+    height = 5
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * n)
+    ch = _symmetric_channel(rng, 3, 4)
+    seen = _record_threads(monkeypatch)
+    runs, threads = {}, {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            bank = bounds._TermBank(ch, cfg)
+            runs[workers] = {side: bank.sweep(side) for side in "xy"}
+            threads[workers] = seen[:]
+            del seen[:]
+    finally:
+        sys.setswitchinterval(interval)
+    slices = math.ceil(n / height)
+    main = threading.get_ident()
+    assert len(threads[1]) == len(threads[2]) == slices
+    first = threads[2].count(main)
+    assert len(set(threads[2])) == 2 and first < slices // 2
+    cells = [min(height, n - lo) * (n - lo) for lo in range(0, n, height)]
+    assert 2 * sum(cells[:first]) >= sum(cells) > 2 * sum(cells[:first - 1])
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            assert np.array_equal(runs[1][side].best[g], runs[2][side].best[g])
+            assert np.array_equal(runs[1][side].arg[g], runs[2][side].arg[g])
+
+
+@pytest.mark.parametrize("shape", [(300,), (7, 33)], ids=["batch", "stack"])
+def test_cone_scores_an_f_ordered_operand_as_its_c_copy(rng, shape):
+    # BLAS rounds a product differently with its operand's memory layout
+    # (an F-ordered batch moved remote-ot m=3's single kinds and joint
+    # variants by an ulp or so); an F-ordered batch or stack of brackets
+    # scores bit for bit as its C-ordered copy
+    from scbound.bounds import _JOINT_VARIANTS, _KIND_ENTROPIES, _TermBank
+
+    cone = _TermBank(channel_normal_form(builtin("remote-ot", m=3).channel).reduced).cone
+    C = rng.dirichlet(np.ones(cone.n_points), size=shape)
+    F = np.asfortranarray(C)
+    assert not F.flags.c_contiguous and np.array_equal(F, C)
+    singles = [(k,) for k in _KIND_ENTROPIES]
+    for kinds in singles + list(dict.fromkeys(v for vs in _JOINT_VARIANTS.values() for v in vs)):
+        assert np.array_equal(cone.values(F, kinds), cone.values(C, kinds)), kinds
+
+
+def test_mirrored_sweep_keeps_the_first_index_on_crafted_ties(rng, monkeypatch):
+    # crafted value matrices through the symmetric path: six candidates in
+    # 2-row slices, one worker and two. Row 4's maximum ties at columns 1
+    # (left of its slice, so only its mirror's y side holds it) and 5
+    # (scored directly): the completed x side keeps 1, the first index, as
+    # the full grid's argmax does, and the y side is the x side's mirror
+    import scbound.bounds as bounds
+
+    n = 6
+    V = rng.integers(0, 4, size=(n, n)).astype(float)
+    V[4] = [0, 7, 2, 7, 1, 7]
+    V[0, 4] = V[0].max() + 1  # a maximum only the direct cells hold
+    S = rng.integers(0, 4, size=(n, n)).astype(float)
+    full = {"ri_yz": V, "ri_xz": V.T, "h_xz_y": S, "h_yz_x": S.T, "h_xy_z": np.zeros((n, n))}
+    A = np.zeros((n, 3))
+    A[:, 0] = np.arange(n)  # a candidate's first cell is its row
+    monkeypatch.setattr(bounds, "candidate_points", lambda k, cfg: A)
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 2 * n)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        bank = bounds._TermBank(_symmetric_channel(rng, 3, 2), CFG)
+
+        def pair_values(A, B, kinds, _work=None):
+            rows, cols = A[:, 0].astype(int), B[:, 0].astype(int)
+            return [full[k][np.ix_(rows, cols)] for k in kinds]
+
+        monkeypatch.setattr(bank, "pair_values", pair_values)
+        sw = {side: bank.sweep(side) for side in "xy"}
+        for g in bounds._SWEEP_GROUPS["x"]:
+            W = sum(full[k] for k in g)
+            assert sw["x"].best[g].tolist() == W.max(axis=1).tolist()
+            assert sw["x"].arg[g].tolist() == W.argmax(axis=1).tolist()
+            assert sw["y"].best[bounds._mirror(g)].tolist() == W.max(axis=1).tolist()
+            assert sw["y"].arg[bounds._mirror(g)].tolist() == W.argmax(axis=1).tolist()
+        assert sw["x"].arg[("ri_yz",)][4] == 1

@@ -218,6 +218,24 @@ def test_oversize_input_file_exits_3_before_allocating(tmp_path, capsys, kind):
     assert time.monotonic() - t0 < 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_oversize_builtin_kernel_exits_3_before_allocating(monkeypatch, capsys, command):
+    # a built-in kernel over KERNEL_CELL_CAP is refused before it is
+    # allocated (sum --n 12 would need 8.9e12 cells); here and --n 2's 4 x 4
+    # x 4 cells meet a cap of 63, and build at a cap of 64. The cap admits
+    # the largest built-ins that build, erasure and sum at n = 7
+    import scbound.dists as dists
+
+    assert 2 ** 7 * 2 ** 7 * 3 ** 7 <= dists.KERNEL_CELL_CAP
+    monkeypatch.setattr(dists, "KERNEL_CELL_CAP", 63)
+    code, out, err = run_cli(capsys, command, "--builtin", "and", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity: kernel of 4x4x4 symbols needs 64 cells")
+    monkeypatch.setattr(dists, "KERNEL_CELL_CAP", 64)
+    assert builtin("and", n=2).channel.kernel.shape == (4, 4, 4)
+
+
 def test_verified_builtin_needs_no_oversize_scan(capsys):
     # group-add 15's joint scan is over the cap, but its verified protocol
     # meets the evaluation bound on every link, so no optimizer runs
