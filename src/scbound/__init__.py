@@ -15,7 +15,7 @@ from .dists import (
     join,
     mutual_info,
 )
-from .common_info import CommonPart, common_part, residual_info
+from .common_info import residual_info
 from .normal_form import (
     NormalFormResult,
     bigraph_connected,

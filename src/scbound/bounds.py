@@ -317,7 +317,8 @@ class _SupportCone:
         cells = self.n_points * (nx + ny + nz + nx * ny + nx * nz + ny * nz)
         if cells > CONE_CELL_CAP:
             raise CapacityError(
-                "support cone of %d points over %dx%dx%d needs %d scatter cells, over the cap of %d"
+                "support cone of %d points over %dx%dx%d needs %d point-by-marginal cells (points x"
+                " the cells of its axes and axis pairs), over the cap of %d"
                 % (self.n_points, nx, ny, nz, cells, CONE_CELL_CAP)
             )
         self.cells = {ax: (i, n) for ax, i, n in zip("xyz", self.index, shape)}

@@ -92,7 +92,6 @@ def and_secret_dist():
 @dataclass
 class SeparationReport:
     cmss_bounds: dict  # link -> share lower bound
-    protocol_bounds: dict  # link -> transcript lower bound
     gaps: dict  # link -> protocol bound minus share bound (clamped at 0)
     scheme_entropies: dict  # achieved share entropies, when a scheme is known
     scheme_checks: dict  # verify_cmss of that scheme's joint, when one is known
@@ -116,13 +115,12 @@ def separation_report(ch=None, p_xy=None, cfg=None, report=None):
         report = bounds_mod.best_bounds(p_xy, ch, cfg)
     p_xyz = join(p_xy, ch)
     cm = bounds_mod.cmss_bounds(p_xyz, cfg)
-    proto = {link: report.link(link).value for link in LINKS}
     cmss_vals = {link: cm[link].value for link in LINKS}
-    gaps = {link: max(proto[link] - cmss_vals[link], 0.0) for link in proto}
+    gaps = {link: max(report.link(link).value - cmss_vals[link], 0.0) for link in LINKS}
     scheme, checks = {}, {}
     if is_and:
         joint = cmss_joint(and_cmss(), and_secret_dist())
         scheme, checks = share_entropies(joint), verify_cmss(joint)
-    return SeparationReport(cmss_bounds=cmss_vals, protocol_bounds=proto, gaps=gaps,
+    return SeparationReport(cmss_bounds=cmss_vals, gaps=gaps,
                             scheme_entropies=scheme, scheme_checks=checks)
 

@@ -1,15 +1,16 @@
 """Gacs-Korner common information and residual information.
 
 The common part of a pair (U, V) is the connected-component label of the
-bipartite support graph of p_UV; residual information is the gap between
-mutual information and the entropy of that label.
+bipartite support graph of p_UV. blocks_from_mask computes those labels,
+and they are the common part's only representation: the bound kernels,
+the normal forms and every connectivity gate read them. Residual
+information is the gap between mutual information and the entropy of the
+label.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Alphabet, JointDist, SUPPORT_EPS, entropy, mutual_info
+from .dists import SUPPORT_EPS, entropy_of_array, mutual_info
 
 
 def blocks_from_mask(mask):
@@ -39,40 +40,12 @@ def blocks_from_mask(mask):
     return labels_u, labels_v, n_blocks
 
 
-@dataclass(frozen=True)
-class CommonPart:
-    """The maximal variable computable from U alone and from V alone."""
-
-    block_of_u: dict
-    block_of_v: dict
-    block_dist: JointDist
-
-    @property
-    def entropy(self):
-        return entropy(self.block_dist, (0,))
-
-
-def common_part(d):
-    """Common part of a 2-axis joint; blocks from the support bipartite graph."""
-    if d.n_axes != 2:
-        raise ValueError("common_part expects a 2-axis joint")
-    mask = d.probs > SUPPORT_EPS
-    labels_u, labels_v, n_blocks = blocks_from_mask(mask)
-    if n_blocks == 0:
-        agg = np.array([1.0])  # degenerate, cannot happen for a pmf
-    else:
-        # the mass of each block under the U marginal (unlabelled rows dropped)
-        live = labels_u >= 0
-        agg = np.bincount(labels_u[live], weights=d.probs.sum(axis=1)[live], minlength=n_blocks)
-    block_axis = Alphabet("Q", tuple(range(len(agg))))
-    return CommonPart(
-        block_of_u={s: int(labels_u[i]) for i, s in enumerate(d.axes[0]) if labels_u[i] >= 0},
-        block_of_v={s: int(labels_v[j]) for j, s in enumerate(d.axes[1]) if labels_v[j] >= 0},
-        block_dist=JointDist((block_axis,), agg / agg.sum()),
-    )
-
-
 def residual_info(d):
-    """RI(U;V) = I(U;V) - H(common part), clamped to >= 0."""
-    cp = common_part(d)
-    return max(mutual_info(d, (0,), (1,)) - cp.entropy, 0.0)
+    """RI(U;V) = I(U;V) - H(common part), clamped to >= 0, for a 2-axis
+    joint. The common part's law is the U-marginal mass on each block."""
+    if d.n_axes != 2:
+        raise ValueError("residual_info expects a 2-axis joint")
+    labels_u, _, n_blocks = blocks_from_mask(d.probs > SUPPORT_EPS)
+    live = labels_u >= 0  # a symbol with no mass belongs to no block
+    agg = np.bincount(labels_u[live], weights=d.probs.sum(axis=1)[live], minlength=n_blocks)
+    return max(mutual_info(d, (0,), (1,)) - entropy_of_array(agg / agg.sum()), 0.0)

@@ -19,9 +19,10 @@ ZERO_TOL = 1e-9
 # the three links of the triangle (Alice-Bob, Bob-Charlie, Charlie-Alice),
 # as reports, bounds and execution joints name them
 LINKS = ("m12", "m23", "m31")
-# cells of a support cone's scatter matrices, points x (its three axes and
-# three axis pairs): 256 MiB of float64. The largest the tests build is
-# 7.9M (a 40 x 40 x 40 channel); remote-ot --m 3 --n 4 would need 1.0e9.
+# point-by-marginal cells of a support cone, points x (the cells of its three
+# axes and three axis pairs), which bound its term matrices: 256 MiB of
+# float64. The largest the tests build is 7.9M (a 40 x 40 x 40 channel);
+# remote-ot --m 3 --n 4 would need 1.0e9.
 # A channel or distribution file is refused at load above as many dense
 # cells, before its array is allocated.
 CONE_CELL_CAP = 1 << 25

@@ -207,8 +207,7 @@ def _inputs_connected(ch, ax):
     """No split of input axis `ax` (0 = x, 1 = y) with disjoint
     reachable-output sets."""
     reach = (ch.kernel > SUPPORT_EPS).any(axis=1 - ax)  # (|input|, |Z|)
-    labels, _, _ = blocks_from_mask(reach)
-    return len(set(labels)) <= 1
+    return blocks_from_mask(reach)[2] <= 1
 
 
 def check_condition1(ch):

@@ -430,6 +430,7 @@ def group_add(order=2, n=1):
         raise ValueError("group order must be >= 2")
     syms = _tuples(range(order), n)
     x_axis, y_axis, z_axis = (Alphabet(nm, syms) for nm in ("X", "Y", "Z"))
+    ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: _add(x, y, order))
     r3 = Alphabet("R3", syms)
 
     rounds = (
@@ -443,7 +444,6 @@ def group_add(order=2, n=1):
         rounds,
         lambda v: _sub(v.m31[0], v.rand, order),
     )
-    ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: _add(x, y, order))
     return Builtin("group-add", spec, ch, JointDist.uniform((x_axis, y_axis)))
 
 
@@ -454,6 +454,9 @@ def sum_protocol(n=1):
     tern = _tuples((0, 1, 2), n)
     x_axis, y_axis = Alphabet("X", bits), Alphabet("Y", bits)
     z_axis = Alphabet("Z", tern)
+    ch = Channel.from_function(
+        x_axis, y_axis, z_axis, lambda x, y: tuple(a + b for a, b in zip(x, y))
+    )
     r3 = Alphabet("R3", tern)
 
     rounds = (
@@ -466,9 +469,6 @@ def sum_protocol(n=1):
         (_trivial("R1"), _trivial("R2"), r3),
         rounds,
         lambda v: _sub(v.m23[0], v.rand, 3),
-    )
-    ch = Channel.from_function(
-        x_axis, y_axis, z_axis, lambda x, y: tuple(a + b for a, b in zip(x, y))
     )
     return Builtin("sum", spec, ch, JointDist.uniform((x_axis, y_axis)))
 
@@ -485,6 +485,10 @@ def erasure(p=0.5, q=0.5, n=1):
     bits = _tuples((0, 1), n)
     x_axis, y_axis = Alphabet("X", bits), Alphabet("Y", bits)
     z_axis = Alphabet("Z", _tuples((0, 1, 2), n))
+    ch = Channel.from_function(
+        x_axis, y_axis, z_axis,
+        lambda x, y: tuple(y[i] if x[i] else 2 for i in range(n)),
+    )
     r2 = Alphabet("R2", bits)
 
     reveal_syms = tuple((x, ks) for x in bits for ks in _tuples((0, 1), sum(x)))
@@ -516,10 +520,6 @@ def erasure(p=0.5, q=0.5, n=1):
         rounds,
         out,
     )
-    ch = Channel.from_function(
-        x_axis, y_axis, z_axis,
-        lambda x, y: tuple(y[i] if x[i] else 2 for i in range(n)),
-    )
     p_xy = JointDist(
         (x_axis, y_axis),
         np.outer(_bernoulli_power(x_axis, p).probs, _bernoulli_power(y_axis, q).probs),
@@ -540,6 +540,7 @@ def remote_ot(m=2, n=1):
     x_axis = Alphabet("X", x_syms)
     y_axis = Alphabet("Y", tuple(range(m)))
     z_axis = Alphabet("Z", strings)
+    ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x[y])
     r1_syms = _product(x_syms, range(m))
     r1 = Alphabet("R1", r1_syms)
 
@@ -562,7 +563,6 @@ def remote_ot(m=2, n=1):
         rounds,
         lambda v: _xor(v.m31[0][v.m23[0][0]], v.m23[0][1]),
     )
-    ch = Channel.from_function(x_axis, y_axis, z_axis, lambda x, y: x[y])
     return Builtin("remote-ot", spec, ch, JointDist.uniform((x_axis, y_axis)))
 
 
@@ -573,6 +573,9 @@ def and_protocol(n=1):
     bits = _tuples((0, 1), n)
     x_axis, y_axis = Alphabet("X", bits), Alphabet("Y", bits)
     z_axis = Alphabet("Z", bits)
+    ch = Channel.from_function(
+        x_axis, y_axis, z_axis, lambda x, y: tuple(a & b for a, b in zip(x, y))
+    )
     perms = tuple(itertools.permutations((0, 1, 2)))
     r1 = Alphabet("R1", _tuples(perms, n))
     tern = _tuples((0, 1, 2), n)
@@ -594,9 +597,6 @@ def and_protocol(n=1):
         rounds,
         lambda v: tuple(int(a == b) for a, b in zip(v.m31[0], v.m23[0])),
     )
-    ch = Channel.from_function(
-        x_axis, y_axis, z_axis, lambda x, y: tuple(a & b for a, b in zip(x, y))
-    )
     return Builtin("and", spec, ch, JointDist.uniform((x_axis, y_axis)))
 
 
@@ -611,7 +611,9 @@ _BUILTINS = {
 
 def builtin(name, **params):
     """Construct a named built-in from the parameters its builder's signature
-    takes, at their defaults unless given; any other is a ValueError."""
+    takes, at their defaults unless given; any other is a ValueError. Each
+    builder builds its channel right after X, Y and Z, so an oversize kernel
+    is refused before any round alphabet is built."""
     try:
         fn = _BUILTINS[name]
     except KeyError:

@@ -69,10 +69,8 @@ class OptResult:
 
 
 def simplex_grid(k, step):
-    """Lattice {m/N} on the (k-1)-simplex with N = round(1/step), coarsened
-    until the point count fits under GRID_POINT_CAP."""
-    if k == 1:
-        return np.ones((1, 1))
+    """Lattice {m/N} on the (k-1)-simplex, k >= 2, with N = round(1/step),
+    coarsened until the point count fits under GRID_POINT_CAP."""
     n = max(1, round(1.0 / step))
     while math.comb(n + k - 1, k - 1) > GRID_POINT_CAP and n > 1:
         n = max(1, n // 2)

@@ -710,10 +710,11 @@ def test_oversize_support_cone_refused_before_allocating():
     from scbound.dists import CapacityError
 
     # the support of remote-ot --m 3 --n 4: 12,288 points, whose (X, Z)
-    # scatter alone would be 12,288 x 65,536 float64 cells, 6 GiB
+    # marginal alone has 65,536 cells: 12,288 x 65,536 float64 cells, 6 GiB
     axes = (Alphabet("X", range(4096)), Alphabet("Y", range(3)), Alphabet("Z", range(16)))
     x, y = np.repeat(np.arange(4096), 3), np.tile(np.arange(3), 4096)
-    with pytest.raises(CapacityError, match="scatter cells, over the cap"):
+    with pytest.raises(CapacityError, match=r"needs \d+ point-by-marginal cells \(points x the cells"
+                       r" of its axes and axis pairs\), over the cap of \d+"):
         _SupportCone(axes, (x, y, (x >> 4 * y) & 15))
 
 

@@ -147,14 +147,14 @@ def test_capacity_exit_3(capsys):
 
 
 def test_oversize_support_cone_exits_3(capsys, monkeypatch):
-    # a small cap stands in for the 1.0e9 scatter cells of remote-ot --m 3
-    # --n 4, which a run reaches only after some 9 s, most of it spent in
-    # the normal forms of its 4,096 x 3 x 16 channel
+    # a small cap stands in for the 1.0e9 point-by-marginal cells of
+    # remote-ot --m 3 --n 4, which a run reaches only after some 9 s, most
+    # of it spent in the normal forms of its 4,096 x 3 x 16 channel
     monkeypatch.setattr("scbound.bounds.CONE_CELL_CAP", 71)  # AND needs 4 x 18 = 72
     code, out, err = run_cli(capsys, "analyze", "--builtin", "and")
     assert code == 3
     assert out == ""
-    assert err.startswith("capacity:") and "scatter cells" in err
+    assert err.startswith("capacity:") and "point-by-marginal cells" in err
 
 
 def test_oversize_alphabet_exits_3_before_allocating(tmp_path, capsys):
@@ -874,7 +874,12 @@ def test_oversize_builtin_exits_3_before_it_is_built(capsys, monkeypatch, argv):
     for cmd in ("analyze", "simulate"):
         code, out, err = run_cli(capsys, cmd, "--builtin", *argv)
         assert code == 3 and out == ""
-        assert err.startswith("capacity: a product of") and "exceeds cap %d" % PRODUCT_CAP in err
+        if argv == ("and", "--n", "10"):
+            # its kernel is checked right after X, Y and Z, before the
+            # product of its round alphabets
+            assert err.startswith("capacity: kernel of 1024x1024x1024 symbols needs")
+        else:
+            assert err.startswith("capacity: a product of") and "exceeds cap %d" % PRODUCT_CAP in err
     assert time.monotonic() - t0 < 1
 
 

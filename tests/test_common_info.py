@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbound.common_info import blocks_from_mask, common_part, residual_info
+from scbound.common_info import blocks_from_mask, residual_info
 from scbound.dists import Alphabet, CapacityError, JointDist, mutual_info
 
 from common_info_oracle import residual_info_oracle
@@ -16,35 +16,44 @@ def pair(probs, nu=None, nv=None):
     return JointDist((u, v), probs / probs.sum())
 
 
+def common_entropy(d):
+    """H of the common part, as I(U;V) - RI(U;V)."""
+    return mutual_info(d, (0,), (1,)) - residual_info(d)
+
+
 def test_common_part_copy():
     d = pair([[0.5, 0.0], [0.0, 0.5]])
-    cp = common_part(d)
-    assert cp.entropy == pytest.approx(1.0, abs=1e-12)
-    assert cp.block_of_u[0] != cp.block_of_u[1]
-    assert cp.block_of_u[0] == cp.block_of_v[0]
+    labels_u, labels_v, n_blocks = blocks_from_mask(d.probs > 0)
+    assert n_blocks == 2
+    assert common_entropy(d) == pytest.approx(1.0, abs=1e-12)
+    assert labels_u[0] != labels_u[1]
+    assert labels_u[0] == labels_v[0]
 
 
 def test_common_part_full_support_trivial():
     d = pair([[0.3, 0.2], [0.1, 0.4]])
-    cp = common_part(d)
-    assert cp.entropy == pytest.approx(0.0, abs=1e-12)
-    assert len(set(cp.block_of_u.values())) == 1
+    labels_u, _, n_blocks = blocks_from_mask(d.probs > 0)
+    assert n_blocks == 1
+    assert common_entropy(d) == pytest.approx(0.0, abs=1e-12)
+    assert len(set(labels_u)) == 1
 
 
 def test_common_part_and_xz(and_joint):
     # support pairs (0,0),(1,0),(1,1): one component, entropy 0
     d = and_joint.marginal({0, 2})
-    cp = common_part(d)
-    assert len(set(cp.block_of_u.values()) | set(cp.block_of_v.values())) == 1
-    assert cp.entropy == 0.0
+    labels_u, labels_v, n_blocks = blocks_from_mask(d.probs > 0)
+    assert n_blocks == 1
+    assert set(labels_u) | set(labels_v) == {0}
+    assert common_entropy(d) == 0.0
 
 
 def test_blocks_ignore_zero_marginal_symbols():
     # symbol u=2 never occurs; it belongs to no block
     d = pair([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]])
-    cp = common_part(d)
-    assert 2 not in cp.block_of_u
-    assert cp.entropy == pytest.approx(1.0, abs=1e-12)
+    labels_u, _, n_blocks = blocks_from_mask(d.probs > 0)
+    assert n_blocks == 2
+    assert labels_u[2] == -1
+    assert common_entropy(d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_residual_info_copy_is_zero():

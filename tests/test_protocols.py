@@ -300,6 +300,26 @@ def test_oversize_builtin_rejected():
         run_exact(b.spec, b.default_input)
 
 
+@pytest.mark.parametrize("name", ["and", "group-add", "sum", "erasure", "remote-ot"])
+def test_oversize_builtin_kernel_refused_before_round_alphabets(monkeypatch, name):
+    # the kernel cap is checked right after the X, Y and Z alphabets, so an
+    # oversize built-in (sum --n 12) builds none of its round alphabets
+    import scbound.dists as dists
+
+    cells = builtin(name).channel.kernel.size
+    built = []
+
+    def recording_alphabet(alph_name, symbols):
+        built.append(alph_name)
+        return Alphabet(alph_name, symbols)
+
+    monkeypatch.setattr(dists, "KERNEL_CELL_CAP", cells - 1)
+    monkeypatch.setattr(protocols, "Alphabet", recording_alphabet)
+    with pytest.raises(CapacityError, match="needs %d cells" % cells):
+        builtin(name)
+    assert built == ["X", "Y", "Z"]
+
+
 def test_spec_party_validation():
     x, y = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1))
     z = Alphabet("Z", (0, 1))

@@ -41,8 +41,6 @@ ALLOWLIST = {
     "protocols.verify_transcript_independence": _SPANS,
     "common_info.residual_info": _SPANS + "; " + _REFERENCE,
     "dists.JointDist.marginal": _SPANS + "; execution joints take SupportJoint.marginal",
-    "common_info.common_part": _REFERENCE,
-    "common_info.CommonPart.entropy": "the block entropy of common_part's result",
     "bounds.term_value": "re-evaluates a reported term; scripts/and_landscape.py calls it",
     "protocols.spec_to_json": "writes the --spec files simulate reads; perfbench inputs use it",
     "protocols._view_json": "the view rows of spec_to_json",
@@ -154,7 +152,7 @@ def test_allowlist_names_unreached_functions(reach):
 def test_allowlist_only_shrinks():
     # an entry goes when its function goes or a command reaches it; the
     # bound is the list's size, so no new unreached function gets in
-    assert len(ALLOWLIST) <= 18
+    assert len(ALLOWLIST) <= 16
 
 
 def test_no_module_has_a_global_statement():
