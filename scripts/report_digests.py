@@ -37,9 +37,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from scbound.cli import main as scbound_main  # noqa: E402
 from scbound.dists import channel_to_json, dumps  # noqa: E402
-from scbound.protocols import builtin  # noqa: E402
+from scbound.protocols import BUILTINS, builtin  # noqa: E402
 
-BUILTINS = ("and", "group-add", "sum", "erasure", "remote-ot")
 ANALYZE_PARAMS = (
     ["and", "--n", "2"],
     ["and", "--n", "3"],

@@ -402,12 +402,13 @@ class _TermBank:
     matrix, z by z. The sweep runs its slices on one or two workers, each
     with its own _PairWork; pair_values, _pre_a and _reduce_slice write
     only to the worker's workspace, its rows of the x side and its own y
-    side, and read the bank's arrays, so two workers share one bank.
+    side, and read the bank's arrays, so two workers share one bank. Every
+    scan reads candidates(side), one side's laws built once, on first use.
     """
 
     def __init__(self, ch, cfg=DEFAULT_CONFIG):
-        self.ch = ch
-        self.cfg = cfg
+        self.ch, self.cfg = ch, cfg
+        self._cands = {}  # side -> scan candidates, see candidates()
         W = np.asarray(ch.kernel)
         self.nx, self.ny, self.nz = W.shape
         self.Wz = np.ascontiguousarray(W.transpose(2, 0, 1))  # z-major, (nz, nx, ny)
@@ -422,6 +423,12 @@ class _TermBank:
         labels, cells = self.cone.labels, self.cone.cells
         self.Lx, self.Ly = ((labels[k][:, None] == np.arange(cells["blk_" + k][1])).astype(float)
                             for k in ("xz", "yz"))
+
+    def candidates(self, side):
+        if side not in self._cands:
+            k = {"x": self.nx, "y": self.ny, "xy": self.nx * self.ny}[side]
+            self._cands[side] = candidate_points(k, self.cfg)
+        return self._cands[side]
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
     # Output laws are z-major, (nz, ..., ...): a law's z cells lie in nz
@@ -525,7 +532,7 @@ class _TermBank:
         slices on the calling thread. The sweep took 0.11-0.12 s on two
         workers against 0.15-0.17 s for the full grid (2 cores, one BLAS
         thread)."""
-        A, B = candidate_points(self.nx, self.cfg), candidate_points(self.ny, self.cfg)
+        A, B = self.candidates("x"), self.candidates("y")
 
         def fresh(side, outer, inner):
             gs = _SWEEP_GROUPS[side]
@@ -734,7 +741,7 @@ def _optimize_joint(bank, name):
     (_, kinds), = _TERMS[name][1]
     res = optimize_over_simplex(
         lambda Q: _group_values(bank, "xy", Q.reshape(Q.shape[:-1] + (nx, ny)), None, kinds),
-        nx * ny, bank.cfg,
+        bank.candidates("xy"), bank.cfg,
     )
     return _term(bank, name, [res.witness.reshape(nx, ny)], res.value, res.limit_point)
 
@@ -785,10 +792,10 @@ def _switched_single(bank, name, marginal):
     on its own against it."""
     outer, inner = _TERMS[name]
     side = _side(outer)
-    k = bank.ny if side == "x" else bank.nx
+    cands = bank.candidates("y" if side == "x" else "x")
     res = [
         optimize_over_simplex(
-            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds), k, bank.cfg
+            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds), cands, bank.cfg
         )
         for _, kinds in inner
     ]
@@ -1109,11 +1116,12 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
         for link, v in _evaluate("prelim", p_xyz, cone).items()
     }
     gates = {"m12": cone.connected("xy"), "m23": cone.connected("yz"), "m31": cone.connected("xz")}
+    cands = candidate_points(cone.n_points, cfg) if any(gates.values()) else None
     for link in LINKS:
         if not gates[link]:
             continue
         for kinds in _JOINT_VARIANTS[link]:
-            res = optimize_over_simplex(lambda Q: cone.values(Q, kinds), cone.n_points, cfg)
+            res = optimize_over_simplex(lambda Q: cone.values(Q, kinds), cands, cfg)
             terms[link].append(
                 TermValue(
                     name="cmss_switched_%s_%s" % (link, kinds[0]),

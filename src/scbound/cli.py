@@ -29,6 +29,7 @@ from .dists import (
     sym_str,
 )
 from .protocols import (
+    BUILTINS,
     ProtocolSpecError,
     builtin,
     expected_lengths,
@@ -340,7 +341,7 @@ _PARAMS = {
 
 
 def _add_builtin(p):
-    p.add_argument("--builtin", choices=("and", "group-add", "sum", "erasure", "remote-ot"))
+    p.add_argument("--builtin", choices=tuple(BUILTINS))
     for name, (kind, text) in _PARAMS.items():
         p.add_argument("--" + name, type=kind, help=text)
     p.add_argument("--dist", help="JSON input distribution")

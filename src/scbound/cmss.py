@@ -97,20 +97,19 @@ class SeparationReport:
     scheme_checks: dict  # verify_cmss of that scheme's joint, when one is known
 
 
-def separation_report(ch=None, p_xy=None, cfg=None, report=None):
-    """Dealer-vs-protocol gap for a channel (default: AND, uniform inputs).
+def separation_report(ch=None, cfg=None, report=None):
+    """Dealer-vs-protocol gap for a channel (default: AND) at uniform inputs.
 
     For AND the known three-label scheme achieves the share bounds, so the
     Alice-Bob gap is the protocol bound minus log 3; the report carries the
     scheme's share entropies and its six CMSS checks. `report`, when given,
-    is the best_bounds report of (p_xy, ch) the caller already has.
+    is the best_bounds report of (uniform p_xy, ch) the caller already has.
     """
     cfg = cfg or OptConfig()
     is_and = ch is None
     if is_and:
         ch = builtin("and").channel
-    if p_xy is None:
-        p_xy = JointDist.uniform((ch.x_axis, ch.y_axis))
+    p_xy = JointDist.uniform((ch.x_axis, ch.y_axis))
     if report is None:
         report = bounds_mod.best_bounds(p_xy, ch, cfg)
     p_xyz = join(p_xy, ch)

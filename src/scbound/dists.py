@@ -49,11 +49,11 @@ class Alphabet:
         symbols = tuple(symbols)
         if len(symbols) < 1:
             raise ValueError("alphabet %r needs at least one symbol" % name)
-        if len(set(symbols)) != len(symbols):
+        self._index = {s: i for i, s in enumerate(symbols)}
+        if len(self._index) != len(symbols):
             raise ValueError("alphabet %r has duplicate symbols" % name)
         self.name = name
         self.symbols = symbols
-        self._index = {s: i for i, s in enumerate(symbols)}
 
     def index(self, symbol):
         try:

@@ -600,7 +600,7 @@ def and_protocol(n=1):
     return Builtin("and", spec, ch, JointDist.uniform((x_axis, y_axis)))
 
 
-_BUILTINS = {
+BUILTINS = {
     "and": and_protocol,
     "group-add": group_add,
     "sum": sum_protocol,
@@ -615,9 +615,9 @@ def builtin(name, **params):
     builder builds its channel right after X, Y and Z, so an oversize kernel
     is refused before any round alphabet is built."""
     try:
-        fn = _BUILTINS[name]
+        fn = BUILTINS[name]
     except KeyError:
-        raise ValueError("unknown builtin %r; have %s" % (name, sorted(_BUILTINS)))
+        raise ValueError("unknown builtin %r; have %s" % (name, sorted(BUILTINS)))
     try:
         bound = inspect.signature(fn).bind(**params)
     except TypeError as exc:

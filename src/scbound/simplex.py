@@ -22,7 +22,6 @@ for the bound expressions any returned point certifies a valid lower bound;
 global optimality is not claimed.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -95,11 +94,10 @@ def structured_points(k, out=None):
     return pts
 
 
-@functools.lru_cache(maxsize=64)
 def candidate_points(k, cfg):
-    """Deterministic scan candidates for one (k-1)-simplex, built once per
-    (k, cfg) and shared read-only (the cache is bounded, since cfg comes from
-    the caller)."""
+    """Deterministic scan candidates for one (k-1)-simplex, as a read-only
+    (n, k) array; whoever scans a simplex more than once keeps them (a term
+    bank, per side)."""
     if k == 1:
         pts = np.ones((1, 1))
     elif k <= 6:
@@ -220,15 +218,14 @@ def coordinate_polish(values, points, cfg, value=None):
     return best, points, evals
 
 
-def optimize_over_simplex(values, k, cfg):
+def optimize_over_simplex(values, cands, cfg):
     """Maximize a batched objective over the simplex of k symbols.
 
     `values` maps a (..., k) array of laws to their (...) values. The scan
-    scores every candidate point in one (n, k) call; the polish then scores
+    scores the (n, k) candidates `cands` in one call; the polish then scores
     one (lines, LINE_POINTS, k) stack of brackets per call. Deterministic
-    for a fixed cfg.
+    for fixed cands and cfg.
     """
-    cands = candidate_points(k, cfg)
     vals = np.asarray(values(cands), dtype=float)
     i = int(np.argmax(vals))
     value, (witness,), evals = coordinate_polish(

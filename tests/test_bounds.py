@@ -124,6 +124,73 @@ def test_best_bounds_reduces_the_pair_once(monkeypatch, name, params):
     assert report.conditions["full_support"] == (name == "and")
 
 
+@pytest.mark.parametrize("name,params", [("and", {}), ("remote-ot", {"m": 3})])
+def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
+    # every scan reads its bank's candidates(side), built on first use
+    # through bounds.candidate_points: each side at most once per bank, bit
+    # for bit candidate_points(k, cfg) and read-only; two best_bounds calls
+    # make two banks, which share no array
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    builds, reads = [], []
+    candidates = bounds._TermBank.candidates
+
+    def counted_points(k, cfg):
+        builds.append(k)
+        return candidate_points(k, cfg)
+
+    def counted_candidates(self, side):
+        before = len(builds)
+        out = candidates(self, side)
+        reads.append((self, side, out, len(builds) - before))
+        return out
+
+    monkeypatch.setattr(bounds, "candidate_points", counted_points)
+    monkeypatch.setattr(bounds._TermBank, "candidates", counted_candidates)
+    b = builtin(name, **params)
+    for _ in range(2):
+        best_bounds(b.default_input, b.channel, CHEAP)
+    banks = list(dict.fromkeys(bank for bank, *_ in reads))
+    assert len(banks) == 2
+    assert sum(n for *_, n in reads) == len(builds)  # every build is a bank's
+    arrays = []
+    for bank in banks:
+        sides = {}
+        for owner, side, out, n in reads:
+            if owner is bank:
+                sides.setdefault(side, []).append((out, n))
+        assert set(sides) <= {"x", "y", "xy"} and "x" in sides and "xy" in sides
+        for side, got in sides.items():
+            assert [n for _, n in got] == [1] + [0] * (len(got) - 1), side
+            out = got[0][0]
+            assert all(a is out for a, _ in got[1:]), side
+            k = {"x": bank.nx, "y": bank.ny, "xy": bank.nx * bank.ny}[side]
+            want = candidate_points(k, CHEAP)
+            assert out.shape == want.shape and out.tobytes() == want.tobytes(), side
+            assert not out.flags.writeable, side
+        arrays.append([got[0][0] for got in sides.values()])
+    assert not any(np.shares_memory(a, c) for a in arrays[0] for c in arrays[1])
+
+
+def test_cmss_bounds_builds_candidates_only_behind_an_open_gate(monkeypatch, and_joint):
+    # one candidate array per call when some pair's graph is connected, and
+    # none on a cone whose pairs are all disconnected (X = Y = Z)
+    import scbound.bounds as bounds
+    from scbound.simplex import candidate_points
+
+    builds = []
+    monkeypatch.setattr(bounds, "candidate_points",
+                        lambda k, cfg: builds.append(k) or candidate_points(k, cfg))
+    cmss_bounds(and_joint, CHEAP)
+    assert len(builds) == 1
+    x, y, z = Alphabet("X", (0, 1)), Alphabet("Y", (0, 1)), Alphabet("Z", (0, 1))
+    diagonal = np.zeros((2, 2, 2))
+    diagonal[0, 0, 0] = diagonal[1, 1, 1] = 0.5
+    cmss_bounds(JointDist((x, y, z), diagonal), CHEAP)
+    assert len(builds) == 1
+
+
 def test_intermediate_and(and_channel, uniform_bits):
     px, py = marginals(uniform_bits)
     tri = intermediate_bounds(px, py, and_channel)

@@ -28,8 +28,10 @@ from scbound.dists import (
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet("A", ())
-    with pytest.raises(ValueError):
-        Alphabet("A", ("a", "a"))
+    # hash-equal symbols are duplicates too: 1 == True
+    for symbols in (("a", "a"), (1, True)):
+        with pytest.raises(ValueError, match="duplicate symbols"):
+            Alphabet("A", symbols)
     a = Alphabet("A", ("a", "b"))
     assert a.index("b") == 1
     with pytest.raises(ValueError):

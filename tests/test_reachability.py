@@ -6,7 +6,8 @@ in `src/scbound` must be among them or on ALLOWLIST with the reason it
 stays. Dunders and the functions nested in an allowlisted one need no
 entry. An allowlist entry that is no longer defined, or that the commands
 now enter, fails too, so the list cannot go stale. No module rebinds its
-own state through a `global` statement either: a cache that outlives a
+own state through a `global` statement or memoizes a module-level function
+with `functools.lru_cache` or `functools.cache` either: a cache that outlives a
 call belongs to the object or the caller that owns it.
 """
 
@@ -22,7 +23,6 @@ import pytest
 from scbound import cli
 from scbound.dists import dumps
 from scbound.protocols import builtin, spec_to_json
-from scbound.simplex import candidate_points
 
 SRC = pathlib.Path(cli.__file__).parent
 
@@ -108,7 +108,6 @@ def reach(tmp_path_factory):
         if event == "call":
             seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    candidate_points.cache_clear()  # filled by earlier tests, it would skip the scan grids
     with contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(profile)
         try:
@@ -155,9 +154,30 @@ def test_allowlist_only_shrinks():
     assert len(ALLOWLIST) <= 16
 
 
+def _memoizer(decorator):
+    """Whether a decorator is functools.lru_cache or functools.cache, called
+    or not, by its module name or imported bare."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name in ("lru_cache", "cache")
+
+
 def test_no_module_has_a_global_statement():
-    found = sorted("%s:%d" % (path.name, node.lineno)
-                   for path in SRC.glob("*.py")
-                   for node in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(node, ast.Global))
-    assert not found, "global statements: %s" % ", ".join(found)
+    # no global statement, and no module-level function memoized for the
+    # life of the process
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += ["%s:%d global" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        found += ["%s:%d %s" % (path.name, node.lineno, node.name) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(map(_memoizer, node.decorator_list))]
+    assert not found, "module state: %s" % ", ".join(found)
+
+
+def test_module_state_guard_finds_memoizers():
+    tree = ast.parse("@functools.lru_cache(maxsize=64)\ndef f(): pass\n"
+                     "@cache\ndef g(): pass\n@functools.cached_property\ndef h(): pass\n")
+    assert [any(map(_memoizer, f.decorator_list)) for f in tree.body] == [True, True, False]

@@ -77,14 +77,14 @@ def test_candidates_include_structure():
 
 
 def test_maximize_entropy_on_1_simplex():
-    res = optimize_over_simplex(_rows_entropy, 2, OptConfig())
+    res = optimize_over_simplex(_rows_entropy, candidate_points(2, OptConfig()), OptConfig())
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.witness, [0.5, 0.5], atol=1e-5)
 
 
 def test_linear_functional_attained_at_vertex():
     c = np.array([0.3, 0.9, 0.1])
-    res = optimize_over_simplex(lambda P: P @ c, 3, OptConfig())
+    res = optimize_over_simplex(lambda P: P @ c, candidate_points(3, OptConfig()), OptConfig())
     assert res.value == pytest.approx(0.9, abs=1e-9)
     assert res.witness[1] == pytest.approx(1.0, abs=1e-9)
     assert res.limit_point
@@ -105,7 +105,7 @@ def test_and_inner_composition_matches_known_value(and_channel):
             - _rows_entropy(p_yz.reshape(p_yz.shape[:-2] + (-1,)))
         )
 
-    res = optimize_over_simplex(values, 2, OptConfig())
+    res = optimize_over_simplex(values, candidate_points(2, OptConfig()), OptConfig())
     h2a = -a * math.log2(a) - (1 - a) * math.log2(1 - a)
     total = res.value + h2a + (1 - a)
     assert total == pytest.approx(1.826, abs=1e-3)
@@ -116,8 +116,8 @@ def test_deterministic_across_runs():
     def values(P):
         return -((P - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=-1)
 
-    r1 = optimize_over_simplex(values, 3, OptConfig())
-    r2 = optimize_over_simplex(values, 3, OptConfig())
+    r1 = optimize_over_simplex(values, candidate_points(3, OptConfig()), OptConfig())
+    r2 = optimize_over_simplex(values, candidate_points(3, OptConfig()), OptConfig())
     assert r1.value == r2.value
     assert np.array_equal(r1.witness, r2.witness)
 
@@ -134,7 +134,7 @@ def test_evaluations_count_every_scored_row():
         return -((P - target) ** 2).sum(axis=-1) + 0.3 * P[..., 0] * P[..., 1]
 
     cfg = OptConfig()
-    res = optimize_over_simplex(values, 5, cfg)
+    res = optimize_over_simplex(values, candidate_points(5, cfg), cfg)
     assert shapes[0] == (len(candidate_points(5, cfg)), 5)
     assert len(shapes) > 1
     assert all(len(s) == 3 and s[1:] == (LINE_POINTS, 5) for s in shapes[1:])
@@ -183,15 +183,16 @@ def test_line_search_reaches_endpoints():
 def test_line_search_resolves_t_finer_than_golden_section():
     # 32 golden steps resolved t to about 2e-7; the zoomed brackets must not be coarser
     t_star = math.pi / 10
-    res = optimize_over_simplex(lambda P: -np.abs(P[..., 0] - t_star), 2, OptConfig())
+    cfg = OptConfig()
+    res = optimize_over_simplex(lambda P: -np.abs(P[..., 0] - t_star), candidate_points(2, cfg),
+                                cfg)
     assert abs(res.witness[0] - t_star) <= 1e-7
     assert 1.0 / (LINE_POINTS - 1) * (2.0 / (LINE_POINTS + 1)) ** ZOOM_ROUNDS <= 2e-7
 
 
-def test_candidates_cached_read_only():
+def test_candidates_read_only():
     cfg = OptConfig(grid_resolution=0.1)
     a = candidate_points(3, cfg)
-    assert candidate_points(3, OptConfig(grid_resolution=0.1)) is a
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0] = 0.5
