@@ -26,7 +26,10 @@ cone of a 3-axis joint, in slices: _CHUNK rows of a batch, or whole
 brackets, up to _STACK_CELLS cells, of the polish's (lines, LINE_POINTS,
 points) stacks. A slice is one GEMM onto the marginals the kinds read (one
 per bracket), whose 0/1 operand is built from the cone's integer cell maps,
-one xlogx and one weighted sum. A channel's _TermBank
+one xlogx and one weighted sum. _SupportCone.slopes reads the same
+kernel for the polish's stationary-start test: the one-sided derivative of
+a term along each vertex direction of its laws, which each caller maps
+linearly onto the cone. A channel's _TermBank
 maps input laws onto the cone of its generic support; a product-form term
 (one x law, one y law) is scored there at the product law, where each
 product-form kind equals its joint-form kind.
@@ -383,6 +386,42 @@ class _SupportCone:
             return score(Qs)
         return np.concatenate([score(Qs[lo:lo + step]) for lo in range(0, len(Qs), step)])
 
+    def slopes(self, q, kinds, D):
+        """One-sided derivative of the kinds' sum at the cone law q along
+        each row of the (n, n_points) directions D, from values()' kernel,
+        in parts that add over terms: a (3, n) array of the finite part, the
+        t log t coefficient kappa and its scale, which _one_sided resolves.
+
+        A cell above SUPPORT_EPS, the clip xlogx applies, adds w * delta *
+        (log2 cell + 1/ln 2), one gemv over all directions. A cell at zero
+        that a direction opens (delta > 0) grows like w * delta * t log t
+        + w * delta * log2(delta) * t: it adds w * delta to kappa, |w *
+        delta| to the scale and w * delta * log2 delta to the finite part.
+        No log is clipped."""
+        xyz, T, w = self._kernel(kinds)
+        cells = np.concatenate([q, q @ T]) if xyz else q @ T
+        delta = np.concatenate([D, D @ T], axis=1) if xyz else D @ T
+        on = cells > SUPPORT_EPS
+        parts = np.zeros((3, len(D)))
+        parts[0] = delta[:, on] @ (w[on] * (np.log2(cells[on]) + 1.0 / np.log(2.0)))
+        opened = np.maximum(delta[:, ~on], 0.0)
+        if opened.any():
+            wd = opened * w[~on]
+            parts[0] += (wd * np.log2(np.where(opened > 0, opened, 1.0))).sum(axis=1)
+            parts[1], parts[2] = wd.sum(axis=1), np.abs(wd).sum(axis=1)
+        return parts
+
+
+def _one_sided(parts):
+    """The (n,) one-sided slopes of _SupportCone.slopes' parts, summed over
+    any number of terms: the finite part where kappa vanishes, to
+    SUPPORT_EPS of its scale, as a mass below SUPPORT_EPS is zero to the
+    kernel; else +inf where kappa < 0 (the opened cells' t log t term, with
+    log t -> -inf, dominates) and -inf where kappa > 0."""
+    finite, kappa, scale = parts
+    return np.where(np.abs(kappa) <= SUPPORT_EPS * scale, finite,
+                    np.where(kappa < 0, np.inf, -np.inf))
+
 
 class _TermBank:
     """Vectorized entropy kernels for one channel.
@@ -639,6 +678,13 @@ class _TermBank:
         Q = np.asarray(Q, dtype=float)
         return self.cone.values(Q.reshape(Q.shape[:-2] + (self.nx * self.ny,)) @ self.M, kinds)
 
+    def joint_slopes(self, p, kinds):
+        """One-sided slopes of the kinds' sum at the joint input law p, a
+        flat (nx * ny,) law, along e_j - p for every cell j: the vertex e_j
+        maps to the cone law M[j], so the direction is M[j] - p @ M."""
+        q = p @ self.M
+        return _one_sided(self.cone.slopes(q, kinds, self.M - q))
+
 
 class _PairWork:
     """pair_values' workspace for one batch of y laws B: B's side of the
@@ -741,7 +787,7 @@ def _optimize_joint(bank, name):
     (_, kinds), = _TERMS[name][1]
     res = optimize_over_simplex(
         lambda Q: _group_values(bank, "xy", Q.reshape(Q.shape[:-1] + (nx, ny)), None, kinds),
-        bank.candidates("xy"), bank.cfg,
+        lambda p: bank.joint_slopes(p, kinds), bank.candidates("xy"), bank.cfg,
     )
     return _term(bank, name, [res.witness.reshape(nx, ny)], res.value, res.limit_point)
 
@@ -771,6 +817,22 @@ def _group_values(bank, side, outer, p, kinds):
     return bank.joint_values(a[..., :, None] * b[..., None, :], kinds)
 
 
+def _group_slopes(bank, side, outer, p, kinds):
+    """The slope parts (_SupportCone.slopes) of _group_values at single
+    product laws, as a pair: along e_j - outer for each symbol j of the
+    outer law's side, and along e_j - p for each symbol j of the inner
+    law's. With a the x law and b the y law, (e_j - a) x b maps to the
+    cone law of e_j x b less that of a x b, and so does a x (e_j - b)."""
+    a, b = (outer, p) if side == "x" else (p, outer)
+    Mr = bank.M.reshape(bank.nx, bank.ny, -1)
+    xs = b @ Mr  # (nx, n_points): e_j x b on the cone
+    q = a @ xs
+    ys = np.tensordot(a, Mr, 1)  # (ny, n_points): a x e_j on the cone
+    s = bank.cone.slopes(q, kinds, np.concatenate([xs, ys]) - q)
+    sa, sb = s[:, :bank.nx], s[:, bank.nx:]
+    return (sa, sb) if side == "x" else (sb, sa)
+
+
 def _term(bank, name, pts, value, limit):
     """The TermValue of `name`, whose witnesses are its primed outer law,
     if any, then its inner laws, given in that order as `pts`."""
@@ -795,7 +857,9 @@ def _switched_single(bank, name, marginal):
     cands = bank.candidates("y" if side == "x" else "x")
     res = [
         optimize_over_simplex(
-            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds), cands, bank.cfg
+            lambda P, kinds=kinds: _group_values(bank, side, marginal, P, kinds),
+            lambda p, kinds=kinds: _one_sided(_group_slopes(bank, side, marginal, p, kinds)[1]),
+            cands, bank.cfg,
         )
         for _, kinds in inner
     ]
@@ -841,7 +905,12 @@ def _nested(bank, name):
         laws = ps[:s] + [rows] + ps[s + 1:]
         return sum(group_values(laws[0], p, kinds) for p, kinds in zip(laws[1:], groups))
 
-    value, pts, _ = coordinate_polish(values, pts, bank.cfg, value=float(totals[i]))
+    def slopes(ps):
+        # the outer law enters every group, whose parts add; each inner law its own
+        per = [_group_slopes(bank, side, ps[0], p, kinds) for p, kinds in zip(ps[1:], groups)]
+        return [_one_sided(sum(o for o, _ in per))] + [_one_sided(s) for _, s in per]
+
+    value, pts, _ = coordinate_polish(values, slopes, pts, bank.cfg, value=float(totals[i]))
     limit = any(p.min() <= SUPPORT_BOUNDARY for p in pts)
     return _term(bank, name, pts, value, limit)
 
@@ -1121,7 +1190,10 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
         if not gates[link]:
             continue
         for kinds in _JOINT_VARIANTS[link]:
-            res = optimize_over_simplex(lambda Q: cone.values(Q, kinds), cands, cfg)
+            res = optimize_over_simplex(
+                lambda Q: cone.values(Q, kinds),
+                lambda q: _one_sided(cone.slopes(q, kinds, np.eye(len(q)) - q)), cands, cfg,
+            )
             terms[link].append(
                 TermValue(
                     name="cmss_switched_%s_%s" % (link, kinds[0]),

@@ -377,10 +377,14 @@ def build_parser():
     return parser
 
 
+# built once, at import: main reads it on every call. Every default is
+# immutable, so no parse leaves state behind for the next
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -1478,9 +1478,12 @@ def test_pair_values_without_a_workspace_returns_fresh_arrays(rng):
 def test_nested_scores_each_held_group_once(monkeypatch):
     # while a line search moves one law, an inner group that law does not
     # enter is scored once, not on every bracket: no call at a single
-    # (outer, inner) product law with the same kinds repeats
+    # (outer, inner) product law with the same kinds repeats. Both starts
+    # are stationary, so the skip is forced off for the polish to run lines
+    import scbound.simplex as simplex
     from scbound.bounds import _TermBank, _nested
 
+    monkeypatch.setattr(simplex, "frank_wolfe_gap", lambda slopes, points: np.inf)
     seen = []
     joint_values = _TermBank.joint_values
 

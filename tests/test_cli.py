@@ -841,6 +841,22 @@ def test_spec_file_builtin_param_it_does_not_take_exits_1(tmp_path, capsys):
     assert "unexpected keyword argument 'order'" in err
 
 
+def test_main_parses_with_one_parser_whose_defaults_are_immutable(monkeypatch, tmp_path):
+    # main reads the parser built at import, so no parse may leave state
+    # behind for the next: every default, of every command, is immutable
+    import scbound.cli as cli
+
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+    out = str(tmp_path / "r.json")
+    for _ in range(2):
+        assert cli.main(["simulate", "--builtin", "and", "--out", out]) == 0
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in [cli._PARSER, *sub.choices.values()]:
+        defaults = [a.default for a in p._actions] + list(p._defaults.values())
+        assert all(d is None or callable(d) or isinstance(d, (bool, int, float, str, tuple))
+                   for d in defaults), p.prog
+
+
 def test_each_command_has_a_fixed_option_set():
     # a flag comes in only together with the command code that reads it
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -27,6 +27,16 @@ def _rows_entropy(P):
     return np.apply_along_axis(entropy_of_array, -1, P)
 
 
+def _unknown_slopes(p):
+    # slopes of an objective that gives none: never stationary, so every
+    # polish runs its line searches
+    return np.full(len(p), np.inf)
+
+
+def _unknown_law_slopes(points):
+    return [_unknown_slopes(p) for p in points]
+
+
 def test_config_validation():
     for kwargs in (
         {"grid_resolution": 0.0},
@@ -77,17 +87,22 @@ def test_candidates_include_structure():
 
 
 def test_maximize_entropy_on_1_simplex():
-    res = optimize_over_simplex(_rows_entropy, candidate_points(2, OptConfig()), OptConfig())
+    res = optimize_over_simplex(_rows_entropy, _unknown_slopes, candidate_points(2, OptConfig()),
+                                OptConfig())
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.witness, [0.5, 0.5], atol=1e-5)
 
 
 def test_linear_functional_attained_at_vertex():
+    # p . c has slope c_j - p . c toward vertex j: none is positive at the
+    # vertex of the largest c_j, which the scan finds, so no line is scored
     c = np.array([0.3, 0.9, 0.1])
-    res = optimize_over_simplex(lambda P: P @ c, candidate_points(3, OptConfig()), OptConfig())
+    cands = candidate_points(3, OptConfig())
+    res = optimize_over_simplex(lambda P: P @ c, lambda p: c - p @ c, cands, OptConfig())
     assert res.value == pytest.approx(0.9, abs=1e-9)
     assert res.witness[1] == pytest.approx(1.0, abs=1e-9)
     assert res.limit_point
+    assert res.evaluations == len(cands)
 
 
 def test_and_inner_composition_matches_known_value(and_channel):
@@ -105,7 +120,8 @@ def test_and_inner_composition_matches_known_value(and_channel):
             - _rows_entropy(p_yz.reshape(p_yz.shape[:-2] + (-1,)))
         )
 
-    res = optimize_over_simplex(values, candidate_points(2, OptConfig()), OptConfig())
+    res = optimize_over_simplex(values, _unknown_slopes, candidate_points(2, OptConfig()),
+                                OptConfig())
     h2a = -a * math.log2(a) - (1 - a) * math.log2(1 - a)
     total = res.value + h2a + (1 - a)
     assert total == pytest.approx(1.826, abs=1e-3)
@@ -116,8 +132,9 @@ def test_deterministic_across_runs():
     def values(P):
         return -((P - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=-1)
 
-    r1 = optimize_over_simplex(values, candidate_points(3, OptConfig()), OptConfig())
-    r2 = optimize_over_simplex(values, candidate_points(3, OptConfig()), OptConfig())
+    cands = candidate_points(3, OptConfig())
+    r1 = optimize_over_simplex(values, _unknown_slopes, cands, OptConfig())
+    r2 = optimize_over_simplex(values, _unknown_slopes, cands, OptConfig())
     assert r1.value == r2.value
     assert np.array_equal(r1.witness, r2.witness)
 
@@ -134,7 +151,7 @@ def test_evaluations_count_every_scored_row():
         return -((P - target) ** 2).sum(axis=-1) + 0.3 * P[..., 0] * P[..., 1]
 
     cfg = OptConfig()
-    res = optimize_over_simplex(values, candidate_points(5, cfg), cfg)
+    res = optimize_over_simplex(values, _unknown_slopes, candidate_points(5, cfg), cfg)
     assert shapes[0] == (len(candidate_points(5, cfg)), 5)
     assert len(shapes) > 1
     assert all(len(s) == 3 and s[1:] == (LINE_POINTS, 5) for s in shapes[1:])
@@ -144,8 +161,8 @@ def test_evaluations_count_every_scored_row():
     cands = candidate_points(5, cfg)
     vals = values(cands)
     i = int(np.argmax(vals))
-    _, _, oracle_evals = _oracle_polish(lambda s, rows, pts: values(rows), [cands[i]], cfg,
-                                        value=float(vals[i]))
+    _, _, oracle_evals = _oracle_polish(lambda s, rows, pts: values(rows), _unknown_law_slopes,
+                                        [cands[i]], cfg, value=float(vals[i]))
     assert res.evaluations > len(cands) + oracle_evals
 
 
@@ -159,7 +176,7 @@ def test_polish_walks_two_laws():
         return _rows_entropy(rows) + other
 
     start = [np.array([0.9, 0.1]), np.array([0.7, 0.2, 0.1])]
-    value, pts, evals = coordinate_polish(values, start, OptConfig())
+    value, pts, evals = coordinate_polish(values, _unknown_law_slopes, start, OptConfig())
     assert value == pytest.approx(1.0 + math.log2(3), abs=1e-6)
     assert value == pytest.approx(objective(pts), abs=1e-12)
     assert evals > 0
@@ -167,14 +184,16 @@ def test_polish_walks_two_laws():
 
 def test_line_search_reaches_endpoints():
     # a linear objective is maximized at a vertex; the polish from an interior
-    # start must land on it exactly, with exact zeros elsewhere
+    # start, whose gap 0.9 - p . c is positive, must land on it exactly, with
+    # exact zeros elsewhere
     c = np.array([0.3, 0.9, 0.1, 0.5])
 
     def values(s, rows, ps):
         return rows @ c
 
     start = [np.array([0.4, 0.1, 0.2, 0.3])]
-    value, (p,), _ = coordinate_polish(values, start, OptConfig())
+    value, (p,), evals = coordinate_polish(values, lambda ps: [c - ps[0] @ c], start, OptConfig())
+    assert evals > 0
     assert value == 0.9
     assert p[1] == 1.0
     assert np.count_nonzero(p) == 1
@@ -184,8 +203,8 @@ def test_line_search_resolves_t_finer_than_golden_section():
     # 32 golden steps resolved t to about 2e-7; the zoomed brackets must not be coarser
     t_star = math.pi / 10
     cfg = OptConfig()
-    res = optimize_over_simplex(lambda P: -np.abs(P[..., 0] - t_star), candidate_points(2, cfg),
-                                cfg)
+    res = optimize_over_simplex(lambda P: -np.abs(P[..., 0] - t_star), _unknown_slopes,
+                                candidate_points(2, cfg), cfg)
     assert abs(res.witness[0] - t_star) <= 1e-7
     assert 1.0 / (LINE_POINTS - 1) * (2.0 / (LINE_POINTS + 1)) ** ZOOM_ROUNDS <= 2e-7
 
@@ -278,8 +297,9 @@ def _oracle_line_search(score, p, coord):
     return best, row
 
 
-def _oracle_polish(values, points, cfg, value=None):
-    # one line search at a time, in coordinate order
+def _oracle_polish(values, slopes, points, cfg, value=None):
+    # one line search at a time, in coordinate order; the start is never
+    # taken as stationary
     points = [np.array(p, dtype=float) for p in points]
     best = float(values(0, points[0][None], points)[0]) if value is None else value
     coords = [(s, c) for s, p in enumerate(points) for c in range(len(p)) if len(p) > 1]
@@ -352,8 +372,8 @@ def test_lockstep_polish_matches_one_at_a_time(seed, sizes, kinds, refine, given
     start = [_start(rng, k, kind) for k, kind in zip(sizes, kinds)]
     cfg = OptConfig(refine_iters=refine)
     value = float(values(0, start[0][None], start)[0]) if given_value else None
-    want, want_pts, want_evals = _oracle_polish(values, start, cfg, value)
-    got, got_pts, got_evals = coordinate_polish(values, start, cfg, value)
+    want, want_pts, want_evals = _oracle_polish(values, _unknown_law_slopes, start, cfg, value)
+    got, got_pts, got_evals = coordinate_polish(values, _unknown_law_slopes, start, cfg, value)
     assert got == want
     assert all(np.array_equal(a, b) for a, b in zip(got_pts, want_pts))
     assert got_evals >= want_evals
