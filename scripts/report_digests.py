@@ -14,10 +14,11 @@ The commands are `reproduce` (JSON and CSV), `analyze` of every built-in at
 its defaults and at a few parameter choices, every `analyze-wide` operation
 of the benchmark at seeds 0-2 (from perfbench/workloads.py), group-add of
 orders 8 and 14 and sum at n = 2 read with `--channel`, a 4 x 4 x 2 channel
-symmetric in X and Y but for one cell (the two sides of the nested sweep's
-symmetric path), a channel that reduces to AND by merges (with and without
-`--dist`), and `simulate` of every built-in. They run in this process, one
-after another: about 8 s in all on 2 cores with one BLAS thread.
+one cell off a symmetric one (its automorphism search finds only the
+identity, so its nested sweep scores the whole grid), a channel that
+reduces to AND by merges (with and without `--dist`), and `simulate` of
+every built-in. They run in this process, one after another: about 4 s in
+all on 2 cores with one BLAS thread.
 
 Usage: python scripts/report_digests.py
 """
@@ -57,8 +58,9 @@ MERGES = {
                 else {"0": 0.5, "0'": 0.5}}
                for x in ("0", "1", "2") for y in ("0", "1")],
 }
-# a 4 x 4 x 2 channel symmetric in X and Y but for the one cell (0, 1), so
-# its nested sweep scores the whole grid, where sum --n 2's scores half
+# a 4 x 4 x 2 channel whose rows depend on x + y mod 4 but for the one cell
+# (0, 1): the shifts x -> x + a, y -> y - a would be its automorphisms, and
+# the cell leaves it none, so its nested sweep scores the whole grid
 NEAR_SYMMETRIC = {
     "axes": [{"name": a, "symbols": ["0", "1", "2", "3"]} for a in "XY"]
     + [{"name": "Z", "symbols": ["0", "1"]}],

@@ -40,50 +40,28 @@ cells of a slice of pairs' output laws come from one GEMM as an (n, m)
 matrix, and their entropies accumulate z by z into one (n, m) matrix; no
 (|Z|, n, m) array is built.
 
-The switched and conditional families share their nested suprema: the
-x-candidate x y-candidate grid is scored once per term bank, which holds
-its call's config (best_bounds builds one bank per call, each public
-family function its own), in slices of x candidates, and each slice is
-reduced for both outer sides as it streams (a per-outer max and argmax;
-the y side's as a running max over slices). A slice has rows <= _CHUNK x
-candidates with rows x n_y <= _SWEEP_CELLS, a 512 KB matrix. A sweep of
-two or more slices of at least _SWEEP_CELLS // 2 cells is split between
-two workers when two CPUs are usable: the calling thread scores the first
-slices, as few as hold half the cells scored, and a thread started and
-joined inside the sweep the rest; smaller sweeps, and every sweep on one
-CPU, stay on the calling thread. The split pays in full when BLAS runs
-one thread (see _TermBank._sweeps). Each worker scores its slices in its
-own workspace of five such matrices, one per product-form kind, and the
-workers share one y side. The second worker's y-side running max
-replaces the first's only on strict >, the rule one worker applies from
-slice to slice, so the result is that of one worker, bit for bit. The
-sweep's memory is O(rows x n_y) rather than O(n_x x n_y).
-
-On a channel symmetric in X and Y (_symmetric: the z-major kernel equals
-its X<->Y transpose, and both sides have the same candidates) the sweep
-scores each unordered pair of candidates once. A slice of x rows [lo, hi)
-scores grid columns [lo, n) only: the cells of row i left of that are
-the mirror group's cells of column i (_mirror: ri_xz <-> ri_yz, h_xz_y
-<-> h_yz_x, h_xy_z itself), which the y side's running column max
-already holds. Once the workers join, one elementwise max per x-side
-group completes it from its mirror's y side, the smaller index winning a
-tie, and the y side is then set to the x side's mirror. About half the
-cells are scored (50.3% on group-add 4's 3,287 x 3,287 grid), and the
-split balances the cells, not the slices. A mirror cell's last bits may
-differ from the direct cell's, so a maximum may move by an ulp or so
-against the full grid, and an index only where the maximum ties within
-that.
+The switched and conditional families share their nested suprema: one
+sweep per term bank (which holds its call's config; best_bounds builds one
+bank per call, each public family function its own) scores x candidates
+against every y candidate, in slices of rows <= _CHUNK x candidates with
+rows x n_y <= _SWEEP_CELLS (a 512 KB matrix) in one workspace, and reduces
+each slice for both outer sides as it streams: a per-outer max and argmax,
+the y side's as a running max over slices. It scores one x candidate per
+orbit of the channel's automorphism group, the triples (pi_X, pi_Y, pi_Z)
+with W[pi_X x, pi_Y y, pi_Z z] = W[x, y, z] (_automorphisms). Every term
+kind is an entropy, which relabelling leaves alone, so where both sides'
+candidates are lattice points, closed under the group, an orbit member's
+x-side max is its representative's and a y-side column's max is the
+largest, over the group, of the representatives' column max at the
+relabelled column. Group-add 4 scores 458 of its 3,283 x candidates.
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
 """
 
-import copy
 import dataclasses
 import functools
 import itertools
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +87,7 @@ from .normal_form import (
     pair_normal_form,
 )
 from .simplex import (
+    LATTICE_SYMBOLS,
     SUPPORT_BOUNDARY,
     OptConfig,
     candidate_points,
@@ -129,9 +108,12 @@ _CHUNK = 256
 # allocator maps or trims them afresh: up to 3x the time per bracket.
 _STACK_CELLS = 1 << 14
 # cells of one (rows, n_y) matrix of the nested sweep: 512 KB of float64.
-# One such matrix fits a 2 MiB per-core L2 cache; a worker's five plus its
-# mask (2.6 MB) do not.
+# One such matrix fits a 2 MiB per-core L2 cache; the workspace's five plus
+# its mask (2.6 MB) do not.
 _SWEEP_CELLS = 1 << 16
+# nodes the automorphism search refines at most: group-add 4-8 take 10-14,
+# remote-ot m=3 n=2 (64 x 3 x 4) 80
+_SEARCH_NODES = 1000
 
 # -- the term table ----------------------------------------------------------
 
@@ -216,25 +198,104 @@ assert not any(g[0] in h for i, (_, g) in enumerate(_SLICE_GROUPS) if len(g) > 1
                for _, h in _SLICE_GROUPS[i + 1:]), "a group summed in place feeds a later one"
 
 
-def _mirror(group):
-    """The group's kinds with X and Y swapped: ri_xz <-> ri_yz, h_xz_y <->
-    h_yz_x, and h_xy_z and ri_xy to themselves. On a channel symmetric in X
-    and Y, a kind's value at (x law a, y law b) is its mirror's at (x law
-    b, y law a)."""
-    swap = str.maketrans("xy", "yx")
-    return tuple("_".join([head] + ["".join(sorted(a.translate(swap))) for a in axes])
-                 for head, *axes in (kind.split("_") for kind in group))
+def _automorphisms(W):
+    """Generators of the automorphism group of a kernel W, as verified
+    triples (px, py, pz) with W[px[x], py[y], pz[z]] = W[x, y, z], and the
+    nodes refined: individualization and refinement (McKay & Piperno, JSC
+    2014) on W's values coded as integers. A colour is a 64-bit hash;
+    refining recolours each symbol by the sum over its cells of a hash of
+    (code, colours of the cell's three symbols) until no class splits. The
+    first path individualizes the first symbol of the first class of two or
+    more, the axes in turn, to a discrete leaf; then, deepest level first,
+    each other symbol of a class outside the first's orbit under the
+    generators found is tried instead, its subtree searched for the first
+    leaf whose map from the first leaf preserves W, and a node whose hashes
+    differ from the first path's is pruned. After _SEARCH_NODES nodes the
+    search stops."""
+    # odd multipliers for the cell keys, and splitmix64's for their mixing
+    mult = [np.uint64(m) for m in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+                                   0xD6E8FEB86659FD93)]
+    code = np.unique(W, return_inverse=True)[1].reshape(W.shape).astype(np.uint64) * mult[3]
+    nodes, path, choices, gens = [], [], [], []
+
+    class Capped(Exception):
+        pass
+
+    def classes(cols):
+        return sum(len(set(c.tolist())) for c in cols)
+
+    def refine(cols):
+        # a cell hashes its own symbols' colours too, so a round only splits classes
+        if len(nodes) >= _SEARCH_NODES:
+            raise Capped
+        nodes.append(None)
+        count = classes(cols)
+        while True:
+            cx, cy, cz = (c * m for c, m in zip(cols, mult))
+            h = (code + cx[:, None, None] + cy[:, None] + cz) * mult[0]
+            h ^= h >> np.uint64(29)
+            h *= mult[1]
+            h ^= h >> np.uint64(32)
+            new = [h.sum(axis=(1, 2)), h.sum(axis=(0, 2)), h.sum(axis=(0, 1))]
+            if (n := classes(new)) <= count:
+                return new, b"".join(np.sort(c).tobytes() for c in new)
+            cols, count = new, n
+
+    def child(node, a, v):
+        c = node[0][a] * mult[2]
+        c[v] ^= np.uint64(1)
+        return refine(node[0][:a] + [c] + node[0][a + 1:])
+
+    def target(cols, depth):
+        for a in (depth % 3, (depth + 1) % 3, (depth + 2) % 3):
+            vals, counts = np.unique(cols[a], return_counts=True)
+            if counts.max() > 1:
+                return a, np.flatnonzero(cols[a] == vals[np.argmax(counts > 1)])
+        return None
+
+    def find(node, depth):
+        if node[1] != path[depth][1]:
+            return None
+        if depth == len(choices):
+            # each symbol to the one of this leaf whose colour has its rank
+            g = tuple(np.argsort(c)[np.argsort(np.argsort(c0))]
+                      for c, c0 in zip(node[0], path[-1][0]))
+            return g if np.array_equal(W[np.ix_(*g)], W) else None
+        a, cell = target(node[0], depth)
+        return next((g for w in cell if (g := find(child(node, a, w), depth + 1))), None)
+
+    try:
+        path.append(refine([np.zeros(n, dtype=np.uint64) for n in W.shape]))
+        while (t := target(path[-1][0], len(choices))) is not None:
+            choices.append(t)
+            path.append(child(path[-1], t[0], t[1][0]))
+        for depth in reversed(range(len(choices))):
+            a, cell = choices[depth]
+            for w in cell[1:]:
+                orbit, grown = set(), {int(cell[0])}
+                while grown != orbit:
+                    orbit, grown = grown, grown | {int(g[a][u]) for g in gens for u in grown}
+                if w not in orbit and (g := find(child(path[depth], a, w), depth + 1)):
+                    gens.append(g)
+    except Capped:
+        pass
+    return gens, len(nodes)
 
 
-assert sorted(map(_mirror, _SWEEP_GROUPS["x"])) == sorted(_SWEEP_GROUPS["y"]), \
-    "a sweep group has no mirror"
-
-
-def _symmetric(Wz, A, B):
-    """Whether the nested sweep scores each unordered pair of candidates
-    once: the z-major kernel equals its X<->Y transpose and both sides have
-    the same candidates."""
-    return np.array_equal(Wz, Wz.transpose(0, 2, 1)) and np.array_equal(A, B)
+def _relabel_maps(P, perms):
+    """For each permutation p of P's columns, the index map sending row i
+    to the row q with q[p[j]] = P[i, j], and whether it found every row:
+    ((len(perms), n), (len(perms),)), from one sort and one searchsorted of
+    the rows coded as integers, one digit per column."""
+    vals, digits = np.unique(P, return_inverse=True)
+    digits = digits.reshape(P.shape)
+    if not perms or len(vals) ** P.shape[1] >= 1 << 62:
+        return np.zeros((len(perms), len(P)), dtype=np.int64), np.zeros(len(perms), dtype=bool)
+    code = digits @ len(vals) ** np.arange(P.shape[1])
+    order = np.argsort(code)
+    moved = (digits @ (len(vals) ** np.array(perms)).T).T  # (len(perms), n)
+    idx = order[np.searchsorted(code[order], moved).clip(max=len(P) - 1)]
+    return idx, (code[idx] == moved).all(axis=1)
 
 
 @dataclass
@@ -438,11 +499,8 @@ class _TermBank:
     the output laws A @ Wz, (nz, n, ny), whose z-th slice meets the y laws B
     in one GEMM, (n, ny) @ (ny, m): the z-th cells of every pair's output
     law, which are taken x log x in place and summed into one (n, m)
-    matrix, z by z. The sweep runs its slices on one or two workers, each
-    with its own _PairWork; pair_values, _pre_a and _reduce_slice write
-    only to the worker's workspace, its rows of the x side and its own y
-    side, and read the bank's arrays, so two workers share one bank. Every
-    scan reads candidates(side), one side's laws built once, on first use.
+    matrix, z by z. Every scan reads candidates(side), one side's laws
+    built once, on first use, each law once.
     """
 
     def __init__(self, ch, cfg=DEFAULT_CONFIG):
@@ -466,7 +524,13 @@ class _TermBank:
     def candidates(self, side):
         if side not in self._cands:
             k = {"x": self.nx, "y": self.ny, "xy": self.nx * self.ny}[side]
-            self._cands[side] = candidate_points(k, self.cfg)
+            pts = candidate_points(k, self.cfg)
+            # each row at its first occurrence, rows compared as bytes: the
+            # structured points repeat lattice rows (3,287 to 3,283 on 4 symbols)
+            rows = pts.view(np.dtype((np.void, pts.itemsize * k)))[:, 0]
+            pts = pts[np.sort(np.unique(rows, return_index=True)[1])]
+            pts.flags.writeable = False
+            self._cands[side] = pts
         return self._cands[side]
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
@@ -533,124 +597,78 @@ class _TermBank:
         over the grid, made on the first call."""
         return self._sweeps[side]
 
+    def _orbits(self, A, B):
+        """Index maps (G, len(A)) and (G, len(B)) of the x and y candidates
+        under the group generated by the automorphisms that keep both
+        candidate sets, one element per x map, the identity first: row g
+        sends candidate i to its relabelling by element g. The identity only,
+        with no search, where a side has Dirichlet draws."""
+        group = {np.arange(len(A)).tobytes(): (np.arange(len(A)), np.arange(len(B)))}
+        if max(self.nx, self.ny) <= LATTICE_SYMBOLS:
+            gens, _ = _automorphisms(np.asarray(self.ch.kernel))
+            (mx, fx), (my, fy) = (_relabel_maps(P, [g[i] for g in gens])
+                                  for i, P in enumerate((A, B)))
+            gens = [(gx, gy) for gx, gy, ok in zip(mx, my, fx & fy) if ok]
+            todo = list(group.values())
+            while todo:  # the closure: a composition of automorphisms is one
+                ex, ey = todo.pop()
+                for gx, gy in gens:
+                    h = (gx[ex], gy[ey])
+                    if h[0].tobytes() not in group:
+                        group[h[0].tobytes()] = h
+                        todo.append(h)
+        return tuple(np.stack(m) for m in zip(*group.values()))
+
     @functools.cached_property
     def _sweeps(self):
-        """One pass over the grid in slices of x candidates, shared by up to
-        two workers. The calling thread takes the first slices, as few as
-        hold half the cells the sweep scores, and a thread started here the
-        rest, each in its own _PairWork
-        (both allocated here, both on one y side), when the sweep has two
-        slices or more of at least _SWEEP_CELLS // 2 cells and two CPUs are
-        usable; on smaller slices the thread costs more than it saves
-        (remote-ot m=2's 13 slices of 256 x 55 cells: 2.1 ms on one worker,
-        2.4 ms on two, one BLAS thread). The x-side rows the workers write
-        are disjoint; the second worker keeps its own y-side running max,
-        which replaces the first's only on strict >, as a later slice does
-        within one worker. The thread is joined before the sweep returns or
-        raises, and its exception is raised here. The CPUs are counted by
-        os.sched_getaffinity where the OS has it, else by os.cpu_count.
-        The split pays in full when BLAS runs one thread. A multi-threaded
-        OpenBLAS keeps its pool threads spinning on the cores for a while
-        after a large GEMM, and the second worker then shares a core with
-        them: on 2 cores with the BLAS thread variables unset, the
-        group-add 4 sweep inside `analyze` took 65 ms on two workers
-        against 81 ms on one (52 ms with one BLAS thread), and the sweeps
-        of group-add 5 and 6 and remote-ot m=3 took 1-2 ms more.
-
-        When _symmetric(Wz, A, B) holds (the kernel equals its X<->Y
-        transpose and A equals B), the slice at x row lo scores the grid
-        columns [lo, n) only: _reduce_slice is passed B[lo:] and the
-        workspace's view on it (_PairWork.columns). Row i's cells left of
-        its slice are the mirror group's (_mirror) cells of column i,
-        which every slice from row 0 to the end of i's slice has folded
-        into the y side's running max. After the join each x-side group
-        takes its mirror's y-side max where that is greater, or equal at a
-        smaller index, and the y side is set to the x side's mirror. The
-        slices then shrink with lo, so the split counts cells: group-add
-        4's 173 slices of 19 rows score 50.3% of the grid, the first 51
-        slices on the calling thread. The sweep took 0.11-0.12 s on two
-        workers against 0.15-0.17 s for the full grid (2 cores, one BLAS
-        thread)."""
+        """One pass over the rows of the orbit representatives (the first x
+        candidate of each orbit) in slices, filled in by the index maps sx,
+        sy of _orbits. A group's value V(i, j) at (A[i], B[j]) equals V(sx[g,
+        i], sy[g, j]) for every element g, so x candidate sx[g, r] takes the
+        max of its representative r, at y candidate sy[g, arg], and y
+        candidate j the largest over g of the representatives' column max at
+        the column sy[g] sends to j, at x candidate sx[g, rep], the first g
+        winning a tie. A filled-in max is another cell's float, so it may
+        differ in its last bits and its argmax move within its orbit against
+        the full grid; the trivial group gives the full grid bit for bit."""
         A, B = self.candidates("x"), self.candidates("y")
+        sx, sy = self._orbits(A, B)
+        reps = np.flatnonzero(sx.min(axis=0) == np.arange(len(A)))
 
         def fresh(side, outer, inner):
             gs = _SWEEP_GROUPS[side]
             return _Sweep(outer, inner, {g: np.full(len(outer), -np.inf) for g in gs},
                           {g: np.zeros(len(outer), dtype=int) for g in gs})
 
-        sweeps = {"x": fresh("x", A, B), "y": fresh("y", B, A)}
-        rows = max(1, min(_CHUNK, len(A), _SWEEP_CELLS // len(B)))
-        los = range(0, len(A), rows)
-        mirror = _symmetric(self.Wz, A, B)
+        R = A[reps]
+        part = {"x": fresh("x", R, B), "y": fresh("y", B, R)}
+        rows = max(1, min(_CHUNK, len(R), _SWEEP_CELLS // len(B)))
         work = _PairWork(self, B, rows)
-        # the CPUs this process may run on, where the OS can tell (Linux)
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        split = cpus >= 2 and len(los) >= 2 and rows * len(B) >= _SWEEP_CELLS // 2
-        # the first worker's slices: the fewest whose cells scored reach half
-        cells = np.cumsum([min(rows, len(A) - lo) * (len(B) - lo * mirror) for lo in los])
-        half = int(np.argmax(2 * cells >= cells[-1])) + 1 if split else len(los)
-        errors = []
-
-        def run(sweeps, work, los):
-            # one worker's slices; a failure is kept, and raised once the
-            # thread has ended
-            try:
-                for lo in los:
-                    self._reduce_slice(sweeps, A[lo:lo + rows],
-                                       work.columns(lo) if mirror else work, lo)
-            except BaseException as exc:
-                errors.append(exc)
-
-        if split:
-            later = {"x": sweeps["x"], "y": fresh("y", B, A)}
-            own = _PairWork(self, B, rows, (work.Bt, work.pre_b))
-            thread = threading.Thread(target=run, args=(later, own, los[half:]))
-            thread.start()
-        try:
-            run(sweeps, work, los[:half])
-        finally:
-            if split:
-                thread.join()
-        if errors:
-            raise errors[0]
-        if split:
-            y, z = sweeps["y"], later["y"]
-            for g in _SWEEP_GROUPS["y"]:
-                up = z.best[g] > y.best[g]
-                y.best[g][up] = z.best[g][up]
-                y.arg[g][up] = z.arg[g][up]
-        if mirror:
-            # x row i has its columns from its slice's first row on; the
-            # rest are the mirror group's column i, which the y side holds
-            x, y = sweeps["x"], sweeps["y"]
-            for g in _SWEEP_GROUPS["x"]:
-                h = _mirror(g)
-                xb, xa, yb, ya = x.best[g], x.arg[g], y.best[h], y.arg[h]
-                up = (yb > xb) | ((yb == xb) & (ya < xa))
-                xb[up], xa[up] = yb[up], ya[up]
-                y.best[h], y.arg[h] = xb.copy(), xa.copy()
-        return sweeps
+        for lo in range(0, len(R), rows):
+            self._reduce_slice(part, R[lo:lo + rows], work, lo)
+        # each x candidate from the first element that reaches it from a representative
+        g, r = np.divmod(np.unique(sx[:, reps], return_index=True)[1], len(reps))
+        x = _Sweep(A, B, {k: v[r] for k, v in part["x"].best.items()},
+                   {k: sy[g, v[r]] for k, v in part["x"].arg.items()})
+        y, inv, cols = _Sweep(B, A, {}, {}), np.argsort(sy, axis=1), np.arange(len(B))
+        for k, best in part["y"].best.items():
+            vals = best[inv]  # (G, len(B)): the column each element sends to column j
+            h = vals.argmax(axis=0)
+            y.best[k], y.arg[k] = vals[h, cols], sx[h, reps[part["y"].arg[k][inv[h, cols]]]]
+        return {"x": x, "y": y}
 
     def _reduce_slice(self, sweeps, A, work, lo):
-        """Fold one slice of x candidates A, starting at grid row lo,
-        against the y candidates work.B, a tail of the grid's columns (all
-        of them unless the sweep is symmetric), into both sides' sweeps.
-        An x-side group's max and first argmax along each row are final
-        over those columns. A y-side group keeps a running max per column
-        over the slices: V.max(axis=0), a contiguous reduction, finds the
+        """Fold one slice of x candidates A, rows lo on of the sweep's x
+        side, against the y candidates work.B into both sides' sweeps: an
+        x-side group's max and first argmax per row, and a y-side group's
+        running max per column over the slices. V.max(axis=0) finds the
         columns that rise above it (strict >, so the first slice wins a
-        tie), and only those columns take the strided argmax and the value
-        read back from V, in blocks of at most _STACK_CELLS cells, so that
-        neither worker's gathered copy grows past 128 KiB; a slice where
-        no column rises costs one max.
-        The one-kind groups are reduced first, on the kind matrices as
-        pair_values leaves them; a longer group is then summed left to
-        right in place into its first kind's matrix, which no later group
-        reads (ri_xz += h_xy_z, ri_yz += h_xy_z)."""
+        tie), and only those take the strided argmax, in blocks of at most
+        _STACK_CELLS cells. The one-kind groups are reduced first; a longer
+        group is then summed in place into its first kind's matrix, which no
+        later group reads (ri_xz += h_xy_z, ri_yz += h_xy_z)."""
         mats = dict(zip(_PAIR_KINDS, self.pair_values(A, work.B, _PAIR_KINDS, work)))
         x, y = sweeps["x"], sweeps["y"]
-        first = len(x.inner) - len(work.B)  # the grid column of work.B[0]
         for side, g in _SLICE_GROUPS:
             V = mats[g[0]]  # (len(A), len(work.B))
             for k in g[1:]:
@@ -658,10 +676,10 @@ class _TermBank:
             if side == "x":
                 arg = V.argmax(axis=1)
                 x.best[g][lo:lo + len(A)] = np.take_along_axis(V, arg[:, None], axis=1)[:, 0]
-                x.arg[g][lo:lo + len(A)] = arg + first
+                x.arg[g][lo:lo + len(A)] = arg
             else:
                 # running max over x slices; strict > keeps the first index on ties
-                best, args = y.best[g][first:], y.arg[g][first:]
+                best, args = y.best[g], y.arg[g]
                 rising = np.flatnonzero(V.max(axis=0) > best)
                 step = max(1, _STACK_CELLS // len(V))
                 for c in range(0, rising.size, step):
@@ -688,37 +706,18 @@ class _TermBank:
 
 class _PairWork:
     """pair_values' workspace for one batch of y laws B: B's side of the
-    kernel (a C-contiguous copy Bt of B.T, which every GEMM of a slice takes
-    as its right operand, as a product on the transposed view costs about
-    twice as much, and pre_b), computed once or shared with another
-    workspace on the same B, and five (rows, len(B)) matrices, one per
-    product-form kind, plus a bool mask for x log x, that hold a slice of at
-    most `rows` x laws as [:n] views. pair_values uses the kind matrices not
-    yet written as its scratch: the output laws' z-th cells, the log, the
-    h_z accumulator and the bilinear term."""
+    kernel, computed once (pre_b, and Bt, a C-contiguous copy of B.T that
+    every GEMM of a slice takes as its right operand: a product on the
+    transposed view costs about twice as much), and five (rows, len(B))
+    matrices, one per product-form kind, plus a bool mask for x log x, that
+    hold a slice of at most `rows` x laws as [:n] views; pair_values writes
+    its scratch into the kind matrices not yet written."""
 
-    def __init__(self, bank, B, rows, y_side=None):
-        self.B = B
-        self.Bt, self.pre_b = y_side or (np.ascontiguousarray(B.T), bank._pre_b(B))
+    def __init__(self, bank, B, rows):
+        self.B, self.Bt, self.pre_b = B, np.ascontiguousarray(B.T), bank._pre_b(B)
         shape = (rows, len(B))
         self.mats = {kind: np.empty(shape) for kind in _PAIR_KINDS}
         self.off = np.empty(shape, dtype=bool)
-
-    def columns(self, lo):
-        """This workspace on the y laws B[lo:], without copies: column views
-        of B's side, and (rows, len(B) - lo) matrices laid out contiguously
-        at the start of this workspace's buffers. A column slice of the
-        full-width matrices would touch every row's cache lines, and a
-        narrow slice then costs as much as a full one (a group-add 4 slice
-        at half width: 1.22 ms so, 0.58 ms laid out contiguously, 1.11 ms
-        at full width; medians of 200 calls, one BLAS thread)."""
-        view = copy.copy(self)
-        view.B, view.Bt = self.B[lo:], self.Bt[:, lo:]
-        view.pre_b = {key: a[..., lo:] for key, a in self.pre_b.items()}
-        m = len(view.B)
-        view.mats = {kind: a.ravel()[:len(a) * m].reshape(-1, m) for kind, a in self.mats.items()}
-        view.off = self.off.ravel()[:len(self.off) * m].reshape(-1, m)
-        return view
 
 
 def _as_prob_vector(p, size, what):

@@ -2,8 +2,8 @@
 
 Scan + polish: a lattice scan (auto-coarsened to a point cap for wide
 alphabets, replaced by seeded Dirichlet(1) draws plus structured candidates
-above 6 symbols, whose count grows as k^2 / 2: a candidate array of more
-than SCAN_CELL_CAP cells raises CapacityError before any of it is built)
+above LATTICE_SYMBOLS symbols, whose count grows as k^2 / 2: an array of
+more than SCAN_CELL_CAP cells raises CapacityError before it is built)
 followed by coordinate-wise line searches. Each line search scores a
 bracket of t values, both simplex-boundary ends included, and then
 zooms around the best t, so a supremum on a face of the simplex is reached,
@@ -37,6 +37,7 @@ import numpy as np
 from .dists import CapacityError
 
 GRID_POINT_CAP = 4000
+LATTICE_SYMBOLS = 6  # the widest simplex whose candidates hold no Dirichlet draws
 DIRICHLET_STARTS = 200
 # cells (rows x symbols) of the largest candidate array the scan builds; the
 # objectives map it onto a support cone whole, then score it in row slices,
@@ -112,7 +113,7 @@ def candidate_points(k, cfg):
     bank, per side)."""
     if k == 1:
         pts = np.ones((1, 1))
-    elif k <= 6:
+    elif k <= LATTICE_SYMBOLS:
         pts = np.concatenate([simplex_grid(k, cfg.grid_resolution), structured_points(k)])
     else:
         rows = 1 + k + k * (k - 1) // 2 + DIRICHLET_STARTS

@@ -128,8 +128,9 @@ def test_best_bounds_reduces_the_pair_once(monkeypatch, name, params):
 def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
     # every scan reads its bank's candidates(side), built on first use
     # through bounds.candidate_points: each side at most once per bank, bit
-    # for bit candidate_points(k, cfg) and read-only; two best_bounds calls
-    # make two banks, which share no array
+    # for bit the rows of candidate_points(k, cfg) at their first
+    # occurrence, in order, and read-only; two best_bounds calls make two
+    # banks, which share no array
     import scbound.bounds as bounds
     from scbound.simplex import candidate_points
 
@@ -167,6 +168,8 @@ def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
             assert all(a is out for a, _ in got[1:]), side
             k = {"x": bank.nx, "y": bank.ny, "xy": bank.nx * bank.ny}[side]
             want = candidate_points(k, CHEAP)
+            seen = {}
+            want = want[[seen.setdefault(row.tobytes(), i) == i for i, row in enumerate(want)]]
             assert out.shape == want.shape and out.tobytes() == want.tobytes(), side
             assert not out.flags.writeable, side
         arrays.append([got[0][0] for got in sides.values()])
@@ -865,31 +868,46 @@ def _random_channel(rng, nx, ny, nz, duplicate_x=False):
     return Channel(*axes, kernel)
 
 
+def _full_grid(monkeypatch):
+    # the search finds no automorphism, so the sweep scores the whole grid
+    import scbound.bounds as bounds
+
+    monkeypatch.setattr(bounds, "_automorphisms", lambda W: ([], 0))
+
+
 @pytest.mark.parametrize(
     "shape,duplicate_x",
     [((3, 3, 3), False), ((4, 3, 2), False), ((3, 3, 3), True)],
 )
-def test_sweep_matches_dense_reduction(rng, shape, duplicate_x):
-    # the fused sweep equals max/argmax of the full value matrix on both
-    # sides, bit for bit, including the first-index rule on ties; the grid
-    # gives several slices of x candidates
-    from scbound.bounds import _SWEEP_GROUPS, _TermBank
+def test_sweep_matches_dense_reduction(rng, monkeypatch, shape, duplicate_x):
+    # with the trivial group the fused sweep equals max/argmax of the full
+    # value matrix on both sides, bit for bit, including the first-index
+    # rule on ties; the grid gives several slices of x candidates, and the
+    # matrix is scored in the sweep's slices, as a product's last bits may
+    # change with its height (the duplicated x input is a symmetry, which
+    # the orbit tests below cover)
+    from scbound.bounds import _CHUNK, _SWEEP_CELLS, _SWEEP_GROUPS, _TermBank
 
     cfg = OptConfig(grid_resolution=0.03)
+    _full_grid(monkeypatch)
     bank = _TermBank(_random_channel(rng, *shape, duplicate_x=duplicate_x), cfg)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    rows = max(1, min(_CHUNK, len(A), _SWEEP_CELLS // len(B)))
+    assert rows < len(A)
     ties = 0
     for side, groups in _SWEEP_GROUPS.items():
         sw = bank.sweep(side)
         assert bank.sweep(side) is sw
         for g in groups:
-            if side == "x":
-                V = sum(bank.pair_values(sw.outer, sw.inner, g))
-            else:
-                V = sum(bank.pair_values(sw.inner, sw.outer, g)).T
+            V = np.concatenate([sum(bank.pair_values(A[lo:lo + rows], B, g))
+                                for lo in range(0, len(A), rows)])
+            if side == "y":
+                V = V.T
             assert np.array_equal(sw.best[g], V.max(axis=1))
             assert np.array_equal(sw.arg[g], V.argmax(axis=1))
             ties += int(((V == V.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
-    assert ties > 0
+    # the candidates repeat no row, so only the duplicated x input makes exact ties
+    assert ties > 0 or not duplicate_x
 
 
 def _einsum_pair_values(ch, A, B, kinds):
@@ -1105,7 +1123,6 @@ def test_sweep_walks_the_grid_once(rng, monkeypatch):
     # x candidates, as tall as _SWEEP_CELLS allows, and the second side adds
     # none
     from scbound.bounds import _CHUNK, _SWEEP_CELLS, _TermBank
-    from scbound.simplex import candidate_points
 
     calls = []
     pair_values = _TermBank.pair_values
@@ -1117,7 +1134,7 @@ def test_sweep_walks_the_grid_once(rng, monkeypatch):
     monkeypatch.setattr(_TermBank, "pair_values", counted)
     cfg = OptConfig(grid_resolution=0.03)
     bank = _TermBank(_random_channel(rng, 4, 3, 2), cfg)
-    n_x, n_y = len(candidate_points(bank.nx, cfg)), len(candidate_points(bank.ny, cfg))
+    n_x, n_y = len(bank.candidates("x")), len(bank.candidates("y"))
     rows = max(1, min(_CHUNK, n_x, _SWEEP_CELLS // n_y))
     assert n_x > rows
     bank.sweep("x")
@@ -1130,25 +1147,31 @@ def test_sweep_walks_the_grid_once(rng, monkeypatch):
 
 def test_sweep_is_bit_identical_at_every_slice_height(rng, monkeypatch):
     # slices of 1 row, of 5 rows (the last ragged) and of the whole grid:
-    # at each height both sides equal the max and first-index argmax of the
-    # value matrix scored in slices of that height, bit for bit, and the
-    # duplicated x row makes ties. Slices of 2 or more rows score every cell
-    # with the same GEMM arithmetic, so those heights agree bit for bit;
-    # numpy scores a 1-row product with gemv, which may round the last bit
-    # differently, so 1-row maxima agree to 1e-12
+    # with the trivial group, at each height both sides equal the max and
+    # first-index argmax of the value matrix scored in slices of that
+    # height, bit for bit, and the duplicated x row makes ties. Slices of 2
+    # or more rows score every cell with the same GEMM arithmetic, so those
+    # heights agree bit for bit; numpy scores a 1-row product with gemv,
+    # which may round the last bit differently, so 1-row maxima agree to
+    # 1e-12. The orbit path (the duplicated row is a symmetry) fills in
+    # from the same reductions of its representatives' rows, so its
+    # heights agree as the full grid's do
     import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
 
     ch = _random_channel(rng, 3, 3, 3, duplicate_x=True)
     cfg = OptConfig(grid_resolution=0.1)
-    A, B = candidate_points(3, cfg), candidate_points(3, cfg)
-    assert len(A) % 5 and len(A) <= bounds._CHUNK
-    runs = {}
+    runs, orbit = {}, {}
     ties = 0
-    for height in (1, 5, len(A)):
-        monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
+    for height in (1, 5, 1000):
+        monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * 67)
         bank = bounds._TermBank(ch, cfg)
-        runs[height] = {side: bank.sweep(side) for side in "xy"}
+        orbit[height] = {side: bank.sweep(side) for side in "xy"}
+        with monkeypatch.context() as m:
+            _full_grid(m)
+            bank = bounds._TermBank(ch, cfg)
+            runs[height] = {side: bank.sweep(side) for side in "xy"}
+        A, B = bank.candidates("x"), bank.candidates("y")
+        assert len(A) == len(B) == 67 and len(A) % 5
         for side, groups in bounds._SWEEP_GROUPS.items():
             for g in groups:
                 V = np.concatenate([sum(bank.pair_values(A[lo:lo + height], B, g))
@@ -1159,12 +1182,13 @@ def test_sweep_is_bit_identical_at_every_slice_height(rng, monkeypatch):
                 assert np.array_equal(runs[height][side].best[g], V.max(axis=1))
                 assert np.array_equal(runs[height][side].arg[g], V.argmax(axis=1))
     assert ties > 0
-    for side, groups in bounds._SWEEP_GROUPS.items():
-        for g in groups:
-            whole, five, one = (runs[h][side] for h in (len(A), 5, 1))
-            assert np.array_equal(five.best[g], whole.best[g])
-            assert np.array_equal(five.arg[g], whole.arg[g])
-            np.testing.assert_allclose(one.best[g], whole.best[g], rtol=0, atol=1e-12)
+    for sweeps in (runs, orbit):
+        for side, groups in bounds._SWEEP_GROUPS.items():
+            for g in groups:
+                whole, five, one = (sweeps[h][side] for h in (1000, 5, 1))
+                assert np.array_equal(five.best[g], whole.best[g])
+                assert np.array_equal(five.arg[g], whole.arg[g])
+                np.testing.assert_allclose(one.best[g], whole.best[g], rtol=0, atol=1e-12)
 
 
 def _running_y_reduction(slices, n_y):
@@ -1194,14 +1218,16 @@ def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
     # grid, on channels with zero cells and a duplicated x input, with the
     # rising columns taken in blocks of 7; the runs include slices where no
     # column rises and columns whose later slice ties an earlier maximum,
-    # which must keep the earlier index
+    # which must keep the earlier index. The trivial group makes every x
+    # candidate a row of the grid
     import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
 
     ch = _random_channel(rng, *shape, duplicate_x=True)
     assert (np.asarray(ch.kernel) == 0).any()
     cfg = OptConfig(grid_resolution=0.1)
-    A, B = candidate_points(shape[0], cfg), candidate_points(shape[1], cfg)
+    _full_grid(monkeypatch)
+    bank = bounds._TermBank(ch, cfg)
+    A, B = bank.candidates("x"), bank.candidates("y")
     assert len(A) % 5 and len(A) <= bounds._CHUNK
     quiet = ties = 0
     for height in (1, 5, len(A)):
@@ -1224,39 +1250,10 @@ def test_y_reduction_matches_argmax_oracle(rng, monkeypatch, shape):
     assert quiet > 0 and ties > 0
 
 
-def _force_workers(monkeypatch, n):
-    # the sweep takes its worker count from the CPUs the process may run on;
-    # os.sched_getaffinity exists on Linux only, so it may be absent
-    import scbound.bounds as bounds
-
-    monkeypatch.setattr(bounds.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def _record_threads(monkeypatch):
-    # the thread of every pair_values call, in call order
-    import threading
-
-    from scbound.bounds import _TermBank
-
-    seen = []
-    pair_values = _TermBank.pair_values
-
-    def recorded(self, A, B, kinds, _work=None):
-        seen.append(threading.get_ident())
-        return pair_values(self, A, B, kinds, _work)
-
-    monkeypatch.setattr(_TermBank, "pair_values", recorded)
-    return seen
-
-
 def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
-    # fixed 2-row slices through the sweep, on one worker and on two: the
-    # second slice raises nothing, the third ties column 0's maximum (index
-    # kept) and raises column 1, the fourth ties both. At two workers the
-    # last two slices are the second worker's, so column 0's tie crosses the
-    # workers' boundary and the first worker's index must survive the merge
-    import threading
-
+    # fixed 2-row slices through the sweep: the second slice raises
+    # nothing, the third ties column 0's maximum (index kept) and raises
+    # column 1, the fourth ties both
     import scbound.bounds as bounds
 
     g = bounds._SWEEP_GROUPS["y"][0]
@@ -1267,195 +1264,48 @@ def test_y_reduction_keeps_the_first_index_on_crafted_slices(monkeypatch):
     best, arg, quiet, ties = _running_y_reduction(list(zip((0, 2, 4, 6), slices)), 2)
     assert quiet == 2 and ties == 3
     # eight x candidates, whose first cell is their row, in four 2-row
-    # slices against 2 y candidates
+    # slices against 2 y candidates; no relabelling keeps them, so the
+    # group is trivial
     A = np.zeros((8, 3))
     A[:, 0] = np.arange(8)
     monkeypatch.setattr(bounds, "candidate_points", lambda k, cfg: A if k == 3 else np.eye(2))
     monkeypatch.setattr(bounds, "_SWEEP_CELLS", 4)
-    main = threading.get_ident()
-    for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
-        bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 3, 2, 2), CFG)
-        threads = {}
+    bank = bounds._TermBank(_random_channel(np.random.default_rng(0), 3, 2, 2), CFG)
+    seen = []
 
-        def pair_values(A, B, kinds, _work=None, threads=threads):
-            # group g sums to the slice; every other kind reads 0
-            i = int(A[0, 0]) // 2
-            threads[i] = threading.get_ident()
-            return [slices[i].copy() if k == g[0] else np.zeros((2, 2)) for k in kinds]
+    def pair_values(A, B, kinds, _work=None):
+        # group g sums to the slice; every other kind reads 0
+        i = int(A[0, 0]) // 2
+        seen.append(i)
+        return [slices[i].copy() if k == g[0] else np.zeros((2, 2)) for k in kinds]
 
-        monkeypatch.setattr(bank, "pair_values", pair_values)
-        sw = bank.sweep("y")
-        assert sw.best[g].tolist() == best.tolist() == [3.0, 4.0]
-        assert sw.arg[g].tolist() == arg.tolist() == [1, 5]
-        assert [threads[i] == main for i in range(4)] == [True, True, workers == 1, workers == 1]
+    monkeypatch.setattr(bank, "pair_values", pair_values)
+    sw = bank.sweep("y")
+    assert seen == [0, 1, 2, 3]
+    assert sw.best[g].tolist() == best.tolist() == [3.0, 4.0]
+    assert sw.arg[g].tolist() == arg.tolist() == [1, 5]
 
 
-@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 2)])
-def test_sweep_workers_agree_bit_for_bit(rng, monkeypatch, shape):
-    # one worker and two give the same maxima and first-index argmaxes on
-    # both sides; the duplicated x input makes y-side ties whose rows lie in
-    # different workers' halves of the grid, which keep the first half's
-    # index. A short switch interval interleaves the two threads finely
-    import sys
-    import threading
-
-    import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
-
-    ch = _random_channel(rng, *shape, duplicate_x=True)
-    cfg = OptConfig(grid_resolution=0.1)
-    A, B = candidate_points(shape[0], cfg), candidate_points(shape[1], cfg)
-    height = 5
-    monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * len(B))
-    boundary = (math.ceil(len(A) / height) + 1) // 2 * height  # the second worker's first row
-    seen = _record_threads(monkeypatch)
-    runs, threads = {}, {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2):
-            _force_workers(monkeypatch, workers)
-            bank = bounds._TermBank(ch, cfg)
-            runs[workers] = {side: bank.sweep(side) for side in "xy"}
-            threads[workers] = seen[:]
-            del seen[:]
-    finally:
-        sys.setswitchinterval(interval)
-    for workers, used in threads.items():
-        assert len(used) == math.ceil(len(A) / height)
-        assert len(set(used)) == workers and threading.get_ident() in used
-    crossing = 0
-    for side, groups in bounds._SWEEP_GROUPS.items():
-        for g in groups:
-            one, two = runs[1][side], runs[2][side]
-            assert np.array_equal(one.best[g], two.best[g])
-            assert np.array_equal(one.arg[g], two.arg[g])
-            if side == "y":
-                V = np.concatenate([sum(bank.pair_values(A[lo:lo + height], B, g))
-                                    for lo in range(0, len(A), height)])
-                top = V == V.max(axis=0)
-                first_half, second_half = top[:boundary].any(axis=0), top[boundary:].any(axis=0)
-                crossing += int((first_half & second_half).sum())
-                assert np.array_equal(two.arg[g], V.argmax(axis=0))
-                assert (two.arg[g][first_half] < boundary).all()
-    assert crossing > 0
-
-
-def test_sweep_workers_agree_on_group_add_4(monkeypatch):
-    # the default grid of group-add 4, 3,287 x 3,287 pairs in slices of 19
-    # rows, which split between two workers
-    from scbound.bounds import _SWEEP_GROUPS, _TermBank
-
-    ch = channel_normal_form(builtin("group-add", order=4).channel).reduced
-    seen = _record_threads(monkeypatch)
-    runs = {}
-    for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
-        del seen[:]
-        bank = _TermBank(ch, CFG)
-        runs[workers] = {side: bank.sweep(side) for side in "xy"}
-        assert len(seen) == 173 and len(set(seen)) == workers
-    for side, groups in _SWEEP_GROUPS.items():
-        for g in groups:
-            assert np.array_equal(runs[1][side].best[g], runs[2][side].best[g])
-            assert np.array_equal(runs[1][side].arg[g], runs[2][side].arg[g])
-
-
-def test_a_failing_worker_is_raised_after_the_join(rng, monkeypatch):
-    # a slice of the second worker raises: the sweep raises that exception
-    # once the worker thread has ended, and caches nothing
-    import threading
-
-    import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
-
-    _force_workers(monkeypatch, 2)
-    cfg = OptConfig(grid_resolution=0.1)
-    bank = bounds._TermBank(_random_channel(rng, 3, 3, 3), cfg)
-    A, B = candidate_points(3, cfg), candidate_points(3, cfg)
-    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(B))
-    last = A[5 * (math.ceil(len(A) / 5) - 1)]  # the first row of the last slice
-    pair_values = bounds._TermBank.pair_values
-    failed_on = []
-
-    def failing(self, A, B, kinds, _work=None):
-        if np.array_equal(A[0], last):
-            failed_on.append(threading.get_ident())
-            raise RuntimeError("slice failed")
-        return pair_values(self, A, B, kinds, _work)
-
-    monkeypatch.setattr(bounds._TermBank, "pair_values", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="slice failed"):
-        bank.sweep("x")
-    assert failed_on and failed_on[0] != threading.get_ident()
-    assert threading.active_count() == before
-    assert "_sweeps" not in vars(bank)
-
-
-def test_sweep_memory_stays_slice_sized(monkeypatch):
-    # the group-add 4 sweep (3,287 x 3,287 pairs, 4 outputs) scores its grid
-    # in two workers' workspaces of L2-sized matrices; numpy reports its
-    # buffers to tracemalloc, so the peak counts every matrix the sweep
-    # allocates, in either thread
+def test_sweep_memory_stays_slice_sized():
+    # the group-add 4 sweep (458 representatives x 3,283 y candidates, 4
+    # outputs) scores its grid in one workspace of L2-sized matrices and
+    # fills in the rest from eight index maps of each side; numpy reports
+    # its buffers to tracemalloc, so the peak counts every matrix the sweep
+    # allocates
     import tracemalloc
 
     from scbound.bounds import _TermBank
-    from scbound.simplex import candidate_points
 
-    _force_workers(monkeypatch, 2)
-    seen = _record_threads(monkeypatch)
     bank = _TermBank(channel_normal_form(builtin("group-add", order=4).channel).reduced, CFG)
-    A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
-    assert (len(A), len(B), bank.nz) == (3287, 3287, 4)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    assert (len(A), len(B), bank.nz) == (3283, 3283, 4)
     tracemalloc.start()
     try:
         bank.sweep("x")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(set(seen)) == 2
     assert peak < 8e6
-
-
-@pytest.mark.parametrize("cpus", [None, 1, 2])
-def test_sweep_counts_cpus_without_sched_getaffinity(rng, monkeypatch, cpus):
-    # where the OS has no os.sched_getaffinity (macOS, Windows) the sweep
-    # counts os.cpu_count(), which may be None, and still runs
-    import threading
-
-    import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
-
-    monkeypatch.delattr(bounds.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(bounds.os, "cpu_count", lambda: cpus)
-    cfg = OptConfig(grid_resolution=0.1)
-    A, B = candidate_points(3, cfg), candidate_points(3, cfg)
-    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(B))
-    seen = _record_threads(monkeypatch)
-    sw = bounds._TermBank(_random_channel(rng, 3, 3, 3), cfg).sweep("x")
-    assert len(seen) == math.ceil(len(A) / 5)
-    assert len(set(seen)) == (2 if cpus == 2 else 1) and threading.get_ident() in seen
-    assert all(np.isfinite(v).all() for v in sw.best.values())
-
-
-def test_reproduce_sweep_stays_on_one_worker(monkeypatch):
-    # remote-ot m=2, the one multi-slice sweep of reproduce: its 13 slices
-    # of 256 x 55 cells hold fewer than _SWEEP_CELLS // 2, where a second
-    # worker costs more than it saves
-    import threading
-
-    from scbound.bounds import _SWEEP_CELLS, _TermBank
-    from scbound.simplex import candidate_points
-
-    _force_workers(monkeypatch, 2)
-    seen = _record_threads(monkeypatch)
-    bank = _TermBank(channel_normal_form(builtin("remote-ot", m=2).channel).reduced, CFG)
-    A, B = candidate_points(bank.nx, CFG), candidate_points(bank.ny, CFG)
-    assert (len(A), len(B)) == (3287, 55) and 256 * 55 < _SWEEP_CELLS // 2
-    bank.sweep("x")
-    assert len(seen) == 13 and set(seen) == {threading.get_ident()}
 
 
 def test_pair_values_without_a_workspace_returns_fresh_arrays(rng):
@@ -1640,169 +1490,6 @@ def test_term_value_rejects_bad_input(and_channel):
             (and_channel.x_axis, and_channel.y_axis)), "p_Y'": [1, 0], "p_Y''": [1, 0]})
 
 
-def test_sweep_workers_agree_on_remote_ot_m3(monkeypatch):
-    # the general path at real size: remote-ot m=3's reduced channel (8 x 3
-    # inputs) is not symmetric in X and Y, and its default grid, 237 x 1,333
-    # pairs in slices of 49 rows, splits between two workers
-    import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
-
-    ch = channel_normal_form(builtin("remote-ot", m=3).channel).reduced
-    bank = bounds._TermBank(ch, CFG)
-    assert not bounds._symmetric(bank.Wz, candidate_points(bank.nx, CFG),
-                                 candidate_points(bank.ny, CFG))
-    seen = _record_threads(monkeypatch)
-    runs = {}
-    for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
-        del seen[:]
-        bank = bounds._TermBank(ch, CFG)
-        runs[workers] = {side: bank.sweep(side) for side in "xy"}
-        assert len(seen) == 5 and len(set(seen)) == workers
-    for side, groups in bounds._SWEEP_GROUPS.items():
-        for g in groups:
-            assert np.array_equal(runs[1][side].best[g], runs[2][side].best[g])
-            assert np.array_equal(runs[1][side].arg[g], runs[2][side].arg[g])
-
-
-def _symmetric_channel(rng, n, nz):
-    # W(x, y) = W(y, x), with x = 1 a duplicate of x = 0 (so y = 1 of y = 0),
-    # which makes ties; the rows keep zero cells
-    K = rng.random((n, n, nz)) * (rng.random((n, n, nz)) < 0.7)
-    K[..., 0] += 0.05
-    K[1], K[:, 1] = K[0], K[:, 0]
-    S = (K + K.transpose(1, 0, 2)) / 2
-    S /= S.sum(axis=2, keepdims=True)
-    axes = [Alphabet(name, tuple(range(k))) for name, k in zip("XYZ", (n, n, nz))]
-    return Channel(*axes, S)
-
-
-def _full_and_mirrored(monkeypatch, ch, cfg):
-    # both sides of the sweep with the symmetric path turned off, then on
-    import scbound.bounds as bounds
-
-    symmetric = bounds._symmetric
-    monkeypatch.setattr(bounds, "_symmetric", lambda Wz, A, B: False)
-    bank = bounds._TermBank(ch, cfg)
-    full = {side: bank.sweep(side) for side in "xy"}
-    monkeypatch.setattr(bounds, "_symmetric", symmetric)
-    bank = bounds._TermBank(ch, cfg)
-    assert symmetric(bank.Wz, full["x"].outer, full["x"].inner)
-    return bank, full, {side: bank.sweep(side) for side in "xy"}
-
-
-@pytest.mark.parametrize("height", [1, 5, 1000])
-def test_mirrored_sweep_matches_the_full_grid(rng, monkeypatch, height):
-    # on a symmetric channel the sweep scores each slice of x rows [lo, hi)
-    # on grid columns [lo, n) only and completes the x side from the y side;
-    # at slices of 1 row, of 5 rows (the last ragged) and of the whole grid,
-    # the y side is the x side's mirror exactly, every maximum is within
-    # 1e-12 of the full grid's, and every index is the full grid's first
-    # argmax wherever that maximum is unique by more than 1e-12
-    import scbound.bounds as bounds
-
-    cfg = OptConfig(grid_resolution=0.1)
-    n = len(bounds.candidate_points(3, cfg))
-    assert n % 5 and n <= bounds._CHUNK
-    monkeypatch.setattr(bounds, "_SWEEP_CELLS", min(height, n) * n)
-    bank, full, mirrored = _full_and_mirrored(monkeypatch, _symmetric_channel(rng, 3, 3), cfg)
-    near = 0
-    for g in bounds._SWEEP_GROUPS["x"]:
-        h = bounds._mirror(g)
-        assert np.array_equal(mirrored["y"].best[h], mirrored["x"].best[g])
-        assert np.array_equal(mirrored["y"].arg[h], mirrored["x"].arg[g])
-    A, B, rows = full["x"].outer, full["x"].inner, min(height, n)
-    for side, groups in bounds._SWEEP_GROUPS.items():
-        for g in groups:
-            # the full grid in slices of the sweep's height, as it scores them
-            V = np.concatenate([sum(bank.pair_values(A[lo:lo + rows], B, g))
-                                for lo in range(0, n, rows)])
-            if side == "y":
-                V = V.T
-            top = V.max(axis=1)
-            assert np.array_equal(full[side].best[g], top)
-            np.testing.assert_allclose(mirrored[side].best[g], top, rtol=0, atol=1e-12)
-            unique = (V >= top[:, None] - 1e-12).sum(axis=1) == 1
-            near += int((~unique).sum())
-            assert np.array_equal(mirrored[side].arg[g][unique], V.argmax(axis=1)[unique])
-            # the arg of a maximum that is not unique still attains it
-            hit = V[np.arange(len(V)), mirrored[side].arg[g]]
-            np.testing.assert_allclose(hit, top, rtol=0, atol=1e-12)
-    assert near > 0
-
-
-def test_mirrored_sweep_on_group_add_4_scores_half_the_grid(monkeypatch):
-    # group-add 4's default grid, 3,287 x 3,287 pairs in 173 slices of 19
-    # rows: the symmetric path scores at most 51% of the cells, and matches
-    # the full grid's maxima within 1e-12; where its index differs from the
-    # full grid's, the cell it names is within 1e-12 of the maximum
-    import scbound.bounds as bounds
-
-    cells = []
-    pair_values = bounds._TermBank.pair_values
-
-    def counted(self, A, B, kinds, _work=None):
-        cells.append(len(A) * len(B))
-        return pair_values(self, A, B, kinds, _work)
-
-    monkeypatch.setattr(bounds._TermBank, "pair_values", counted)
-    ch = channel_normal_form(builtin("group-add", order=4).channel).reduced
-    bank, full, mirrored = _full_and_mirrored(monkeypatch, ch, CFG)
-    n = len(full["x"].outer)
-    assert n == 3287 and len(cells) == 2 * 173
-    assert sum(cells[:173]) == n * n and sum(cells[173:]) <= 0.51 * n * n
-    monkeypatch.setattr(bounds._TermBank, "pair_values", pair_values)
-    for side, groups in bounds._SWEEP_GROUPS.items():
-        for g in groups:
-            one, two = full[side], mirrored[side]
-            np.testing.assert_allclose(two.best[g], one.best[g], rtol=0, atol=1e-12)
-            for i in np.flatnonzero(two.arg[g] != one.arg[g]):
-                a, b = one.outer[i:i + 1], one.inner[two.arg[g][i]:two.arg[g][i] + 1]
-                v = sum(bank.pair_values(*((a, b) if side == "x" else (b, a)), g))
-                assert v[0, 0] == pytest.approx(one.best[g][i], abs=1e-12)
-
-
-def test_mirrored_sweep_workers_agree_bit_for_bit(rng, monkeypatch):
-    # on the symmetric path one worker and two give the same sweep on both
-    # sides; the split is balanced by the cells each slice scores, which
-    # shrink with its first row, so the first worker takes fewer slices than
-    # half. A short switch interval interleaves the two threads finely
-    import sys
-    import threading
-
-    import scbound.bounds as bounds
-
-    cfg = OptConfig(grid_resolution=0.05)
-    n = len(bounds.candidate_points(3, cfg))
-    height = 5
-    monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * n)
-    ch = _symmetric_channel(rng, 3, 4)
-    seen = _record_threads(monkeypatch)
-    runs, threads = {}, {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2):
-            _force_workers(monkeypatch, workers)
-            bank = bounds._TermBank(ch, cfg)
-            runs[workers] = {side: bank.sweep(side) for side in "xy"}
-            threads[workers] = seen[:]
-            del seen[:]
-    finally:
-        sys.setswitchinterval(interval)
-    slices = math.ceil(n / height)
-    main = threading.get_ident()
-    assert len(threads[1]) == len(threads[2]) == slices
-    first = threads[2].count(main)
-    assert len(set(threads[2])) == 2 and first < slices // 2
-    cells = [min(height, n - lo) * (n - lo) for lo in range(0, n, height)]
-    assert 2 * sum(cells[:first]) >= sum(cells) > 2 * sum(cells[:first - 1])
-    for side, groups in bounds._SWEEP_GROUPS.items():
-        for g in groups:
-            assert np.array_equal(runs[1][side].best[g], runs[2][side].best[g])
-            assert np.array_equal(runs[1][side].arg[g], runs[2][side].arg[g])
-
-
 @pytest.mark.parametrize("shape", [(300,), (7, 33)], ids=["batch", "stack"])
 def test_cone_scores_an_f_ordered_operand_as_its_c_copy(rng, shape):
     # BLAS rounds a product differently with its operand's memory layout
@@ -1820,38 +1507,234 @@ def test_cone_scores_an_f_ordered_operand_as_its_c_copy(rng, shape):
         assert np.array_equal(cone.values(F, kinds), cone.values(C, kinds)), kinds
 
 
-def test_mirrored_sweep_keeps_the_first_index_on_crafted_ties(rng, monkeypatch):
-    # crafted value matrices through the symmetric path: six candidates in
-    # 2-row slices, one worker and two. Row 4's maximum ties at columns 1
-    # (left of its slice, so only its mirror's y side holds it) and 5
-    # (scored directly): the completed x side keeps 1, the first index, as
-    # the full grid's argmax does, and the y side is the x side's mirror
+# -- the symmetry group and the orbit sweep ----------------------------------
+
+
+def _reduced(name, **params):
+    return channel_normal_form(builtin(name, **params).channel).reduced
+
+
+def _x_group(gens, nx):
+    # the distinct pi_X of every composition of the generators
+    ident = tuple(range(nx))
+    group, todo = {ident}, [ident]
+    while todo:
+        e = np.array(todo.pop())
+        for g in gens:
+            h = tuple(int(i) for i in g[0][e])
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+def _brute_x_group(W):
+    # the pi_X of every (pi_X, pi_Y, pi_Z) that preserves W, by enumeration
+    import itertools
+
+    nx, ny, nz = W.shape
+    return {px for px in itertools.permutations(range(nx))
+            for py in itertools.permutations(range(ny))
+            for pz in itertools.permutations(range(nz))
+            if np.array_equal(W[np.ix_(px, py, pz)], W)}
+
+
+def _planted_channel(rng, shape):
+    # a random kernel summed over the cycle of a random relabelling (pi_X,
+    # pi_Y, pi_Z), pi_X one cycle through every x, which is then one of its
+    # automorphisms; integer cells keep the sum exact in any order, and each
+    # row is divided by its integer total
+    K = rng.integers(0, 4, size=shape) * (rng.random(shape) > 0.3)
+    K[..., 0] += 1
+    q, px = rng.permutation(shape[0]), np.empty(shape[0], dtype=int)
+    px[q] = np.roll(q, 1)
+    perms = np.ix_(px, *(rng.permutation(k) for k in shape[1:]))
+    S, T = K.copy(), K[perms]
+    while not np.array_equal(T, K):
+        S, T = S + T, T[perms]
+    axes = [Alphabet(name, tuple(range(k))) for name, k in zip("XYZ", shape)]
+    return Channel(*axes, S / S.sum(axis=2, keepdims=True))
+
+
+_GROUP_ORDERS = [("group-add", {"order": 4}, 8), ("group-add", {"order": 5}, 20),
+                 ("group-add", {"order": 6}, 12), ("remote-ot", {"m": 2}, 4),
+                 ("remote-ot", {"m": 3}, 12), ("and", {"n": 2}, 2), ("sum", {}, 2),
+                 ("and", {}, 1), ("erasure", {}, 1)]
+
+
+@pytest.mark.parametrize("name,params,order", _GROUP_ORDERS,
+                         ids=["-".join([n] + [str(v) for v in p.values()])
+                              for n, p, _ in _GROUP_ORDERS])
+def test_automorphism_search_finds_the_group(name, params, order):
+    # every generator preserves the reduced kernel exactly, and the
+    # generators give the group's count of distinct x relabellings
+    from scbound.bounds import _SEARCH_NODES, _automorphisms
+
+    W = np.asarray(_reduced(name, **params).kernel)
+    gens, nodes = _automorphisms(W)
+    assert nodes < _SEARCH_NODES
+    for px, py, pz in gens:
+        assert np.array_equal(W[np.ix_(px, py, pz)], W)
+    assert len(_x_group(gens, W.shape[0])) == order
+
+
+def test_automorphism_search_matches_enumeration(rng):
+    # on planted channels, and on each with one cell moved, the x
+    # relabellings the generators give are exactly those of the brute-force
+    # enumeration: the moved cell leaves no false automorphism, and every
+    # returned generator preserves its kernel
+    from scbound.bounds import _automorphisms
+
+    broken = 0
+    for shape in [(3, 3, 3), (3, 3, 2), (4, 3, 2), (2, 4, 3), (3, 2, 4)] * 2:
+        W = np.asarray(_planted_channel(rng, shape).kernel)
+        off = W.copy()
+        off[0, 0] = np.roll(off[0, 0], 1)
+        for kernel in (W, off):
+            gens, _ = _automorphisms(kernel)
+            for g in gens:
+                assert np.array_equal(kernel[np.ix_(*g)], kernel)
+            want = _brute_x_group(kernel)
+            assert _x_group(gens, shape[0]) == want
+        broken += len(_brute_x_group(off)) < len(_brute_x_group(W))
+    assert broken > 0
+
+
+def test_automorphism_search_stays_within_the_node_cap(rng, monkeypatch):
+    # a random 6 x 6 x 6 kernel and remote-ot m=3 n=2 (64 x 3 x 4) finish
+    # under the cap; a capped search returns verified generators only
     import scbound.bounds as bounds
 
-    n = 6
-    V = rng.integers(0, 4, size=(n, n)).astype(float)
-    V[4] = [0, 7, 2, 7, 1, 7]
-    V[0, 4] = V[0].max() + 1  # a maximum only the direct cells hold
-    S = rng.integers(0, 4, size=(n, n)).astype(float)
-    full = {"ri_yz": V, "ri_xz": V.T, "h_xz_y": S, "h_yz_x": S.T, "h_xy_z": np.zeros((n, n))}
-    A = np.zeros((n, 3))
-    A[:, 0] = np.arange(n)  # a candidate's first cell is its row
-    monkeypatch.setattr(bounds, "candidate_points", lambda k, cfg: A)
-    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 2 * n)
-    for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
-        bank = bounds._TermBank(_symmetric_channel(rng, 3, 2), CFG)
+    K = rng.random((6, 6, 6))
+    for W in (K / K.sum(axis=2, keepdims=True),
+              np.asarray(_reduced("remote-ot", m=3, n=2).kernel)):
+        gens, nodes = bounds._automorphisms(W)
+        assert nodes < bounds._SEARCH_NODES
+        assert all(np.array_equal(W[np.ix_(*g)], W) for g in gens)
+    assert W.shape == (64, 3, 4) and gens
+    W = np.asarray(_reduced("group-add", order=6).kernel)
+    monkeypatch.setattr(bounds, "_SEARCH_NODES", 5)
+    gens, nodes = bounds._automorphisms(W)
+    assert nodes == 5
+    assert all(np.array_equal(W[np.ix_(*g)], W) for g in gens)
+    assert 12 % len(_x_group(gens, 6)) == 0
+    monkeypatch.setattr(bounds, "_SEARCH_NODES", 2)  # inside the first path
+    assert bounds._automorphisms(W) == ([], 2)
 
-        def pair_values(A, B, kinds, _work=None):
-            rows, cols = A[:, 0].astype(int), B[:, 0].astype(int)
-            return [full[k][np.ix_(rows, cols)] for k in kinds]
 
-        monkeypatch.setattr(bank, "pair_values", pair_values)
-        sw = {side: bank.sweep(side) for side in "xy"}
-        for g in bounds._SWEEP_GROUPS["x"]:
-            W = sum(full[k] for k in g)
-            assert sw["x"].best[g].tolist() == W.max(axis=1).tolist()
-            assert sw["x"].arg[g].tolist() == W.argmax(axis=1).tolist()
-            assert sw["y"].best[bounds._mirror(g)].tolist() == W.max(axis=1).tolist()
-            assert sw["y"].arg[bounds._mirror(g)].tolist() == W.argmax(axis=1).tolist()
-        assert sw["x"].arg[("ri_yz",)][4] == 1
+def _orbit_and_full(monkeypatch, ch, cfg):
+    # both sides of the sweep on the orbit path, then with the search
+    # finding nothing (the full grid), and the orbit path's group order
+    import scbound.bounds as bounds
+
+    bank = bounds._TermBank(ch, cfg)
+    orbit = {side: bank.sweep(side) for side in "xy"}
+    order = len(bank._orbits(bank.candidates("x"), bank.candidates("y"))[0])
+    with monkeypatch.context() as m:
+        _full_grid(m)
+        full = {side: bounds._TermBank(ch, cfg).sweep(side) for side in "xy"}
+    return bank, orbit, full, order
+
+
+def _assert_orbit_matches_full(bank, orbit, full):
+    # every maximum within 1e-12 of the full grid's, and every arg names a
+    # cell that attains it within 1e-12, scored on the cone
+    from scbound.bounds import _SWEEP_GROUPS, _group_values
+
+    for side, groups in _SWEEP_GROUPS.items():
+        o, f = orbit[side], full[side]
+        assert np.array_equal(o.outer, f.outer) and np.array_equal(o.inner, f.inner)
+        for g in groups:
+            np.testing.assert_allclose(o.best[g], f.best[g], rtol=0, atol=1e-12)
+            hit = _group_values(bank, side, o.outer, o.inner[o.arg[g]], g)
+            np.testing.assert_allclose(hit, f.best[g], rtol=0, atol=1e-12)
+
+
+_CLOSED = [("group-add", {"order": 3}), ("group-add", {"order": 4}), ("group-add", {"order": 5}),
+           ("group-add", {"order": 6}), ("remote-ot", {"m": 2}), ("and", {"n": 2}), ("sum", {})]
+
+
+@pytest.mark.parametrize("name,params", _CLOSED,
+                         ids=["-".join([n] + [str(v) for v in p.values()]) for n, p in _CLOSED])
+def test_orbit_sweep_matches_the_full_grid_on_builtins(monkeypatch, name, params):
+    # every built-in whose two sides are lattice candidates, at its default
+    # config: a nontrivial group, and the full grid's maxima
+    bank, orbit, full, order = _orbit_and_full(monkeypatch, _reduced(name, **params), CFG)
+    assert order > 1
+    _assert_orbit_matches_full(bank, orbit, full)
+
+
+@pytest.mark.parametrize("height", [1, 5, 1000])
+def test_orbit_sweep_matches_the_full_grid(rng, monkeypatch, height):
+    # seeded random channels with a planted group, in slices of 1 row, of 5
+    # rows and of the whole grid
+    import scbound.bounds as bounds
+
+    cfg = OptConfig(grid_resolution=0.1)
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * 67)
+    for shape in [(3, 3, 3), (3, 3, 2), (4, 3, 2), (2, 4, 3), (3, 2, 4)] * 2:
+        bank, orbit, full, order = _orbit_and_full(monkeypatch, _planted_channel(rng, shape), cfg)
+        assert order > 1
+        _assert_orbit_matches_full(bank, orbit, full)
+
+
+def test_orbit_sweep_on_group_add_scores_a_fraction_of_the_grid(monkeypatch):
+    # group-add 4 and 5 score at most 15% and 7% of their full grids: one
+    # x candidate per orbit (458 of 3,283 and 101 of 1,821)
+    import scbound.bounds as bounds
+
+    cells = []
+    pair_values = bounds._TermBank.pair_values
+
+    def counted(self, A, B, kinds, _work=None):
+        cells.append(len(A) * len(B))
+        return pair_values(self, A, B, kinds, _work)
+
+    monkeypatch.setattr(bounds._TermBank, "pair_values", counted)
+    for order, share in ((4, 0.15), (5, 0.07)):
+        del cells[:]
+        bank = bounds._TermBank(_reduced("group-add", order=order), CFG)
+        bank.sweep("x")
+        n_x, n_y = len(bank.candidates("x")), len(bank.candidates("y"))
+        assert 0 < sum(cells) <= share * n_x * n_y
+
+
+@pytest.mark.parametrize("name,params", [("remote-ot", {"m": 3}), ("erasure", {})],
+                         ids=["remote-ot-3", "erasure"])
+def test_sweep_without_a_symmetry_scores_the_full_grid(monkeypatch, name, params):
+    # remote-ot m=3 (8 x-side symbols: Dirichlet draws, so no search) and
+    # erasure (no x relabelling) sweep every x candidate: bit for bit the
+    # max and first argmax of the grid scored in the sweep's slices
+    import scbound.bounds as bounds
+
+    searches = []
+    search = bounds._automorphisms
+    monkeypatch.setattr(bounds, "_automorphisms", lambda W: searches.append(W) or search(W))
+    bank = bounds._TermBank(_reduced(name, **params), CFG)
+    sweeps = {side: bank.sweep(side) for side in "xy"}
+    assert len(searches) == (name == "erasure")
+    A, B = bank.candidates("x"), bank.candidates("y")
+    rows = max(1, min(bounds._CHUNK, len(A), bounds._SWEEP_CELLS // len(B)))
+    for side, groups in bounds._SWEEP_GROUPS.items():
+        for g in groups:
+            V = np.concatenate([sum(bank.pair_values(A[lo:lo + rows], B, g))
+                                for lo in range(0, len(A), rows)])
+            if side == "y":
+                V = V.T
+            assert np.array_equal(sweeps[side].best[g], V.max(axis=1))
+            assert np.array_equal(sweeps[side].arg[g], V.argmax(axis=1))
+
+
+def test_group_search_runs_only_for_a_nested_term(monkeypatch):
+    # the search is made inside the sweep, once per bank: an improved
+    # family makes none, a conditional family one
+    import scbound.bounds as bounds
+
+    searches = []
+    search = bounds._automorphisms
+    monkeypatch.setattr(bounds, "_automorphisms", lambda W: searches.append(W) or search(W))
+    ch = _reduced("group-add", order=3)
+    improved_bounds(ch, CFG)
+    assert not searches
+    conditional_bounds(ch, CFG)
+    assert len(searches) == 1

@@ -10,7 +10,8 @@ entry. An allowlist entry that is no longer defined, or that the commands
 now enter, fails too, so the list cannot go stale. No module rebinds its
 own state through a `global` statement or memoizes a module-level function
 with `functools.lru_cache` or `functools.cache` either: a cache that outlives a
-call belongs to the object or the caller that owns it.
+call belongs to the object or the caller that owns it. No module imports
+`threading`.
 """
 
 import ast
@@ -181,6 +182,19 @@ def test_no_module_has_a_global_statement():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and any(map(_memoizer, node.decorator_list))]
     assert not found, "module state: %s" % ", ".join(found)
+
+
+def test_no_module_imports_threading():
+    # the nested sweep scores its slices on the calling thread, and no
+    # module starts a thread
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += ["%s:%d %s" % (path.name, node.lineno, n) for n in names
+                      if n.split(".")[0] == "threading"]
+    assert not found, "threading imported: %s" % ", ".join(found)
 
 
 def test_module_state_guard_finds_memoizers():
