@@ -1308,6 +1308,73 @@ def test_sweep_memory_stays_slice_sized():
     assert peak < 8e6
 
 
+def _record_threads(monkeypatch):
+    # the thread of every pair_values call, in call order, and the number of
+    # threads alive at that call
+    import threading
+
+    from scbound.bounds import _TermBank
+
+    seen = []
+    pair_values = _TermBank.pair_values
+
+    def recorded(self, A, B, kinds, _work=None):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return pair_values(self, A, B, kinds, _work)
+
+    monkeypatch.setattr(_TermBank, "pair_values", recorded)
+    return seen
+
+
+def test_reproduce_sweep_stays_on_one_worker(monkeypatch):
+    # remote-ot m=2 at the default config: its 914 orbit representatives
+    # against 51 y candidates, in 4 slices of 256 rows, are all scored on
+    # the calling thread, and the sweep starts no other
+    import threading
+
+    from scbound.bounds import _TermBank
+
+    bank = _TermBank(channel_normal_form(builtin("remote-ot", m=2).channel).reduced, CFG)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    assert (len(A), len(B)) == (3283, 51)
+    before = threading.active_count()
+    seen = _record_threads(monkeypatch)
+    bank.sweep("x")
+    assert seen == [(threading.get_ident(), before)] * 4
+
+
+def test_a_failing_worker_is_raised_after_the_join(rng, monkeypatch):
+    # the sweep's one worker is the calling thread: a slice that raises
+    # stops the sweep with that exception, leaves no thread behind and
+    # caches nothing, so the next call sweeps afresh
+    import threading
+
+    import scbound.bounds as bounds
+
+    cfg = OptConfig(grid_resolution=0.1)
+    bank = bounds._TermBank(_random_channel(rng, 3, 3, 3), cfg)
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", 5 * len(bank.candidates("y")))
+    pair_values = bounds._TermBank.pair_values
+    calls = []
+
+    def failing(self, A, B, kinds, _work=None):
+        calls.append(threading.get_ident())
+        if len(calls) == 2:
+            raise RuntimeError("slice failed")
+        return pair_values(self, A, B, kinds, _work)
+
+    monkeypatch.setattr(bounds._TermBank, "pair_values", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="slice failed"):
+        bank.sweep("x")
+    assert calls == [threading.get_ident()] * 2
+    assert threading.active_count() == before
+    assert "_sweeps" not in vars(bank)
+    monkeypatch.setattr(bounds._TermBank, "pair_values", pair_values)
+    sw = bank.sweep("x")
+    assert all(np.isfinite(v).all() for v in sw.best.values())
+
+
 def test_pair_values_without_a_workspace_returns_fresh_arrays(rng):
     # a caller outside the sweep gets arrays that a later call leaves alone
     from scbound.bounds import _TermBank
