@@ -53,7 +53,13 @@ kind is an entropy, which relabelling leaves alone, so where both sides'
 candidates are lattice points, closed under the group, an orbit member's
 x-side max is its representative's and a y-side column's max is the
 largest, over the group, of the representatives' column max at the
-relabelled column. Group-add 4 scores 458 of its 3,283 x candidates.
+relabelled column. Group-add 4 scores 458 of its 3,283 x candidates; a
+grid of at most _SWEEP_CELLS cells is swept whole, with no search.
+
+The joint-law scans (the improved terms' p_X'Y' and the dealer-share laws)
+take their candidates from one builder, _joint_scan, and with them, up to
+FACE_SYMBOLS cells, the uniform law on every face (face_points) as seeds,
+scored by the same kernel: the tight built-in terms peak there.
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
@@ -87,11 +93,13 @@ from .normal_form import (
     pair_normal_form,
 )
 from .simplex import (
+    FACE_SYMBOLS,
     LATTICE_SYMBOLS,
     SUPPORT_BOUNDARY,
     OptConfig,
     candidate_points,
     coordinate_polish,
+    face_points,
     optimize_over_simplex,
 )
 
@@ -296,6 +304,34 @@ def _relabel_maps(P, perms):
     moved = (digits @ (len(vals) ** np.array(perms)).T).T  # (len(perms), n)
     idx = order[np.searchsorted(code[order], moved).clip(max=len(P) - 1)]
     return idx, (code[idx] == moved).all(axis=1)
+
+
+def _first_rows(pts):
+    """The rows of candidate_points array pts, each at its first occurrence
+    (rows compared as bytes), as a read-only array: the structured points
+    repeat lattice rows (3,287 to 3,283 on 4 symbols). Above LATTICE_SYMBOLS
+    no row repeats (structured points and Dirichlet draws), and pts itself
+    is returned, so a wide scan holds one candidate array, not two."""
+    if pts.shape[1] > LATTICE_SYMBOLS:
+        return pts
+    rows = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))[:, 0]
+    pts = pts[np.sort(np.unique(rows, return_index=True)[1])]
+    pts.flags.writeable = False
+    return pts
+
+
+def _joint_scan(k, cfg):
+    """The scan of a joint law on k cells, which the improved terms' p_X'Y'
+    and the dealer-share laws on a support cone both take, as (candidates,
+    seeds): the first rows of candidate_points(k, cfg), and, for 4 to
+    FACE_SYMBOLS cells, the uniform law on every face of 3 to k - 1 cells
+    (face_points), else None. The tight built-in terms peak at such a law
+    (AND's m23 and m31 at 1/3 on three cells, remote-ot m=2's m12 at 1/6 on
+    six), where the scan then lands and the polish is skipped;
+    optimize_over_simplex takes a seed only where that keeps every value at
+    least its unseeded one."""
+    seeds = face_points(k) if 3 < k <= FACE_SYMBOLS else None
+    return _first_rows(candidate_points(k, cfg)), seeds
 
 
 @dataclass
@@ -505,7 +541,7 @@ class _TermBank:
 
     def __init__(self, ch, cfg=DEFAULT_CONFIG):
         self.ch, self.cfg = ch, cfg
-        self._cands = {}  # side -> scan candidates, see candidates()
+        self._cands = {}  # side -> (scan candidates, seeds), see candidates()
         W = np.asarray(ch.kernel)
         self.nx, self.ny, self.nz = W.shape
         self.Wz = np.ascontiguousarray(W.transpose(2, 0, 1))  # z-major, (nz, nx, ny)
@@ -522,15 +558,20 @@ class _TermBank:
                             for k in ("xz", "yz"))
 
     def candidates(self, side):
+        return self._scan(side)[0]
+
+    def seeds(self, side):
+        """The scan's seeds of one side: the joint law's face seeds
+        (_joint_scan) for "xy", None for "x" and "y"."""
+        return self._scan(side)[1]
+
+    def _scan(self, side):
         if side not in self._cands:
-            k = {"x": self.nx, "y": self.ny, "xy": self.nx * self.ny}[side]
-            pts = candidate_points(k, self.cfg)
-            # each row at its first occurrence, rows compared as bytes: the
-            # structured points repeat lattice rows (3,287 to 3,283 on 4 symbols)
-            rows = pts.view(np.dtype((np.void, pts.itemsize * k)))[:, 0]
-            pts = pts[np.sort(np.unique(rows, return_index=True)[1])]
-            pts.flags.writeable = False
-            self._cands[side] = pts
+            if side == "xy":
+                self._cands[side] = _joint_scan(self.nx * self.ny, self.cfg)
+            else:
+                k = self.nx if side == "x" else self.ny
+                self._cands[side] = _first_rows(candidate_points(k, self.cfg)), None
         return self._cands[side]
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
@@ -602,9 +643,12 @@ class _TermBank:
         under the group generated by the automorphisms that keep both
         candidate sets, one element per x map, the identity first: row g
         sends candidate i to its relabelling by element g. The identity only,
-        with no search, where a side has Dirichlet draws."""
+        with no search, where a side has Dirichlet draws or the grid holds at
+        most _SWEEP_CELLS cells: there the search costs more than the grid
+        it would shrink (0.58 against 0.40 ms on AND's 51 x 51
+        candidates)."""
         group = {np.arange(len(A)).tobytes(): (np.arange(len(A)), np.arange(len(B)))}
-        if max(self.nx, self.ny) <= LATTICE_SYMBOLS:
+        if max(self.nx, self.ny) <= LATTICE_SYMBOLS and len(A) * len(B) > _SWEEP_CELLS:
             gens, _ = _automorphisms(np.asarray(self.ch.kernel))
             (mx, fx), (my, fy) = (_relabel_maps(P, [g[i] for g in gens])
                                   for i, P in enumerate((A, B)))
@@ -787,6 +831,7 @@ def _optimize_joint(bank, name):
     res = optimize_over_simplex(
         lambda Q: _group_values(bank, "xy", Q.reshape(Q.shape[:-1] + (nx, ny)), None, kinds),
         lambda p: bank.joint_slopes(p, kinds), bank.candidates("xy"), bank.cfg,
+        seeds=bank.seeds("xy"),
     )
     return _term(bank, name, [res.witness.reshape(nx, ny)], res.value, res.limit_point)
 
@@ -1184,7 +1229,7 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
         for link, v in _evaluate("prelim", p_xyz, cone).items()
     }
     gates = {"m12": cone.connected("xy"), "m23": cone.connected("yz"), "m31": cone.connected("xz")}
-    cands = candidate_points(cone.n_points, cfg) if any(gates.values()) else None
+    cands, seeds = _joint_scan(cone.n_points, cfg) if any(gates.values()) else (None, None)
     for link in LINKS:
         if not gates[link]:
             continue
@@ -1192,6 +1237,7 @@ def cmss_bounds(p_xyz, cfg=DEFAULT_CONFIG):
             res = optimize_over_simplex(
                 lambda Q: cone.values(Q, kinds),
                 lambda q: _one_sided(cone.slopes(q, kinds, np.eye(len(q)) - q)), cands, cfg,
+                seeds=seeds,
             )
             terms[link].append(
                 TermValue(

@@ -16,6 +16,7 @@ import pytest
 from scbound.bounds import (
     best_bounds,
     conditional_bounds,
+    improved_bounds,
     intermediate_bounds,
     prelim_bounds,
     switched_bounds,
@@ -154,6 +155,20 @@ def test_criterion_06_cmss_separation():
     rep = separation_report(cfg=CFG)
     ok = ok and abs(rep.gaps["m12"] - (1.826 - LOG3)) <= 2e-3
     _report("06 and CMSS scheme and separation gap ~0.241", ok)
+
+
+def test_tight_examples_reach_their_exact_values(tmp_path):
+    # at the default config the scan lands on the uniform law of a face,
+    # so the tight terms are their exact values, not a polish's approach
+    out = tmp_path / "rot2.json"
+    main(["reproduce", "--only", "remote-ot-2", "--out", str(out)])
+    (row,) = json.loads(out.read_text())["rows"]
+    ok = abs(row["bounds"]["m23"] - 2.0) <= 1e-12
+    b = builtin("and")
+    ok = ok and abs(best_bounds(b.default_input, b.channel, CFG).h_m31.value - LOG3) <= 1e-12
+    m12 = improved_bounds(builtin("remote-ot", m=2).channel, CFG)["m12"]
+    ok = ok and abs(m12.value - math.log2(6)) <= 1e-12
+    _report("tight and/remote-ot terms exact (1e-12)", ok)
 
 
 def test_criterion_07_oracle_equivalence():

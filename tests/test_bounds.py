@@ -130,9 +130,11 @@ def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
     # through bounds.candidate_points: each side at most once per bank, bit
     # for bit the rows of candidate_points(k, cfg) at their first
     # occurrence, in order, and read-only; two best_bounds calls make two
-    # banks, which share no array
+    # banks, which share no array. The joint side "xy" also has seeds, the
+    # face_points(k) of its k cells where 3 < k <= FACE_SYMBOLS (AND's 4),
+    # and none above (remote-ot m=3's 24); the x and y sides have none
     import scbound.bounds as bounds
-    from scbound.simplex import candidate_points
+    from scbound.simplex import FACE_SYMBOLS, candidate_points, face_points
 
     builds, reads = [], []
     candidates = bounds._TermBank.candidates
@@ -172,7 +174,13 @@ def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
             want = want[[seen.setdefault(row.tobytes(), i) == i for i, row in enumerate(want)]]
             assert out.shape == want.shape and out.tobytes() == want.tobytes(), side
             assert not out.flags.writeable, side
+            seeds = bank.seeds(side)
+            if side == "xy" and k <= FACE_SYMBOLS:
+                assert seeds.tobytes() == face_points(k).tobytes()
+            else:
+                assert seeds is None, side
         arrays.append([got[0][0] for got in sides.values()])
+    assert (name == "and") == (banks[0].nx * banks[0].ny <= FACE_SYMBOLS)
     assert not any(np.shares_memory(a, c) for a in arrays[0] for c in arrays[1])
 
 
@@ -1163,9 +1171,15 @@ def test_sweep_is_bit_identical_at_every_slice_height(rng, monkeypatch):
     runs, orbit = {}, {}
     ties = 0
     for height in (1, 5, 1000):
+        # the group is searched only where the grid has more than
+        # _SWEEP_CELLS cells, so the orbit path's whole-grid height is one
+        # cell short of the grid
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_SWEEP_CELLS", min(height * 67, 67 * 67 - 1))
+            bank = bounds._TermBank(ch, cfg)
+            orbit[height] = {side: bank.sweep(side) for side in "xy"}
+            assert len(bank._orbits(bank.candidates("x"), bank.candidates("y"))[0]) > 1
         monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * 67)
-        bank = bounds._TermBank(ch, cfg)
-        orbit[height] = {side: bank.sweep(side) for side in "xy"}
         with monkeypatch.context() as m:
             _full_grid(m)
             bank = bounds._TermBank(ch, cfg)
@@ -1691,13 +1705,18 @@ def test_automorphism_search_stays_within_the_node_cap(rng, monkeypatch):
 
 def _orbit_and_full(monkeypatch, ch, cfg):
     # both sides of the sweep on the orbit path, then with the search
-    # finding nothing (the full grid), and the orbit path's group order
+    # finding nothing (the full grid), and the orbit path's group order. The
+    # group is searched only where the grid has more than _SWEEP_CELLS
+    # cells, so _SWEEP_CELLS is cut to one cell short of a grid it would
+    # hold whole (sum's 51 x 51)
     import scbound.bounds as bounds
 
     bank = bounds._TermBank(ch, cfg)
-    orbit = {side: bank.sweep(side) for side in "xy"}
-    order = len(bank._orbits(bank.candidates("x"), bank.candidates("y"))[0])
+    A, B = bank.candidates("x"), bank.candidates("y")
     with monkeypatch.context() as m:
+        m.setattr(bounds, "_SWEEP_CELLS", min(bounds._SWEEP_CELLS, len(A) * len(B) - 1))
+        orbit = {side: bank.sweep(side) for side in "xy"}
+        order = len(bank._orbits(A, B)[0])
         _full_grid(m)
         full = {side: bounds._TermBank(ch, cfg).sweep(side) for side in "xy"}
     return bank, orbit, full, order
@@ -1771,16 +1790,19 @@ def test_orbit_sweep_on_group_add_scores_a_fraction_of_the_grid(monkeypatch):
 def test_sweep_without_a_symmetry_scores_the_full_grid(monkeypatch, name, params):
     # remote-ot m=3 (8 x-side symbols: Dirichlet draws, so no search) and
     # erasure (no x relabelling) sweep every x candidate: bit for bit the
-    # max and first argmax of the grid scored in the sweep's slices
+    # max and first argmax of the grid scored in the sweep's slices. The
+    # group is searched only where the grid has more than _SWEEP_CELLS
+    # cells, so _SWEEP_CELLS is cut to one cell short of erasure's 51 x 51
     import scbound.bounds as bounds
 
     searches = []
     search = bounds._automorphisms
     monkeypatch.setattr(bounds, "_automorphisms", lambda W: searches.append(W) or search(W))
     bank = bounds._TermBank(_reduced(name, **params), CFG)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", min(bounds._SWEEP_CELLS, len(A) * len(B) - 1))
     sweeps = {side: bank.sweep(side) for side in "xy"}
     assert len(searches) == (name == "erasure")
-    A, B = bank.candidates("x"), bank.candidates("y")
     rows = max(1, min(bounds._CHUNK, len(A), bounds._SWEEP_CELLS // len(B)))
     for side, groups in bounds._SWEEP_GROUPS.items():
         for g in groups:
@@ -1805,3 +1827,21 @@ def test_group_search_runs_only_for_a_nested_term(monkeypatch):
     assert not searches
     conditional_bounds(ch, CFG)
     assert len(searches) == 1
+
+
+@pytest.mark.parametrize("name", ["and", "sum", "erasure"])
+def test_group_search_skips_a_grid_of_one_slice(monkeypatch, name):
+    # AND's, sum's and erasure's 51 x 51 grids fit _SWEEP_CELLS, where the
+    # search would cost more than the whole sweep: none is made, and the
+    # sweep scores every x candidate
+    import scbound.bounds as bounds
+
+    searches = []
+    search = bounds._automorphisms
+    monkeypatch.setattr(bounds, "_automorphisms", lambda W: searches.append(W) or search(W))
+    bank = bounds._TermBank(_reduced(name), CFG)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    assert len(A) * len(B) <= bounds._SWEEP_CELLS
+    bank.sweep("x")
+    assert not searches
+    assert len(bank._orbits(A, B)[0]) == 1

@@ -1,0 +1,116 @@
+"""The face seeds of the joint-law scans.
+
+Every joint-law simplex of at most FACE_SYMBOLS cells is scanned with the
+uniform law on every face of 3 to k - 1 cells as seeds (simplex.face_points,
+given by bounds._joint_scan). These tests run every joint-law term with the
+seeds and with them patched to none: no value may fall. They also pin the
+tight AND terms to exact 1/3 laws found by the scan alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import scbound.bounds as bounds
+from scbound.bounds import _TERMS, _run_term, _side, _TermBank, cmss_bounds, improved_bounds
+from scbound.dists import JointDist, join
+from scbound.normal_form import channel_normal_form
+from scbound.protocols import BUILTINS, builtin
+from scbound.simplex import OptConfig
+
+from test_stationary import _random_channel
+
+_JOINT_TERMS = [name for name, (outer, _) in _TERMS.items() if _side(outer) == "xy"]
+
+
+def _joint_law_values(ch, cfg):
+    # every improved variant of the reduced channel, as _run_term gives it,
+    # then every dealer-share term of its joint at the uniform input
+    bank = _TermBank(channel_normal_form(ch).reduced, cfg)
+    values = [_run_term(bank, name, None, None).value for name in _JOINT_TERMS]
+    joint = join(JointDist.uniform((ch.x_axis, ch.y_axis)), ch)
+    values += [t.value for lb in cmss_bounds(joint, cfg).values() for t in lb.terms]
+    return values
+
+
+def _seeded_and_unseeded(monkeypatch, chans, cfg):
+    seeded = [_joint_law_values(ch, cfg) for ch in chans]
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "FACE_SYMBOLS", 0)
+        unseeded = [_joint_law_values(ch, cfg) for ch in chans]
+    return seeded, unseeded
+
+
+def _assert_none_falls(seeded, unseeded):
+    for got, base in zip(seeded, unseeded):
+        assert len(got) == len(base)
+        assert all(g >= b - 1e-12 for g, b in zip(got, base)), (got, base)
+
+
+def test_seeds_lower_no_joint_law_term_of_the_builtins(monkeypatch):
+    chans = [builtin(name).channel for name in BUILTINS]
+    seeded, unseeded = _seeded_and_unseeded(monkeypatch, chans, OptConfig())
+    _assert_none_falls(seeded, unseeded)
+    # AND's and remote-ot's tight terms rise to their exact values
+    assert sum(g > b for got, base in zip(seeded, unseeded) for g, b in zip(got, base)) > 0
+
+
+def test_seeds_lower_no_joint_law_term_of_random_channels(monkeypatch):
+    # 72 seeded channels with 2-3 symbols per axis, deterministic and
+    # sparse randomized: joint laws of 4 to 9 cells, and cones of up to 27
+    # points, so seeded, unseeded (k > FACE_SYMBOLS) and Dirichlet scans.
+    # Seeds simply added to the candidates lower terms of channels 27, 37
+    # and 67 (by 1.3e-11, 6.5e-12 and 1.7e-3)
+    chans = [_random_channel(seed) for seed in range(72)]
+    seeded, unseeded = _seeded_and_unseeded(monkeypatch, chans, OptConfig())
+    _assert_none_falls(seeded, unseeded)
+
+
+def _recorded_optimizations(monkeypatch, run):
+    # (result, number of candidates and seeds) of every optimize_over_simplex call
+    calls = []
+    optimize = bounds.optimize_over_simplex
+
+    def recorded(values, slopes, cands, cfg, seeds=None):
+        res = optimize(values, slopes, cands, cfg, seeds=seeds)
+        calls.append((res, len(cands) + (0 if seeds is None else len(seeds))))
+        return res
+
+    monkeypatch.setattr(bounds, "optimize_over_simplex", recorded)
+    run()
+    return calls
+
+
+def _assert_scanned_third_laws(calls):
+    # each optimization at log 3 has an exact 1/3 law on three cells as its
+    # witness, found by the scan: no polish line is scored
+    tight = [(res, n) for res, n in calls if abs(res.value - math.log2(3)) <= 1e-12]
+    for res, n in tight:
+        assert sorted(res.witness.ravel().tolist())[-3:] == [1 / 3] * 3
+        assert np.count_nonzero(res.witness) == 3
+        assert res.evaluations == n
+    return len(tight)
+
+
+def test_and_tight_improved_terms_are_scanned_third_laws(monkeypatch):
+    ch = builtin("and").channel
+    reports = {}
+    calls = _recorded_optimizations(monkeypatch,
+                                    lambda: reports.update(improved_bounds(ch, OptConfig())))
+    assert _assert_scanned_third_laws(calls) >= 2
+    for link in ("m23", "m31"):
+        w = reports[link].witnesses["p_X'Y'"].probs
+        assert reports[link].value == pytest.approx(math.log2(3), abs=1e-12)
+        assert sorted(w.ravel().tolist()) == [0.0] + [1 / 3] * 3
+
+
+def test_and_cmss_terms_are_scanned_third_laws(monkeypatch, and_joint):
+    reports = {}
+    calls = _recorded_optimizations(monkeypatch,
+                                    lambda: reports.update(cmss_bounds(and_joint, OptConfig())))
+    assert _assert_scanned_third_laws(calls) >= 3
+    for lb in reports.values():
+        assert lb.value == pytest.approx(math.log2(3), abs=1e-12)
+        w = lb.witnesses["p_X'Y'Z'"].probs
+        assert sorted(w[w > 0].tolist()) == [1 / 3] * 3

@@ -116,3 +116,28 @@ def test_report_digests_leave_out_the_manifest(capsys):
     assert digests.digest(argv) == (0, want)
     assert digests.digest(["simulate", "--builtin", "sum"])[1] != want
     assert digests.digest(["simulate", "--builtin", "and", "--order", "3"])[0] == 1
+
+
+def test_report_values_name_every_float_outside_the_manifest(capsys, monkeypatch):
+    # scripts/report_values.py prints command, JSON path and repr of every
+    # float of each report of report_digests.commands(), manifest left out,
+    # and no line for a report that is not JSON
+    path = ROOT / "scripts" / "report_values.py"
+    module_spec = importlib.util.spec_from_file_location("report_values", path)
+    values = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(values)
+    assert list(values.floats({"a": [1.5, {"b": 2}], "c": {"d": 0.25}, "e": "f"})) == [
+        ("/a/0", 1.5), ("/c/d", 0.25)]
+    argv = ["simulate", "--builtin", "and"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    got = values.report_floats(argv)
+    assert got and not any(p.startswith("/manifest") for p, _ in got)
+    assert all(isinstance(v, float) for _, v in got)
+    assert got == list(values.floats({k: v for k, v in report.items() if k != "manifest"}))
+    monkeypatch.setattr(values.report_digests, "commands",
+                        lambda tmp: [argv, ["reproduce", "--only", "group-add-2", "--format", "csv",
+                                            "--grid", "0.25", "--refine", "4"]])
+    assert values.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["simulate --builtin and\t%s\t%r" % pv for pv in got]

@@ -10,12 +10,14 @@ from scbound.dists import CapacityError, entropy_of_array, xlogx
 from scbound.simplex import (
     DIRICHLET_SEED,
     DIRICHLET_STARTS,
+    FACE_SYMBOLS,
     LINE_POINTS,
     SCAN_CELL_CAP,
     ZOOM_ROUNDS,
     OptConfig,
     candidate_points,
     coordinate_polish,
+    face_points,
     optimize_over_simplex,
     simplex_grid,
     structured_points,
@@ -103,6 +105,73 @@ def test_linear_functional_attained_at_vertex():
     assert res.witness[1] == pytest.approx(1.0, abs=1e-9)
     assert res.limit_point
     assert res.evaluations == len(cands)
+
+
+@pytest.mark.parametrize("k", range(1, FACE_SYMBOLS + 1))
+def test_face_points_are_the_uniform_laws_on_3_to_k_minus_1_symbols(k):
+    # by set size, then in combinations order: 4 rows at k = 4, 218 at 8
+    pts = face_points(k)
+    sets = [s for m in range(3, k) for s in itertools.combinations(range(k), m)]
+    assert pts.shape == (len(sets), k)
+    assert len(sets) == max(0, 2 ** k - k * (k + 1) // 2 - 2)
+    for row, s in zip(pts, sets):
+        assert np.flatnonzero(row).tolist() == list(s)
+        assert set(row[list(s)].tolist()) == {1.0 / len(s)}
+    assert len({row.tobytes() for row in pts}) == len(pts)
+    assert not any(row.tobytes() in {r.tobytes() for r in structured_points(k)} for row in pts)
+
+
+def _entropy_slopes(p):
+    # d/dt H(p + t (e_j - p)) at t = 0, for a law of full support
+    return -np.log2(p) + np.sum(p * np.log2(p))
+
+
+def test_stationary_winning_seed_is_returned_unpolished():
+    # entropy over 4 symbols, candidates without the uniform law and the
+    # uniform law as a seed: it wins the scan, its gap is 0, and no line
+    # is scored
+    cands = structured_points(4)[1:]
+    seeds = np.array([[0.4, 0.3, 0.2, 0.1], [0.25] * 4])
+    res = optimize_over_simplex(_rows_entropy, _entropy_slopes, cands, OptConfig(), seeds=seeds)
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert res.witness.tolist() == [0.25] * 4
+    assert res.evaluations == len(cands) + len(seeds)
+
+
+def _two_bumps(P):
+    # a narrow bump of height 1.5 at a and a wider one of height 2 at b, on
+    # the simplex of 3 symbols; no coordinate line near a passes near b
+    a, b = np.array([0.6, 0.2, 0.2]), np.array([0.2, 0.2, 0.6])
+    return (1.5 * np.exp(-((P - a) ** 2).sum(axis=-1) / 0.05 ** 2)
+            + 2 * np.exp(-((P - b) ** 2).sum(axis=-1) / 0.1 ** 2))
+
+
+def test_seed_that_is_not_stationary_keeps_the_candidates_polish():
+    # the seed beats every candidate but lies on the lower bump: its polish
+    # climbs to about 1.5, the best candidate's to 2, and the optimizer
+    # keeps the better, the unseeded result
+    cands = np.array([[0.25, 0.25, 0.5], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+    seeds = np.array([[0.58, 0.21, 0.21]])
+    assert _two_bumps(seeds).max() > _two_bumps(cands).max()
+    cfg = OptConfig()
+    unseeded = optimize_over_simplex(_two_bumps, _unknown_slopes, cands, cfg)
+    res = optimize_over_simplex(_two_bumps, _unknown_slopes, cands, cfg, seeds=seeds)
+    from_seed = optimize_over_simplex(_two_bumps, _unknown_slopes, seeds, cfg)
+    assert from_seed.value < 1.6 < unseeded.value == pytest.approx(2.0, abs=1e-9)
+    assert res.value == unseeded.value
+    assert np.array_equal(res.witness, unseeded.witness)
+    polish = unseeded.evaluations - len(cands)
+    assert res.evaluations == len(cands) + len(seeds) + polish + from_seed.evaluations - 1
+
+
+def test_seeds_that_lose_the_scan_change_nothing():
+    values = lambda P: -((P - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=-1)  # noqa: E731
+    cands = candidate_points(3, OptConfig())
+    seeds = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    r1 = optimize_over_simplex(values, _unknown_slopes, cands, OptConfig())
+    r2 = optimize_over_simplex(values, _unknown_slopes, cands, OptConfig(), seeds=seeds)
+    assert r1.value == r2.value and np.array_equal(r1.witness, r2.witness)
+    assert r2.evaluations == r1.evaluations + len(seeds)
 
 
 def test_and_inner_composition_matches_known_value(and_channel):
