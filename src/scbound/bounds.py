@@ -46,20 +46,29 @@ bank per call, each public family function its own) scores x candidates
 against every y candidate, in slices of rows <= _CHUNK x candidates with
 rows x n_y <= _SWEEP_CELLS (a 512 KB matrix) in one workspace, and reduces
 each slice for both outer sides as it streams: a per-outer max and argmax,
-the y side's as a running max over slices. It scores one x candidate per
-orbit of the channel's automorphism group, the triples (pi_X, pi_Y, pi_Z)
-with W[pi_X x, pi_Y y, pi_Z z] = W[x, y, z] (_automorphisms). Every term
-kind is an entropy, which relabelling leaves alone, so where both sides'
-candidates are lattice points, closed under the group, an orbit member's
-x-side max is its representative's and a y-side column's max is the
-largest, over the group, of the representatives' column max at the
-relabelled column. Group-add 4 scores 458 of its 3,283 x candidates; a
-grid of at most _SWEEP_CELLS cells is swept whole, with no search.
+the y side's as a running max over slices. It scores one pair per orbit of
+the channel's automorphism group, the triples (pi_X, pi_Y, pi_Z) with
+W[pi_X x, pi_Y y, pi_Z z] = W[x, y, z] (_automorphisms): one x candidate
+per orbit of the group against one y candidate per orbit of its y-only
+subgroup K, the elements with pi_X the identity. Every term kind is an
+entropy, which relabelling leaves alone, so where both sides' candidates
+are lattice points, closed under the group, a y candidate's value against
+any x candidate is its K representative's, an orbit member's x-side max is
+its representative's, and a y-side column's max is the largest, over the
+group, of the representatives' column max at the relabelled column.
+Group-add 4 scores 458 of its 3,283 x candidates against 822 of its y
+candidates (3.5% of the grid); a grid of at most _SWEEP_CELLS cells is
+swept whole, with no search.
 
-The joint-law scans (the improved terms' p_X'Y' and the dealer-share laws)
-take their candidates from one builder, _joint_scan, and with them, up to
-FACE_SYMBOLS cells, the uniform law on every face (face_points) as seeds,
-scored by the same kernel: the tight built-in terms peak there.
+The scans also take seeds read off the channel (_channel_seeds). Each input
+side holds, among its candidates, the uniform law on its inputs whose
+kernel slice does not depend on the other input. The joint-law scans (the
+improved terms' p_X'Y' and the dealer-share laws) take their candidates
+from one builder, _joint_scan, and with them, up to FACE_SYMBOLS cells, the
+uniform law on every face (face_points) as seeds; above it a bank's joint
+scan takes the products of the side seeds with the uniform laws and the
+laws on which the output is a function of one input. The tight built-in
+terms peak at such laws.
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
 kernels.
@@ -80,6 +89,7 @@ from .dists import (
     LINKS,
     PreconditionError,
     SUPPORT_EPS,
+    ZERO_TOL,
     dist_to_json,
     is_product,
     join,
@@ -325,13 +335,42 @@ def _joint_scan(k, cfg):
     and the dealer-share laws on a support cone both take, as (candidates,
     seeds): the first rows of candidate_points(k, cfg), and, for 4 to
     FACE_SYMBOLS cells, the uniform law on every face of 3 to k - 1 cells
-    (face_points), else None. The tight built-in terms peak at such a law
-    (AND's m23 and m31 at 1/3 on three cells, remote-ot m=2's m12 at 1/6 on
-    six), where the scan then lands and the polish is skipped;
-    optimize_over_simplex takes a seed only where that keeps every value at
-    least its unseeded one."""
+    (face_points), else None (a bank seeds it from its channel). The tight
+    built-in terms peak at such a law (AND's m23 and m31 at 1/3 on three
+    cells, remote-ot m=2's m12 at 1/6 on six), where the scan then lands
+    and the polish is skipped; optimize_over_simplex takes a seed only
+    where that keeps every value at least its unseeded one."""
     seeds = face_points(k) if 3 < k <= FACE_SYMBOLS else None
     return _first_rows(candidate_points(k, cfg)), seeds
+
+
+def _channel_seeds(W, side):
+    """Scan seeds read off a kernel W (nx, ny, nz) for one side, as an (n,
+    k) array of laws, or None. For "x" (and likewise "y"), the uniform law
+    on the inputs whose slice of W is constant in the other input within
+    ZERO_TOL, where at least two but not all inputs are: an automorphism
+    maps such an input to another, so the seed is fixed by the group. For
+    "xy", flattened joint laws: the products of {uniform, x seed} and
+    {uniform, y seed} other than uniform x uniform, then the row-modal and
+    column-modal laws, the uniform law on the cells (x, y) whose output law
+    W[x, y] is the most frequent one of its row (or column), the first
+    such law on a tie; on that support Z is a function of X (or of Y)."""
+    if side == "y":
+        return _channel_seeds(W.transpose(1, 0, 2), "x")
+    if side == "x":
+        const = np.abs(W - W[:, :1]).max(axis=(1, 2)) <= ZERO_TOL
+        return const[None] / const.sum() if 2 <= const.sum() < len(const) else None
+    xs, ys = (_channel_seeds(W, s) for s in "xy")
+    laws = [np.outer(a, b) for a in (np.full(W.shape[0], 1 / W.shape[0]), xs)
+            for b in (np.full(W.shape[1], 1 / W.shape[1]), ys) if a is not None and b is not None]
+    for V, T in ((W, False), (W.transpose(1, 0, 2), True)):
+        # same[r, i, j]: cells i and j of row r give one output law, built
+        # column by column so no temporary outgrows the kernel
+        same = np.stack([np.abs(V - V[:, j:j + 1]).max(axis=2) <= ZERO_TOL
+                         for j in range(V.shape[1])], axis=2)
+        modal = same[np.arange(len(V)), same.sum(axis=2).argmax(axis=1)]
+        laws.append((modal.T if T else modal) / modal.sum())
+    return np.array([p.ravel() for p in laws[1:]])
 
 
 @dataclass
@@ -536,7 +575,7 @@ class _TermBank:
     in one GEMM, (n, ny) @ (ny, m): the z-th cells of every pair's output
     law, which are taken x log x in place and summed into one (n, m)
     matrix, z by z. Every scan reads candidates(side), one side's laws
-    built once, on first use, each law once.
+    built once, on first use, each law once, with its channel seeds.
     """
 
     def __init__(self, ch, cfg=DEFAULT_CONFIG):
@@ -561,17 +600,30 @@ class _TermBank:
         return self._scan(side)[0]
 
     def seeds(self, side):
-        """The scan's seeds of one side: the joint law's face seeds
-        (_joint_scan) for "xy", None for "x" and "y"."""
+        """The scan's seeds of one side: the joint law's face or channel
+        seeds for "xy" (_scan), None for "x" and "y"."""
         return self._scan(side)[1]
 
     def _scan(self, side):
+        """(candidates, seeds) of one side, built on first use, candidates
+        first, so an oversize side raises before its seeds cost anything. An
+        input side appends its channel seed (_channel_seeds) unless it is a
+        row already; the joint side takes the channel's joint seeds above
+        FACE_SYMBOLS cells, below which face_points holds every one."""
         if side not in self._cands:
+            W = np.asarray(self.ch.kernel)
             if side == "xy":
-                self._cands[side] = _joint_scan(self.nx * self.ny, self.cfg)
+                cands, seeds = _joint_scan(self.nx * self.ny, self.cfg)
+                if self.nx * self.ny > FACE_SYMBOLS:
+                    seeds = _channel_seeds(W, "xy")
             else:
                 k = self.nx if side == "x" else self.ny
-                self._cands[side] = _first_rows(candidate_points(k, self.cfg)), None
+                cands, seeds = _first_rows(candidate_points(k, self.cfg)), None
+                seed = _channel_seeds(W, side)
+                if seed is not None and not (cands == seed).all(axis=1).any():
+                    cands = np.concatenate([cands, seed])
+                    cands.flags.writeable = False
+            self._cands[side] = cands, seeds
         return self._cands[side]
 
     # -- product-form terms: A (n,nx) x B (m,ny), value matrices (n,m) ------
@@ -639,66 +691,82 @@ class _TermBank:
         return self._sweeps[side]
 
     def _orbits(self, A, B):
-        """Index maps (G, len(A)) and (G, len(B)) of the x and y candidates
-        under the group generated by the automorphisms that keep both
-        candidate sets, one element per x map, the identity first: row g
-        sends candidate i to its relabelling by element g. The identity only,
-        with no search, where a side has Dirichlet draws or the grid holds at
-        most _SWEEP_CELLS cells: there the search costs more than the grid
-        it would shrink (0.58 against 0.40 ms on AND's 51 x 51
-        candidates)."""
-        group = {np.arange(len(A)).tobytes(): (np.arange(len(A)), np.arange(len(B)))}
+        """The group generated by the automorphisms that keep both candidate
+        sets, on the candidates: index maps (G, len(A)) and (G, len(B)), one
+        element per x map, the identity first, whose row g sends candidate i
+        to its relabelling by element g; and krep, each y candidate's first
+        index in its orbit under K, the elements with pi_X the identity,
+        which fix every x candidate. The closure is keyed by the symbol
+        permutations (pi_X, pi_Y), as tuples, and composes a new element's
+        index maps once, from its parent's. K, the kernel of the action on
+        the x candidates, is normal, so any element may stand for its x
+        map. The identity only, with no search, where a side has Dirichlet
+        draws or the grid holds at most _SWEEP_CELLS cells: there the search
+        costs more than the grid it would shrink (0.58 against 0.40 ms on
+        AND's 51 x 51 candidates)."""
+        ident = (tuple(range(self.nx)), tuple(range(self.ny)))
+        group, todo, gens = {ident: (np.arange(len(A)), np.arange(len(B)))}, [ident], []
         if max(self.nx, self.ny) <= LATTICE_SYMBOLS and len(A) * len(B) > _SWEEP_CELLS:
             gens, _ = _automorphisms(np.asarray(self.ch.kernel))
             (mx, fx), (my, fy) = (_relabel_maps(P, [g[i] for g in gens])
                                   for i, P in enumerate((A, B)))
-            gens = [(gx, gy) for gx, gy, ok in zip(mx, my, fx & fy) if ok]
-            todo = list(group.values())
-            while todo:  # the closure: a composition of automorphisms is one
-                ex, ey = todo.pop()
-                for gx, gy in gens:
-                    h = (gx[ex], gy[ey])
-                    if h[0].tobytes() not in group:
-                        group[h[0].tobytes()] = h
-                        todo.append(h)
-        return tuple(np.stack(m) for m in zip(*group.values()))
+            gens = [(tuple(g[0].tolist()), tuple(g[1].tolist()), gx, gy)
+                    for g, gx, gy, ok in zip(gens, mx, my, fx & fy) if ok]
+        while todo:  # the closure: a composition of automorphisms is one
+            px, py = e = todo.pop()
+            ex, ey = group[e]
+            for gpx, gpy, gx, gy in gens:
+                if (h := (tuple(gpx[i] for i in px), tuple(gpy[i] for i in py))) not in group:
+                    group[h] = gx[ex], gy[ey]
+                    todo.append(h)
+        # the candidates hold the vertices: one x map per pi_X
+        xs, K = {}, [ey for (px, _), (_, ey) in group.items() if px == ident[0]]
+        for (px, _), maps in group.items():
+            xs.setdefault(px, maps)
+        sx, sy = (np.stack(m) for m in zip(*xs.values()))
+        return sx, sy, np.min(K, axis=0)
 
     @functools.cached_property
     def _sweeps(self):
         """One pass over the rows of the orbit representatives (the first x
-        candidate of each orbit) in slices, filled in by the index maps sx,
-        sy of _orbits. A group's value V(i, j) at (A[i], B[j]) equals V(sx[g,
-        i], sy[g, j]) for every element g, so x candidate sx[g, r] takes the
-        max of its representative r, at y candidate sy[g, arg], and y
-        candidate j the largest over g of the representatives' column max at
-        the column sy[g] sends to j, at x candidate sx[g, rep], the first g
+        candidate of each orbit) against the columns of the K representatives
+        (krep of _orbits) in slices, filled in by the index maps sx, sy. A
+        group's value V(i, j) at (A[i], B[j]) equals V(sx[g, i], sy[g, j])
+        for every element g, and V(i, krep[j]) as K fixes every x candidate,
+        so y candidate j takes the column max of krep[j]. Then x candidate
+        sx[g, r] takes the max of its representative r, at y candidate sy[g,
+        arg], and y candidate j the largest over g of the column max at the
+        column sy[g] sends to j, at x candidate sx[g, rep], the first g
         winning a tie. A filled-in max is another cell's float, so it may
         differ in its last bits and its argmax move within its orbit against
         the full grid; the trivial group gives the full grid bit for bit."""
         A, B = self.candidates("x"), self.candidates("y")
-        sx, sy = self._orbits(A, B)
+        sx, sy, krep = self._orbits(A, B)
         reps = np.flatnonzero(sx.min(axis=0) == np.arange(len(A)))
+        kreps = np.flatnonzero(krep == np.arange(len(B)))
 
         def fresh(side, outer, inner):
             gs = _SWEEP_GROUPS[side]
             return _Sweep(outer, inner, {g: np.full(len(outer), -np.inf) for g in gs},
                           {g: np.zeros(len(outer), dtype=int) for g in gs})
 
-        R = A[reps]
-        part = {"x": fresh("x", R, B), "y": fresh("y", B, R)}
-        rows = max(1, min(_CHUNK, len(R), _SWEEP_CELLS // len(B)))
-        work = _PairWork(self, B, rows)
+        R, C = A[reps], B[kreps]
+        part = {"x": fresh("x", R, C), "y": fresh("y", C, R)}
+        rows = max(1, min(_CHUNK, len(R), _SWEEP_CELLS // len(C)))
+        work = _PairWork(self, C, rows)
         for lo in range(0, len(R), rows):
             self._reduce_slice(part, R[lo:lo + rows], work, lo)
         # each x candidate from the first element that reaches it from a representative
         g, r = np.divmod(np.unique(sx[:, reps], return_index=True)[1], len(reps))
         x = _Sweep(A, B, {k: v[r] for k, v in part["x"].best.items()},
-                   {k: sy[g, v[r]] for k, v in part["x"].arg.items()})
-        y, inv, cols = _Sweep(B, A, {}, {}), np.argsort(sy, axis=1), np.arange(len(B))
+                   {k: sy[g, kreps[v[r]]] for k, v in part["x"].arg.items()})
+        # (G, len(B)): the K-representative's column of the column each element sends to j
+        at = np.searchsorted(kreps, krep)[np.argsort(sy, axis=1)]
+        y, cols = _Sweep(B, A, {}, {}), np.arange(len(B))
         for k, best in part["y"].best.items():
-            vals = best[inv]  # (G, len(B)): the column each element sends to column j
+            vals = best[at]
             h = vals.argmax(axis=0)
-            y.best[k], y.arg[k] = vals[h, cols], sx[h, reps[part["y"].arg[k][inv[h, cols]]]]
+            y.best[k], y.arg[k] = vals[h, cols], sx[h, reps[part["y"].arg[k][at[h, cols]]]]
         return {"x": x, "y": y}
 
     def _reduce_slice(self, sweeps, A, work, lo):

@@ -171,6 +171,26 @@ def test_tight_examples_reach_their_exact_values(tmp_path):
     _report("tight and/remote-ot terms exact (1e-12)", ok)
 
 
+def test_remote_ot_channel_seeds_reach_their_exact_values():
+    # the channel seeds: remote-ot m=3's improved m12 is log 18 at its
+    # row-modal law, and m23 log 6 at the constant-row law x uniform
+    imp = improved_bounds(builtin("remote-ot", m=3).channel, CFG)
+    ok = abs(imp["m12"].value - math.log2(18)) <= 1e-12
+    ok = ok and abs(imp["m23"].value - math.log2(6)) <= 1e-12
+    _report("remote-ot m=3 improved m12, m23 exact (1e-12)", ok)
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (2, 3), (2, 2)])
+def test_remote_ot_meets_its_protocol_entropy(m, n):
+    # remote OT is communication-ideal: at the default config every link's
+    # bound meets the built-in protocol's entropy
+    b = builtin("remote-ot", m=m, n=n)
+    rep = best_bounds(b.default_input, b.channel, CFG)
+    e = run_exact(b.spec, b.default_input)
+    ok = all(abs(rep.link(link).value - e.h(link)) <= 1e-9 for link in LINKS)
+    _report("remote-ot m=%d n=%d meets its protocol (1e-9)" % (m, n), ok)
+
+
 def test_criterion_07_oracle_equivalence():
     rng = np.random.default_rng(20240502)
     u = Alphabet("U", tuple(range(6)))

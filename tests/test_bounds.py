@@ -130,9 +130,12 @@ def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
     # through bounds.candidate_points: each side at most once per bank, bit
     # for bit the rows of candidate_points(k, cfg) at their first
     # occurrence, in order, and read-only; two best_bounds calls make two
-    # banks, which share no array. The joint side "xy" also has seeds, the
-    # face_points(k) of its k cells where 3 < k <= FACE_SYMBOLS (AND's 4),
-    # and none above (remote-ot m=3's 24); the x and y sides have none
+    # banks, which share no array; a side's channel seed is one of its rows,
+    # appended where it is not one already (remote-ot m=3's x seed, uniform
+    # on 000 and 111, is a structured midpoint). The joint side "xy" also
+    # has seeds, the face_points(k) of its k cells where 3 < k <=
+    # FACE_SYMBOLS (AND's 4), and the channel's joint seeds above
+    # (remote-ot m=3's 24: three laws); the x and y sides have none
     import scbound.bounds as bounds
     from scbound.simplex import FACE_SYMBOLS, candidate_points, face_points
 
@@ -172,13 +175,23 @@ def test_bank_builds_each_sides_candidates_once(monkeypatch, name, params):
             want = candidate_points(k, CHEAP)
             seen = {}
             want = want[[seen.setdefault(row.tobytes(), i) == i for i, row in enumerate(want)]]
+            W = np.asarray(bank.ch.kernel)
+            seed = None if side == "xy" else bounds._channel_seeds(W, side)
+            if seed is not None and not (want == seed).all(axis=1).any():
+                want = np.concatenate([want, seed])
             assert out.shape == want.shape and out.tobytes() == want.tobytes(), side
+            assert seed is None or (out == seed).all(axis=1).any(), side
             assert not out.flags.writeable, side
             seeds = bank.seeds(side)
             if side == "xy" and k <= FACE_SYMBOLS:
                 assert seeds.tobytes() == face_points(k).tobytes()
+            elif side == "xy":
+                assert seeds.shape == (3, k)
+                assert seeds.tobytes() == bounds._channel_seeds(W, "xy").tobytes()
             else:
                 assert seeds is None, side
+        if name == "remote-ot":
+            assert bounds._channel_seeds(np.asarray(bank.ch.kernel), "x") is not None
         arrays.append([got[0][0] for got in sides.values()])
     assert (name == "and") == (banks[0].nx * banks[0].ny <= FACE_SYMBOLS)
     assert not any(np.shares_memory(a, c) for a in arrays[0] for c in arrays[1])
@@ -1620,16 +1633,21 @@ def _brute_x_group(W):
             if np.array_equal(W[np.ix_(px, py, pz)], W)}
 
 
-def _planted_channel(rng, shape):
+def _planted_channel(rng, shape, y_only=False):
     # a random kernel summed over the cycle of a random relabelling (pi_X,
     # pi_Y, pi_Z), pi_X one cycle through every x, which is then one of its
     # automorphisms; integer cells keep the sum exact in any order, and each
-    # row is divided by its integer total
+    # row is divided by its integer total. With y_only, pi_X is the identity
+    # and pi_Y one cycle through every y: a y-only automorphism
     K = rng.integers(0, 4, size=shape) * (rng.random(shape) > 0.3)
     K[..., 0] += 1
-    q, px = rng.permutation(shape[0]), np.empty(shape[0], dtype=int)
-    px[q] = np.roll(q, 1)
-    perms = np.ix_(px, *(rng.permutation(k) for k in shape[1:]))
+    n = shape[y_only]
+    q, cycle = rng.permutation(n), np.empty(n, dtype=int)
+    cycle[q] = np.roll(q, 1)
+    if y_only:
+        perms = np.ix_(np.arange(shape[0]), cycle, rng.permutation(shape[2]))
+    else:
+        perms = np.ix_(cycle, *(rng.permutation(k) for k in shape[1:]))
     S, T = K.copy(), K[perms]
     while not np.array_equal(T, K):
         S, T = S + T, T[perms]
@@ -1716,10 +1734,10 @@ def _orbit_and_full(monkeypatch, ch, cfg):
     with monkeypatch.context() as m:
         m.setattr(bounds, "_SWEEP_CELLS", min(bounds._SWEEP_CELLS, len(A) * len(B) - 1))
         orbit = {side: bank.sweep(side) for side in "xy"}
-        order = len(bank._orbits(A, B)[0])
+        sx, _, krep = bank._orbits(A, B)
         _full_grid(m)
         full = {side: bounds._TermBank(ch, cfg).sweep(side) for side in "xy"}
-    return bank, orbit, full, order
+    return bank, orbit, full, len(sx), krep
 
 
 def _assert_orbit_matches_full(bank, orbit, full):
@@ -1745,7 +1763,7 @@ _CLOSED = [("group-add", {"order": 3}), ("group-add", {"order": 4}), ("group-add
 def test_orbit_sweep_matches_the_full_grid_on_builtins(monkeypatch, name, params):
     # every built-in whose two sides are lattice candidates, at its default
     # config: a nontrivial group, and the full grid's maxima
-    bank, orbit, full, order = _orbit_and_full(monkeypatch, _reduced(name, **params), CFG)
+    bank, orbit, full, order, _ = _orbit_and_full(monkeypatch, _reduced(name, **params), CFG)
     assert order > 1
     _assert_orbit_matches_full(bank, orbit, full)
 
@@ -1759,14 +1777,84 @@ def test_orbit_sweep_matches_the_full_grid(rng, monkeypatch, height):
     cfg = OptConfig(grid_resolution=0.1)
     monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * 67)
     for shape in [(3, 3, 3), (3, 3, 2), (4, 3, 2), (2, 4, 3), (3, 2, 4)] * 2:
-        bank, orbit, full, order = _orbit_and_full(monkeypatch, _planted_channel(rng, shape), cfg)
+        bank, orbit, full, order, _ = _orbit_and_full(monkeypatch, _planted_channel(rng, shape),
+                                                      cfg)
         assert order > 1
         _assert_orbit_matches_full(bank, orbit, full)
 
 
+@pytest.mark.parametrize("height", [1, 5, 1000])
+def test_orbit_sweep_with_a_y_only_symmetry_matches_the_full_grid(rng, monkeypatch, height):
+    # seeded random channels with a planted y-only automorphism, whose y
+    # candidates the sweep scores one per orbit of K, in slices of 1 row, of
+    # 5 rows and of the whole grid
+    import scbound.bounds as bounds
+
+    cfg = OptConfig(grid_resolution=0.1)
+    monkeypatch.setattr(bounds, "_SWEEP_CELLS", height * 67)
+    for shape in [(3, 3, 3), (3, 3, 2), (4, 3, 2), (2, 4, 3), (3, 2, 4)] * 2:
+        ch = _planted_channel(rng, shape, y_only=True)
+        bank, orbit, full, _, krep = _orbit_and_full(monkeypatch, ch, cfg)
+        assert (krep < np.arange(len(krep))).any()
+        _assert_orbit_matches_full(bank, orbit, full)
+
+
+def _x_map_orbits(bank, A, B):
+    # the group as the sweep took it before K: closed on the x index maps,
+    # one element per x map, and no y-only subgroup
+    import scbound.bounds as bounds
+
+    gens, _ = bounds._automorphisms(np.asarray(bank.ch.kernel))
+    (mx, fx), (my, fy) = (bounds._relabel_maps(P, [g[i] for g in gens])
+                          for i, P in enumerate((A, B)))
+    gens = [(gx, gy) for gx, gy, ok in zip(mx, my, fx & fy) if ok]
+    group = {np.arange(len(A)).tobytes(): (np.arange(len(A)), np.arange(len(B)))}
+    todo = list(group.values())
+    while todo:
+        ex, ey = todo.pop()
+        for gx, gy in gens:
+            h = (gx[ex], gy[ey])
+            if h[0].tobytes() not in group:
+                group[h[0].tobytes()] = h
+                todo.append(h)
+    sx, sy = (np.stack(m) for m in zip(*group.values()))
+    return sx, sy, np.arange(len(B))
+
+
+_Y_ONLY = [("group-add", {"order": 3}, 3), ("group-add", {"order": 4}, 4),
+           ("group-add", {"order": 5}, 5), ("group-add", {"order": 6}, 6),
+           ("remote-ot", {"m": 2}, 1), ("remote-ot", {"m": 3}, 1), ("and", {"n": 2}, 1)]
+
+
+@pytest.mark.parametrize("name,params,size", _Y_ONLY,
+                         ids=["-".join([n] + [str(v) for v in p.values()]) for n, p, _ in _Y_ONLY])
+def test_orbits_find_the_y_only_subgroup(monkeypatch, name, params, size):
+    # group-add n has a y-only subgroup of n elements (y -> y + c, z -> z +
+    # c), whose largest orbit of y candidates has n; remote-ot m=2 and m=3
+    # and AND n=2 have none, and there the sweep is the one closed on x
+    # maps alone, bit for bit
+    import scbound.bounds as bounds
+
+    bank = bounds._TermBank(_reduced(name, **params), CFG)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    sx, sy, krep = bank._orbits(A, B)
+    assert np.bincount(krep).max() == size
+    assert np.array_equal(sx[0], np.arange(len(A))) and np.array_equal(sy[0], np.arange(len(B)))
+    if size == 1:
+        old = bounds._TermBank(bank.ch, CFG)
+        if len(sx) > 1:
+            monkeypatch.setattr(old, "_orbits", functools.partial(_x_map_orbits, old))
+        for side, groups in bounds._SWEEP_GROUPS.items():
+            new, was = bank.sweep(side), old.sweep(side)
+            for g in groups:
+                assert np.array_equal(new.best[g], was.best[g]), (side, g)
+                assert np.array_equal(new.arg[g], was.arg[g]), (side, g)
+
+
 def test_orbit_sweep_on_group_add_scores_a_fraction_of_the_grid(monkeypatch):
-    # group-add 4 and 5 score at most 15% and 7% of their full grids: one
-    # x candidate per orbit (458 of 3,283 and 101 of 1,821)
+    # group-add 4 and 5 score at most 4% and 1.5% of their full grids: one
+    # x candidate per orbit (458 of 3,283 and 101 of 1,821) against one y
+    # candidate per orbit of the y-only subgroup (822 and 365)
     import scbound.bounds as bounds
 
     cells = []
@@ -1777,7 +1865,7 @@ def test_orbit_sweep_on_group_add_scores_a_fraction_of_the_grid(monkeypatch):
         return pair_values(self, A, B, kinds, _work)
 
     monkeypatch.setattr(bounds._TermBank, "pair_values", counted)
-    for order, share in ((4, 0.15), (5, 0.07)):
+    for order, share in ((4, 0.04), (5, 0.015)):
         del cells[:]
         bank = bounds._TermBank(_reduced("group-add", order=order), CFG)
         bank.sweep("x")
@@ -1785,14 +1873,15 @@ def test_orbit_sweep_on_group_add_scores_a_fraction_of_the_grid(monkeypatch):
         assert 0 < sum(cells) <= share * n_x * n_y
 
 
-@pytest.mark.parametrize("name,params", [("remote-ot", {"m": 3}), ("erasure", {})],
-                         ids=["remote-ot-3", "erasure"])
+@pytest.mark.parametrize("name,params", [("remote-ot", {"m": 3}), ("and", {})],
+                         ids=["remote-ot-3", "and"])
 def test_sweep_without_a_symmetry_scores_the_full_grid(monkeypatch, name, params):
     # remote-ot m=3 (8 x-side symbols: Dirichlet draws, so no search) and
-    # erasure (no x relabelling) sweep every x candidate: bit for bit the
-    # max and first argmax of the grid scored in the sweep's slices. The
-    # group is searched only where the grid has more than _SWEEP_CELLS
-    # cells, so _SWEEP_CELLS is cut to one cell short of erasure's 51 x 51
+    # AND (whose whole group is trivial) sweep every cell of the grid: bit
+    # for bit the max and first argmax of the grid scored in the sweep's
+    # slices. The group is searched only where the grid has more than
+    # _SWEEP_CELLS cells, so _SWEEP_CELLS is cut to one cell short of AND's
+    # 51 x 51
     import scbound.bounds as bounds
 
     searches = []
@@ -1802,7 +1891,9 @@ def test_sweep_without_a_symmetry_scores_the_full_grid(monkeypatch, name, params
     A, B = bank.candidates("x"), bank.candidates("y")
     monkeypatch.setattr(bounds, "_SWEEP_CELLS", min(bounds._SWEEP_CELLS, len(A) * len(B) - 1))
     sweeps = {side: bank.sweep(side) for side in "xy"}
-    assert len(searches) == (name == "erasure")
+    assert len(searches) == (name == "and")
+    sx, _, krep = bank._orbits(A, B)
+    assert len(sx) == 1 and np.array_equal(krep, np.arange(len(B)))
     rows = max(1, min(bounds._CHUNK, len(A), bounds._SWEEP_CELLS // len(B)))
     for side, groups in bounds._SWEEP_GROUPS.items():
         for g in groups:

@@ -91,7 +91,7 @@ def _clipped_slopes(cone, q, kinds, D):
 
 def test_boundary_start_of_group_add_4_reads_no_false_gap(monkeypatch):
     # switched_m12_top starts from its sweep at log 4, its maximum, with
-    # outer law [0, 0, 0.04, 0.96]. A clipped log reads a gap there; the
+    # outer law [0, 0, 0.16, 0.84]. A clipped log reads a gap there; the
     # t log t coefficients of the cells each direction opens read none
     starts = []
 
@@ -103,7 +103,7 @@ def test_boundary_start_of_group_add_4_reads_no_false_gap(monkeypatch):
     bank = _TermBank(channel_normal_form(builtin("group-add", order=4).channel).reduced)
     term = bounds._nested(bank, "switched_m12_top")
     (slopes, (a, *bs)), = starts
-    np.testing.assert_allclose(a, [0, 0, 0.04, 0.96], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a, [0, 0, 0.16, 0.84], rtol=0, atol=1e-12)
     assert term.value == pytest.approx(2.0, abs=1e-12)
     assert frank_wolfe_gap(slopes, [a, *bs]) <= STATIONARY_GAP
 
