@@ -49,25 +49,18 @@ each slice for both outer sides as it streams: a per-outer max and argmax,
 the y side's as a running max over slices. It scores one pair per orbit of
 the channel's automorphism group, the triples (pi_X, pi_Y, pi_Z) with
 W[pi_X x, pi_Y y, pi_Z z] = W[x, y, z] (_automorphisms): one x candidate
-per orbit of the group against one y candidate per orbit of its y-only
-subgroup K, the elements with pi_X the identity. Every term kind is an
-entropy, which relabelling leaves alone, so where both sides' candidates
-are lattice points, closed under the group, a y candidate's value against
-any x candidate is its K representative's, an orbit member's x-side max is
-its representative's, and a y-side column's max is the largest, over the
-group, of the representatives' column max at the relabelled column.
-Group-add 4 scores 458 of its 3,283 x candidates against 822 of its y
-candidates (3.5% of the grid); a grid of at most _SWEEP_CELLS cells is
-swept whole, with no search.
+per orbit against one y candidate per orbit of the y-only subgroup K (pi_X
+the identity). Every term kind is an entropy, which relabelling leaves
+alone, so where both sides' candidates are lattice points, closed under the
+group, every other cell's max follows (_sweeps). Group-add 4 scores 3.5% of
+its grid; a grid of at most _SWEEP_CELLS cells is swept whole, no search.
 
-The scans also take seeds read off the channel (_channel_seeds). Each input
-side holds, among its candidates, the uniform law on its inputs whose
-kernel slice does not depend on the other input. The joint-law scans (the
-improved terms' p_X'Y' and the dealer-share laws) take their candidates
-from one builder, _joint_scan, and with them, up to FACE_SYMBOLS cells, the
-uniform law on every face (face_points) as seeds; above it a bank's joint
-scan takes the products of the side seeds with the uniform laws and the
-laws on which the output is a function of one input. The tight built-in
+The scans also take seeds read off the channel (_channel_seeds): each input
+side's candidates hold the uniform law on the inputs whose kernel slice
+does not depend on the other input. The joint-law scans (the improved
+terms' p_X'Y' and the dealer-share laws) take candidates and seeds from one
+builder, _joint_scan: the uniform law on every face (face_points) up to
+FACE_SYMBOLS cells, the channel's joint seeds above. The tight built-in
 terms peak at such laws.
 
 Share-size bounds for dealer-generated secret sharing reuse the same term
@@ -330,18 +323,22 @@ def _first_rows(pts):
     return pts
 
 
-def _joint_scan(k, cfg):
+def _joint_scan(k, cfg, W=None):
     """The scan of a joint law on k cells, which the improved terms' p_X'Y'
     and the dealer-share laws on a support cone both take, as (candidates,
     seeds): the first rows of candidate_points(k, cfg), and, for 4 to
     FACE_SYMBOLS cells, the uniform law on every face of 3 to k - 1 cells
-    (face_points), else None (a bank seeds it from its channel). The tight
-    built-in terms peak at such a law (AND's m23 and m31 at 1/3 on three
-    cells, remote-ot m=2's m12 at 1/6 on six), where the scan then lands
-    and the polish is skipped; optimize_over_simplex takes a seed only
-    where that keeps every value at least its unseeded one."""
-    seeds = face_points(k) if 3 < k <= FACE_SYMBOLS else None
-    return _first_rows(candidate_points(k, cfg)), seeds
+    (face_points); above FACE_SYMBOLS the joint seeds of kernel W
+    (_channel_seeds), where one is given, else None. The tight built-in
+    terms peak at such a law (AND's m23 and m31 at 1/3 on three cells,
+    remote-ot m=2's m12 at 1/6 on six, remote-ot m=3's improved m12 on a
+    row-modal law), where the scan then lands and the polish is skipped;
+    optimize_over_simplex takes a seed only where that keeps every value at
+    least its unseeded one."""
+    cands = _first_rows(candidate_points(k, cfg))
+    if k > FACE_SYMBOLS:
+        return cands, None if W is None else _channel_seeds(W, "xy")
+    return cands, face_points(k) if k > 3 else None
 
 
 def _channel_seeds(W, side):
@@ -608,14 +605,11 @@ class _TermBank:
         """(candidates, seeds) of one side, built on first use, candidates
         first, so an oversize side raises before its seeds cost anything. An
         input side appends its channel seed (_channel_seeds) unless it is a
-        row already; the joint side takes the channel's joint seeds above
-        FACE_SYMBOLS cells, below which face_points holds every one."""
+        row already; the joint side is _joint_scan's, given the kernel."""
         if side not in self._cands:
             W = np.asarray(self.ch.kernel)
             if side == "xy":
-                cands, seeds = _joint_scan(self.nx * self.ny, self.cfg)
-                if self.nx * self.ny > FACE_SYMBOLS:
-                    seeds = _channel_seeds(W, "xy")
+                cands, seeds = _joint_scan(self.nx * self.ny, self.cfg, W)
             else:
                 k = self.nx if side == "x" else self.ny
                 cands, seeds = _first_rows(candidate_points(k, self.cfg)), None
@@ -695,36 +689,43 @@ class _TermBank:
         sets, on the candidates: index maps (G, len(A)) and (G, len(B)), one
         element per x map, the identity first, whose row g sends candidate i
         to its relabelling by element g; and krep, each y candidate's first
-        index in its orbit under K, the elements with pi_X the identity,
-        which fix every x candidate. The closure is keyed by the symbol
-        permutations (pi_X, pi_Y), as tuples, and composes a new element's
-        index maps once, from its parent's. K, the kernel of the action on
-        the x candidates, is normal, so any element may stand for its x
-        map. The identity only, with no search, where a side has Dirichlet
-        draws or the grid holds at most _SWEEP_CELLS cells: there the search
-        costs more than the grid it would shrink (0.58 against 0.40 ms on
-        AND's 51 x 51 candidates)."""
-        ident = (tuple(range(self.nx)), tuple(range(self.ny)))
+        index in its orbit under K, the elements with pi_X the identity, which
+        fix every x candidate. The closure is keyed by pi_X, so it keeps one
+        element per x map (at most 720, where the group may hold 720^2), its
+        index maps composed once, from its parent's: a transversal of K, which
+        is normal, so any element may stand for its x map, and K is reached
+        through its Schreier generators. The identity only, with no search,
+        where a side has Dirichlet draws or the grid holds at most
+        _SWEEP_CELLS cells: there the search costs more than the grid it would
+        shrink (0.58 against 0.40 ms on AND's 51 x 51 candidates)."""
+        ident = tuple(range(self.nx))
         group, todo, gens = {ident: (np.arange(len(A)), np.arange(len(B)))}, [ident], []
         if max(self.nx, self.ny) <= LATTICE_SYMBOLS and len(A) * len(B) > _SWEEP_CELLS:
             gens, _ = _automorphisms(np.asarray(self.ch.kernel))
             (mx, fx), (my, fy) = (_relabel_maps(P, [g[i] for g in gens])
                                   for i, P in enumerate((A, B)))
-            gens = [(tuple(g[0].tolist()), tuple(g[1].tolist()), gx, gy)
-                    for g, gx, gy, ok in zip(gens, mx, my, fx & fy) if ok]
+            gens = [(g[0].tolist(), gx, gy) for g, gx, gy, ok in zip(gens, mx, my, fx & fy) if ok]
         while todo:  # the closure: a composition of automorphisms is one
-            px, py = e = todo.pop()
-            ex, ey = group[e]
-            for gpx, gpy, gx, gy in gens:
-                if (h := (tuple(gpx[i] for i in px), tuple(gpy[i] for i in py))) not in group:
+            ex, ey = group[px := todo.pop()]
+            for gpx, gx, gy in gens:
+                if (h := tuple(gpx[i] for i in px)) not in group:
                     group[h] = gx[ex], gy[ey]
                     todo.append(h)
-        # the candidates hold the vertices: one x map per pi_X
-        xs, K = {}, [ey for (px, _), (_, ey) in group.items() if px == ident[0]]
-        for (px, _), maps in group.items():
-            xs.setdefault(px, maps)
-        sx, sy = (np.stack(m) for m in zip(*xs.values()))
-        return sx, sy, np.min(K, axis=0)
+        # K's Schreier generators t'^-1 s t on the y candidates, t in the
+        # closure, s a generator, t' the element of s t's x map, each once
+        inv, ks, krep = {px: np.argsort(m[1]) for px, m in group.items()}, {}, np.arange(len(B))
+        for px, (_, ey) in group.items():
+            for gpx, _, gy in gens:
+                k = inv[tuple(gpx[i] for i in px)][gy[ey]]
+                ks[k.tobytes()] = k
+        while True:  # the least index along them, until none moves
+            prev = krep
+            for k in ks.values():
+                krep = np.minimum(krep, krep[k])
+            if np.array_equal(krep, prev):
+                break
+        sx, sy = (np.stack(m) for m in zip(*group.values()))
+        return sx, sy, krep
 
     @functools.cached_property
     def _sweeps(self):

@@ -1799,6 +1799,38 @@ def test_orbit_sweep_with_a_y_only_symmetry_matches_the_full_grid(rng, monkeypat
         _assert_orbit_matches_full(bank, orbit, full)
 
 
+def test_orbit_sweep_of_a_channel_with_a_large_group_stays_small(monkeypatch):
+    # Z = (X, Y) on 6 x 6 inputs, which the normal form keeps whole: its
+    # group is S6 x S6, 518,400 elements. The sweep lists one per x map
+    # (720) and reaches K, the 720 y relabellings, through its Schreier
+    # generators: it stays within 64 MB of allocations and 10 s, and
+    # matches the full grid
+    import time
+    import tracemalloc
+
+    import scbound.bounds as bounds
+
+    n = 6
+    W = np.zeros((n, n, n * n))
+    W[np.arange(n)[:, None], np.arange(n), np.arange(n * n).reshape(n, n)] = 1
+    ch = Channel(*(Alphabet(a, tuple(range(k))) for a, k in zip("XYZ", W.shape)), W)
+    assert np.asarray(channel_normal_form(ch).reduced.kernel).shape == W.shape
+    bank = bounds._TermBank(ch, CFG)
+    A, B = bank.candidates("x"), bank.candidates("y")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        bank.sweep("x")
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 10 and peak < 64 << 20
+    sx, _, krep = bank._orbits(A, B)
+    assert len(sx) == 720 and len(np.unique(krep)) < len(B) // 10
+    _, orbit, full, _, _ = _orbit_and_full(monkeypatch, ch, CFG)
+    _assert_orbit_matches_full(bank, orbit, full)
+
+
 def _x_map_orbits(bank, A, B):
     # the group as the sweep took it before K: closed on the x index maps,
     # one element per x map, and no y-only subgroup
